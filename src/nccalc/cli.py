@@ -399,11 +399,8 @@ def preset_run(ctx, preset_id):
         jobs = ctx.obj.get("jobs", 1)
         bundle = load_preset(preset_id)
         if jobs > 1:
-            rep = Report(f"preset {bundle.id}")
             with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(lambda fx: fx.run(), bundle.fixtures))
-            for i, (fx, (ok, detail)) in enumerate(zip(bundle.fixtures, results)):
-                rep.add(f"fixture_{i:02d}", ok, detail)
+                rep = bundle.run_fixtures(map=pool.map)
         else:
             rep = bundle.run_fixtures()
         return _emit(ctx, rep, f"preset.{bundle.id}")

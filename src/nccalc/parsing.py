@@ -26,6 +26,7 @@ class ParseError(ValueError):
 
 
 def tokenize(text):
+    """Tokens (kind, value, column); columns are 1-based, "end" is one past the text."""
     out = []
     pos = 0
     while pos < len(text):
@@ -33,17 +34,24 @@ def tokenize(text):
         if not m:
             break
         num, name, sym, bad = m.groups()
+        col = m.start(m.lastindex) + 1
         if bad is not None:
-            raise ParseError(f"unexpected character {bad!r} in {text!r}")
+            raise ParseError(f"unexpected character {bad!r} at column {col} in {text!r}")
         if num is not None:
-            out.append(("num", int(num)))
+            out.append(("num", int(num), col))
         elif name is not None:
-            out.append(("name", name))
+            out.append(("name", name, col))
         else:
-            out.append((sym, sym))
+            out.append((sym, sym, col))
         pos = m.end()
-    out.append(("end", None))
+    out.append(("end", None, len(text) + 1))
     return out
+
+
+def _found(tok):
+    kind, val, col = tok
+    what = "end of input" if kind == "end" else f"token {str(val)!r}"
+    return f"{what} at column {col}"
 
 
 class _Parser:
@@ -63,13 +71,14 @@ class _Parser:
     def expect(self, kind):
         t = self.next()
         if t[0] != kind:
-            raise ParseError(f"expected {kind!r}, got {t[1]!r}")
+            want = "an integer" if kind == "num" else repr(kind)
+            raise ParseError(f"expected {want}, got {_found(t)}")
         return t
 
     def parse(self):
         v = self.expr()
         if self.peek() != "end":
-            raise ParseError(f"trailing input at {self.toks[self.i][1]!r}")
+            raise ParseError(f"trailing input: {_found(self.toks[self.i])}")
         return v
 
     def expr(self):
@@ -110,7 +119,8 @@ class _Parser:
         return v
 
     def atom(self):
-        kind, val = self.next()
+        tok = self.next()
+        kind, val, _ = tok
         if kind == "num":
             return self.ctx.number(val)
         if kind == "(":
@@ -129,7 +139,7 @@ class _Parser:
                 self.expect(")")
                 return self.ctx.call(val, v)
             return self.ctx.name(val)
-        raise ParseError(f"unexpected token {val!r}")
+        raise ParseError(f"unexpected {_found(tok)}")
 
     def label_body(self):
         # labels are short free-form tokens such as 1, -1, 2

@@ -57,13 +57,11 @@ class PresetBundle:
         self.side_conditions = tuple(side_conditions)
         self.extras = dict(extras or {})
 
-    def run_fixtures(self) -> Report:
+    def run_fixtures(self, map=map) -> Report:
+        """Run every fixture; `map` may be a pool's map, the report is the same."""
         rep = Report(f"preset {self.id}")
-        for i, fx in enumerate(self.fixtures):
-            try:
-                ok, detail = fx.run()
-            except Exception as exc:  # a crashing fixture is a failing fixture
-                ok, detail = False, f"{type(exc).__name__}: {exc}"
+        results = map(_run_fixture, self.fixtures)
+        for i, (fx, (ok, detail)) in enumerate(zip(self.fixtures, results)):
             rep.add(f"fixture_{i:02d}.{_slug(fx.description)}", ok, detail)
         return rep
 
@@ -80,6 +78,13 @@ class PresetBundle:
         for fx in self.fixtures:
             lines.append(f"  - {fx.description}")
         return "\n".join(lines)
+
+
+def _run_fixture(fx):
+    try:
+        return fx.run()
+    except Exception as exc:  # a crashing fixture is a failing fixture
+        return False, f"{type(exc).__name__}: {exc}"
 
 
 def _slug(text):

@@ -17,6 +17,7 @@ positions line up with the scalar's sorted parameter tuple.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import sub as _sub
 from typing import Iterable, Mapping
 
 _ZERO = Fraction(0)
@@ -33,10 +34,6 @@ class ZeroDenominator(ScalarError):
 
 # ---------------------------------------------------------------------------
 # polynomial helpers (dict exponent-tuple -> Fraction, length = nvars)
-
-
-def _p_zero():
-    return {}
 
 
 def _p_const(c, nvars):
@@ -124,12 +121,13 @@ def _p_div_exact(a, b):
     return q
 
 
-def _p_divides(a, b):
-    try:
-        _p_div_exact(b, a)
-        return True
-    except ArithmeticError:
-        return False
+def _common_power(exps, m):
+    """Componentwise minimum of the exponent m and every exponent in exps."""
+    for e in exps:
+        if not any(m):
+            break
+        m = tuple(map(min, m, e))
+    return m
 
 
 # univariate-in-main-variable view: dict degree -> sub-poly over vars[1:]
@@ -154,10 +152,6 @@ def _p_from_rec(rec):
 def _lift(sub):
     """Embed a poly in vars[1:] as a poly in all vars (degree 0 in var 0)."""
     return {(0,) + e: c for e, c in sub.items()}
-
-
-def _rec_mul_sub(rec, sub):
-    return {d: _p_mul(p, sub) for d, p in rec.items() if _p_mul(p, sub)}
 
 
 def _rec_sub(a, b):
@@ -190,8 +184,10 @@ def _p_pseudo_rem(a, b):
 def _p_gcd(a, b, nvars):
     """Gcd of multivariate polynomials over Q, monic under graded-lex.
 
-    Primitive pseudo-remainder sequence on the first variable with
-    recursive content computation.
+    A single-term operand divides only into monomials, so the gcd is then
+    the common power of both operands.  Otherwise a primitive
+    pseudo-remainder sequence on the first variable with recursive
+    content computation.
     """
     if not a:
         return _p_monic(dict(b))
@@ -201,6 +197,9 @@ def _p_gcd(a, b, nvars):
         return {(): _ONE}
     if _p_is_const(a) or _p_is_const(b):
         return _p_const(1, nvars)
+    if len(a) == 1 or len(b) == 1:
+        m = _common_power(b, _common_power(a, next(iter(a))))
+        return {m: _ONE}
 
     def content_pp(p):
         rec = _p_to_rec(p)
@@ -322,6 +321,16 @@ class Scalar:
             raise ZeroDenominator("zero denominator")
         if not num:
             return Scalar.zero()
+        if len(den) == 1:
+            # monomial c*x^e: cancel the common power, then make den monic
+            ((e, c),) = den.items()
+            m = _common_power(num, e)
+            if any(m):
+                num = {tuple(map(_sub, k, m)): v / c for k, v in num.items()}
+                den = {tuple(map(_sub, e, m)): _ONE}
+            elif c != 1:
+                num = {k: v / c for k, v in num.items()}
+                den = {e: _ONE}
         # drop unused parameters
         n = len(params)
         used = [i for i in range(n) if any(e[i] for e in num) or any(e[i] for e in den)]
@@ -331,15 +340,16 @@ class Scalar:
             den = {proj(e): c for e, c in den.items()}
             params = tuple(params[i] for i in used)
             n = len(params)
-        g = _p_gcd(num, den, n)
-        if not _p_is_const(g):
-            num = _p_div_exact(num, g)
-            den = _p_div_exact(den, g)
-            return Scalar._make(params, num, den)
-        _, lc = _p_lead(den)
-        if lc != 1:
-            num = _p_scale(num, 1 / lc)
-            den = _p_scale(den, 1 / lc)
+        if len(den) > 1:
+            g = _p_gcd(num, den, n)
+            if not _p_is_const(g):
+                num = _p_div_exact(num, g)
+                den = _p_div_exact(den, g)
+                return Scalar._make(params, num, den)
+            _, lc = _p_lead(den)
+            if lc != 1:
+                num = _p_scale(num, 1 / lc)
+                den = _p_scale(den, 1 / lc)
         return Scalar(params, num, den, _canonical=True)
 
     # -- alignment of parameter contexts
@@ -372,16 +382,6 @@ class Scalar:
     def is_one(self):
         return self.num == self.den
 
-    def is_rational(self):
-        return _p_is_const(self.num) and _p_is_const(self.den)
-
-    def as_fraction(self):
-        if not self.is_rational():
-            raise ScalarError(f"{self} is not a rational constant")
-        if not self.num:
-            return Fraction(0)
-        return next(iter(self.num.values())) / next(iter(self.den.values()))
-
     # -- arithmetic
 
     def __add__(self, other):
@@ -389,6 +389,8 @@ class Scalar:
         if other is None:
             return NotImplemented
         params, an, ad, bn, bd = self._aligned(other)
+        if ad == bd:
+            return Scalar._make(params, _p_add(an, bn), ad)
         return Scalar._make(params, _p_add(_p_mul(an, bd), _p_mul(bn, ad)), _p_mul(ad, bd))
 
     __radd__ = __add__
@@ -482,11 +484,6 @@ class Scalar:
                                frozenset(self.den.items())))
         return self._hash
 
-    def sort_key(self):
-        return (self.params,
-                tuple(sorted(self.num.items())),
-                tuple(sorted(self.den.items())))
-
     def __str__(self):
         num = _p_str(self.num, self.params)
         if self.den == {(0,) * len(self.params): _ONE}:
@@ -494,9 +491,7 @@ class Scalar:
         den = _p_str(self.den, self.params)
         if len(self.num) > 1:
             num = f"({num})"
-        if len(self.den) > 1 or True:
-            den = f"({den})"
-        return f"{num}/{den}"
+        return f"{num}/({den})"
 
     def __repr__(self):
         return f"Scalar({self})"

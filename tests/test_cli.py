@@ -56,6 +56,14 @@ def test_parse_error_exit_2(runner):
     assert res.exit_code == 2
 
 
+def test_trailing_operator_located_exit_2(runner):
+    res = runner.invoke(main, ["--preset", "quantum_plane_a", "normalize", "x +"])
+    assert res.exit_code == 2
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    assert "error: unexpected end of input at column 4" in res.output
+
+
 def test_commute(runner):
     res = invoke(runner, "--preset", "h_plane", "commute",
                  "--expr", "x", "--thetas", "1")
@@ -178,9 +186,12 @@ def test_verify_all_presets_deterministic_and_parallel(runner):
 
 
 def test_jobs_preset_run_deterministic(runner):
-    seq = invoke(runner, "preset", "run", "quantum_plane_b")
-    par = invoke(runner, "--jobs", "3", "preset", "run", "quantum_plane_b")
-    assert seq.exit_code == 0 and par.exit_code == 0
+    for pid in ("quantum_plane_b", "heisenberg"):
+        seq = invoke(runner, "--format", "structured", "--jobs", "1", "preset", "run", pid)
+        par = invoke(runner, "--format", "structured", "--jobs", "3", "preset", "run", pid)
+        assert seq.exit_code == 0 and par.exit_code == 0
+        assert f"preset.{pid}.fixture_00." in seq.output
+        assert seq.output == par.output
 
 
 def test_env_side_conditions(runner):

@@ -145,3 +145,117 @@ def test_gcd_against_sympy_oracle():
         ours = a / b
         theirs = sympy.cancel(to_sympy(a) / to_sympy(b))
         assert sympy.simplify(to_sympy(ours) - theirs) == 0
+
+
+def test_parse_error_trailing_operator_located():
+    from nccalc.parsing import ParseError
+    cases = {"q +": "unexpected end of input at column 4",
+             "(q": "expected ')', got end of input at column 3",
+             "q*": "unexpected end of input at column 3"}
+    for text, message in cases.items():
+        with pytest.raises(ParseError) as exc:
+            parse_scalar(text, ["q"])
+        assert str(exc.value) == message
+
+
+# -- oracle for the gcd and cancellation fast paths -------------------------
+#
+# Strategies favour what the calculi produce (constants, single terms and
+# equal denominators) and keep multi-term operands with a planted common
+# factor so the pseudo-remainder path is exercised as well.
+
+_NAMES = ("p", "q", "t")
+_ORACLE = dict(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def _strategies():
+    st = pytest.importorskip("hypothesis.strategies")
+    from fractions import Fraction
+    from nccalc.scalar import _p_mul
+
+    def polys(n):
+        exps = st.tuples(*[st.integers(0, 2)] * n)
+        coeffs = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+        const = coeffs.map(lambda c: {(0,) * n: c})
+        mono = st.builds(lambda e, c: {e: c}, exps, coeffs)
+        multi = st.dictionaries(exps, coeffs, min_size=2, max_size=3)
+        return st.one_of(const, mono, mono, multi, multi)
+
+    @st.composite
+    def poly_pairs(draw, count):
+        """n and `count` pairs over n variables, all sharing one planted factor or none."""
+        n = draw(st.sampled_from((2, 3)))
+        f = draw(polys(n)) if draw(st.booleans()) else {(0,) * n: Fraction(1)}
+        return n, [(_p_mul(f, draw(polys(n))), _p_mul(f, draw(polys(n))))
+                   for _ in range(count)]
+
+    return st, poly_pairs
+
+
+def _sympy_poly(sympy, poly, n):
+    return sympy.Poly.from_dict({e: sympy.Rational(c.numerator, c.denominator)
+                                 for e, c in poly.items()},
+                                *sympy.symbols(_NAMES[:n]), domain="QQ")
+
+
+def _from_sympy(poly):
+    from fractions import Fraction
+    return {tuple(int(k) for k in e): Fraction(int(c.p), int(c.q))
+            for e, c in poly.terms() if c}
+
+
+def _grlex_monic(num, den):
+    lead = max(den, key=lambda e: (sum(e), e))
+    c = den[lead]
+    return {e: v / c for e, v in num.items()}, {e: v / c for e, v in den.items()}
+
+
+def _sympy_canonical(sympy, num, den, n):
+    """(params, num, den) of sympy's cancel of num/den in nccalc's canonical form."""
+    top, bottom = _sympy_poly(sympy, num, n).cancel(_sympy_poly(sympy, den, n), include=True)
+    top, bottom = _grlex_monic(_from_sympy(top), _from_sympy(bottom))
+    used = [i for i in range(n) if any(e[i] for e in top) or any(e[i] for e in bottom)]
+    proj = lambda p: {tuple(e[i] for i in used): c for e, c in p.items()}
+    return tuple(_NAMES[i] for i in used), proj(top), proj(bottom)
+
+
+def test_gcd_fast_paths_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    from nccalc.scalar import _p_gcd
+    _, poly_pairs = _strategies()
+
+    @hypothesis.settings(**_ORACLE)
+    @hypothesis.given(poly_pairs(1))
+    def check(case):
+        n, [(a, b)] = case
+        g = _from_sympy(_sympy_poly(sympy, a, n).gcd(_sympy_poly(sympy, b, n)))
+        assert _p_gcd(a, b, n) == _grlex_monic(g, g)[0]
+
+    check()
+
+
+def test_make_and_add_fast_paths_against_sympy_cancel():
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    from nccalc.scalar import _p_add, _p_mul
+    st, poly_pairs = _strategies()
+
+    def canonical(s):
+        return s.params, s.num, s.den
+
+    @hypothesis.settings(**_ORACLE)
+    @hypothesis.given(poly_pairs(2), st.booleans())
+    def check(case, same_den):
+        n, [(num, den), (onum, oden)] = case
+        params = _NAMES[:n]
+        a = Scalar._make(params, num, den)
+        assert canonical(a) == _sympy_canonical(sympy, num, den, n)
+        if same_den:
+            oden = den
+        b = Scalar._make(params, onum, oden)
+        want = _sympy_canonical(sympy, _p_add(_p_mul(num, oden), _p_mul(onum, den)),
+                                _p_mul(den, oden), n)
+        assert canonical(a + b) == want
+
+    check()
