@@ -147,15 +147,6 @@ class Presentation:
         self._rule_index = index
         self._nf = {}
 
-    def extend_rules(self, rules):
-        """New presentation with extra rules appended."""
-        p = Presentation(self.generators, self.params, name=self.name)
-        p.rules = self.rules
-        p._rule_index = dict(self._rule_index)
-        p._nf = {}
-        p._install_rules([p._build_rule(l, r) for l, r in rules])
-        return p
-
     # -- generators / basic elements
 
     def gen_index(self, name):
@@ -333,6 +324,8 @@ class _RawCtx:
     def pow(self, v, n):
         if n == 0:
             return self.number(1)
+        if n < 0 and all(c.is_zero() for c in v.terms.values()):
+            raise ParseError("division by zero")
         if len(v.terms) == 1:
             (w, c), = v.terms.items()
             if not w:

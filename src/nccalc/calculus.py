@@ -264,9 +264,6 @@ class GradedForm:
             return GradedForm(self.spec, {})
         return GradedForm(self.spec, {r: dict(self.comps[r])})
 
-    def is_homogeneous(self):
-        return len(self.comps) <= 1
-
     # -- arithmetic
 
     def __add__(self, other):
@@ -454,9 +451,6 @@ class TwoFormStructure:
         for p in self.zeta:
             if p not in basis_set:
                 raise CalculusError("zeta must be expressed in the basis")
-
-    def reduce_pair(self, pair):
-        return self.reduction.get(tuple(pair))
 
     def reduce_word(self, word):
         """Reduce adjacent pairs left-to-right to a fixpoint; scalar coeffs."""

@@ -24,6 +24,7 @@ from .geometry import (curvature, levi_civita_check, metric_compatibility,
 from .parsing import ParseError
 from .presets import PRESET_IDS, PresetError, load_preset
 from .report import Report
+from .scalar import ScalarError
 from . import suites
 
 EXIT_CHECK_FAILED = 1
@@ -99,7 +100,7 @@ def _run(ctx, fn):
         _fail(EXIT_INPUT_ERROR, exc)
     except (InconsistentCalculus,) as exc:
         _fail(EXIT_INTERNAL, exc)
-    except (AlgebraError, CalculusError) as exc:
+    except (AlgebraError, CalculusError, ScalarError) as exc:
         _fail(EXIT_INPUT_ERROR, exc)
     if not ok:
         sys.exit(EXIT_CHECK_FAILED)

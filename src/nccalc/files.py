@@ -41,12 +41,13 @@ Connection and metric files are tabular:
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 
-from .algebra import Presentation
+from .algebra import AlgebraError, Presentation, verify_morphism
 from .calculus import CalculusSpec, DirectionSet, TwoFormStructure, verify_twisted_two_forms
 from .geometry import Connection, Metric
-from .scalar import parse_scalar
-from .algebra import verify_morphism
+from .parsing import ParseError
+from .scalar import ScalarError, parse_scalar
 
 
 class FileFormatError(ValueError):
@@ -54,24 +55,43 @@ class FileFormatError(ValueError):
 
 
 def _strip_lines(text):
-    for raw in text.splitlines():
+    """(1-based file line number, line) for each line with content."""
+    for n, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            yield line
+            yield n, line
+
+
+@contextmanager
+def _at(n, section=None):
+    """Report an error in a file line as '[section] line n: message'."""
+    try:
+        yield
+    except (FileFormatError, ParseError, AlgebraError, ScalarError) as exc:
+        where = f"line {n}" if section is None else f"[{section}] line {n}"
+        raise FileFormatError(f"{where}: {exc}") from exc
+
+
+def _assignment(line, what):
+    if "=" not in line:
+        raise FileFormatError(f"bad {what} line: {line!r}")
+    lhs, rhs = line.split("=", 1)
+    return lhs.strip(), rhs.strip()
 
 
 def parse_sections(text):
+    """Section name -> [(file line number, line)], comments and blank lines dropped."""
     sections = {}
     current = None
-    for line in _strip_lines(text):
+    for n, line in _strip_lines(text):
         m = re.fullmatch(r"\[([a-z_]+)\]", line)
         if m:
             current = m.group(1)
             sections.setdefault(current, [])
             continue
         if current is None:
-            raise FileFormatError(f"line outside any section: {line!r}")
-        sections[current].append(line)
+            raise FileFormatError(f"line {n}: line outside any section: {line!r}")
+        sections[current].append((n, line))
     return sections
 
 
@@ -80,25 +100,25 @@ def load_presentation(text) -> Presentation:
 
 
 def _presentation_from_sections(sections):
-    params = list(sections.get("params", []))
+    params = [line for _, line in sections.get("params", [])]
     gens = []
     invertible = set()
-    for line in sections.get("generators", []):
+    for n, line in sections.get("generators", []):
         parts = line.split()
         gens.append(parts[0])
         if len(parts) > 1:
             if parts[1] != "invertible":
-                raise FileFormatError(f"bad generator line: {line!r}")
+                raise FileFormatError(f"[generators] line {n}: bad generator line: {line!r}")
             invertible.add(parts[0])
-    rules = []
-    for line in sections.get("relations", []):
-        if "=" not in line:
-            raise FileFormatError(f"bad relation line: {line!r}")
-        lhs, rhs = line.split("=", 1)
-        rules.append((lhs.strip(), rhs.strip()))
     if not gens:
         raise FileFormatError("no [generators] section")
-    return Presentation(gens, params=params, rules=rules, invertible=invertible)
+    pres = Presentation(gens, params=params, invertible=invertible)
+    rules = []
+    for n, line in sections.get("relations", []):
+        with _at(n, "relations"):
+            rules.append(pres._build_rule(*_assignment(line, "relation")))
+    pres._install_rules(rules)
+    return pres
 
 
 def _directions_from_sections(lines):
@@ -107,24 +127,25 @@ def _directions_from_sections(lines):
     triangles = {}
     quads = {}
     classified = False
-    for line in lines:
-        if line.startswith("labels"):
-            labels = line.split("=", 1)[1].split()
-            continue
-        m = re.fullmatch(r"class\s+(\S+)\s+(\S+)\s*=\s*(.+)", line)
-        if not m:
-            raise FileFormatError(f"bad directions line: {line!r}")
-        classified = True
-        pair = (m.group(1), m.group(2))
-        kind = m.group(3).split()
-        if kind[0] == "biangle":
-            biangles.append(pair)
-        elif kind[0] == "triangle":
-            triangles[pair] = kind[1]
-        elif kind[0] == "quadrangle":
-            quads.setdefault(kind[1], []).append(pair)
-        else:
-            raise FileFormatError(f"unknown pair class {kind[0]!r}")
+    for n, line in lines:
+        with _at(n, "directions"):
+            if line.startswith("labels"):
+                labels = _assignment(line, "directions")[1].split()
+                continue
+            m = re.fullmatch(r"class\s+(\S+)\s+(\S+)\s*=\s*(.+)", line)
+            if not m:
+                raise FileFormatError(f"bad directions line: {line!r}")
+            classified = True
+            pair = (m.group(1), m.group(2))
+            kind = m.group(3).split()
+            if kind[0] == "biangle":
+                biangles.append(pair)
+            elif kind[0] == "triangle" and len(kind) > 1:
+                triangles[pair] = kind[1]
+            elif kind[0] == "quadrangle" and len(kind) > 1:
+                quads.setdefault(kind[1], []).append(pair)
+            else:
+                raise FileFormatError(f"unknown pair class {m.group(3)!r}")
     if labels is None:
         raise FileFormatError("[directions] needs a labels line")
     if classified:
@@ -136,18 +157,19 @@ def _directions_from_sections(lines):
 def _morphisms_from_sections(pres, lines):
     images = {}
     inverses = {}
-    for line in lines:
-        m = re.fullmatch(r"(\S+?)(\s+inverse)?\s*:\s*(.+)", line)
-        if not m:
-            raise FileFormatError(f"bad automorphism line: {line!r}")
-        label, is_inv, body = m.group(1), bool(m.group(2)), m.group(3)
-        target = inverses if is_inv else images
-        imgs = target.setdefault(label, {})
-        for piece in body.split(","):
-            if "->" not in piece:
-                raise FileFormatError(f"bad image in: {line!r}")
-            g, expr = piece.split("->", 1)
-            imgs[g.strip()] = expr.strip()
+    for n, line in lines:
+        with _at(n, "automorphisms"):
+            m = re.fullmatch(r"(\S+?)(\s+inverse)?\s*:\s*(.+)", line)
+            if not m:
+                raise FileFormatError(f"bad automorphism line: {line!r}")
+            label, is_inv, body = m.group(1), bool(m.group(2)), m.group(3)
+            target = inverses if is_inv else images
+            imgs = target.setdefault(label, {})
+            for piece in body.split(","):
+                if "->" not in piece:
+                    raise FileFormatError(f"bad image in: {line!r}")
+                g, expr = piece.split("->", 1)
+                imgs[g.strip()] = pres.parse(expr.strip())
     autos = {}
     for label, imgs in images.items():
         inv = inverses.get(label)
@@ -171,6 +193,12 @@ def _two_forms_from_sections(spec, lines):
     delta_table = {}
     zeta = {}
 
+    def pair_of(text):
+        pair = tuple(text.split())
+        if len(pair) != 2:
+            raise FileFormatError(f"expected two labels, got {text.strip()!r}")
+        return pair
+
     def parse_combo(text, scalars_only):
         out = []
         text = text.strip()
@@ -180,34 +208,31 @@ def _two_forms_from_sections(spec, lines):
             if ":" not in item:
                 raise FileFormatError(f"bad 2-form combination item: {item!r}")
             coeff, pair = item.rsplit(":", 1)
-            a, b = pair.split()
             if scalars_only:
                 c = parse_scalar(coeff.strip(), spec.pres.params)
             else:
                 c = spec.pres.parse(coeff.strip())
-            out.append((c, (a, b)))
+            out.append((c, pair_of(pair)))
         return out
 
-    for line in lines:
-        if line.startswith("basis"):
-            basis = []
-            for pair in line.split("=", 1)[1].split(";"):
-                a, b = pair.split()
-                basis.append((a, b))
-            continue
-        m = re.fullmatch(r"reduce\s+(\S+)\s+(\S+)\s*=(.*)", line)
-        if m:
-            reduction[(m.group(1), m.group(2))] = parse_combo(m.group(3), True)
-            continue
-        m = re.fullmatch(r"delta\s+(\S+)\s*=(.*)", line)
-        if m:
-            delta_table[m.group(1)] = {p: c for c, p in parse_combo(m.group(2), False)}
-            continue
-        m = re.fullmatch(r"zeta\s*=(.*)", line)
-        if m:
-            zeta = {p: c for c, p in parse_combo(m.group(1), False)}
-            continue
-        raise FileFormatError(f"bad two_forms line: {line!r}")
+    for n, line in lines:
+        with _at(n, "two_forms"):
+            if line.startswith("basis"):
+                basis = [pair_of(p) for p in _assignment(line, "basis")[1].split(";")]
+                continue
+            m = re.fullmatch(r"reduce\s+(\S+)\s+(\S+)\s*=(.*)", line)
+            if m:
+                reduction[(m.group(1), m.group(2))] = parse_combo(m.group(3), True)
+                continue
+            m = re.fullmatch(r"delta\s+(\S+)\s*=(.*)", line)
+            if m:
+                delta_table[m.group(1)] = {p: c for c, p in parse_combo(m.group(2), False)}
+                continue
+            m = re.fullmatch(r"zeta\s*=(.*)", line)
+            if m:
+                zeta = {p: c for c, p in parse_combo(m.group(1), False)}
+                continue
+            raise FileFormatError(f"bad two_forms line: {line!r}")
     if basis is None:
         raise FileFormatError("[two_forms] needs a basis line")
     return TwoFormStructure(spec, basis, reduction, delta_table, zeta)
@@ -218,6 +243,7 @@ def load_calculus(text):
 
     The rewrite system is confluence-checked before anything is built on
     top of it: a non-confluent system has no well-defined normal forms.
+    Errors in a line are reported as '[section] line n: message'.
     """
     from .algebra import check_local_confluence
     from .calculus import InconsistentCalculus, two_form_structure
@@ -235,21 +261,24 @@ def load_calculus(text):
     lambdas = None
     if "weights" in sections:
         weights = {}
-        for line in sections["weights"]:
-            label, expr = line.split("=", 1)
-            weights[label.strip()] = parse_scalar(expr.strip(), pres.params)
+        for n, line in sections["weights"]:
+            with _at(n, "weights"):
+                label, expr = _assignment(line, "weights")
+                weights[label] = parse_scalar(expr, pres.params)
     if "twists" in sections:
         lambdas = {}
-        for line in sections["twists"]:
-            label, expr = line.split("=", 1)
-            lambdas[label.strip()] = pres.parse(expr.strip())
+        for n, line in sections["twists"]:
+            with _at(n, "twists"):
+                label, expr = _assignment(line, "twists")
+                lambdas[label] = pres.parse(expr)
     scalings = {}
-    for line in sections.get("theta_scalings", []):
-        m = re.fullmatch(r"(\S+)\s+(\S+)\s*=\s*(.+)", line)
-        if not m:
-            raise FileFormatError(f"bad theta_scalings line: {line!r}")
-        scalings[(m.group(1), m.group(2))] = parse_scalar(m.group(3), pres.params)
-    side = tuple(sections.get("side_conditions", []))
+    for n, line in sections.get("theta_scalings", []):
+        with _at(n, "theta_scalings"):
+            m = re.fullmatch(r"(\S+)\s+(\S+)\s*=\s*(.+)", line)
+            if not m:
+                raise FileFormatError(f"bad theta_scalings line: {line!r}")
+            scalings[(m.group(1), m.group(2))] = parse_scalar(m.group(3), pres.params)
+    side = tuple(line for _, line in sections.get("side_conditions", []))
     spec = CalculusSpec(pres, directions, autos, weights=weights, lambdas=lambdas,
                         theta_scalings=scalings, side_conditions=side)
     if "two_forms" in sections:
@@ -265,26 +294,28 @@ def load_calculus(text):
 
 def load_connection(spec, text) -> Connection:
     entries = {}
-    for line in _strip_lines(text):
-        m = re.fullmatch(r"V\[([^,\]]+),([^,\]]+),([^,\]]+)\]\s*=\s*(.+)", line)
-        if not m:
-            raise FileFormatError(f"bad connection line: {line!r}")
-        entries[(m.group(1).strip(), m.group(2).strip(), m.group(3).strip())] = \
-            m.group(4).strip()
+    for n, line in _strip_lines(text):
+        with _at(n):
+            m = re.fullmatch(r"V\[([^,\]]+),([^,\]]+),([^,\]]+)\]\s*=\s*(.+)", line)
+            if not m:
+                raise FileFormatError(f"bad connection line: {line!r}")
+            key = (m.group(1).strip(), m.group(2).strip(), m.group(3).strip())
+            entries[key] = spec.pres.parse(m.group(4).strip())
     return Connection(spec, entries)
 
 
 def load_metric(spec, text) -> Metric:
     entries = {}
     symmetric = False
-    for line in _strip_lines(text):
+    for n, line in _strip_lines(text):
         if line == "symmetric":
             symmetric = True
             continue
-        m = re.fullmatch(r"g\[([^,\]]+),([^,\]]+)\]\s*=\s*(.+)", line)
-        if not m:
-            raise FileFormatError(f"bad metric line: {line!r}")
-        entries[(m.group(1).strip(), m.group(2).strip())] = m.group(3).strip()
+        with _at(n):
+            m = re.fullmatch(r"g\[([^,\]]+),([^,\]]+)\]\s*=\s*(.+)", line)
+            if not m:
+                raise FileFormatError(f"bad metric line: {line!r}")
+            entries[(m.group(1).strip(), m.group(2).strip())] = spec.pres.parse(m.group(3).strip())
     return Metric(spec, entries, symmetric=symmetric)
 
 

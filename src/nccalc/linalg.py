@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .algebra import AlgebraError, NCPoly, unit_inverse
+from .algebra import AlgebraError, unit_inverse
 from .scalar import Scalar
 
 
@@ -95,13 +95,6 @@ def solve_linear(equations, ncols):
         # free columns are zero, so the pivot value is just the rhs
         sol[col] = prhs
     return sol
-
-
-def is_unit_monomial(p: NCPoly):
-    if len(p.terms) != 1:
-        return False
-    (w, _), = p.terms.items()
-    return all(p.pres.generators[g].invertible for g, _ in w)
 
 
 def nc_left_inverse(pres, M):

@@ -383,11 +383,40 @@ class Scalar:
         return self.num == self.den
 
     # -- arithmetic
+    #
+    # The constant lane: when one operand has no parameters it is a
+    # rational c, and the other operand n/d needs no alignment and no
+    # gcd.  c*n/d is canonical as it stands, and so is (n + c*d)/d:
+    # gcd(n + c*d, d) = gcd(n, d) = 1, d is unchanged, and a parameter
+    # missing from d keeps its terms in n.  Scalars are never mutated,
+    # so an operand may be returned as the result.
+
+    def _scaled(self, c):
+        """self * c for a Fraction c."""
+        if not c:
+            return Scalar.zero()
+        if c == 1:
+            return self
+        return Scalar(self.params, {e: v * c for e, v in self.num.items()}, self.den,
+                      _canonical=True)
+
+    def _shifted(self, c):
+        """self + c for a Fraction c."""
+        if not c:
+            return self
+        if not self.params:
+            return Scalar._from_fraction(self.num.get((), _ZERO) + c)
+        num = _p_add(self.num, {e: c * k for e, k in self.den.items()})
+        return Scalar(self.params, num, self.den, _canonical=True)
 
     def __add__(self, other):
         other = _try_coerce(other)
         if other is None:
             return NotImplemented
+        if not other.params:
+            return self._shifted(other.num.get((), _ZERO))
+        if not self.params:
+            return other._shifted(self.num.get((), _ZERO))
         params, an, ad, bn, bd = self._aligned(other)
         if ad == bd:
             return Scalar._make(params, _p_add(an, bn), ad)
@@ -416,8 +445,10 @@ class Scalar:
         other = _try_coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Scalar.zero()
+        if not other.params:
+            return self._scaled(other.num.get((), _ZERO))
+        if not self.params:
+            return other._scaled(self.num.get((), _ZERO))
         params, an, ad, bn, bd = self._aligned(other)
         return Scalar._make(params, _p_mul(an, bn), _p_mul(ad, bd))
 
@@ -429,6 +460,8 @@ class Scalar:
             return NotImplemented
         if other.is_zero():
             raise ZeroDenominator("division by zero scalar")
+        if not other.params:
+            return self._scaled(1 / other.num[()])
         params, an, ad, bn, bd = self._aligned(other)
         return Scalar._make(params, _p_mul(an, bd), _p_mul(ad, bn))
 

@@ -64,6 +64,38 @@ def test_trailing_operator_located_exit_2(runner):
     assert "error: unexpected end of input at column 4" in res.output
 
 
+@pytest.mark.parametrize("expr", ["x/0", "(1/0)*x", "0^-1*x", "x/(q-q)", "x*(q-q)^-1"])
+def test_division_by_zero_exit_2(runner, expr):
+    res = invoke(runner, "--preset", "quantum_plane_a", "normalize", expr)
+    assert res.exit_code == 2
+    assert "Traceback" not in res.output
+    assert res.output.strip() == "error: division by zero"
+
+
+def test_division_by_zero_in_relation_file_exit_2(runner, tmp_path):
+    text = invoke(runner, "preset", "show", "quantum_plane_a", "--serialize").output
+    assert "y*x = (1/(q))*x*y" in text
+    calc = tmp_path / "qp.calc"
+    calc.write_text(text.replace("y*x = (1/(q))*x*y", "y*x = (1/0)*x*y"))
+    res = invoke(runner, "--file", str(calc), "normalize", "y*x")
+    assert res.exit_code == 2
+    assert "Traceback" not in res.output
+    assert res.output.strip() == "error: [relations] line 10: division by zero"
+
+
+def test_scalar_error_exit_2(runner, monkeypatch):
+    from nccalc.algebra import Presentation
+    from nccalc.scalar import ZeroDenominator
+
+    def vanishing(self, text):
+        raise ZeroDenominator("zero denominator")
+
+    monkeypatch.setattr(Presentation, "parse", vanishing)
+    res = invoke(runner, "--preset", "quantum_plane_a", "normalize", "x")
+    assert res.exit_code == 2
+    assert res.output.strip() == "error: zero denominator"
+
+
 def test_commute(runner):
     res = invoke(runner, "--preset", "h_plane", "commute",
                  "--expr", "x", "--thetas", "1")

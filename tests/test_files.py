@@ -128,3 +128,59 @@ def test_serialize_presentation_round_trip():
     pres2 = load_presentation(text)
     assert pres2.parse("d*a") == pres2.parse("a*d - (p - q^-1)*b*c")
     assert [g.name for g in pres2.generators] == [g.name for g in pres.generators]
+
+
+def _serialized_qplane_with(old, new):
+    from nccalc.files import serialize_calculus
+    text = serialize_calculus(load_preset("quantum_plane_a").spec)
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+def _line_of(text, fragment):
+    return next(n for n, line in enumerate(text.splitlines(), 1) if fragment in line)
+
+
+def test_broken_relation_names_section_and_file_line():
+    text = _serialized_qplane_with("y*x = (1/(q))*x*y", "y*x = (1/(q))*x*y +")
+    with pytest.raises(FileFormatError) as exc:
+        load_calculus(text)
+    n = _line_of(text, "y*x =")
+    assert str(exc.value) == f"[relations] line {n}: unexpected end of input at column 14"
+
+
+def test_broken_automorphism_image_names_section_and_file_line():
+    text = _serialized_qplane_with("2 inverse: x -> x,", "2 inverse: x -> x*(q-q)^-1,")
+    with pytest.raises(FileFormatError) as exc:
+        load_calculus(text)
+    n = _line_of(text, "2 inverse:")
+    assert str(exc.value) == f"[automorphisms] line {n}: division by zero"
+
+
+def test_connection_and_metric_errors_name_the_file_line():
+    spec = load_preset("quantum_plane_a").spec
+    with pytest.raises(FileFormatError) as exc:
+        load_connection(spec, "# V[1,2,1]\nV[1,1,1] = 1\n\nV[1,2,1] = x*\n")
+    assert str(exc.value) == "line 4: unexpected end of input at column 3"
+    with pytest.raises(FileFormatError) as exc:
+        load_metric(spec, "symmetric\ng[1]\n")
+    assert str(exc.value) == "line 2: bad metric line: 'g[1]'"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("labels = 1 2", "labels 1 2", "[directions] line 13: bad directions line: 'labels 1 2'"),
+    ("class 1 2 = quadrangle g1", "class 1 2 = triangle",
+     "[directions] line 15: unknown pair class 'triangle'"),
+    ("1 = 1", "1 = 1/0", "[weights] line 26: division by zero scalar"),
+])
+def test_malformed_calculus_lines_are_located(old, new, message):
+    with pytest.raises(FileFormatError) as exc:
+        load_calculus(_serialized_qplane_with(old, new))
+    assert str(exc.value) == message
+
+
+def test_malformed_two_form_pair_is_located():
+    bad = TWISTED_FILE.replace("reduce 2 1 = -1 : 1 2", "reduce 2 1 = -1 : 1")
+    with pytest.raises(FileFormatError) as exc:
+        load_calculus(bad)
+    assert str(exc.value) == "[two_forms] line 26: expected two labels, got '1'"

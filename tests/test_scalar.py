@@ -189,7 +189,7 @@ def _strategies():
         return n, [(_p_mul(f, draw(polys(n))), _p_mul(f, draw(polys(n))))
                    for _ in range(count)]
 
-    return st, poly_pairs
+    return st, polys, poly_pairs
 
 
 def _sympy_poly(sympy, poly, n):
@@ -223,7 +223,7 @@ def test_gcd_fast_paths_against_sympy():
     sympy = pytest.importorskip("sympy")
     hypothesis = pytest.importorskip("hypothesis")
     from nccalc.scalar import _p_gcd
-    _, poly_pairs = _strategies()
+    _, _, poly_pairs = _strategies()
 
     @hypothesis.settings(**_ORACLE)
     @hypothesis.given(poly_pairs(1))
@@ -239,7 +239,7 @@ def test_make_and_add_fast_paths_against_sympy_cancel():
     sympy = pytest.importorskip("sympy")
     hypothesis = pytest.importorskip("hypothesis")
     from nccalc.scalar import _p_add, _p_mul
-    st, poly_pairs = _strategies()
+    st, _, poly_pairs = _strategies()
 
     def canonical(s):
         return s.params, s.num, s.den
@@ -257,5 +257,41 @@ def test_make_and_add_fast_paths_against_sympy_cancel():
         want = _sympy_canonical(sympy, _p_add(_p_mul(num, oden), _p_mul(onum, den)),
                                 _p_mul(den, oden), n)
         assert canonical(a + b) == want
+
+    check()
+
+
+def test_constant_lane_against_sympy_cancel():
+    """a*c, c*a, a+c, c+a, a-c, c-a and a/c for a rational c skip the gcd."""
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    from fractions import Fraction
+    from nccalc.scalar import _p_add, _p_lead, _p_scale
+    st, polys, _ = _strategies()
+
+    @st.composite
+    def quotients(draw):
+        n = draw(st.sampled_from((2, 3)))
+        return n, draw(polys(n)), draw(polys(n))
+
+    constants = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+
+    @hypothesis.settings(**_ORACLE)
+    @hypothesis.given(quotients(), constants, st.booleans())
+    def check(case, c, as_scalar):
+        n, f, g = case
+        a = Scalar._make(_NAMES[:n], f, g)
+        k = Scalar.from_int(c.numerator) / c.denominator if as_scalar else c
+        shifted = lambda sign_f, sign_c: _p_add(_p_scale(f, sign_f), _p_scale(g, sign_c * c))
+        cases = {"a*c": (a * k, _p_scale(f, c), g), "c*a": (k * a, _p_scale(f, c), g),
+                 "a+c": (a + k, shifted(1, 1), g), "c+a": (k + a, shifted(1, 1), g),
+                 "a-c": (a - k, shifted(1, -1), g), "c-a": (k - a, shifted(-1, 1), g),
+                 "a/c": (a / k, _p_scale(f, 1 / c), g)}
+        for name, (ours, num, den) in cases.items():
+            want = _sympy_canonical(sympy, num, den, n)
+            assert (ours.params, ours.num, ours.den) == want, name
+            assert _p_lead(ours.den)[1] == 1, name
+            assert all(any(e[i] for e in ours.num) or any(e[i] for e in ours.den)
+                       for i in range(len(ours.params))), name
 
     check()
