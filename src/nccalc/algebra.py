@@ -279,6 +279,72 @@ def _acc(d, w, c):
         d[w] = s
 
 
+class LabelModule:
+    """Sparse left module element: label word -> NCPoly coefficient.
+
+    Forms, tensors of 1-forms and frame forms all store their coefficients
+    on the left of a word of basis labels; subclasses differ only in how
+    results are normalized (`_new`) and how a word is printed (`_word_str`).
+    Elements of different subclasses never compare equal.
+    """
+
+    __slots__ = ("spec", "comps")
+
+    def __init__(self, spec, comps):
+        self.spec = spec
+        self.comps = {w: c for w, c in comps.items() if not c.is_zero()}
+
+    @classmethod
+    def zero(cls, spec):
+        return cls(spec, {})
+
+    def _new(self, comps):
+        return type(self)(self.spec, comps)
+
+    def _coerce(self, other):
+        return other if type(other) is type(self) else None
+
+    def is_zero(self):
+        return not self.comps
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        comps = dict(self.comps)
+        for w, c in other.comps.items():
+            _acc(comps, w, c)
+        return self._new(comps)
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        # negating a normalized element leaves its words normalized: skip _new
+        return type(self)(self.spec, {w: -c for w, c in self.comps.items()})
+
+    def mul_left(self, p):
+        return self._new({w: p * c for w, c in self.comps.items()})
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.comps == other.comps
+
+    __hash__ = None
+
+    def __str__(self):
+        if not self.comps:
+            return "0"
+        return " + ".join(f"({self.comps[w]}){self._word_str(w)}" for w in sorted(self.comps))
+
+    __repr__ = __str__
+
+
 class _RawValue:
     """Parser value: un-normalized terms over a presentation."""
 
@@ -887,8 +953,7 @@ def basis_independence_probe(pres, derivations, degree_bound) -> ProbeReport:
             for w in words:
                 prod = es_m * pres.poly({w: Scalar.one()})
                 for rw, rc in prod.terms.items():
-                    per_result_word.setdefault(rw, {})[col[(s, w)]] = \
-                        per_result_word.get(rw, {}).get(col[(s, w)], Scalar.zero()) + rc
+                    _acc(per_result_word.setdefault(rw, {}), col[(s, w)], rc)
         rows.extend(per_result_word.values())
     vec = nullspace_vector(rows, len(unknowns))
     if vec is None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Mapping, NamedTuple
 
-from .algebra import AlgebraMorphism, NCPoly, normal_words
+from .algebra import AlgebraMorphism, LabelModule, NCPoly, _acc, normal_words
 from .parsing import ParseError, parse_with_context
 from .report import Report
 from .scalar import Scalar, scalar
@@ -200,100 +200,45 @@ class CalculusSpec:
 # ---------------------------------------------------------------------------
 
 
-class GradedForm:
-    """Graded form with left coefficients over theta-words."""
+class GradedForm(LabelModule):
+    """Graded form with left coefficients over theta-words.
 
-    __slots__ = ("spec", "comps")
+    comps maps theta-words (label tuples) to NCPoly; a word's degree is
+    its length.
+    """
 
-    def __init__(self, spec, comps):
-        self.spec = spec
-        self.comps = comps  # degree -> {theta-word tuple: NCPoly}
-
-    @staticmethod
-    def zero(spec):
-        return GradedForm(spec, {})
+    __slots__ = ()
 
     @staticmethod
     def from_poly(spec, p):
         if isinstance(p, (int, Scalar)):
             p = spec.pres.const(p)
-        if p.is_zero():
-            return GradedForm(spec, {})
-        return GradedForm(spec, {0: {(): p}})
+        return GradedForm(spec, {(): p})
 
     @staticmethod
     def theta(spec, *labels):
         for s in labels:
             if s not in spec.directions.labels:
                 raise CalculusError(f"unknown direction {s}")
-        word = tuple(labels)
-        return GradedForm._build(spec, {len(word): {word: spec.pres.one}})
+        return GradedForm._build(spec, {tuple(labels): spec.pres.one})
 
     @staticmethod
     def _build(spec, comps):
         """Normalize: drop zeros, reduce words of degree >= 2 when possible."""
+        ts = spec.two_forms
+        if ts is None:
+            return GradedForm(spec, comps)
         out = {}
-        for r, terms in comps.items():
-            if r >= 2 and spec.two_forms is not None:
-                reduced = {}
-                for w, c in terms.items():
-                    for rw, rc in spec.two_forms.reduce_word(w).items():
-                        _accf(reduced, rw, c * rc)
-                terms = reduced
-            terms = {w: c for w, c in terms.items() if not c.is_zero()}
-            if terms:
-                out[r] = terms
+        for w, c in comps.items():
+            if len(w) < 2:
+                _acc(out, w, c)
+                continue
+            for rw, rc in ts.reduce_word(w).items():
+                _acc(out, rw, c * rc)
         return GradedForm(spec, out)
 
-    # -- queries
-
-    def is_zero(self):
-        return not self.comps
-
-    def degrees(self):
-        return sorted(self.comps)
-
-    def component(self, r):
-        return dict(self.comps.get(r, {}))
-
-    def coefficient(self, word):
-        return self.comps.get(len(word), {}).get(tuple(word), self.spec.pres.zero)
-
-    def degree_part(self, r):
-        if r not in self.comps:
-            return GradedForm(self.spec, {})
-        return GradedForm(self.spec, {r: dict(self.comps[r])})
-
-    # -- arithmetic
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        comps = {r: dict(t) for r, t in self.comps.items()}
-        for r, terms in other.comps.items():
-            dst = comps.setdefault(r, {})
-            for w, c in terms.items():
-                _accf(dst, w, c)
+    def _new(self, comps):
         return GradedForm._build(self.spec, comps)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GradedForm(self.spec,
-                          {r: {w: -c for w, c in t.items()} for r, t in self.comps.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def _coerce(self, other):
         if isinstance(other, GradedForm):
@@ -304,14 +249,35 @@ class GradedForm:
             return GradedForm.from_poly(self.spec, other)
         return None
 
+    # -- queries
+
+    def degrees(self):
+        return sorted({len(w) for w in self.comps})
+
+    def component(self, r):
+        return {w: c for w, c in self.comps.items() if len(w) == r}
+
+    def coefficient(self, word):
+        return self.comps.get(tuple(word), self.spec.pres.zero)
+
+    def degree_part(self, r):
+        return GradedForm(self.spec, self.component(r))
+
+    # -- arithmetic
+
+    __radd__ = LabelModule.__add__
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
+
     def __mul__(self, other):
         if isinstance(other, GradedForm):
             return self.wedge(other)
         if isinstance(other, (int, Scalar)):
-            c = other
-            return GradedForm._build(
-                self.spec,
-                {r: {w: k * c for w, k in t.items()} for r, t in self.comps.items()})
+            return self._new({w: k * other for w, k in self.comps.items()})
         if isinstance(other, NCPoly):
             return self.mul_right(other)
         return NotImplemented
@@ -323,32 +289,19 @@ class GradedForm:
             return self.mul_left(other)
         return NotImplemented
 
-    def mul_left(self, p: NCPoly):
-        return GradedForm._build(
-            self.spec,
-            {r: {w: p * c for w, c in t.items()} for r, t in self.comps.items()})
-
     def mul_right(self, p: NCPoly):
         """Move p across every theta-word: theta^w p = phi_w(p) theta^w."""
-        spec = self.spec
-        comps = {}
-        for r, terms in self.comps.items():
-            dst = comps.setdefault(r, {})
-            for w, c in terms.items():
-                _accf(dst, w, c * spec.phi_word(w, p))
-        return GradedForm._build(spec, comps)
+        phi_word = self.spec.phi_word
+        return self._new({w: c * phi_word(w, p) for w, c in self.comps.items()})
 
     def wedge(self, other: "GradedForm"):
         other = self._coerce(other)
-        spec = self.spec
+        phi_word = self.spec.phi_word
         comps = {}
-        for r, terms in self.comps.items():
-            for u, tu in other.comps.items():
-                dst = comps.setdefault(r + u, {})
-                for w, c in terms.items():
-                    for w2, c2 in tu.items():
-                        _accf(dst, w + w2, c * spec.phi_word(w, c2))
-        return GradedForm._build(spec, comps)
+        for w, c in self.comps.items():
+            for w2, c2 in other.comps.items():
+                _acc(comps, w + w2, c * phi_word(w, c2))
+        return self._new(comps)
 
     def __pow__(self, n):
         if n < 1:
@@ -359,40 +312,28 @@ class GradedForm:
         return out
 
     def substitute_params(self, bindings):
-        comps = {r: {w: c.substitute_params(bindings) for w, c in t.items()}
-                 for r, t in self.comps.items()}
-        return GradedForm._build(self.spec, comps)
+        return self._new({w: c.substitute_params(bindings) for w, c in self.comps.items()})
 
-    # -- comparisons / printing
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.comps == other.comps
-
-    def __hash__(self):
-        raise TypeError("GradedForm is not hashable")
+    # -- printing
 
     def __str__(self):
         if not self.comps:
             return "0"
         parts = []
-        for r in sorted(self.comps):
-            for w in sorted(self.comps[r]):
-                c = self.comps[r][w]
-                cs = str(c)
-                ws = "*".join(f"theta[{s}]" for s in w)
-                if not w:
-                    parts.append(cs if len(c.terms) == 1 else f"({cs})")
-                elif c.is_one():
-                    parts.append(ws)
-                elif (-c).is_one():
-                    parts.append(f"-{ws}")
-                elif len(c.terms) == 1 and not cs.startswith("-"):
-                    parts.append(f"{cs}*{ws}")
-                else:
-                    parts.append(f"({cs})*{ws}")
+        for w in sorted(self.comps, key=lambda w: (len(w), w)):
+            c = self.comps[w]
+            cs = str(c)
+            ws = "*".join(f"theta[{s}]" for s in w)
+            if not w:
+                parts.append(cs if len(c.terms) == 1 else f"({cs})")
+            elif c.is_one():
+                parts.append(ws)
+            elif (-c).is_one():
+                parts.append(f"-{ws}")
+            elif len(c.terms) == 1 and not cs.startswith("-"):
+                parts.append(f"{cs}*{ws}")
+            else:
+                parts.append(f"({cs})*{ws}")
         out = parts[0]
         for p in parts[1:]:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
@@ -400,15 +341,6 @@ class GradedForm:
 
     def __repr__(self):
         return f"GradedForm({self})"
-
-
-def _accf(d, w, c):
-    s = d.get(w)
-    s = c if s is None else s + c
-    if s.is_zero():
-        d.pop(w, None)
-    else:
-        d[w] = s
 
 
 # ---------------------------------------------------------------------------
@@ -465,27 +397,22 @@ class TwoFormStructure:
                         stack.append((w[:i] + rp + w[i + 2:], c * rc))
                     break
             else:
-                prev = out.get(w, Scalar.zero())
-                s = prev + c
-                if s.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = s
+                _acc(out, w, c)
         return out
 
     def delta_theta(self, s) -> GradedForm:
         tab = self.delta_table.get(s, {})
-        return GradedForm._build(self.spec, {2: {p: v for p, v in tab.items()}})
+        return GradedForm._build(self.spec, tab)
 
     def zeta_form(self) -> GradedForm:
-        return GradedForm._build(self.spec, {2: {p: v for p, v in self.zeta.items()}})
+        return GradedForm._build(self.spec, self.zeta)
 
     def describe(self):
         lines = []
         lines.append("basis: " + ", ".join(f"theta[{a}]*theta[{b}]" for a, b in self.basis))
         for k in sorted(self.reduction):
             form = GradedForm._build(
-                self.spec, {2: {p: self.spec.pres.const(c) for c, p in self.reduction[k]}})
+                self.spec, {p: self.spec.pres.const(c) for c, p in self.reduction[k]})
             lines.append(f"theta[{k[0]}]*theta[{k[1]}] = {form}")
         for s in self.spec.directions.labels:
             lines.append(f"Delta(theta[{s}]) = {self.delta_theta(s)}")
@@ -558,17 +485,17 @@ def _master_identity_report(spec, ts: TwoFormStructure) -> Report:
                 if coeff.is_zero():
                     continue
                 for rp, rc in ts.reduce_word((s, u)).items():
-                    _accf(lhs, rp, coeff * rc)
+                    _acc(lhs, rp, coeff * rc)
         rhs = {}
         for s in labels:
             front = f * lam[s] - lam[s] * spec.phi(s).apply(f)
             if front.is_zero():
                 continue
             for p, v in ts.delta_table.get(s, {}).items():
-                _accf(rhs, p, front * v)
+                _acc(rhs, p, front * v)
         diff = dict(lhs)
         for p, v in rhs.items():
-            _accf(diff, p, -v)
+            _acc(diff, p, -v)
         detail = "; ".join(f"theta[{a}]theta[{b}]: {c}" for (a, b), c in diff.items())
         rep.add(f"generator.{g.name}", not diff, detail)
     return rep
@@ -591,12 +518,12 @@ def verify_twisted_two_forms(spec: CalculusSpec, candidate: TwoFormStructure) ->
         for u in spec.directions.labels:
             coeff = lam[s] * spec.phi(s).apply(lam[u])
             for rp, rc in candidate.reduce_word((s, u)).items():
-                _accf(zeta, rp, coeff * rc)
+                _acc(zeta, rp, coeff * rc)
         for p, v in candidate.delta_table.get(s, {}).items():
-            _accf(zeta, p, -(lam[s] * v))
+            _acc(zeta, p, -(lam[s] * v))
     diff = dict(zeta)
     for p, v in candidate.zeta.items():
-        _accf(diff, p, -v)
+        _acc(diff, p, -v)
     rep.add("zeta_expansion", not diff,
             "; ".join(f"theta[{a}]theta[{b}]: {c}" for (a, b), c in diff.items()))
     return rep
@@ -614,18 +541,13 @@ def differential(spec: CalculusSpec, f) -> GradedForm:
     """d f = sum_s e_s(f) theta^s, with coefficients on the left."""
     if isinstance(f, (int, Scalar)):
         f = spec.pres.const(f)
-    comps = {}
-    for s in spec.directions.labels:
-        c = spec.e(s, f)
-        if not c.is_zero():
-            comps[(s,)] = c
-    return GradedForm._build(spec, {1: comps})
+    return GradedForm._build(spec, {(s,): spec.e(s, f) for s in spec.directions.labels})
 
 
 def move_left(spec: CalculusSpec, f: NCPoly, word) -> GradedForm:
     """theta-word times f, rewritten with the coefficient on the left."""
     word = tuple(word)
-    return GradedForm._build(spec, {len(word): {word: spec.phi_word(word, f)}})
+    return GradedForm._build(spec, {word: spec.phi_word(word, f)})
 
 
 def move_right(spec: CalculusSpec, word, f: NCPoly) -> NCPoly:
@@ -638,9 +560,7 @@ def vartheta(spec: CalculusSpec) -> GradedForm:
     cached = getattr(spec, "_vartheta", None)
     if cached is not None:
         return cached
-    comps = {(s,): spec.lambda_of(s) for s in spec.directions.labels
-             if not spec.lambda_of(s).is_zero()}
-    th = GradedForm._build(spec, {1: comps})
+    th = GradedForm._build(spec, {(s,): spec.lambda_of(s) for s in spec.directions.labels})
     for g in spec.pres.generators:
         f = spec.pres.gen(g.name)
         if th * f - f * th != differential(spec, f):
@@ -660,16 +580,12 @@ def delta(spec: CalculusSpec, omega: GradedForm) -> GradedForm:
     if ts is None:
         raise CalculusError("delta needs a two-form structure on the spec")
     out = GradedForm.zero(spec)
-    for r, terms in omega.comps.items():
-        if r == 0:
-            continue
-        for w, c in terms.items():
-            for i, s in enumerate(w):
-                part = GradedForm._build(spec, {i: {w[:i]: spec.pres.one}}) \
-                    .wedge(ts.delta_theta(s)) \
-                    .wedge(GradedForm._build(
-                        spec, {r - i - 1: {w[i + 1:]: spec.pres.one}}))
-                out = out + (c * Scalar.from_int((-1) ** i)) * part
+    for w, c in omega.comps.items():
+        for i, s in enumerate(w):
+            part = GradedForm._build(spec, {w[:i]: spec.pres.one}) \
+                .wedge(ts.delta_theta(s)) \
+                .wedge(GradedForm._build(spec, {w[i + 1:]: spec.pres.one}))
+            out = out + (c * Scalar.from_int((-1) ** i)) * part
     return out
 
 
@@ -752,8 +668,7 @@ def central_one_forms_probe(spec: CalculusSpec, degree_bound=4):
                 f = spec.pres.gen(g.name)
                 res = wp * spec.phi(s).apply(f) - f * wp
                 for rw, rc in res.terms.items():
-                    rows.setdefault((g.name, rw), {})
-                    rows[(g.name, rw)][col[w]] = rows[(g.name, rw)].get(col[w], Scalar.zero()) + rc
+                    _acc(rows.setdefault((g.name, rw), {}), col[w], rc)
         vec = nullspace_vector(list(rows.values()), len(words))
         if vec is not None:
             a = spec.pres.zero

@@ -9,6 +9,7 @@ from __future__ import annotations
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import click
 
@@ -86,6 +87,17 @@ def _emit(ctx, report_or_lines, prefix="result"):
         for line in lines:
             click.echo(line)
     return True
+
+
+@contextmanager
+def _jobs_map(ctx):
+    """The map for independent checks: builtin at --jobs 1, else a thread pool's."""
+    jobs = ctx.obj.get("jobs", 1)
+    if jobs == 1:
+        yield map
+        return
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        yield pool.map
 
 
 def _fail(code, message):
@@ -237,20 +249,15 @@ def verify(ctx, suite_names, samples, all_presets):
 
     def go():
         if all_presets:
-            jobs = ctx.obj.get("jobs", 1)
             rep = Report("verify all presets")
 
             def run_one(pid):
                 bundle = load_preset(pid)
                 return one_session(Session(bundle.spec, bundle), pid)
 
-            if jobs > 1:
-                with ThreadPoolExecutor(max_workers=jobs) as pool:
-                    parts = list(pool.map(run_one, PRESET_IDS))
-            else:
-                parts = [run_one(pid) for pid in PRESET_IDS]
-            for part in parts:
-                rep.merge(part)
+            with _jobs_map(ctx) as map_:
+                for part in map_(run_one, PRESET_IDS):
+                    rep.merge(part)
             return _emit(ctx, rep, "verify")
         ses = _load_session(ctx)
         return _emit(ctx, one_session(ses), "verify")
@@ -397,13 +404,9 @@ def preset_show(ctx, preset_id, do_serialize):
 @click.pass_context
 def preset_run(ctx, preset_id):
     def go():
-        jobs = ctx.obj.get("jobs", 1)
         bundle = load_preset(preset_id)
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                rep = bundle.run_fixtures(map=pool.map)
-        else:
-            rep = bundle.run_fixtures()
+        with _jobs_map(ctx) as map_:
+            rep = bundle.run_fixtures(map=map_)
         return _emit(ctx, rep, f"preset.{bundle.id}")
     _run(ctx, go)
 

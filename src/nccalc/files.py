@@ -47,7 +47,7 @@ from .algebra import AlgebraError, Presentation, verify_morphism
 from .calculus import CalculusSpec, DirectionSet, TwoFormStructure, verify_twisted_two_forms
 from .geometry import Connection, Metric
 from .parsing import ParseError
-from .scalar import ScalarError, parse_scalar
+from .scalar import Scalar, ScalarError, parse_scalar
 
 
 class FileFormatError(ValueError):
@@ -100,16 +100,25 @@ def load_presentation(text) -> Presentation:
 
 
 def _presentation_from_sections(sections):
-    params = [line for _, line in sections.get("params", [])]
+    params = []
+    for n, line in sections.get("params", []):
+        with _at(n, "params"):
+            Scalar.param(line)  # validates the name
+        params.append(line)
     gens = []
     invertible = set()
     for n, line in sections.get("generators", []):
-        parts = line.split()
-        gens.append(parts[0])
-        if len(parts) > 1:
-            if parts[1] != "invertible":
-                raise FileFormatError(f"[generators] line {n}: bad generator line: {line!r}")
-            invertible.add(parts[0])
+        with _at(n, "generators"):
+            name, *flags = line.split()
+            if flags and flags[0] != "invertible":
+                raise FileFormatError(f"bad generator line: {line!r}")
+            if name in gens:
+                raise FileFormatError(f"duplicate generator {name!r}")
+            if name in params:
+                raise FileFormatError(f"generator {name!r} is also a parameter")
+        gens.append(name)
+        if flags:
+            invertible.add(name)
     if not gens:
         raise FileFormatError("no [generators] section")
     pres = Presentation(gens, params=params, invertible=invertible)
@@ -157,12 +166,14 @@ def _directions_from_sections(lines):
 def _morphisms_from_sections(pres, lines):
     images = {}
     inverses = {}
+    first_line = {}
     for n, line in lines:
         with _at(n, "automorphisms"):
             m = re.fullmatch(r"(\S+?)(\s+inverse)?\s*:\s*(.+)", line)
             if not m:
                 raise FileFormatError(f"bad automorphism line: {line!r}")
             label, is_inv, body = m.group(1), bool(m.group(2)), m.group(3)
+            first_line.setdefault(label, n)
             target = inverses if is_inv else images
             imgs = target.setdefault(label, {})
             for piece in body.split(","):
@@ -172,17 +183,18 @@ def _morphisms_from_sections(pres, lines):
                 imgs[g.strip()] = pres.parse(expr.strip())
     autos = {}
     for label, imgs in images.items():
-        inv = inverses.get(label)
-        if inv is None:
-            raise FileFormatError(f"automorphism {label} has no inverse images")
-        for g in pres.generators:
-            imgs.setdefault(g.name, g.name)
-            inv.setdefault(g.name, g.name)
-        m = verify_morphism(pres, imgs, inverse_images=inv)
-        if not m.verified:
-            raise FileFormatError(
-                f"automorphism {label} violates relations: "
-                + "; ".join(f"{r}: {res}" for r, res in m.violations))
+        with _at(first_line[label], "automorphisms"):
+            inv = inverses.get(label)
+            if inv is None:
+                raise FileFormatError(f"automorphism {label} has no inverse images")
+            for g in pres.generators:
+                imgs.setdefault(g.name, g.name)
+                inv.setdefault(g.name, g.name)
+            m = verify_morphism(pres, imgs, inverse_images=inv)
+            if not m.verified:
+                raise FileFormatError(
+                    f"automorphism {label} violates relations: "
+                    + "; ".join(f"{r}: {res}" for r, res in m.violations))
         autos[label] = m
     return autos
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .algebra import AlgebraMorphism, NCPoly, letters_of
+from .algebra import AlgebraMorphism, LabelModule, NCPoly, _acc, letters_of
 from .report import Report
 from .scalar import Scalar
 
@@ -21,54 +21,23 @@ class FrameError(ValueError):
     pass
 
 
-class FrameForm:
-    """1-form in frame coordinates: dict label -> left coefficient."""
+class FrameForm(LabelModule):
+    """1-form in frame coordinates: frame label -> left coefficient.
 
-    __slots__ = ("frame", "comps")
+    spec is the ThetaFrame the labels belong to.
+    """
 
-    def __init__(self, frame, comps):
-        self.frame = frame
-        self.comps = {k: v for k, v in comps.items() if not v.is_zero()}
-
-    def __add__(self, other):
-        comps = dict(self.comps)
-        for k, v in other.comps.items():
-            s = comps.get(k)
-            s = v if s is None else s + v
-            if s.is_zero():
-                comps.pop(k, None)
-            else:
-                comps[k] = s
-        return FrameForm(self.frame, comps)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return FrameForm(self.frame, {k: -v for k, v in self.comps.items()})
-
-    def mul_left(self, p: NCPoly):
-        return FrameForm(self.frame, {k: p * v for k, v in self.comps.items()})
+    __slots__ = ()
 
     def mul_right(self, p: NCPoly):
-        out = FrameForm(self.frame, {})
+        comps = {}
         for w, c in p.terms.items():
-            moved = self.frame.move_word(self, w)
-            out = out + FrameForm(self.frame, {k: v * c for k, v in moved.comps.items()})
-        return out
+            for k, v in self.spec.move_word(self, w).comps.items():
+                _acc(comps, k, v * c)
+        return FrameForm(self.spec, comps)
 
-    def is_zero(self):
-        return not self.comps
-
-    def __eq__(self, other):
-        return isinstance(other, FrameForm) and self.comps == other.comps
-
-    def __str__(self):
-        if not self.comps:
-            return "0"
-        return " + ".join(f"({v})*{k}" for k, v in sorted(self.comps.items()))
-
-    __repr__ = __str__
+    def _word_str(self, k):
+        return f"*{k}"
 
 
 class ThetaFrame:
@@ -129,15 +98,8 @@ class ThetaFrame:
             new = {}
             for i, c in row.items():
                 for (mi, mj), v in mat.items():
-                    if mi != i:
-                        continue
-                    acc = new.get(mj)
-                    term = c * v
-                    acc = term if acc is None else acc + term
-                    if acc.is_zero():
-                        new.pop(mj, None)
-                    else:
-                        new[mj] = acc
+                    if mi == i:
+                        _acc(new, mj, c * v)
             row = new
         return FrameForm(self, row)
 

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from typing import Mapping, NamedTuple
 
-from .algebra import NCPoly
-from .calculus import (CalculusSpec, CalculusError, GradedForm, _accf,
-                       d_form, vartheta)
+from .algebra import LabelModule, NCPoly, _acc
+from .calculus import CalculusSpec, CalculusError, GradedForm, d_form, vartheta
 from .report import Report
 from .scalar import Scalar
 
@@ -56,7 +55,7 @@ def transport_theta(spec, conn: Connection, s, sp) -> GradedForm:
         v = conn.entry(sp, s, spp)
         if not v.is_zero():
             comps[(spp,)] = spec.phi_inv(s).apply(v)
-    return GradedForm._build(spec, {1: comps})
+    return GradedForm._build(spec, comps)
 
 
 def transport_one_form(spec, conn: Connection, s, alpha: GradedForm) -> GradedForm:
@@ -69,55 +68,17 @@ def transport_one_form(spec, conn: Connection, s, alpha: GradedForm) -> GradedFo
     return out
 
 
-class TensorA:
+class TensorA(LabelModule):
     """Tensor products of 1-forms over the algebra, left coefficients.
 
     comps maps label tuples (u1, ..., un) to coefficients; the element is
     sum f * theta^{u1} (x) ... (x) theta^{un}.
     """
 
-    __slots__ = ("spec", "comps")
+    __slots__ = ()
 
-    def __init__(self, spec, comps):
-        self.spec = spec
-        self.comps = {tuple(w): c for w, c in comps.items() if not c.is_zero()}
-
-    @staticmethod
-    def zero(spec):
-        return TensorA(spec, {})
-
-    def __add__(self, other):
-        comps = dict(self.comps)
-        for w, c in other.comps.items():
-            _accf(comps, w, c)
-        return TensorA(self.spec, comps)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TensorA(self.spec, {w: -c for w, c in self.comps.items()})
-
-    def mul_left(self, p):
-        return TensorA(self.spec, {w: p * c for w, c in self.comps.items()})
-
-    def is_zero(self):
-        return not self.comps
-
-    def __eq__(self, other):
-        return isinstance(other, TensorA) and self.comps == other.comps
-
-    def __str__(self):
-        if not self.comps:
-            return "0"
-        parts = []
-        for w in sorted(self.comps):
-            c = self.comps[w]
-            ws = " (x) ".join(f"theta[{s}]" for s in w)
-            parts.append(f"({c}) {ws}")
-        return " + ".join(parts)
-
-    __repr__ = __str__
+    def _word_str(self, w):
+        return " " + " (x) ".join(f"theta[{s}]" for s in w)
 
 
 def nabla_one_form(spec, conn: Connection, alpha: GradedForm) -> TensorA:
@@ -128,22 +89,19 @@ def nabla_one_form(spec, conn: Connection, alpha: GradedForm) -> TensorA:
     comps = {}
     for (u,), lam in th.component(1).items():
         for (v,), f in alpha.component(1).items():
-            _accf(comps, (u, v), lam * spec.phi(u).apply(f))
+            _acc(comps, (u, v), lam * spec.phi(u).apply(f))
     for s in spec.directions.labels:
         vs = transport_one_form(spec, conn, s, alpha)
         for (v,), f in vs.component(1).items():
-            _accf(comps, (s, v), -spec.phi(s).apply(f))
+            _acc(comps, (s, v), -spec.phi(s).apply(f))
     return TensorA(spec, comps)
 
 
 def wedge_projection(spec, t: TensorA) -> GradedForm:
     """The canonical projection onto 2-forms."""
-    comps = {}
-    for w, c in t.comps.items():
-        if len(w) != 2:
-            raise CalculusError("projection expects a 2-tensor")
-        _accf(comps, w, c)
-    return GradedForm._build(spec, {2: comps})
+    if any(len(w) != 2 for w in t.comps):
+        raise CalculusError("projection expects a 2-tensor")
+    return GradedForm._build(spec, t.comps)
 
 
 def torsion(spec, conn: Connection) -> dict:
@@ -280,44 +238,17 @@ def torsion_free_conditions(spec) -> TorsionConditions:
 # curvature
 
 
-class WedgeTensor:
-    """Elements of Omega^2 (x) Omega^1: reduced 2-form words tensor a theta."""
+class WedgeTensor(LabelModule):
+    """Elements of Omega^2 (x) Omega^1: reduced 2-form words tensor a theta.
 
-    __slots__ = ("spec", "comps")
+    comps maps ((a, b), v) to the coefficient of theta^a theta^b (x) theta^v.
+    """
 
-    def __init__(self, spec, comps):
-        self.spec = spec
-        self.comps = {k: c for k, c in comps.items() if not c.is_zero()}
+    __slots__ = ()
 
-    def is_zero(self):
-        return not self.comps
-
-    def __add__(self, other):
-        comps = dict(self.comps)
-        for k, c in other.comps.items():
-            _accf(comps, k, c)
-        return WedgeTensor(self.spec, comps)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return WedgeTensor(self.spec, {k: -c for k, c in self.comps.items()})
-
-    def mul_left(self, p):
-        return WedgeTensor(self.spec, {k: p * c for k, c in self.comps.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, WedgeTensor) and self.comps == other.comps
-
-    def __str__(self):
-        if not self.comps:
-            return "0"
-        return " + ".join(
-            f"({c}) theta[{a}]*theta[{b}] (x) theta[{v}]"
-            for ((a, b), v), c in sorted(self.comps.items()))
-
-    __repr__ = __str__
+    def _word_str(self, k):
+        (a, b), v = k
+        return f" theta[{a}]*theta[{b}] (x) theta[{v}]"
 
 
 def nabla_on_tensor(spec, conn: Connection, t: TensorA) -> WedgeTensor:
@@ -327,12 +258,12 @@ def nabla_on_tensor(spec, conn: Connection, t: TensorA) -> WedgeTensor:
         omega = f * GradedForm.theta(spec, u)
         dom = d_form(spec, omega)
         for pair, c in dom.component(2).items():
-            _accf(comps, (pair, v), c)
+            _acc(comps, (pair, v), c)
         nb = nabla_one_form(spec, conn, GradedForm.theta(spec, v))
         for (w, z), g in nb.comps.items():
             two = omega.wedge(g * GradedForm.theta(spec, w))
             for pair, c in two.component(2).items():
-                _accf(comps, (pair, z), -c)
+                _acc(comps, (pair, z), -c)
     return WedgeTensor(spec, comps)
 
 
@@ -345,18 +276,10 @@ def curvature(spec, conn: Connection, alpha: GradedForm) -> WedgeTensor:
 # the semi-left-linear tensor product
 
 
-class LTensor:
+class LTensor(LabelModule):
     """Tensors in semi-left-linear coordinates: products concatenate words."""
 
-    __slots__ = ("spec", "comps")
-
-    def __init__(self, spec, comps):
-        self.spec = spec
-        self.comps = {tuple(w): c for w, c in comps.items() if not c.is_zero()}
-
-    @staticmethod
-    def zero(spec):
-        return LTensor(spec, {})
+    __slots__ = ()
 
     @staticmethod
     def theta(spec, *labels):
@@ -368,67 +291,34 @@ class LTensor:
             raise CalculusError("expected a 1-form")
         return LTensor(alpha.spec, {(s,): c for (s,), c in alpha.component(1).items()})
 
-    def __add__(self, other):
-        comps = dict(self.comps)
-        for w, c in other.comps.items():
-            _accf(comps, w, c)
-        return LTensor(self.spec, comps)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return LTensor(self.spec, {w: -c for w, c in self.comps.items()})
-
-    def mul_left(self, p):
-        return LTensor(self.spec, {w: p * c for w, c in self.comps.items()})
-
     def tensor(self, other: "LTensor") -> "LTensor":
         """(f Theta_w) (x)_L (g Theta_u) = (f g) Theta_{wu}."""
         comps = {}
         for w, f in self.comps.items():
             for u, g in other.comps.items():
-                _accf(comps, w + u, f * g)
+                _acc(comps, w + u, f * g)
         return LTensor(self.spec, comps)
 
     def to_plain(self) -> TensorA:
         """Rewrite in module tensor coordinates (theta-image scalings)."""
-        comps = {}
-        for w, f in self.comps.items():
-            gamma = Scalar.one()
-            for i in range(len(w)):
-                for j in range(i + 1, len(w)):
-                    gamma = gamma * self.spec.theta_scale(w[i], w[j]).inverse()
-            _accf(comps, w, f * gamma)
-        return TensorA(self.spec, comps)
+        return TensorA(self.spec, {w: f * _word_scaling(self.spec, w).inverse()
+                                   for w, f in self.comps.items()})
 
     @staticmethod
     def from_plain(spec, t: TensorA) -> "LTensor":
-        comps = {}
-        for w, f in t.comps.items():
-            gamma = Scalar.one()
-            for i in range(len(w)):
-                for j in range(i + 1, len(w)):
-                    gamma = gamma * spec.theta_scale(w[i], w[j])
-            _accf(comps, w, f * gamma)
-        return LTensor(spec, comps)
+        return LTensor(spec, {w: f * _word_scaling(spec, w) for w, f in t.comps.items()})
 
-    def is_zero(self):
-        return not self.comps
+    def _word_str(self, w):
+        return " " + " (x)L ".join(f"theta[{s}]" for s in w)
 
-    def __eq__(self, other):
-        return isinstance(other, LTensor) and self.comps == other.comps
 
-    def __str__(self):
-        if not self.comps:
-            return "0"
-        parts = []
-        for w in sorted(self.comps):
-            ws = " (x)L ".join(f"theta[{s}]" for s in w)
-            parts.append(f"({self.comps[w]}) {ws}")
-        return " + ".join(parts)
-
-    __repr__ = __str__
+def _word_scaling(spec, w) -> Scalar:
+    """prod_{i<j} theta_scale(w_i, w_j): the factor from plain to L coordinates."""
+    gamma = Scalar.one()
+    for i in range(len(w)):
+        for j in range(i + 1, len(w)):
+            gamma = gamma * spec.theta_scale(w[i], w[j])
+    return gamma
 
 
 def tensor_L(spec, a: LTensor, b: LTensor) -> LTensor:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .algebra import AlgebraError, unit_inverse
+from .algebra import AlgebraError, _acc, unit_inverse
 from .scalar import Scalar
 
 
@@ -18,11 +18,7 @@ def nullspace_vector(rows, ncols):
             c = row.get(col)
             if c is not None and not c.is_zero():
                 for j, v in piv.items():
-                    s = row.get(j, Scalar.zero()) - c * v
-                    if s.is_zero():
-                        row.pop(j, None)
-                    else:
-                        row[j] = s
+                    _acc(row, j, -(c * v))
         row = {j: v for j, v in row.items() if not v.is_zero()}
         if not row:
             continue
@@ -33,11 +29,7 @@ def nullspace_vector(rows, ncols):
             c = piv.get(col)
             if c is not None and not c.is_zero():
                 for j, v in norm.items():
-                    s = piv.get(j, Scalar.zero()) - c * v
-                    if s.is_zero():
-                        piv.pop(j, None)
-                    else:
-                        piv[j] = s
+                    _acc(piv, j, -(c * v))
         pivots[col] = norm
     free = [j for j in range(ncols) if j not in pivots]
     if not free:
@@ -64,11 +56,7 @@ def solve_linear(equations, ncols):
             c = row.get(col)
             if c is not None and not c.is_zero():
                 for j, v in piv.items():
-                    s = row.get(j, Scalar.zero()) - c * v
-                    if s.is_zero():
-                        row.pop(j, None)
-                    else:
-                        row[j] = s
+                    _acc(row, j, -(c * v))
                 rhs = rhs - c * prhs
         row = {j: v for j, v in row.items() if not v.is_zero()}
         if not row:
@@ -83,11 +71,7 @@ def solve_linear(equations, ncols):
             c = piv.get(col)
             if c is not None and not c.is_zero():
                 for j, v in norm.items():
-                    s = piv.get(j, Scalar.zero()) - c * v
-                    if s.is_zero():
-                        piv.pop(j, None)
-                    else:
-                        piv[j] = s
+                    _acc(piv, j, -(c * v))
                 pivots[pcol] = (piv, prhs - c * nrhs)
         pivots[col] = (norm, nrhs)
     sol = [Scalar.zero()] * ncols

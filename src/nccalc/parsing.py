@@ -18,6 +18,11 @@ import re
 
 from .scalar import Scalar, ScalarError
 
+# Largest |n| accepted in `a^n`.  Powers expand by repeated products (and
+# word powers by repeated letters), so an unbounded exponent exhausts memory
+# or time; the presets, tests and benchmark use at most 32.
+MAX_EXPONENT = 1000
+
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^|\+|-|\*|/|\(|\)|\[|\])|(\S))")
 
 
@@ -110,11 +115,15 @@ class _Parser:
         v = self.atom()
         if self.peek() == "^":
             self.next()
+            col = self.toks[self.i][2]
             sign = 1
             if self.peek() == "-":
                 self.next()
                 sign = -1
             n = self.expect("num")[1]
+            if n > MAX_EXPONENT:
+                raise ParseError(f"exponent {sign * n} exceeds {MAX_EXPONENT} in absolute value "
+                                 f"at column {col}")
             v = self.ctx.pow(v, sign * n)
         return v
 

@@ -157,6 +157,51 @@ def test_torsion_command(runner, tmp_path):
     assert res.exit_code == 1
 
 
+@pytest.mark.parametrize("pid, files, args, line", [
+    ("quantum_plane_a", {"conn": "V[1,2,1] = 5\n"}, ["torsion", "--connection", "conn"],
+     "Theta(theta[1]) = (-4)*theta[1]*theta[2]"),
+    ("poly_shift_S12", {"conn": "V[1,1,1] = x\nV[1,2,2] = 1\n"},
+     ["curvature", "--connection", "conn", "--theta", "1"],
+     "R(theta[1]) = (x + x^2) theta[1]*theta[1] (x) theta[1]"
+     " + (-1) theta[1]*theta[1] (x) theta[2] + (x) theta[1]*theta[2] (x) theta[2]"),
+    ("quantum_plane_a", {"conn": "V[1,2,1] = 5\n", "metric": "g[1,2] = x\ng[2,1] = y\n"},
+     ["metric-check", "--metric", "metric", "--connection", "conn"],
+     "  [FAIL] compatibility.transport.1: V_1(g) - g"
+     " = (-x) theta[1] (x)L theta[2] + (-y) theta[2] (x)L theta[1]"),
+])
+def test_printed_forms_and_tensors_are_pinned(runner, tmp_path, pid, files, args, line):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    args = [str(tmp_path / a) if a in files else a for a in args]
+    res = invoke(runner, "--preset", pid, *args)
+    assert line in res.output.splitlines()
+
+
+@pytest.mark.parametrize("args", [
+    ["--preset", "quantum_plane_a", "normalize", "x^99999999999"],
+    ["--preset", "quantum_plane_a", "d", "--expr", "theta[1]^5000"],
+])
+def test_huge_exponent_exit_2(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert res.output.strip().startswith("error: exponent ")
+
+
+def test_huge_exponent_in_weights_file_exit_2(runner, tmp_path):
+    text = invoke(runner, "preset", "show", "quantum_plane_a", "--serialize").output
+    lines = text.splitlines()
+    n = lines.index("[weights]") + 2
+    assert lines[n - 1] == "1 = 1"
+    calc = tmp_path / "qp.calc"
+    calc.write_text(text.replace("[weights]\n1 = 1", "[weights]\n1 = q^-99999999999"))
+    res = runner.invoke(main, ["--file", str(calc), "normalize", "x"])
+    assert res.exit_code == 2
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert res.output.strip() == (f"error: [weights] line {n}: exponent -99999999999 exceeds "
+                                  "1000 in absolute value at column 3")
+
+
 def test_curvature_command(runner, tmp_path):
     conn = tmp_path / "conn.txt"
     conn.write_text("")  # V = 0

@@ -184,3 +184,36 @@ def test_malformed_two_form_pair_is_located():
     with pytest.raises(FileFormatError) as exc:
         load_calculus(bad)
     assert str(exc.value) == "[two_forms] line 26: expected two labels, got '1'"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[params]\nq q2-\n[generators]\nx", "[params] line 2: invalid parameter name 'q q2-'"),
+    ("[generators]\nx\nx", "[generators] line 3: duplicate generator 'x'"),
+    ("[params]\nq\n[generators]\nx\nq", "[generators] line 5: generator 'q' is also a parameter"),
+])
+def test_presentation_errors_are_located(text, message):
+    with pytest.raises(FileFormatError) as exc:
+        load_presentation(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("1 inverse: x -> p*q*x, y -> p*q*y\n", "",
+     "[automorphisms] line 22: automorphism 1 has no inverse images"),
+    ("1: x -> (p*q)^-1 * x, y -> (p*q)^-1 * y", "1: x -> x + 1, y -> y",
+     "[automorphisms] line 22: automorphism 1 violates relations: y*x: (q - 1)/(q)*y; "
+     "x (inverse composition): p*q + (p*q - 1)*x; y (inverse composition): (p*q - 1)*y"),
+])
+def test_automorphism_errors_are_located(old, new, message):
+    assert old in QPLANE_FILE
+    with pytest.raises(FileFormatError) as exc:
+        load_calculus(QPLANE_FILE.replace(old, new))
+    assert str(exc.value) == message
+
+
+def test_uninvertible_image_is_located():
+    text = ("[generators]\nx invertible\n\n[directions]\nlabels = 1\n\n[automorphisms]\n"
+            "1: x -> x + 1\n1 inverse: x -> x - 1\n\n[weights]\n1 = 1\n")
+    with pytest.raises(FileFormatError) as exc:
+        load_calculus(text)
+    assert str(exc.value) == "[automorphisms] line 8: cannot compute the image of x^-1 from 1 + x"

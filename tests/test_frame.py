@@ -45,3 +45,13 @@ def test_frame_inverse_letters():
     th = frame.theta("t1")
     round_trip = th.mul_right(pres.gen("b")).mul_right(pres.gen("b", -1))
     assert round_trip == th
+
+
+def test_frame_form_text_is_pinned():
+    bundle = load_preset("glpq2")
+    frame = bundle.extras["frame"]
+    moved = frame.theta("t1").mul_right(bundle.presentation.parse("a*b+c"))
+    assert str(moved) == (
+        "(p*q*c + p*q*a*b)*t1 + ((p^2*q^2 - p*q)*a^2)*t2"
+        " + ((p*q - 1)*d + (p^2*q - p)*b^2)*t3"
+        " + ((p^3*q^3 - p^2*q^2 - p*q + 1)/(p*q)*a*b)*t4")

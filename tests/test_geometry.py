@@ -241,6 +241,17 @@ def test_tensor_L_to_plain_uses_theta_scalings():
     assert LTensor.from_plain(spec, plain) == t
 
 
+def test_label_containers_drop_zeros_and_compare_by_type():
+    spec = spec_of("quantum_plane_a")
+    c = {("1", "2"): spec.pres.parse("x"), ("2", "1"): spec.pres.zero}
+    t, lt = TensorA(spec, c), LTensor(spec, c)
+    assert t.comps == lt.comps == {("1", "2"): spec.pres.parse("x")}
+    assert t != lt and not t == lt
+    assert (t - t).is_zero() and str(t - t) == "0"
+    assert str(t) == "(x) theta[1] (x) theta[2]"
+    assert str(lt) == "(x) theta[1] (x)L theta[2]"
+
+
 # -- metrics
 
 
