@@ -117,15 +117,14 @@ class Presentation:
     # -- construction helpers
 
     def _build_rule(self, lhs, rhs):
-        if isinstance(lhs, str):
-            lhs_terms = self.parse_raw(lhs)
-        else:
-            lhs_terms = {lhs: Scalar.one()}
+        # while a presentation's own rules are built none is installed yet,
+        # so parse() leaves both sides unreduced
+        lhs_terms = self.parse(lhs).terms if isinstance(lhs, str) else {lhs: Scalar.one()}
         if len(lhs_terms) != 1:
             raise AlgebraError(f"rule left-hand side must be a single word: {lhs}")
         (lw, lc), = lhs_terms.items()
         if isinstance(rhs, str):
-            rhs_terms = self.parse_raw(rhs)
+            rhs_terms = self.parse(rhs).terms
         elif isinstance(rhs, NCPoly):
             rhs_terms = dict(rhs.terms)
         else:
@@ -189,17 +188,11 @@ class Presentation:
 
     # -- parsing and printing
 
-    def parse_raw(self, text):
-        ctx = _RawCtx(self)
+    def parse(self, text) -> "NCPoly":
         try:
-            return parse_with_context(text, ctx).terms
-        except ParseError:
-            raise
+            return parse_with_context(text, _AlgebraCtx(self))
         except (AlgebraError, ZeroDivisionError) as exc:
             raise ParseError(str(exc)) from exc
-
-    def parse(self, text) -> "NCPoly":
-        return self.poly(self.parse_raw(text))
 
     def word_str(self, word):
         if not word:
@@ -345,75 +338,28 @@ class LabelModule:
     __repr__ = __str__
 
 
-class _RawValue:
-    """Parser value: un-normalized terms over a presentation."""
+class _AlgebraCtx:
+    """Parser context whose values are normalized NCPoly elements."""
 
-    __slots__ = ("pres", "terms")
-
-    def __init__(self, pres, terms):
-        self.pres = pres
-        self.terms = terms
-
-    def __add__(self, other):
-        t = dict(self.terms)
-        for w, c in other.terms.items():
-            _acc(t, w, c)
-        return _RawValue(self.pres, t)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return _RawValue(self.pres, {w: -c for w, c in self.terms.items()})
-
-    def __mul__(self, other):
-        t = {}
-        for wa, ca in self.terms.items():
-            for wb, cb in other.terms.items():
-                _acc(t, word_from_letters(letters_of(wa) + letters_of(wb)), ca * cb)
-        return _RawValue(self.pres, t)
-
-
-class _RawCtx:
     def __init__(self, pres):
         self.pres = pres
 
     def number(self, n):
-        return _RawValue(self.pres, {(): Scalar.from_int(n)})
+        return self.pres.const(n)
 
     def name(self, name):
         if name in self.pres.params:
-            return _RawValue(self.pres, {(): Scalar.param(name)})
-        i = self.pres.gen_index(name)
-        return _RawValue(self.pres, {((i, 1),): Scalar.one()})
+            return self.pres.const(Scalar.param(name))
+        return self.pres.gen(name)
 
     def pow(self, v, n):
-        if n == 0:
-            return self.number(1)
-        if n < 0 and all(c.is_zero() for c in v.terms.values()):
+        # a negative power inverts v by unit_inverse, which takes nonzero scalars too
+        if n < 0 and v.is_zero():
             raise ParseError("division by zero")
-        if len(v.terms) == 1:
-            (w, c), = v.terms.items()
-            if not w:
-                return _RawValue(self.pres, {(): c ** n})
-            if n < 0:
-                if any(not self.pres.generators[g].invertible for g, _ in w):
-                    raise ParseError(
-                        f"negative power of non-invertible element {self.pres.word_str(w)}")
-                w, c = word_inverse(w), c.inverse()
-                n = -n
-            letters = letters_of(w) * n
-            return _RawValue(self.pres, {word_from_letters(letters): c ** n})
-        if n < 0:
-            raise ParseError("negative power of a non-monomial expression")
-        out = v
-        for _ in range(n - 1):
-            out = out * v
-        return out
+        return v ** n
 
     def divide(self, a, b):
-        inv = self.pow(b, -1)
-        return a * inv
+        return a * self.pow(b, -1)
 
     def indexed(self, name, label):
         raise ParseError(f"{name}[{label}] is not an algebra element")
@@ -616,11 +562,9 @@ def check_local_confluence(pres: Presentation, max_overlap_len=6) -> ConfluenceR
             rules.append((((i, 1), (i, -1)), (((), one),)))
             rules.append((((i, -1), (i, 1)), (((), one),)))
 
-    def reduce_letters(letters, coeff):
-        out = pres.zero
-        for nw, nc in pres._reduce_word(word_from_letters(letters)).items():
-            out = out + NCPoly(pres, {nw: nc * coeff})
-        return out
+    def side(prefix, rhs, suffix):
+        return pres.poly({word_from_letters(prefix + letters_of(rw) + suffix): rc
+                          for rw, rc in rhs})
 
     failures = []
     checked = 0
@@ -628,40 +572,24 @@ def check_local_confluence(pres: Presentation, max_overlap_len=6) -> ConfluenceR
         for r2 in rules:
             l1, rhs1 = r1
             l2, rhs2 = r2
-            # proper overlap: a suffix of l1 equals a prefix of l2
-            # (the full overlap k = |l1| = |l2| catches distinct rules
-            # sharing one left-hand side)
-            for k in range(1, min(len(l1), len(l2)) + (1 if r1 != r2 else 0)):
-                if l1[len(l1) - k:] != l2[:k]:
-                    continue
-                sup = l1 + l2[k:]
+            # (superword, start of l2 in it); l1 always starts at 0.
+            # Proper overlaps: a suffix of l1 equals a prefix of l2 (the full
+            # overlap k = |l1| = |l2| catches distinct rules sharing one
+            # left-hand side).  Inclusions: l2 occurs strictly inside l1.
+            spots = [(l1 + l2[k:], len(l1) - k)
+                     for k in range(1, min(len(l1), len(l2)) + (1 if r1 != r2 else 0))
+                     if l1[len(l1) - k:] == l2[:k]]
+            if len(l2) < len(l1):
+                spots += [(l1, i) for i in range(len(l1) - len(l2) + 1)
+                          if l1[i:i + len(l2)] == l2]
+            for sup, i in spots:
                 if len(sup) > max_overlap_len:
                     continue
                 checked += 1
-                a = pres.zero
-                for rw, rc in rhs1:
-                    a = a + reduce_letters(letters_of(rw) + sup[len(l1):], rc)
-                b = pres.zero
-                for rw, rc in rhs2:
-                    b = b + reduce_letters(sup[:len(l1) - k] + letters_of(rw), rc)
+                a = side((), rhs1, sup[len(l1):])
+                b = side(sup[:i], rhs2, sup[i + len(l2):])
                 if a != b:
                     failures.append((pres.word_str(word_from_letters(sup)), str(a), str(b)))
-            # containment: l2 occurs strictly inside l1
-            if l1 != l2 and len(l2) < len(l1):
-                for i in range(len(l1) - len(l2) + 1):
-                    if l1[i:i + len(l2)] != l2:
-                        continue
-                    if len(l1) > max_overlap_len:
-                        continue
-                    checked += 1
-                    a = pres.zero
-                    for rw, rc in rhs1:
-                        a = a + reduce_letters(letters_of(rw), rc)
-                    b = pres.zero
-                    for rw, rc in rhs2:
-                        b = b + reduce_letters(l1[:i] + letters_of(rw) + l1[i + len(l2):], rc)
-                    if a != b:
-                        failures.append((pres.word_str(word_from_letters(l1)), str(a), str(b)))
     return ConfluenceReport(not failures, checked, tuple(failures))
 
 
@@ -683,18 +611,16 @@ class AlgebraMorphism:
     def apply(self, p: NCPoly) -> NCPoly:
         if not self.verified:
             raise AlgebraError("morphism is not verified")
-        pres = self.pres
-        out = pres.zero
-        cache = {}
+        out = self.pres.zero
         for w, c in p.terms.items():
-            img = cache.get(w)
-            if img is None:
-                img = pres.one
-                for g, s in letters_of(w):
-                    name = pres.generators[g].name
-                    img = img * (self.images[name] if s > 0 else self.inv_images[name])
-                cache[w] = img
-            out = out + img * c
+            out = out + self._word_image(w) * c
+        return out
+
+    def _word_image(self, word) -> NCPoly:
+        out = self.pres.one
+        for g, s in letters_of(word):
+            name = self.pres.generators[g].name
+            out = out * (self.images[name] if s > 0 else self.inv_images[name])
         return out
 
     def __call__(self, p):
@@ -741,68 +667,48 @@ def verify_morphism(pres, images, inverse_images=None) -> AlgebraMorphism:
     given, both directions are verified and the compositions are checked
     to fix every generator.
     """
-    imgs = _parse_images(pres, images)
-    inv_imgs = {g.name: _image_inverse(pres, imgs, g.name)
-                for g in pres.generators if g.invertible}
-
+    fwd = _morphism(pres, images)
     violations = []
     for rule in pres.rules:
-        lhs = _apply_images(pres, imgs, inv_imgs, rule.lhs)
-        rhs = pres.zero
+        residue = fwd._word_image(rule.lhs)
         for w, c in rule.rhs:
-            rhs = rhs + _apply_images(pres, imgs, inv_imgs, w) * c
-        residue = lhs - rhs
+            residue = residue - fwd._word_image(w) * c
         if not residue.is_zero():
             violations.append((pres.word_str(rule.lhs), residue))
-
     if inverse_images is not None:
-        jmgs = _parse_images(pres, inverse_images)
-        jnv_imgs = {g.name: _image_inverse(pres, jmgs, g.name)
-                    for g in pres.generators if g.invertible}
-        back = AlgebraMorphism(pres, jmgs, jnv_imgs, True)
-        fwd = AlgebraMorphism(pres, imgs, inv_imgs, True)
+        back = _morphism(pres, inverse_images)
         for g in pres.generators:
             x = pres.gen(g.name)
             if back.apply(fwd.apply(x)) != x or fwd.apply(back.apply(x)) != x:
                 violations.append((f"{g.name} (inverse composition)",
                                    fwd.apply(back.apply(x)) - x))
-        m = AlgebraMorphism(pres, imgs, inv_imgs, not violations, violations, inverse=back)
-        back.verified = m.verified
-        back.violations = m.violations
-        back.inverse = m
-        return m
-    return AlgebraMorphism(pres, imgs, inv_imgs, not violations, violations)
+        back.verified = not violations
+        back.violations = tuple(violations)
+        back.inverse = fwd
+        fwd.inverse = back
+    fwd.verified = not violations
+    fwd.violations = tuple(violations)
+    return fwd
 
 
-def _parse_images(pres, images):
-    out = {}
+def _morphism(pres, images):
+    """Morphism from generator images (text or NCPoly), marked verified so it
+    can be applied while it is checked; phi(g^-1) = phi(g)^-1."""
+    imgs = {}
     for g in pres.generators:
         try:
             v = images[g.name]
         except KeyError:
             raise AlgebraError(f"image missing for generator {g.name!r}") from None
-        out[g.name] = pres.parse(v) if isinstance(v, str) else v
-    return out
-
-
-def _image_inverse(pres, imgs, name):
-    """phi(g^-1) = phi(g)^-1, syntactically or via a bounded linear solve."""
-    img = imgs[name]
-    try:
-        return unit_inverse(img)
-    except AlgebraError:
-        inv = invert_element(img)
-        if inv is None:
-            raise AlgebraError(f"cannot compute the image of {name}^-1 from {img}")
-        return inv
-
-
-def _apply_images(pres, imgs, inv_imgs, word):
-    out = pres.one
-    for g, s in letters_of(word):
-        name = pres.generators[g].name
-        out = out * (imgs[name] if s > 0 else inv_imgs[name])
-    return out
+        imgs[g.name] = pres.parse(v) if isinstance(v, str) else v
+    inv_imgs = {}
+    for g in pres.generators:
+        if g.invertible:
+            inv_imgs[g.name] = invert_element(imgs[g.name])
+            if inv_imgs[g.name] is None:
+                raise AlgebraError(
+                    f"cannot compute the image of {g.name}^-1 from {imgs[g.name]}")
+    return AlgebraMorphism(pres, imgs, inv_imgs, True)
 
 
 def invert_element(p: NCPoly, max_length=4):

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from typing import Mapping, NamedTuple
 
-from .algebra import AlgebraMorphism, LabelModule, NCPoly, _acc, normal_words
+from .algebra import (AlgebraMorphism, LabelModule, NCPoly, _acc, _AlgebraCtx,
+                      normal_words)
 from .parsing import ParseError, parse_with_context
 from .report import Report
 from .scalar import Scalar, scalar
@@ -44,11 +45,14 @@ class DirectionSet:
         if len(set(self.labels)) != len(self.labels):
             raise CalculusError("duplicate direction labels")
         self.classified = biangles is not None
-        self.biangles = frozenset(biangles or ())
+        given = set(biangles or ())
+        # label order, so everything built from the biangles has a fixed order
+        self.biangles = tuple((s, t) for s in self.labels for t in self.labels
+                              if (s, t) in given)
         self.triangles = dict(triangles or {})
         self.quad_classes = tuple(tuple(c) for c in (quad_classes or ()))
         if self.classified:
-            seen = set(self.biangles) | set(self.triangles)
+            seen = given | set(self.triangles)
             for cls in self.quad_classes:
                 seen |= set(cls)
             every = {(s, t) for s in self.labels for t in self.labels}
@@ -804,17 +808,18 @@ def theta_solution_form(spec, sol: ThetaSolution, coords, s) -> GradedForm:
 
 
 class _FormCtx:
+    """Form values; numbers, names and degree-0 powers and quotients are
+    algebra elements, read exactly as Presentation.parse reads them."""
+
     def __init__(self, spec):
         self.spec = spec
+        self.alg = _AlgebraCtx(spec.pres)
 
     def number(self, n):
-        return GradedForm.from_poly(self.spec, self.spec.pres.const(n))
+        return GradedForm.from_poly(self.spec, self.alg.number(n))
 
     def name(self, name):
-        pres = self.spec.pres
-        if name in pres.params:
-            return GradedForm.from_poly(self.spec, pres.const(Scalar.param(name)))
-        return GradedForm.from_poly(self.spec, pres.gen(name))
+        return GradedForm.from_poly(self.spec, self.alg.name(name))
 
     def indexed(self, name, label):
         if name != "theta":
@@ -826,32 +831,19 @@ class _FormCtx:
             raise ParseError(f"unknown function {name!r}")
         if set(arg.degrees()) - {0}:
             raise ParseError("d(...) takes an algebra element")
-        if arg.is_zero():
-            return GradedForm.zero(self.spec)
-        return differential(self.spec, arg.component(0)[()])
+        return differential(self.spec, arg.coefficient(()))
 
     def divide(self, a, b):
         if set(b.degrees()) - {0}:
             raise ParseError("cannot divide by a form of positive degree")
-        p = b.component(0).get((), self.spec.pres.zero)
-        from .algebra import unit_inverse
-        if p.is_scalar():
-            return a * p.as_scalar().inverse()
-        return a * unit_inverse(p)
+        return a * self.alg.pow(b.coefficient(()), -1)
 
     def pow(self, v, n):
         if set(v.degrees()) - {0}:
             if n < 1:
                 raise ParseError("form powers must be positive")
             return v ** n
-        p = v.component(0).get((), self.spec.pres.zero)
-        if n < 0:
-            from .algebra import unit_inverse
-            if p.is_scalar():
-                return GradedForm.from_poly(self.spec, self.spec.pres.const(
-                    p.as_scalar() ** n))
-            return GradedForm.from_poly(self.spec, unit_inverse(p) ** (-n))
-        return GradedForm.from_poly(self.spec, p ** n)
+        return GradedForm.from_poly(self.spec, self.alg.pow(v.coefficient(()), n))
 
 
 def parse_form(spec: CalculusSpec, text: str) -> GradedForm:

@@ -202,7 +202,7 @@ def torsion_free_conditions(spec) -> TorsionConditions:
         return (order[sp], order[s], order[spp])
 
     for s in d.labels:
-        for (u, v) in sorted((p for p in d.biangles), key=lambda p: (order[p[0]], order[p[1]])):
+        for (u, v) in d.biangles:
             const = (Scalar.one() / t[v]) if u == s else Scalar.zero()
             eqs.append(LinearEquation("biangle",
                                       (((s, u, v), Scalar.one()),), const))

@@ -6,40 +6,48 @@ from .algebra import AlgebraError, _acc, unit_inverse
 from .scalar import Scalar
 
 
-def nullspace_vector(rows, ncols):
-    """One nontrivial kernel vector of a sparse Scalar matrix, or None.
+def _reduced_rows(rows):
+    """Gauss-Jordan elimination of sparse Scalar rows (dicts column -> Scalar).
 
-    rows are dicts column-index -> Scalar.
+    Returns {pivot column: row}, each row monic at its pivot (its lowest
+    column) and zero at every other pivot column.
     """
-    rows = [dict(r) for r in rows if r]
-    pivots = {}  # col -> row dict (normalized, eliminated)
+    pivots = {}
     for row in rows:
+        row = {j: v for j, v in row.items() if not v.is_zero()}
         for col, piv in pivots.items():
             c = row.get(col)
-            if c is not None and not c.is_zero():
+            if c is not None:
                 for j, v in piv.items():
                     _acc(row, j, -(c * v))
-        row = {j: v for j, v in row.items() if not v.is_zero()}
         if not row:
             continue
         col = min(row)
         lead = row[col]
         norm = {j: v / lead for j, v in row.items()}
-        for pcol, piv in pivots.items():
+        for piv in pivots.values():
             c = piv.get(col)
-            if c is not None and not c.is_zero():
+            if c is not None:
                 for j, v in norm.items():
                     _acc(piv, j, -(c * v))
         pivots[col] = norm
+    return pivots
+
+
+def nullspace_vector(rows, ncols):
+    """One nontrivial kernel vector of a sparse Scalar matrix, or None.
+
+    rows are dicts column-index -> Scalar.
+    """
+    pivots = _reduced_rows(rows)
     free = [j for j in range(ncols) if j not in pivots]
     if not free:
         return None
     f = free[0]
     vec = {f: Scalar.one()}
     for col, piv in pivots.items():
-        c = piv.get(f)
-        if c is not None and not c.is_zero():
-            vec[col] = -c
+        if f in piv:
+            vec[col] = -piv[f]
     return [vec.get(j, Scalar.zero()) for j in range(ncols)]
 
 
@@ -49,35 +57,15 @@ def solve_linear(equations, ncols):
     equations are (coeff dict column -> Scalar, rhs Scalar) pairs.
     Free columns are set to zero.
     """
-    pivots = {}  # col -> (row dict, rhs)
-    for coeffs, rhs in equations:
-        row = dict(coeffs)
-        for col, (piv, prhs) in pivots.items():
-            c = row.get(col)
-            if c is not None and not c.is_zero():
-                for j, v in piv.items():
-                    _acc(row, j, -(c * v))
-                rhs = rhs - c * prhs
-        row = {j: v for j, v in row.items() if not v.is_zero()}
-        if not row:
-            if not rhs.is_zero():
-                return None
-            continue
-        col = min(row)
-        lead = row[col]
-        norm = {j: v / lead for j, v in row.items()}
-        nrhs = rhs / lead
-        for pcol, (piv, prhs) in list(pivots.items()):
-            c = piv.get(col)
-            if c is not None and not c.is_zero():
-                for j, v in norm.items():
-                    _acc(piv, j, -(c * v))
-                pivots[pcol] = (piv, prhs - c * nrhs)
-        pivots[col] = (norm, nrhs)
+    # the right-hand side is column ncols; it becomes a pivot iff some
+    # equation reduces to 0 = nonzero
+    pivots = _reduced_rows({**coeffs, ncols: rhs} for coeffs, rhs in equations)
+    if ncols in pivots:
+        return None
     sol = [Scalar.zero()] * ncols
-    for col, (piv, prhs) in pivots.items():
+    for col, piv in pivots.items():
         # free columns are zero, so the pivot value is just the rhs
-        sol[col] = prhs
+        sol[col] = piv.get(ncols, Scalar.zero())
     return sol
 
 

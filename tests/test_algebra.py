@@ -71,6 +71,40 @@ def test_confluence_all_presets_small_overlaps():
         assert rep.ok, f"{pid}: {rep}"
 
 
+# critical pairs checked at the default overlap length, per preset
+_PAIRS_CHECKED = {
+    "glpq2": 32, "group_lattice_s3": 125, "tensor_hplane": 32, "z3_root_of_unity": 13,
+    "quantum_torus": 12, "group_lattice_z3": 8, "h_plane": 4, "h_plane_r1": 4,
+    "tensor_qplane": 4,
+}
+
+
+@pytest.mark.parametrize("pid", PRESET_IDS)
+def test_confluence_pairs_checked_pinned(pid):
+    rep = check_local_confluence(load_preset(pid).presentation)
+    assert rep.ok
+    assert rep.pairs_checked == _PAIRS_CHECKED.get(pid, 0)
+
+
+def test_q_binomial_expansion():
+    """(x+y)^n = sum_k [n,k] x^k y^(n-k) on y*x = q^-1 x*y, with the Pascal
+    rule [m,k] = [m-1,k-1] + q^-k [m-1,k]; parsing normalizes after every
+    product, so the power holds n+1 words throughout."""
+    pres = load_preset("quantum_plane_a").presentation
+    q = Scalar.param("q")
+    n = 24
+    row = [Scalar.one()]
+    for m in range(1, n + 1):
+        row = [(row[k - 1] if k > 0 else Scalar.zero())
+               + (q ** -k * row[k] if k < m else Scalar.zero()) for k in range(m + 1)]
+    ix, iy = pres.gen_index("x"), pres.gen_index("y")
+    expected = pres.poly({tuple(r for r in ((ix, k), (iy, n - k)) if r[1]): c
+                          for k, c in enumerate(row)})
+    got = pres.parse(f"(x+y)^{n}")
+    assert len(got.terms) == n + 1
+    assert got == expected
+
+
 def test_confluence_flags_inconsistent_rules():
     pres = Presentation(["x", "y"], rules=[("y*x", "x*y"), ("y*x", "2*x*y")])
     rep = check_local_confluence(pres)

@@ -1,8 +1,14 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from click.testing import CliRunner
 
+import nccalc
 from nccalc.cli import main
 from nccalc.presets import load_preset
 
@@ -70,6 +76,20 @@ def test_division_by_zero_exit_2(runner, expr):
     assert res.exit_code == 2
     assert "Traceback" not in res.output
     assert res.output.strip() == "error: division by zero"
+
+
+@pytest.mark.parametrize("pid, expr", [("quantum_plane_a", "x/0"),
+                                       ("quantum_plane_a", "x/(x*y)"),
+                                       ("h_plane", "(x*y)^-1")])
+def test_normalize_and_d_share_error_wording(runner, pid, expr):
+    norm = runner.invoke(main, ["--preset", pid, "normalize", expr])
+    diff = runner.invoke(main, ["--preset", pid, "d", "--expr", expr])
+    for res in (norm, diff):
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+        assert res.output.startswith("error: ")
+    assert norm.output == diff.output
 
 
 def test_division_by_zero_in_relation_file_exit_2(runner, tmp_path):
@@ -260,6 +280,21 @@ def test_verify_all_presets_deterministic_and_parallel(runner):
     par = invoke(runner, "--format", "structured", "--jobs", "4", *args)
     assert seq.exit_code == 0
     assert seq.output == par.output
+
+
+def test_verify_text_independent_of_hash_seed():
+    src = str(Path(nccalc.__file__).resolve().parent.parent)
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "nccalc.cli", "--preset", "group_lattice_s3",
+                               "verify", "--suite", "twisted-2forms"],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert "zeta_centrality" in outs[0]
+    assert outs[0] == outs[1]
 
 
 def test_jobs_preset_run_deterministic(runner):

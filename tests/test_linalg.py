@@ -1,4 +1,5 @@
-"""Exact linear algebra: the cofactor determinant against the permutation sum."""
+"""Exact linear algebra: the cofactor determinant against the permutation sum,
+the sparse elimination against sympy."""
 
 import pytest
 
@@ -28,3 +29,92 @@ def test_det_cofactor_matches_permutation_sum_on_shift_calculi(consts):
     det = det_cofactor(spec.pres, M)
     assert not det.is_zero()
     assert det == det_permanent_expansion(spec.pres, M)
+
+
+# -- sympy oracle for the one Gauss-Jordan elimination ----------------------
+
+_ORACLE = dict(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def _systems():
+    st = pytest.importorskip("hypothesis.strategies")
+    from fractions import Fraction
+
+    nonzero = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+    entries = st.one_of(nonzero, st.just(Fraction(0)))
+
+    @st.composite
+    def systems(draw):
+        """(A, b): up to 4 x 4 rational, sparse, often rank deficient."""
+        nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        A = [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+        if nrows > 1 and draw(st.booleans()):  # plant a dependent row
+            k = draw(entries)
+            A[-1] = [a + k * b for a, b in zip(A[0], A[1 % nrows])]
+        b = [draw(entries) for _ in range(nrows)]
+        return A, b
+
+    return systems
+
+
+def _scalar(f):
+    from nccalc.scalar import Scalar
+    return Scalar.from_int(f.numerator) / Scalar.from_int(f.denominator)
+
+
+def _rows(A):
+    # explicit zero entries are kept: the elimination must drop them itself
+    return [{j: _scalar(a) for j, a in enumerate(r)} for r in A]
+
+
+def _times(A, x):
+    from nccalc.scalar import Scalar
+    out = []
+    for r in A:
+        acc = Scalar.zero()
+        for a, v in zip(r, x):
+            acc = acc + _scalar(a) * v
+        out.append(acc)
+    return out
+
+
+def test_solve_linear_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    from nccalc.linalg import solve_linear
+
+    @hypothesis.settings(**_ORACLE)
+    @hypothesis.given(_systems()())
+    def check(case):
+        A, b = case
+        M = sympy.Matrix(A)
+        consistent = M.rank() == M.row_join(sympy.Matrix(b)).rank()
+        sol = solve_linear([(r, _scalar(c)) for r, c in zip(_rows(A), b)], len(A[0]))
+        assert (sol is not None) == consistent
+        if sol is None:
+            return
+        assert _times(A, sol) == [_scalar(c) for c in b]
+        pivots = set(M.rref()[1])
+        assert all(v.is_zero() for j, v in enumerate(sol) if j not in pivots)
+
+    check()
+
+
+def test_nullspace_vector_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    from nccalc.linalg import nullspace_vector
+
+    @hypothesis.settings(**_ORACLE)
+    @hypothesis.given(_systems()())
+    def check(case):
+        A, _ = case
+        vec = nullspace_vector(_rows(A), len(A[0]))
+        assert (vec is None) == (sympy.Matrix(A).rank() == len(A[0]))
+        if vec is None:
+            return
+        assert len(vec) == len(A[0])
+        assert not all(v.is_zero() for v in vec)
+        assert all(v.is_zero() for v in _times(A, vec))
+
+    check()

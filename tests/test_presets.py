@@ -13,6 +13,24 @@ def test_preset_fixtures(pid):
     assert rep.ok, f"{pid}:\n{rep.text()}"
 
 
+@pytest.mark.parametrize("pid", ["quantum_plane_a", "group_lattice_s3"])
+def test_cold_bundle_fixtures_same_under_threads(pid):
+    """Memo tables filled concurrently from cold give the serial report."""
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    build = load_preset.__wrapped__  # bypass the cache: fresh presentation and spec
+    serial = build(pid).run_fixtures(map=map).structured()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside memo updates too
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = build(pid).run_fixtures(map=pool.map).structured()
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
 def test_catalog_is_complete():
     expected = {
         "poly_shift_S12", "poly_shift_sym", "quantum_plane_a", "quantum_plane_b",
