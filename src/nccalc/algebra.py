@@ -21,6 +21,8 @@ from .scalar import Scalar, scalar
 
 Word = tuple  # tuple[(gen_index, exponent), ...]
 
+_ONE = Scalar.one()  # shared by every memoized irreducible word
+
 
 class AlgebraError(ValueError):
     pass
@@ -182,8 +184,7 @@ class Presentation:
                 c = scalar(c)
             if c.is_zero():
                 continue
-            for nw, nc in self._reduce_word(w).items():
-                _acc(acc, nw, nc * c)
+            _acc_nf(acc, self._reduce_word(w), c)
         return NCPoly(self, acc)
 
     # -- parsing and printing
@@ -219,34 +220,90 @@ class Presentation:
         return None
 
     def _reduce_word(self, word):
-        """Full normal form of a word, as a dict word -> Scalar (memoized)."""
-        cached = self._nf.get(word)
-        if cached is not None:
-            return cached
-        one = Scalar.one()
-        result = {}
-        stack = [(word, one)]
-        while stack:
-            w, coeff = stack.pop()
-            hit = self._nf.get(w)
-            if hit is not None:
-                for nw, nc in hit.items():
-                    _acc(result, nw, nc * coeff)
-                continue
-            letters = letters_of(w)
+        """Full normal form of a word, as a dict word -> Scalar (memoized).
+
+        Rewriting always takes the leftmost redex.  Single-term rules are
+        followed as a chain without storing the words between; the memo
+        holds requested words, branch words (where a rule with two or more
+        right-hand terms fires) and irreducible words, so shared subterms of
+        the rewrite DAG are reduced once.
+        """
+        nf = self._nf
+        hit = nf.get(word)
+        if hit is not None:
+            return hit
+        k, end = self._chain(word)
+        if end is None:
+            result = {}
+        else:
+            if end not in nf:
+                self._reduce_branches(end)
+            result = nf[end]
+            if not k.is_one():
+                result = {w: c * k for w, c in result.items()}
+        nf[word] = result
+        return result
+
+    def _chain(self, word):
+        """Follow single-term rewrites from word: (k, end) with nf(word) = k*nf(end).
+
+        end is memoized, a branch word, or None when a rule maps to zero.
+        Irreducible words are memoized on the way.
+        """
+        nf = self._nf
+        k = _ONE
+        while word not in nf:
+            letters = letters_of(word)
             m = self._first_redex(letters)
             if m is None:
-                self._nf[w] = {w: one}
-                _acc(result, w, coeff)
-                continue
+                nf[word] = {word: _ONE}
+                break
             i, rule = m
-            tail = letters[i + len(rule.lhs_letters):]
-            head = letters[:i]
-            for rw, rc in rule.rhs:
-                nw = word_from_letters(head + letters_of(rw) + tail)
-                stack.append((nw, coeff * rc))
-        self._nf[word] = result
-        return result
+            if len(rule.rhs) != 1:
+                return (k, word) if rule.rhs else (k, None)
+            (rw, rc), = rule.rhs
+            word = word_from_letters(letters[:i] + letters_of(rw)
+                                     + letters[i + len(rule.lhs_letters):])
+            if not rc.is_one():
+                k = k * rc
+        return k, word
+
+    def _branches(self, word):
+        """(coefficient, chain end) for each right-hand term of word's leftmost
+        redex, last term first, the order in which terms are accumulated."""
+        letters = letters_of(word)
+        i, rule = self._first_redex(letters)
+        head, tail = letters[:i], letters[i + len(rule.lhs_letters):]
+        parts = []
+        for rw, rc in reversed(rule.rhs):
+            k, end = self._chain(word_from_letters(head + letters_of(rw) + tail))
+            if end is not None:
+                parts.append((rc * k, end))
+        return parts
+
+    def _reduce_branches(self, word):
+        """Memoize nf of a branch word by a post-order walk over branch words."""
+        nf = self._nf
+        pending = {}
+        stack = [word]
+        while stack:
+            w = stack[-1]
+            if w in nf:
+                stack.pop()
+                continue
+            parts = pending.get(w)
+            if parts is None:
+                parts = pending[w] = self._branches(w)
+                missing = [e for _, e in parts if e not in nf]
+                if missing:
+                    stack.extend(missing)
+                    continue
+            result = {}
+            for c, e in parts:
+                _acc_nf(result, nf[e], c)
+            nf[w] = result
+            del pending[w]
+            stack.pop()
 
     # -- misc
 
@@ -270,6 +327,12 @@ def _acc(d, w, c):
         d.pop(w, None)
     else:
         d[w] = s
+
+
+def _acc_nf(d, nf, c):
+    """Add nf * c into d, for a normal form nf (word -> Scalar)."""
+    for w, nc in nf.items():
+        _acc(d, w, c if nc.is_one() else nc * c)
 
 
 class LabelModule:
@@ -450,15 +513,20 @@ class NCPoly:
         other = self._check(other)
         if other is None:
             return NotImplemented
+        # scalars are central, so scaling keeps the other operand's words normal
+        if len(self.terms) == 1 and () in self.terms:
+            ca = self.terms[()]
+            return NCPoly(self.pres, {w: ca * cb for w, cb in other.terms.items()})
+        if len(other.terms) == 1 and () in other.terms:
+            cb = other.terms[()]
+            return NCPoly(self.pres, {w: ca * cb for w, ca in self.terms.items()})
         acc = {}
         reduce = self.pres._reduce_word
         for wa, ca in self.terms.items():
             la = letters_of(wa)
             for wb, cb in other.terms.items():
                 w = word_from_letters(la + letters_of(wb))
-                c = ca * cb
-                for nw, nc in reduce(w).items():
-                    _acc(acc, nw, nc * c)
+                _acc_nf(acc, reduce(w), ca * cb)
         return NCPoly(self.pres, acc)
 
     def __rmul__(self, other):
@@ -607,20 +675,25 @@ class AlgebraMorphism:
         self.verified = verified
         self.violations = tuple(violations)
         self.inverse = inverse
+        self._word_images = {}  # word -> NCPoly, one complete assignment per entry
 
     def apply(self, p: NCPoly) -> NCPoly:
         if not self.verified:
             raise AlgebraError("morphism is not verified")
-        out = self.pres.zero
+        acc = {}
         for w, c in p.terms.items():
-            out = out + self._word_image(w) * c
-        return out
+            _acc_nf(acc, self._word_image(w).terms, c)
+        return NCPoly(self.pres, acc)
 
     def _word_image(self, word) -> NCPoly:
+        out = self._word_images.get(word)
+        if out is not None:
+            return out
         out = self.pres.one
         for g, s in letters_of(word):
             name = self.pres.generators[g].name
             out = out * (self.images[name] if s > 0 else self.inv_images[name])
+        self._word_images[word] = out
         return out
 
     def __call__(self, p):

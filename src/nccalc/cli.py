@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import click
@@ -96,6 +95,8 @@ def _jobs_map(ctx):
     if jobs == 1:
         yield map
         return
+    from concurrent.futures import ThreadPoolExecutor  # loads logging: keep it off cold calls
+
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         yield pool.map
 

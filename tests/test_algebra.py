@@ -1,16 +1,20 @@
 """Rewrite engine, confluence, morphisms, tensor products, module probe."""
 
+import contextlib
+import math
 import random
+import signal
 
 import pytest
 
-from nccalc.algebra import (AlgebraError, Presentation, basis_independence_probe,
-                            check_local_confluence, identity_morphism,
+from nccalc.algebra import (AlgebraError, Presentation, _acc, basis_independence_probe,
+                            check_local_confluence, identity_morphism, letters_of,
                             normal_words, tensor_product, unit_inverse,
-                            verify_morphism)
+                            verify_morphism, word_from_letters)
 from nccalc.parsing import ParseError
 from nccalc.presets import load_preset, PRESET_IDS
 from nccalc.scalar import Scalar, params
+from nccalc.suites import random_poly
 
 
 @pytest.fixture(scope="module")
@@ -256,3 +260,160 @@ def test_probe_single_direction_no_dependency():
     spec = b.spec
     rep = basis_independence_probe(spec.pres, {"1": lambda f: spec.e("1", f)}, 2)
     assert not rep.dependent
+
+
+# -- memoized rewriting and morphism images against un-memoized references --
+
+_ORACLE = dict(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+def _reference_nf(pres, word, memo):
+    """Depth-first reducer without the rewrite-DAG memo: it walks every
+    rewrite path and memoizes only the requested and irreducible words."""
+    cached = memo.get(word)
+    if cached is not None:
+        return cached
+    one = Scalar.one()
+    result = {}
+    stack = [(word, one)]
+    while stack:
+        w, coeff = stack.pop()
+        hit = memo.get(w)
+        if hit is not None:
+            for nw, nc in hit.items():
+                _acc(result, nw, nc * coeff)
+            continue
+        letters = letters_of(w)
+        m = pres._first_redex(letters)
+        if m is None:
+            memo[w] = {w: one}
+            _acc(result, w, coeff)
+            continue
+        i, rule = m
+        head, tail = letters[:i], letters[i + len(rule.lhs_letters):]
+        for rw, rc in rule.rhs:
+            stack.append((word_from_letters(head + letters_of(rw) + tail), coeff * rc))
+    memo[word] = result
+    return result
+
+
+def _cold(pres):
+    """The same rewrite system with an empty normal-form memo."""
+    fresh = Presentation(pres.generators, pres.params)
+    fresh._install_rules(pres.rules)
+    return fresh
+
+
+@contextlib.contextmanager
+def _time_box(seconds):
+    """Fail instead of hanging when the block runs longer than `seconds`."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"took longer than {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("pid", PRESET_IDS)
+def test_reducer_against_depth_first_reference(pid):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    pres = load_preset(pid).presentation
+    alphabet = [(i, s) for i, g in enumerate(pres.generators)
+                for s in ((1, -1) if g.invertible else (1,))]
+    engine, ref = _cold(pres), {}
+
+    @hypothesis.settings(**_ORACLE)
+    @hypothesis.given(st.lists(st.sampled_from(alphabet), max_size=8))
+    def check(letters):
+        w = word_from_letters(letters)
+        assert engine._reduce_word(w) == _reference_nf(engine, w, ref)
+
+    check()
+    # every memo entry, branch words included, holds its word's normal form
+    for w, nf in list(engine._nf.items()):
+        assert nf == _reference_nf(engine, w, ref)
+
+
+@pytest.mark.parametrize("n", [8, 13])
+def test_heisenberg_normal_ordering(heisenberg, n):
+    """y^n x^n = sum_j (-h)^j j! C(n,j)^2 x^(n-j) y^(n-j) on y*x = x*y - h.
+    Walking every rewrite path instead takes about a minute at n = 8."""
+    pres = _cold(heisenberg)
+    h = Scalar.param("h")
+    expected = pres.poly({tuple(r for r in ((0, n - j), (1, n - j)) if r[1]):
+                          (-h) ** j * (math.factorial(j) * math.comb(n, j) ** 2)
+                          for j in range(n + 1)})
+    pres._nf.clear()  # start the timed reduction cold
+    with _time_box(20):
+        got = pres.parse(f"y^{n}*x^{n}")
+    assert got == expected
+
+
+def test_quantum_torus_power_keeps_memo_small():
+    """Single-term rewrites are followed as chains, not memoized: storing every
+    visited word of (x*y)^200 grows the memo from 419 to about 20 000 words."""
+    pres = load_preset.__wrapped__("quantum_torus").presentation  # cold memo
+    got = pres.parse("(x*y)^200")
+    assert str(got) == "(1/(q^19900))*x^200*y^200"
+    assert len(pres._nf) <= 2 * 419
+
+
+def _fold_image(m, p):
+    """Morphism image without the word-image memo: the product of letter
+    images of each word, summed with +."""
+    pres = m.pres
+    out = pres.zero
+    for w, c in p.terms.items():
+        img = pres.one
+        for g, s in letters_of(w):
+            name = pres.generators[g].name
+            img = img * (m.images[name] if s > 0 else m.inv_images[name])
+        out = out + img * c
+    return out
+
+
+@pytest.mark.parametrize("pid", PRESET_IDS)
+def test_memoized_morphism_images_against_fold(pid):
+    spec = load_preset.__wrapped__(pid).spec  # cold morphism memos
+    autos = list(spec.autos.values())
+    morphisms = autos + [m.inverse for m in autos] + [autos[0].then(autos[-1])]
+    rng = random.Random(pid)
+    polys = [random_poly(spec.pres, rng, max_len=3, terms=3) for _ in range(12)]
+    for m in morphisms:
+        for p in polys + polys:  # the second pass reads the memo
+            assert m.apply(p) == _fold_image(m, p)
+
+
+def _general_product(a, b):
+    """a*b by word concatenation and the reference reducer, no scalar lane."""
+    acc, memo = {}, {}
+    for wa, ca in a.terms.items():
+        for wb, cb in b.terms.items():
+            w = word_from_letters(letters_of(wa) + letters_of(wb))
+            for nw, nc in _reference_nf(a.pres, w, memo).items():
+                _acc(acc, nw, nc * (ca * cb))
+    return a.pres.poly(acc)
+
+
+@pytest.mark.parametrize("pid", ["glpq2", "quantum_torus", "heisenberg"])
+def test_scalar_lane_matches_general_product(pid):
+    pres = load_preset(pid).presentation
+    p, q = Scalar.param("p"), Scalar.param("q")
+    rng = random.Random(5)
+    for c in (Scalar.from_int(3), Scalar.from_int(-2) / 7, q,
+              (p * p + q) / (p - q + 1)):
+        cp = pres.const(c)
+        for _ in range(15):
+            f = random_poly(pres, rng, max_len=3, terms=3)
+            assert cp * f == _general_product(cp, f)
+            assert f * cp == _general_product(f, cp)

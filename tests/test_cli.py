@@ -297,6 +297,18 @@ def test_verify_text_independent_of_hash_seed():
     assert outs[0] == outs[1]
 
 
+def test_cli_import_leaves_thread_pool_unloaded():
+    """concurrent.futures loads logging; only --jobs > 1 needs it."""
+    src = str(Path(nccalc.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, nccalc.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_jobs_preset_run_deterministic(runner):
     for pid in ("quantum_plane_b", "heisenberg"):
         seq = invoke(runner, "--format", "structured", "--jobs", "1", "preset", "run", pid)
