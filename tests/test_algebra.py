@@ -1,12 +1,15 @@
 """Rewrite engine, confluence, morphisms, tensor products, module probe."""
 
-import contextlib
 import math
+import os
 import random
-import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nccalc
 from nccalc.algebra import (AlgebraError, Presentation, _acc, basis_independence_probe,
                             check_local_confluence, identity_morphism, letters_of,
                             normal_words, tensor_product, unit_inverse,
@@ -304,25 +307,6 @@ def _cold(pres):
     return fresh
 
 
-@contextlib.contextmanager
-def _time_box(seconds):
-    """Fail instead of hanging when the block runs longer than `seconds`."""
-    if not hasattr(signal, "setitimer"):
-        yield
-        return
-
-    def expire(signum, frame):
-        raise TimeoutError(f"took longer than {seconds} s")
-
-    old = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
-
-
 @pytest.mark.parametrize("pid", PRESET_IDS)
 def test_reducer_against_depth_first_reference(pid):
     hypothesis = pytest.importorskip("hypothesis")
@@ -345,18 +329,23 @@ def test_reducer_against_depth_first_reference(pid):
 
 
 @pytest.mark.parametrize("n", [8, 13])
-def test_heisenberg_normal_ordering(heisenberg, n):
-    """y^n x^n = sum_j (-h)^j j! C(n,j)^2 x^(n-j) y^(n-j) on y*x = x*y - h.
-    Walking every rewrite path instead takes about a minute at n = 8."""
-    pres = _cold(heisenberg)
+def test_heisenberg_normal_ordering(n):
+    """y^n x^n = sum_j (-h)^j j! C(n,j)^2 x^(n-j) y^(n-j) on y*x = x*y - h,
+    from a cold process with a time box: walking every rewrite path instead
+    takes about a minute at n = 8."""
+    pres = load_preset("heisenberg").presentation
     h = Scalar.param("h")
     expected = pres.poly({tuple(r for r in ((0, n - j), (1, n - j)) if r[1]):
                           (-h) ** j * (math.factorial(j) * math.comb(n, j) ** 2)
                           for j in range(n + 1)})
-    pres._nf.clear()  # start the timed reduction cold
-    with _time_box(20):
-        got = pres.parse(f"y^{n}*x^{n}")
-    assert got == expected
+    src = str(Path(nccalc.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "nccalc.cli", "--preset", "heisenberg",
+                           "normalize", f"y^{n}*x^{n}"],
+                          env=env, capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"normal_form = {expected}\n"
 
 
 def test_quantum_torus_power_keeps_memo_small():
