@@ -121,16 +121,11 @@ class Presentation:
     def _build_rule(self, lhs, rhs):
         # while a presentation's own rules are built none is installed yet,
         # so parse() leaves both sides unreduced
-        lhs_terms = self.parse(lhs).terms if isinstance(lhs, str) else {lhs: Scalar.one()}
+        lhs_terms = self.element(lhs).terms
         if len(lhs_terms) != 1:
             raise AlgebraError(f"rule left-hand side must be a single word: {lhs}")
         (lw, lc), = lhs_terms.items()
-        if isinstance(rhs, str):
-            rhs_terms = self.parse(rhs).terms
-        elif isinstance(rhs, NCPoly):
-            rhs_terms = dict(rhs.terms)
-        else:
-            rhs_terms = dict(rhs)
+        rhs_terms = self.element(rhs).terms
         if not lc.is_one():
             rhs_terms = {w: c / lc for w, c in rhs_terms.items()}
         lk = word_key(lw)
@@ -173,8 +168,17 @@ class Presentation:
         return NCPoly(self, {})
 
     def const(self, c):
-        c = scalar(c) if not isinstance(c, Scalar) else c
+        c = scalar(c)
         return NCPoly(self, {(): c} if not c.is_zero() else {})
+
+    def element(self, v) -> "NCPoly":
+        """The one coercion to an algebra element: text is parsed, an int or a
+        Scalar becomes a constant, an NCPoly is returned as it is."""
+        if isinstance(v, str):
+            return self.parse(v)
+        if isinstance(v, NCPoly):
+            return v
+        return self.const(v)
 
     def poly(self, terms):
         """Normalize a dict word -> scalar into an NCPoly."""
@@ -327,6 +331,14 @@ def _acc(d, w, c):
         d.pop(w, None)
     else:
         d[w] = s
+
+
+def join_terms(parts):
+    """Join printed terms into a sum, writing ' - t' for a term '-t'."""
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
 
 
 def _acc_nf(d, nf, c):
@@ -580,10 +592,7 @@ class NCPoly:
                         cs.startswith("(") and cs.endswith(")")):
                     cs = f"({cs})"
                 parts.append(f"{cs}*{self.pres.word_str(w)}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return join_terms(parts)
 
     def __repr__(self):
         return f"NCPoly({self})"
@@ -773,7 +782,7 @@ def _morphism(pres, images):
             v = images[g.name]
         except KeyError:
             raise AlgebraError(f"image missing for generator {g.name!r}") from None
-        imgs[g.name] = pres.parse(v) if isinstance(v, str) else v
+        imgs[g.name] = pres.element(v)
     inv_imgs = {}
     for g in pres.generators:
         if g.invertible:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Mapping, NamedTuple
 
 from .algebra import (AlgebraMorphism, LabelModule, NCPoly, _acc, _AlgebraCtx,
-                      normal_words)
+                      join_terms, normal_words)
 from .parsing import ParseError, parse_with_context
 from .report import Report
 from .scalar import Scalar, scalar
@@ -42,7 +42,8 @@ class DirectionSet:
 
     def __init__(self, labels, biangles=None, triangles=None, quad_classes=None):
         self.labels = tuple(labels)
-        if len(set(self.labels)) != len(self.labels):
+        self._position = {s: i for i, s in enumerate(self.labels)}
+        if len(self._position) != len(self.labels):
             raise CalculusError("duplicate direction labels")
         self.classified = biangles is not None
         given = set(biangles or ())
@@ -86,8 +87,9 @@ class DirectionSet:
         classes = [tuple(v) for _, v in sorted(quads.items(), key=lambda kv: kv[1][0])]
         return DirectionSet(labels, biangles, triangles, classes)
 
-    def index(self, s):
-        return self.labels.index(s)
+    def order_key(self, labels):
+        """The order of label tuples (pairs, connection keys): by label position."""
+        return tuple(self._position[s] for s in labels)
 
     def __repr__(self):
         return f"DirectionSet({','.join(self.labels)})"
@@ -136,8 +138,7 @@ class CalculusSpec:
                 raise CalculusError("give either weights or twist elements, not both")
             self.mode = "twisted"
             self.weights = None
-            self.lambdas = {s: (pres.parse(v) if isinstance(v, str) else v)
-                            for s, v in lambdas.items()}
+            self.lambdas = {s: pres.element(v) for s, v in lambdas.items()}
             for s in labels:
                 if s not in self.lambdas:
                     raise CalculusError(f"no twist element for direction {s}")
@@ -159,9 +160,7 @@ class CalculusSpec:
                     raise CalculusError(f"automorphisms for {s} and {t} coincide on generators")
                 if self.mode == "twisted" and same_phi and self.lambdas[s] == self.lambdas[t]:
                     raise CalculusError(f"directions {s} and {t} carry identical twisted data")
-        self.theta_scalings = {}
-        for (s, t), c in (theta_scalings or {}).items():
-            self.theta_scalings[(s, t)] = c if isinstance(c, Scalar) else scalar(c)
+        self.theta_scalings = {k: scalar(c) for k, c in (theta_scalings or {}).items()}
 
     # -- basic maps
 
@@ -170,9 +169,6 @@ class CalculusSpec:
 
     def phi_inv(self, s) -> AlgebraMorphism:
         return self.autos[s].inverse
-
-    def lambda_of(self, s) -> NCPoly:
-        return self.lambdas[s]
 
     def e(self, s, f: NCPoly) -> NCPoly:
         lam = self.lambdas[s]
@@ -215,9 +211,7 @@ class GradedForm(LabelModule):
 
     @staticmethod
     def from_poly(spec, p):
-        if isinstance(p, (int, Scalar)):
-            p = spec.pres.const(p)
-        return GradedForm(spec, {(): p})
+        return GradedForm(spec, {(): spec.pres.element(p)})
 
     @staticmethod
     def theta(spec, *labels):
@@ -338,10 +332,7 @@ class GradedForm(LabelModule):
                 parts.append(f"{cs}*{ws}")
             else:
                 parts.append(f"({cs})*{ws}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return join_terms(parts)
 
     def __repr__(self):
         return f"GradedForm({self})"
@@ -364,11 +355,7 @@ class TwoFormStructure:
         self.zeta = {tuple(p): v for p, v in zeta.items()}
         self.relations = tuple(relations)
         basis_set = set(self.basis)
-        order = {s: i for i, s in enumerate(spec.directions.labels)}
-
-        def pair_key(p):
-            return (order[p[0]], order[p[1]])
-
+        pair_key = spec.directions.order_key
         for k, v in self.reduction.items():
             if k in basis_set:
                 raise CalculusError(f"pair {k} is both in the basis and reduced")
@@ -439,18 +426,13 @@ def two_form_structure(spec: CalculusSpec) -> TwoFormStructure:
         raise CalculusError("two_form_structure derives only in automorphism mode; "
                             "validate a candidate with verify_twisted_two_forms instead")
     t = spec.weights
-    order = {s: i for i, s in enumerate(d.labels)}
-
-    def pair_key(p):
-        return (order[p[0]], order[p[1]])
-
     all_pairs = [(s, u) for s in d.labels for u in d.labels]
     reduction = {}
     relations = []
     for cls in d.quad_classes:
         rel = {(s, u): (t[s] * t[u]).inverse() for (s, u) in cls}
         relations.append(("quadrangle", dict(rel)))
-        target = max(cls, key=pair_key)
+        target = max(cls, key=d.order_key)
         scale = -(t[target[0]] * t[target[1]])
         reduction[target] = tuple(
             (scale / (t[s] * t[u]), (s, u)) for (s, u) in cls if (s, u) != target)
@@ -461,37 +443,29 @@ def two_form_structure(spec: CalculusSpec) -> TwoFormStructure:
             spec.pres.const(t[target] / (t[s] * t[u]))
     zeta = {(s, u): spec.pres.const((t[s] * t[u]).inverse()) for (s, u) in d.biangles}
     ts = TwoFormStructure(spec, basis, reduction, delta_table, zeta, relations)
-    rep = _master_identity_report(spec, ts)
+    rep = _master_identity_report(spec, ts, _twist_table(spec))
     if not rep.ok:
         raise InconsistentCalculus(
             "derived 2-form structure violates the master identity:\n" + rep.text())
     return ts
 
 
-def _master_identity_report(spec, ts: TwoFormStructure) -> Report:
+def _master_identity_report(spec, ts: TwoFormStructure, twist) -> Report:
     """The identity obtained by commuting f through zeta = d(theta) - theta^2.
 
     sum_{s,s'} ( f L_s phi_s(L_s') - L_s phi_s(L_s') phi_s phi_s'(f) ) th^s th^s'
       = sum_s ( f L_s - L_s phi_s(f) ) Delta(theta^s)
-    reduced to the basis Xi, for every generator f.
+    reduced to the basis Xi, for every generator f; twist is _twist_table(spec).
     """
     rep = Report("master identity")
-    labels = spec.directions.labels
-    lam = {s: spec.lambda_of(s) for s in labels}
-    phi_lam = {(s, u): spec.phi(s).apply(lam[u]) for s in labels for u in labels}
+    lam = spec.lambdas
     for g in spec.pres.generators:
         f = spec.pres.gen(g.name)
         lhs = {}
-        for s in labels:
-            for u in labels:
-                coeff = (f * lam[s] * phi_lam[(s, u)]
-                         - lam[s] * phi_lam[(s, u)] * spec.phi(s).apply(spec.phi(u).apply(f)))
-                if coeff.is_zero():
-                    continue
-                for rp, rc in ts.reduce_word((s, u)).items():
-                    _acc(lhs, rp, coeff * rc)
+        for pair, c in twist.items():
+            _acc_reduced(lhs, ts, pair, f * c - c * spec.phi_word(pair, f))
         rhs = {}
-        for s in labels:
+        for s in spec.directions.labels:
             front = f * lam[s] - lam[s] * spec.phi(s).apply(f)
             if front.is_zero():
                 continue
@@ -505,24 +479,38 @@ def _master_identity_report(spec, ts: TwoFormStructure) -> Report:
     return rep
 
 
+def _twist_table(spec) -> dict:
+    """lambda_s phi_s(lambda_u) for every ordered pair (s, u), in label order."""
+    lam = spec.lambdas
+    labels = spec.directions.labels
+    return {(s, u): lam[s] * spec.phi(s).apply(lam[u]) for s in labels for u in labels}
+
+
+def _acc_reduced(out, ts: TwoFormStructure, pair, c):
+    """Add c theta^pair, reduced to the basis Xi, into out (pair -> coefficient)."""
+    if c.is_zero():
+        return
+    for rp, rc in ts.reduce_word(pair).items():
+        _acc(out, rp, c * rc)
+
+
 def verify_twisted_two_forms(spec: CalculusSpec, candidate: TwoFormStructure) -> Report:
     """Validate a user-supplied 2-form structure for a twisted calculus."""
     rep = Report("twisted 2-form structure")
-    rep.merge(_master_identity_report(spec, candidate))
+    twist = _twist_table(spec)
+    rep.merge(_master_identity_report(spec, candidate, twist))
     # zeta coefficient condition: f zeta_{s,s'} = phi_s phi_s'(f) zeta_{s,s'}
     for (s, u), z in candidate.zeta.items():
         for g in spec.pres.generators:
             f = spec.pres.gen(g.name)
-            res = f * z - spec.phi(s).apply(spec.phi(u).apply(f)) * z
+            res = f * z - spec.phi_word((s, u), f) * z
             rep.add(f"zeta_centrality.{s}{u}.{g.name}", res.is_zero(), res)
     # zeta must agree with its twisted expansion
     zeta = {}
-    lam = {s: spec.lambda_of(s) for s in spec.directions.labels}
+    lam = spec.lambdas
     for s in spec.directions.labels:
         for u in spec.directions.labels:
-            coeff = lam[s] * spec.phi(s).apply(lam[u])
-            for rp, rc in candidate.reduce_word((s, u)).items():
-                _acc(zeta, rp, coeff * rc)
+            _acc_reduced(zeta, candidate, (s, u), twist[(s, u)])
         for p, v in candidate.delta_table.get(s, {}).items():
             _acc(zeta, p, -(lam[s] * v))
     diff = dict(zeta)
@@ -543,8 +531,7 @@ def e_s(spec: CalculusSpec, s, f: NCPoly) -> NCPoly:
 
 def differential(spec: CalculusSpec, f) -> GradedForm:
     """d f = sum_s e_s(f) theta^s, with coefficients on the left."""
-    if isinstance(f, (int, Scalar)):
-        f = spec.pres.const(f)
+    f = spec.pres.element(f)
     return GradedForm._build(spec, {(s,): spec.e(s, f) for s in spec.directions.labels})
 
 
@@ -564,7 +551,7 @@ def vartheta(spec: CalculusSpec) -> GradedForm:
     cached = getattr(spec, "_vartheta", None)
     if cached is not None:
         return cached
-    th = GradedForm._build(spec, {(s,): spec.lambda_of(s) for s in spec.directions.labels})
+    th = GradedForm._build(spec, {(s,): spec.lambdas[s] for s in spec.directions.labels})
     for g in spec.pres.generators:
         f = spec.pres.gen(g.name)
         if th * f - f * th != differential(spec, f):
@@ -605,12 +592,7 @@ def graded_commutator(spec: CalculusSpec, a: GradedForm, b: GradedForm) -> Grade
 
 def d_form(spec: CalculusSpec, omega: GradedForm) -> GradedForm:
     """d omega = [vartheta, omega] - Delta(omega)."""
-    th = vartheta(spec)
-    out = GradedForm.zero(spec)
-    for r in omega.degrees():
-        part = omega.degree_part(r)
-        out = out + th.wedge(part) - Scalar.from_int((-1) ** r) * part.wedge(th)
-    return out - delta(spec, omega)
+    return graded_commutator(spec, vartheta(spec), omega) - delta(spec, omega)
 
 
 def verify_inner_identities(spec: CalculusSpec) -> Report:
@@ -686,10 +668,10 @@ def central_one_forms_probe(spec: CalculusSpec, degree_bound=4):
 def constants(spec: CalculusSpec, candidates) -> list:
     """Elements with d c = 0, by the mode criterion and by expansion."""
     out = []
+    lam = spec.lambdas
     for c in candidates:
-        p = spec.pres.parse(c) if isinstance(c, str) else c
-        crit = all((p * spec.lambda_of(s)
-                    - spec.lambda_of(s) * spec.phi(s).apply(p)).is_zero()
+        p = spec.pres.element(c)
+        crit = all((p * lam[s] - lam[s] * spec.phi(s).apply(p)).is_zero()
                    for s in spec.directions.labels)
         expanded = differential(spec, p).is_zero()
         if crit != expanded:
@@ -718,10 +700,8 @@ def check_differentiability(spec: CalculusSpec, phi: AlgebraMorphism,
         img = None if theta_images is None else theta_images.get(s)
         if img is None:
             img = GradedForm.theta(spec, s)
-        elif isinstance(img, (int, Scalar)):
-            img = GradedForm.theta(spec, s) * img
-        elif isinstance(img, NCPoly):
-            img = GradedForm.theta(spec, s).mul_left(img)
+        elif not isinstance(img, GradedForm):
+            img = GradedForm.theta(spec, s).mul_left(spec.pres.element(img))
         images[s] = img
     for g in spec.pres.generators:
         f = spec.pres.gen(g.name)
@@ -739,7 +719,7 @@ def check_differentiability(spec: CalculusSpec, phi: AlgebraMorphism,
     th = vartheta(spec)
     phi_th = GradedForm.zero(spec)
     for s in labels:
-        phi_th = phi_th + phi.apply(spec.lambda_of(s)) * images[s]
+        phi_th = phi_th + phi.apply(spec.lambdas[s]) * images[s]
     corr = phi_th - th
     if simple:
         rep.add("phi_vartheta_fixed", corr.is_zero(), f"phi(vartheta) - vartheta = {corr}")
@@ -769,7 +749,7 @@ def solve_theta_in_differentials(spec: CalculusSpec, coords) -> ThetaSolution:
     from .linalg import commutative_inverse, nc_left_inverse
 
     labels = spec.directions.labels
-    coords = [spec.pres.parse(c) if isinstance(c, str) else c for c in coords]
+    coords = [spec.pres.element(c) for c in coords]
     if len(coords) != len(labels):
         raise CalculusError("need exactly one coordinate per direction")
     M = [[spec.e(s, f) for s in labels] for f in coords]
@@ -796,7 +776,7 @@ def solve_theta_in_differentials(spec: CalculusSpec, coords) -> ThetaSolution:
 
 def theta_solution_form(spec, sol: ThetaSolution, coords, s) -> GradedForm:
     """The 1-form sum_j c_j d(coord_j) for direction s."""
-    coords = [spec.pres.parse(c) if isinstance(c, str) else c for c in coords]
+    coords = [spec.pres.element(c) for c in coords]
     out = GradedForm.zero(spec)
     for c, f in zip(sol.coefficients[s], coords):
         out = out + c * differential(spec, f)

@@ -6,7 +6,6 @@ Exit codes: 0 all checks pass, 1 check failure, 2 input error,
 
 from __future__ import annotations
 
-import os
 import sys
 from contextlib import contextmanager
 
@@ -14,7 +13,7 @@ import click
 
 from .algebra import AlgebraError
 from .calculus import (CalculusError, GradedForm, InconsistentCalculus,
-                       differential, move_left, parse_form,
+                       d_form, differential, move_left, parse_form,
                        solve_theta_in_differentials)
 from .files import (FileFormatError, load_calculus, load_connection,
                     load_metric, serialize_calculus)
@@ -33,37 +32,25 @@ EXIT_INTERNAL = 3
 
 
 class Session:
-    """A fully loaded, verified calculus plus declared side-conditions."""
+    """A fully loaded, verified calculus plus its preset extras (if any)."""
 
-    def __init__(self, spec, bundle=None, side_conditions=()):
+    def __init__(self, spec, extras=None):
         self.spec = spec
         self.pres = spec.pres
-        self.bundle = bundle
-        self.side_conditions = tuple(side_conditions) + tuple(spec.side_conditions)
-
-    @property
-    def theta_images(self):
-        return None if self.bundle is None else self.bundle.extras.get("theta_images")
-
-
-def _env_side_conditions():
-    raw = os.environ.get("NCCALC_SIDE_CONDITIONS", "")
-    return tuple(s.strip() for s in raw.replace(";", ",").split(",") if s.strip())
+        self.extras = extras or {}
 
 
 def _load_session(ctx) -> Session:
     preset = ctx.obj.get("preset")
     path = ctx.obj.get("file")
-    extra = ctx.obj.get("side_conditions", ())
     if preset and path:
         raise click.UsageError("give either --preset or --file, not both")
     if preset:
         bundle = load_preset(preset)
-        return Session(bundle.spec, bundle, extra + _env_side_conditions())
+        return Session(bundle.spec, bundle.extras)
     if path:
         with open(path) as fh:
-            spec = load_calculus(fh.read())  # confluence-gated inside
-        return Session(spec, None, extra + _env_side_conditions())
+            return Session(load_calculus(fh.read()))  # confluence-gated inside
     raise click.UsageError("no calculus loaded; use --preset or --file")
 
 
@@ -126,14 +113,11 @@ def _run(ctx, fn):
 @click.option("--format", "format_", type=click.Choice(["text", "structured"]),
               default="text", help="output format")
 @click.option("--jobs", type=int, default=1, help="parallel independent checks")
-@click.option("--side-condition", multiple=True,
-              help="declare a parameter side-condition (recorded, not decided)")
 @click.pass_context
-def main(ctx, preset, file_, format_, jobs, side_condition):
+def main(ctx, preset, file_, format_, jobs):
     """Exact engine for differential calculi on finitely presented algebras."""
     ctx.ensure_object(dict)
-    ctx.obj.update(preset=preset, file=file_, format=format_, jobs=max(1, jobs),
-                   side_conditions=tuple(side_condition))
+    ctx.obj.update(preset=preset, file=file_, format=format_, jobs=max(1, jobs))
 
 
 @main.command()
@@ -155,7 +139,6 @@ def d(ctx, expr):
     def go():
         ses = _load_session(ctx)
         form = parse_form(ses.spec, expr)
-        from .calculus import d_form
         if set(form.degrees()) <= {0}:
             out = differential(ses.spec, form.component(0).get((), ses.pres.zero))
         else:
@@ -206,33 +189,9 @@ def two_forms(ctx):
     _run(ctx, go)
 
 
-_SUITES = ("inner", "leibniz", "d2", "differentiability", "twisted-2forms",
-           "graded-leibniz", "properties")
-
-
-def _run_suite(ses: Session, name, samples):
-    spec = ses.spec
-    if name == "inner":
-        return suites.suite_inner(spec)
-    if name == "leibniz":
-        return suites.suite_leibniz(spec, samples=samples)
-    if name == "graded-leibniz":
-        return suites.suite_graded_leibniz(spec, samples=max(5, samples // 4))
-    if name == "d2":
-        return suites.suite_d2(spec, samples=samples)
-    if name == "differentiability":
-        simple = bool(ses.bundle and ses.bundle.extras.get("simple"))
-        return suites.suite_differentiability(spec, ses.theta_images, simple=simple)
-    if name == "twisted-2forms":
-        return suites.suite_twisted_two_forms(spec)
-    if name == "properties":
-        return suites.property_suite(spec, samples=samples)
-    raise click.UsageError(f"unknown suite {name!r}")
-
-
 @main.command()
 @click.option("--suite", "suite_names", multiple=True,
-              type=click.Choice(_SUITES + ("all",)), default=("all",))
+              type=click.Choice([*suites.SUITES, "all"]), default=("all",))
 @click.option("--samples", type=int, default=25, help="randomized sample count")
 @click.option("--all-presets", is_flag=True, help="run over the whole catalog")
 @click.pass_context
@@ -240,12 +199,13 @@ def verify(ctx, suite_names, samples, all_presets):
     """Run verification suites; exit 0 iff everything passes."""
     names = list(suite_names)
     if "all" in names:
-        names = [s for s in _SUITES if s != "properties"]
+        names = [s for s in suites.SUITES if s != "properties"]
 
     def one_session(ses, tag=""):
         rep = Report(f"verify {tag}".strip())
         for name in names:
-            rep.merge(_run_suite(ses, name, samples), prefix=(f"{tag}.{name}" if tag else name))
+            part = suites.SUITES[name](ses.spec, samples, ses.extras)
+            rep.merge(part, prefix=(f"{tag}.{name}" if tag else name))
         return rep
 
     def go():
@@ -254,7 +214,7 @@ def verify(ctx, suite_names, samples, all_presets):
 
             def run_one(pid):
                 bundle = load_preset(pid)
-                return one_session(Session(bundle.spec, bundle), pid)
+                return one_session(Session(bundle.spec, bundle.extras), pid)
 
             with _jobs_map(ctx) as map_:
                 for part in map_(run_one, PRESET_IDS):
@@ -301,9 +261,6 @@ def torsion_cmd(ctx, conn_path):
         with open(conn_path) as fh:
             conn = load_connection(ses.spec, fh.read())
         tor = torsion(ses.spec, conn)
-        rep = Report("torsion")
-        for s, t in tor.items():
-            rep.add(f"theta.{s}", t.is_zero(), f"Theta(theta^{s}) = {t}")
         lines = [f"Theta(theta[{s}]) = {t}" for s, t in tor.items()]
         _emit(ctx, lines)
         return all(t.is_zero() for t in tor.values())

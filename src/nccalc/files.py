@@ -158,9 +158,15 @@ def _directions_from_sections(lines):
     if labels is None:
         raise FileFormatError("[directions] needs a labels line")
     if classified:
-        classes = [tuple(v) for _, v in sorted(quads.items())]
+        classes = [tuple(quads[name]) for name in sorted(quads, key=_class_name_key)]
         return DirectionSet(labels, biangles, triangles, classes)
     return DirectionSet(labels)
+
+
+def _class_name_key(name):
+    """Quadrangle class names in numeric order (g2 before g10), else as text."""
+    # splitting on a captured digit run puts the runs at the odd positions
+    return [int(t) if i % 2 else t for i, t in enumerate(re.split(r"(\d+)", name))], name
 
 
 def _morphisms_from_sections(pres, lines):

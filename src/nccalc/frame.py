@@ -50,15 +50,11 @@ class ThetaFrame:
         for gname, mat in comm.items():
             m = {}
             for (i, j), v in mat.items():
-                v = pres.parse(v) if isinstance(v, str) else v
+                v = pres.element(v)
                 if not v.is_zero():
                     m[(i, j)] = v
             self.comm[gname] = m
-        self.d_images = {}
-        for gname, f in d_images.items():
-            self.d_images[gname] = FrameForm(
-                self, {k: (pres.parse(v) if isinstance(v, str) else v)
-                       for k, v in f.items()})
+        self.d_images = {gname: self.form(f) for gname, f in d_images.items()}
         self._inv_comm = {}
         for g in pres.generators:
             if g.name not in self.comm:
@@ -111,8 +107,7 @@ class ThetaFrame:
         return FrameForm(self, {label: self.pres.one})
 
     def form(self, comps) -> FrameForm:
-        return FrameForm(self, {k: (self.pres.parse(v) if isinstance(v, str) else v)
-                                for k, v in comps.items()})
+        return FrameForm(self, {k: self.pres.element(v) for k, v in comps.items()})
 
     def d_word(self, word) -> FrameForm:
         """The derivation applied to one (possibly un-normalized) word."""
@@ -185,13 +180,12 @@ class ThetaFrame:
                                        theta_images: Mapping) -> Report:
         """phi(theta~^i) phi(g) must equal phi applied to the i-row of Phi(g)."""
         ext = self.apply_morphism(phi, theta_images)
-        images = {k: (v if isinstance(v, FrameForm) else self.form(v))
-                  for k, v in theta_images.items()}
         rep = Report("frame differentiability")
         for i in self.labels:
+            image = ext(self.theta(i))
             for g in self.pres.generators:
                 f = self.pres.gen(g.name)
-                lhs = images[i].mul_right(phi.apply(f))
+                lhs = image.mul_right(phi.apply(f))
                 rhs = ext(self.move_word(self.theta(i), next(iter(f.terms))))
                 rep.add(f"{i}.{g.name}", lhs == rhs, f"{lhs} != {rhs}")
         return rep

@@ -13,10 +13,27 @@ from __future__ import annotations
 
 from typing import Mapping, NamedTuple
 
-from .algebra import LabelModule, NCPoly, _acc
+from .algebra import LabelModule, NCPoly, _acc, join_terms
 from .calculus import CalculusSpec, CalculusError, GradedForm, d_form, vartheta
 from .report import Report
 from .scalar import Scalar
+
+
+def _key_table(spec, entries: Mapping, arity, kind) -> dict:
+    """Direction-label key -> algebra element, for connections and metrics.
+
+    Every key must be `arity` direction labels; values go through
+    Presentation.element and zero entries are dropped.
+    """
+    labels = set(spec.directions.labels)
+    table = {}
+    for key, v in entries.items():
+        if len(key) != arity or not set(key) <= labels:
+            raise CalculusError(f"bad {kind} key {key!r}")
+        v = spec.pres.element(v)
+        if not v.is_zero():
+            table[tuple(key)] = v
+    return table
 
 
 class Connection:
@@ -24,17 +41,7 @@ class Connection:
 
     def __init__(self, spec: CalculusSpec, entries: Mapping):
         self.spec = spec
-        self.V = {}
-        labels = set(spec.directions.labels)
-        for key, v in entries.items():
-            if len(key) != 3 or not set(key) <= labels:
-                raise CalculusError(f"bad connection key {key!r}")
-            if isinstance(v, str):
-                v = spec.pres.parse(v)
-            elif isinstance(v, (int, Scalar)):
-                v = spec.pres.const(v)
-            if not v.is_zero():
-                self.V[tuple(key)] = v
+        self.V = _key_table(spec, entries, 3, "connection")
 
     def entry(self, sp, s, spp) -> NCPoly:
         return self.V.get((sp, s, spp), self.spec.pres.zero)
@@ -137,34 +144,16 @@ class LinearEquation(NamedTuple):
 
     def __str__(self):
         # isolate the largest unknown: V[key] = rest
-        terms = list(self.terms)
-        key, coeff = terms[-1]
-        rest = []
-        for k, c in terms[:-1]:
-            rest.append((k, -(c / coeff)))
-        const = -(self.const / coeff)
-        out = f"V[{key[0]},{key[1]},{key[2]}] ="
-        first = True
+        *rest, (key, coeff) = self.terms
+        parts = []
         for k, c in rest:
-            cs = str(c)
+            cs = str(-(c / coeff))
             mono = f"V[{k[0]},{k[1]},{k[2]}]"
-            if cs == "1":
-                piece = mono
-            elif cs == "-1":
-                piece = f"-{mono}"
-            else:
-                piece = f"({cs})*{mono}"
-            out += f" {piece}" if first else (f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}")
-            first = False
-        if not const.is_zero() or first:
-            cs = str(const)
-            if first:
-                out += f" {cs}"
-            elif cs.startswith("-"):
-                out += f" - {cs[1:]}"
-            else:
-                out += f" + {cs}"
-        return out
+            parts.append(mono if cs == "1" else f"-{mono}" if cs == "-1" else f"({cs})*{mono}")
+        const = -(self.const / coeff)
+        if not const.is_zero() or not parts:
+            parts.append(str(const))
+        return f"V[{key[0]},{key[1]},{key[2]}] = " + join_terms(parts)
 
 
 class TorsionConditions(NamedTuple):
@@ -185,51 +174,43 @@ def torsion_free_conditions(spec) -> TorsionConditions:
     """Linear conditions on V for vanishing torsion, split by pair class.
 
     Biangle and triangle pairs force scalar values; inside each quadrangle
-    class the eliminated pair couples to every kept pair.
+    class the pair that the 2-form structure eliminates, theta^m =
+    -sum kappa_uv theta^u theta^v, couples to every kept pair (u, v).
     """
     d = spec.directions
     if not d.classified:
         raise CalculusError("torsion conditions need a group-classified direction set")
     if spec.mode != "automorphism":
         raise CalculusError("torsion conditions apply to automorphism-mode calculi")
+    if spec.two_forms is None:
+        raise CalculusError("torsion conditions need a two-form structure")
     t = spec.weights
+    one = Scalar.one()
     eqs = []
-    quad_members = {p for cls in d.quad_classes for p in cls}
-    order = {s: i for i, s in enumerate(d.labels)}
 
     def vkey_sort(item):
-        (sp, s, spp), _ = item
-        return (order[sp], order[s], order[spp])
+        return d.order_key(item[0])
 
     for s in d.labels:
         for (u, v) in d.biangles:
-            const = (Scalar.one() / t[v]) if u == s else Scalar.zero()
-            eqs.append(LinearEquation("biangle",
-                                      (((s, u, v), Scalar.one()),), const))
-        for (u, v), target in sorted(d.triangles.items(),
-                                     key=lambda kv: (order[kv[0][0]], order[kv[0][1]])):
+            const = (one / t[v]) if u == s else Scalar.zero()
+            eqs.append(LinearEquation("biangle", (((s, u, v), one),), const))
+        for (u, v), target in sorted(d.triangles.items(), key=vkey_sort):
             const = Scalar.zero()
             if u == s:
-                const = const + Scalar.one() / t[v]
+                const = const + one / t[v]
             if target == s:
                 const = const - t[s] / (t[u] * t[v])
-            eqs.append(LinearEquation("triangle",
-                                      (((s, u, v), Scalar.one()),), const))
-        for cls in d.quad_classes:
-            if len(cls) < 2:
-                continue
-            m = max(cls, key=lambda p: (order[p[0]], order[p[1]]))
-            for (u, v) in cls:
-                if (u, v) == m:
-                    continue
-                kappa = (t[m[0]] * t[m[1]]) / (t[u] * t[v])
+            eqs.append(LinearEquation("triangle", (((s, u, v), one),), const))
+        for m, combo in spec.two_forms.reduction.items():
+            for minus_kappa, (u, v) in combo:
                 const = Scalar.zero()
                 if u == s:
-                    const = const + Scalar.one() / t[v]
+                    const = const + one / t[v]
                 if m[0] == s:
-                    const = const - kappa / t[m[1]]
-                terms = sorted([((s, u, v), Scalar.one()),
-                                ((s, m[0], m[1]), -kappa)], key=vkey_sort)
+                    const = const + minus_kappa / t[m[1]]
+                terms = sorted([((s, u, v), one), ((s, m[0], m[1]), minus_kappa)],
+                               key=vkey_sort)
                 eqs.append(LinearEquation("quadrangle", tuple(terms), const))
     return TorsionConditions(tuple(eqs))
 
@@ -344,17 +325,7 @@ class Metric:
     def __init__(self, spec, entries: Mapping, symmetric=False):
         self.spec = spec
         self.symmetric = symmetric
-        self.g = {}
-        labels = set(spec.directions.labels)
-        for key, v in entries.items():
-            if len(key) != 2 or not set(key) <= labels:
-                raise CalculusError(f"bad metric key {key!r}")
-            if isinstance(v, str):
-                v = spec.pres.parse(v)
-            elif isinstance(v, (int, Scalar)):
-                v = spec.pres.const(v)
-            if not v.is_zero():
-                self.g[tuple(key)] = v
+        self.g = _key_table(spec, entries, 2, "metric")
         if symmetric:
             for (a, b), v in self.g.items():
                 if self.g.get((b, a), spec.pres.zero) != v:

@@ -575,7 +575,7 @@ def make_group_lattice(name, elements, mul, unit, directions):
     return pres, spec, elements, idx
 
 
-def _lattice_fixtures(pres, spec, directions, mul, inverse_of):
+def _lattice_fixtures(pres, spec, theta_images):
     fixtures = [
         fcheck("no nonzero central 1-form up to degree 2 (simple calculus)",
                lambda: not central_one_forms_probe(spec, 2)),
@@ -585,17 +585,9 @@ def _lattice_fixtures(pres, spec, directions, mul, inverse_of):
             lambda: pres.one - pres.parse(
                 " - ".join(["1"] + [g.name for g in pres.generators]))),
     ]
-    labels = list(directions)
 
     def diff_ok():
-        for sl in labels:
-            s = directions[sl]
-            timg = {}
-            for ul in labels:
-                u = directions[ul]
-                conj = mul(mul(s, u), inverse_of(s))
-                target = next(l for l, g in directions.items() if g == conj)
-                timg[ul] = GradedForm.theta(spec, target)
+        for sl, timg in theta_images.items():
             rep = check_differentiability(spec, spec.phi(sl), timg)
             if not rep.ok:
                 return False, rep.text()
@@ -609,6 +601,7 @@ def _lattice_fixtures(pres, spec, directions, mul, inverse_of):
 
 
 def _lattice_theta_images(spec, directions, mul, inverse_of):
+    """R*_s moves theta^u to theta^{s u s^-1}: label -> {label: theta image}."""
     out = {}
     for sl, s in directions.items():
         m = {}
@@ -627,14 +620,14 @@ def _build_lattice_z3():
     pres, spec, elements, idx = make_group_lattice(
         "group_lattice_z3", [0, 1, 2], mul, 0, directions)
     inverse_of = lambda g: (-g) % 3
-    fixtures = _lattice_fixtures(pres, spec, directions, mul, inverse_of)
+    theta_images = _lattice_theta_images(spec, directions, mul, inverse_of)
+    fixtures = _lattice_fixtures(pres, spec, theta_images)
     fixtures.append(fcheck("ad(S)S inside S",
                            lambda: all(mul(mul(s, u), inverse_of(s)) in directions.values()
                                        for s in directions.values()
                                        for u in directions.values())))
     return PresetBundle("group_lattice_z3", pres, spec, "derived", fixtures,
-                        extras={"theta_images": _lattice_theta_images(
-                            spec, directions, mul, inverse_of), "simple": True})
+                        extras={"theta_images": theta_images, "simple": True})
 
 
 def _perm_mul(a, b):
@@ -657,15 +650,15 @@ def _build_lattice_s3():
             if _perm_mul(g, h) == e:
                 return h
 
-    fixtures = _lattice_fixtures(pres, spec, directions, _perm_mul, inverse_of)
+    theta_images = _lattice_theta_images(spec, directions, _perm_mul, inverse_of)
+    fixtures = _lattice_fixtures(pres, spec, theta_images)
     fixtures.append(fcheck("ad(S)S inside S (transpositions)",
                            lambda: all(_perm_mul(_perm_mul(s, u), inverse_of(s))
                                        in directions.values()
                                        for s in directions.values()
                                        for u in directions.values())))
     return PresetBundle("group_lattice_s3", pres, spec, "derived", fixtures,
-                        extras={"theta_images": _lattice_theta_images(
-                            spec, directions, _perm_mul, inverse_of), "simple": True})
+                        extras={"theta_images": theta_images, "simple": True})
 
 
 # ---------------------------------------------------------------------------

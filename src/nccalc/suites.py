@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+from .algebra import word_from_letters
 from .calculus import (GradedForm, check_differentiability, delta, differential,
                        d_form, graded_commutator, vartheta, verify_inner_identities,
                        verify_twisted_two_forms)
@@ -23,14 +24,23 @@ def random_poly(pres, rng, max_len=2, terms=2):
         length = rng.randint(0, max_len)
         word = tuple(rng.choice(alphabet) for _ in range(length))
         coeff = Scalar.from_int(rng.choice([-2, -1, 1, 2, 3]))
-        out = out + pres.poly({_merge(word): coeff})
+        out = out + pres.poly({word_from_letters(word): coeff})
     return out
 
 
-def _merge(letters):
-    from .algebra import word_from_letters
+def twisted_leibniz_holds(spec, s, f, g) -> bool:
+    """e_s(f g) = e_s(f) phi_s(g) + f e_s(g)."""
+    return spec.e(s, f * g) == spec.e(s, f) * spec.phi(s).apply(g) + f * spec.e(s, g)
 
-    return word_from_letters(letters)
+
+def d_leibniz_holds(spec, f, g) -> bool:
+    """d(f g) = (d f) g + f d g."""
+    return differential(spec, f * g) == differential(spec, f) * g + f * differential(spec, g)
+
+
+def d_squared(spec, f):
+    """d(d f) for an algebra element f; zero wherever the calculus has 2-forms."""
+    return d_form(spec, differential(spec, f))
 
 
 def suite_inner(spec) -> Report:
@@ -60,14 +70,10 @@ def suite_leibniz(spec, samples=25, seed=0) -> Report:
         f = random_poly(spec.pres, rng)
         g = random_poly(spec.pres, rng)
         for s in spec.directions.labels:
-            lhs = spec.e(s, f * g)
-            rhs = spec.e(s, f) * spec.phi(s).apply(g) + f * spec.e(s, g)
-            if lhs != rhs:
+            if not twisted_leibniz_holds(spec, s, f, g):
                 fails += 1
                 rep.add(f"twisted_leibniz.{k}.{s}", False, f"f={f}, g={g}")
-        dl = differential(spec, f * g)
-        dr = differential(spec, f) * g + f * differential(spec, g)
-        if dl != dr:
+        if not d_leibniz_holds(spec, f, g):
             fails += 1
             rep.add(f"d_leibniz.{k}", False, f"f={f}, g={g}")
     rep.add("samples", True, f"{samples} random pairs, {fails} failures")
@@ -109,7 +115,7 @@ def suite_d2(spec, samples=25, seed=2) -> Report:
         return rep
     rng = random.Random(seed)
     for g in spec.pres.generators:
-        res = d_form(spec, differential(spec, spec.pres.gen(g.name)))
+        res = d_squared(spec, spec.pres.gen(g.name))
         rep.add(f"generator.{g.name}", res.is_zero(), res)
     for s in spec.directions.labels:
         res = d_form(spec, d_form(spec, GradedForm.theta(spec, s)))
@@ -117,7 +123,7 @@ def suite_d2(spec, samples=25, seed=2) -> Report:
     fails = 0
     for k in range(samples):
         f = random_poly(spec.pres, rng)
-        if not d_form(spec, differential(spec, f)).is_zero():
+        if not d_squared(spec, f).is_zero():
             fails += 1
             rep.add(f"random.{k}", False, str(f))
     rep.add("samples", True, f"{samples} random elements, {fails} failures")
@@ -153,16 +159,16 @@ def property_suite(spec, samples=200, seed=7) -> Report:
         s = rng.choice(labels)
         # twisted Leibniz
         counts["twisted_leibniz"] += 1
-        if spec.e(s, f * g) != spec.e(s, f) * spec.phi(s).apply(g) + f * spec.e(s, g):
+        if not twisted_leibniz_holds(spec, s, f, g):
             fails.append(("twisted_leibniz", k))
         # d Leibniz
         counts["d_leibniz"] += 1
-        if differential(spec, f * g) != differential(spec, f) * g + f * differential(spec, g):
+        if not d_leibniz_holds(spec, f, g):
             fails.append(("d_leibniz", k))
         # d^2 = 0
         if has2:
             counts["d2"] += 1
-            if not d_form(spec, differential(spec, f)).is_zero():
+            if not d_squared(spec, f).is_zero():
                 fails.append(("d2", k))
             # zeta centrality
             counts["zeta_central"] += 1
@@ -193,3 +199,18 @@ def property_suite(spec, samples=200, seed=7) -> Report:
         else:
             rep.add(f"{name}", not bad, f"{n} instances, failures at {bad[:5]}")
     return rep
+
+
+# name -> runner(spec, samples, extras); extras hold a preset bundle's theta
+# images and simplicity flag and are empty for a calculus loaded from a file
+SUITES = {
+    "inner": lambda spec, samples, extras: suite_inner(spec),
+    "leibniz": lambda spec, samples, extras: suite_leibniz(spec, samples=samples),
+    "d2": lambda spec, samples, extras: suite_d2(spec, samples=samples),
+    "differentiability": lambda spec, samples, extras: suite_differentiability(
+        spec, extras.get("theta_images"), simple=bool(extras.get("simple"))),
+    "twisted-2forms": lambda spec, samples, extras: suite_twisted_two_forms(spec),
+    "graded-leibniz": lambda spec, samples, extras: suite_graded_leibniz(
+        spec, samples=max(5, samples // 4)),
+    "properties": lambda spec, samples, extras: property_suite(spec, samples=samples),
+}

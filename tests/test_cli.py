@@ -318,12 +318,6 @@ def test_jobs_preset_run_deterministic(runner):
         assert seq.output == par.output
 
 
-def test_env_side_conditions(runner):
-    res = invoke(runner, "--preset", "quantum_plane_a", "normalize", "x",
-                 env={"NCCALC_SIDE_CONDITIONS": "q != 1; p != 0"})
-    assert res.exit_code == 0
-
-
 def test_file_session_missing_exit_2(runner):
     res = invoke(runner, "--file", "/nonexistent/path.calc", "normalize", "x")
     assert res.exit_code == 2

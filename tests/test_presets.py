@@ -130,16 +130,30 @@ def test_gl_theta_tilde_move_example():
     assert moved == frame.theta("t3").mul_left(pres.parse("p*a"))
 
 
-def test_serialization_round_trip():
-    from nccalc.files import load_calculus, serialize_calculus
+def _shift_calculus_with_11_quadrangle_classes():
+    from nccalc.presets.catalog import _poly_shift
 
-    for pid in ["quantum_plane_a", "heisenberg", "twisted_heisenberg_3",
-                "group_lattice_z3", "h_plane_r1"]:
-        spec = load_preset(pid).spec
+    _, spec = _poly_shift({"1": 1, "2": 2, "4": 4, "8": 8, "16": 16}, "poly_shift_1_2_4_8_16")
+    assert len(spec.directions.quad_classes) == 11  # classes g0 .. g10
+    return spec
+
+
+def test_serialization_round_trip():
+    """serialize -> load -> serialize is a fixpoint, on every preset and on a
+    calculus with more than ten quadrangle classes (g10 must load after g9)."""
+    from nccalc.files import load_calculus, serialize_calculus
+    from nccalc.geometry import torsion_free_conditions
+
+    specs = [(pid, load_preset(pid).spec) for pid in PRESET_IDS]
+    specs.append(("shift_1_2_4_8_16", _shift_calculus_with_11_quadrangle_classes()))
+    for name, spec in specs:
         text = serialize_calculus(spec)
         spec2 = load_calculus(text)
+        assert serialize_calculus(spec2) == text, name
         assert spec2.directions.labels == spec.directions.labels
         assert spec2.mode == spec.mode
+        if spec.mode == "automorphism" and spec.directions.classified:
+            assert str(torsion_free_conditions(spec2)) == str(torsion_free_conditions(spec)), name
         for g in spec.pres.generators:
             f = spec.pres.gen(g.name)
             f2 = spec2.pres.gen(g.name)
