@@ -87,6 +87,13 @@ class DirectionSet:
         classes = [tuple(v) for _, v in sorted(quads.items(), key=lambda kv: kv[1][0])]
         return DirectionSet(labels, biangles, triangles, classes)
 
+    def word(self, labels):
+        """The labels as a theta word; CalculusError names an unknown or empty label."""
+        for s in labels:
+            if s not in self._position:
+                raise CalculusError(f"unknown direction {s}" if s else "empty direction label")
+        return tuple(labels)
+
     def order_key(self, labels):
         """The order of label tuples (pairs, connection keys): by label position."""
         return tuple(self._position[s] for s in labels)
@@ -189,6 +196,15 @@ class CalculusSpec:
         """Scaling factor in phi_s(theta^t) = c * theta^t (default 1)."""
         return self.theta_scalings.get((s, t), Scalar.one())
 
+    def theta_image(self, s, u) -> "GradedForm":
+        """phi_s(theta^u) = theta_scale(s, u) theta^t, where t is u if phi_u
+        equals phi_s o phi_u o phi_s^-1 on generators, else the first label
+        whose automorphism does (u again if none does)."""
+        conj = {g: self.phi_word((s, u), p) for g, p in self.autos[s].inverse.images.items()}
+        t = next((l for l in (u, *self.directions.labels)
+                  if all(self.autos[l].images[g] == p for g, p in conj.items())), u)
+        return self.theta_scale(s, u) * GradedForm.theta(self, t)
+
     def set_two_forms(self, ts: "TwoFormStructure"):
         self.two_forms = ts
         return self
@@ -215,10 +231,7 @@ class GradedForm(LabelModule):
 
     @staticmethod
     def theta(spec, *labels):
-        for s in labels:
-            if s not in spec.directions.labels:
-                raise CalculusError(f"unknown direction {s}")
-        return GradedForm._build(spec, {tuple(labels): spec.pres.one})
+        return GradedForm._build(spec, {spec.directions.word(labels): spec.pres.one})
 
     @staticmethod
     def _build(spec, comps):
@@ -537,13 +550,13 @@ def differential(spec: CalculusSpec, f) -> GradedForm:
 
 def move_left(spec: CalculusSpec, f: NCPoly, word) -> GradedForm:
     """theta-word times f, rewritten with the coefficient on the left."""
-    word = tuple(word)
+    word = spec.directions.word(word)
     return GradedForm._build(spec, {word: spec.phi_word(word, f)})
 
 
 def move_right(spec: CalculusSpec, word, f: NCPoly) -> NCPoly:
     """Coefficient obtained when f theta^w is written as theta^w * c."""
-    return spec.phi_word_inv(word, f)
+    return spec.phi_word_inv(spec.directions.word(word), f)
 
 
 def vartheta(spec: CalculusSpec) -> GradedForm:

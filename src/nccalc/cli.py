@@ -31,26 +31,17 @@ EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL = 3
 
 
-class Session:
-    """A fully loaded, verified calculus plus its preset extras (if any)."""
-
-    def __init__(self, spec, extras=None):
-        self.spec = spec
-        self.pres = spec.pres
-        self.extras = extras or {}
-
-
-def _load_session(ctx) -> Session:
+def _load_spec(ctx):
+    """The calculus of --preset or --file; a preset and its serialized file load alike."""
     preset = ctx.obj.get("preset")
     path = ctx.obj.get("file")
     if preset and path:
         raise click.UsageError("give either --preset or --file, not both")
     if preset:
-        bundle = load_preset(preset)
-        return Session(bundle.spec, bundle.extras)
+        return load_preset(preset).spec
     if path:
         with open(path) as fh:
-            return Session(load_calculus(fh.read()))  # confluence-gated inside
+            return load_calculus(fh.read())  # confluence-gated inside
     raise click.UsageError("no calculus loaded; use --preset or --file")
 
 
@@ -96,7 +87,7 @@ def _fail(code, message):
 def _run(ctx, fn):
     try:
         ok = fn()
-    except (ParseError, FileFormatError, PresetError, FileNotFoundError) as exc:
+    except (ParseError, FileFormatError, PresetError, OSError) as exc:
         _fail(EXIT_INPUT_ERROR, exc)
     except (InconsistentCalculus,) as exc:
         _fail(EXIT_INTERNAL, exc)
@@ -126,8 +117,8 @@ def main(ctx, preset, file_, format_, jobs):
 def normalize(ctx, expr):
     """Normal form of an algebra expression."""
     def go():
-        ses = _load_session(ctx)
-        return _emit(ctx, [f"normal_form = {ses.pres.parse(expr)}"])
+        spec = _load_spec(ctx)
+        return _emit(ctx, [f"normal_form = {spec.pres.parse(expr)}"])
     _run(ctx, go)
 
 
@@ -137,12 +128,12 @@ def normalize(ctx, expr):
 def d(ctx, expr):
     """Differential of an algebra element (or of a form expression)."""
     def go():
-        ses = _load_session(ctx)
-        form = parse_form(ses.spec, expr)
+        spec = _load_spec(ctx)
+        form = parse_form(spec, expr)
         if set(form.degrees()) <= {0}:
-            out = differential(ses.spec, form.component(0).get((), ses.pres.zero))
+            out = differential(spec, form.component(0).get((), spec.pres.zero))
         else:
-            out = d_form(ses.spec, form)
+            out = d_form(spec, form)
         return _emit(ctx, [f"d = {out}"])
     _run(ctx, go)
 
@@ -154,9 +145,9 @@ def d(ctx, expr):
 def commute(ctx, expr, thetas):
     """Move a coefficient to the left through a theta word."""
     def go():
-        ses = _load_session(ctx)
+        spec = _load_spec(ctx)
         word = tuple(s.strip() for s in thetas.split(","))
-        out = move_left(ses.spec, ses.pres.parse(expr), word)
+        out = move_left(spec, spec.pres.parse(expr), word)
         return _emit(ctx, [f"moved = {out}"])
     _run(ctx, go)
 
@@ -166,11 +157,11 @@ def commute(ctx, expr, thetas):
 def relations(ctx):
     """The theta commutation table theta^s f = phi_s(f) theta^s."""
     def go():
-        ses = _load_session(ctx)
+        spec = _load_spec(ctx)
         lines = []
-        for s in ses.spec.directions.labels:
-            for g in ses.pres.generators:
-                img = ses.spec.phi(s).apply(ses.pres.gen(g.name))
+        for s in spec.directions.labels:
+            for g in spec.pres.generators:
+                img = spec.phi(s).apply(spec.pres.gen(g.name))
                 lines.append(f"theta[{s}]*{g.name} = ({img})*theta[{s}]")
         return _emit(ctx, lines)
     _run(ctx, go)
@@ -181,8 +172,8 @@ def relations(ctx):
 def two_forms(ctx):
     """Print the 2-form structure (relations, Delta table, zeta, basis)."""
     def go():
-        ses = _load_session(ctx)
-        ts = ses.spec.two_forms
+        spec = _load_spec(ctx)
+        ts = spec.two_forms
         if ts is None:
             return _emit(ctx, ["two_forms = none (first-order calculus)"])
         return _emit(ctx, ts.describe().splitlines())
@@ -201,27 +192,21 @@ def verify(ctx, suite_names, samples, all_presets):
     if "all" in names:
         names = [s for s in suites.SUITES if s != "properties"]
 
-    def one_session(ses, tag=""):
+    def one_spec(spec, tag=""):
         rep = Report(f"verify {tag}".strip())
         for name in names:
-            part = suites.SUITES[name](ses.spec, samples, ses.extras)
+            part = suites.SUITES[name](spec, samples)
             rep.merge(part, prefix=(f"{tag}.{name}" if tag else name))
         return rep
 
     def go():
         if all_presets:
             rep = Report("verify all presets")
-
-            def run_one(pid):
-                bundle = load_preset(pid)
-                return one_session(Session(bundle.spec, bundle.extras), pid)
-
             with _jobs_map(ctx) as map_:
-                for part in map_(run_one, PRESET_IDS):
+                for part in map_(lambda pid: one_spec(load_preset(pid).spec, pid), PRESET_IDS):
                     rep.merge(part)
             return _emit(ctx, rep, "verify")
-        ses = _load_session(ctx)
-        return _emit(ctx, one_session(ses), "verify")
+        return _emit(ctx, one_spec(_load_spec(ctx)), "verify")
     _run(ctx, go)
 
 
@@ -231,9 +216,9 @@ def verify(ctx, suite_names, samples, all_presets):
 def theta_solve(ctx, coords):
     """Express the theta basis through differentials of the coordinates."""
     def go():
-        ses = _load_session(ctx)
+        spec = _load_spec(ctx)
         exprs = [c.strip() for c in coords.split(",")]
-        sol = solve_theta_in_differentials(ses.spec, exprs)
+        sol = solve_theta_in_differentials(spec, exprs)
         if not sol.ok:
             lines = ["solve = failed (matrix not invertible)"]
             for i, row in enumerate(sol.matrix):
@@ -243,7 +228,7 @@ def theta_solve(ctx, coords):
         lines = []
         if sol.det is not None:
             lines.append(f"det = {sol.det}")
-        for s in ses.spec.directions.labels:
+        for s in spec.directions.labels:
             parts = [f"({c})*d({e})" for c, e in zip(sol.coefficients[s], exprs)
                      if not c.is_zero()]
             lines.append(f"theta[{s}] = " + (" + ".join(parts) if parts else "0"))
@@ -257,10 +242,10 @@ def theta_solve(ctx, coords):
 def torsion_cmd(ctx, conn_path):
     """Torsion 2-forms of a connection."""
     def go():
-        ses = _load_session(ctx)
+        spec = _load_spec(ctx)
         with open(conn_path) as fh:
-            conn = load_connection(ses.spec, fh.read())
-        tor = torsion(ses.spec, conn)
+            conn = load_connection(spec, fh.read())
+        tor = torsion(spec, conn)
         lines = [f"Theta(theta[{s}]) = {t}" for s, t in tor.items()]
         _emit(ctx, lines)
         return all(t.is_zero() for t in tor.values())
@@ -272,8 +257,8 @@ def torsion_cmd(ctx, conn_path):
 def torsion_conditions_cmd(ctx):
     """Emit the linear torsion-free conditions on the connection."""
     def go():
-        ses = _load_session(ctx)
-        conds = torsion_free_conditions(ses.spec)
+        spec = _load_spec(ctx)
+        conds = torsion_free_conditions(spec)
         return _emit(ctx, str(conds).splitlines() or ["conditions = none"])
     _run(ctx, go)
 
@@ -285,10 +270,10 @@ def torsion_conditions_cmd(ctx):
 def curvature_cmd(ctx, conn_path, theta_label):
     """Curvature R(theta^s) of a connection."""
     def go():
-        ses = _load_session(ctx)
+        spec = _load_spec(ctx)
         with open(conn_path) as fh:
-            conn = load_connection(ses.spec, fh.read())
-        R = curvature(ses.spec, conn, GradedForm.theta(ses.spec, theta_label))
+            conn = load_connection(spec, fh.read())
+        R = curvature(spec, conn, GradedForm.theta(spec, theta_label))
         return _emit(ctx, [f"R(theta[{theta_label}]) = {R}"])
     _run(ctx, go)
 
@@ -300,15 +285,15 @@ def curvature_cmd(ctx, conn_path, theta_label):
 def metric_check(ctx, metric_path, conn_path):
     """Metric invariance conditions, plus compatibility if a connection is given."""
     def go():
-        ses = _load_session(ctx)
+        spec = _load_spec(ctx)
         with open(metric_path) as fh:
-            g = load_metric(ses.spec, fh.read())
+            g = load_metric(spec, fh.read())
         rep = Report("metric")
-        rep.merge(metric_invariance_conditions(ses.spec, g), "invariance")
+        rep.merge(metric_invariance_conditions(spec, g), "invariance")
         if conn_path:
             with open(conn_path) as fh:
-                conn = load_connection(ses.spec, fh.read())
-            rep.merge(metric_compatibility(ses.spec, conn, g), "compatibility")
+                conn = load_connection(spec, fh.read())
+            rep.merge(metric_compatibility(spec, conn, g), "compatibility")
         return _emit(ctx, rep, "metric")
     _run(ctx, go)
 
@@ -320,12 +305,12 @@ def metric_check(ctx, metric_path, conn_path):
 def levi_civita(ctx, metric_path, conn_path):
     """Torsion-free plus metric-compatible (existence only, never uniqueness)."""
     def go():
-        ses = _load_session(ctx)
+        spec = _load_spec(ctx)
         with open(metric_path) as fh:
-            g = load_metric(ses.spec, fh.read())
+            g = load_metric(spec, fh.read())
         with open(conn_path) as fh:
-            conn = load_connection(ses.spec, fh.read())
-        return _emit(ctx, levi_civita_check(ses.spec, conn, g), "levi_civita")
+            conn = load_connection(spec, fh.read())
+        return _emit(ctx, levi_civita_check(spec, conn, g), "levi_civita")
     _run(ctx, go)
 
 

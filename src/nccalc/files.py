@@ -26,11 +26,22 @@ Calculus files add:
     [weights]            # automorphism mode; or [twists] for twisted mode
     1 = t1
 
+    [theta_scalings]     # optional: phi_s(theta^u) = c theta^t, c = 1 if absent
+    1 2 = 1/(p*q)
+
+    [side_conditions]    # optional: kept with the calculus, never decided
+    p*q != 1
+
     [two_forms]          # optional candidate (twisted mode)
     basis = 1 2 ; 2 1
     reduce 2 2 =
     delta 1 = -1 : 1 3 , x : 2 1
     zeta = 1 : 1 2
+
+phi_s(theta^u) is derived from the automorphisms: theta^t is theta^u when
+phi_u equals phi_s o phi_u o phi_s^-1, else the theta whose phi_t does,
+times the [theta_scalings] factor for (s, u).  So a file written by
+`nccalc preset show <id> --serialize` verifies like the preset itself.
 
 Connection and metric files are tabular:
 

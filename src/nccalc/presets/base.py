@@ -16,16 +16,11 @@ class Fixture(NamedTuple):
     run: callable  # () -> (ok, detail)
 
 
-def feq(description, lhs_fn, rhs_fn=None):
+def feq(description, lhs_fn, rhs_fn):
     """Fixture comparing two lazily computed values for exact equality."""
 
     def run():
-        lhs = lhs_fn()
-        rhs = rhs_fn() if rhs_fn is not None else None
-        if rhs_fn is None:
-            ok = bool(lhs) if not isinstance(lhs, tuple) else bool(lhs[0])
-            detail = "" if ok else (lhs[1] if isinstance(lhs, tuple) else "check failed")
-            return ok, detail
+        lhs, rhs = lhs_fn(), rhs_fn()
         ok = lhs == rhs
         return ok, "" if ok else f"{lhs}  !=  {rhs}"
 
@@ -45,17 +40,22 @@ def fcheck(description, fn):
 
 
 class PresetBundle:
-    """Presentation + calculus spec + fixtures for one worked example."""
+    """Calculus spec + fixtures for one worked example.
 
-    def __init__(self, id, presentation, spec=None, two_forms_mode="none",
-                 fixtures=(), side_conditions=(), extras=None):
+    The spec is all that any command reads; extras keep objects that only
+    tests look at (a quotient algebra, a frame, explicit forms).
+    """
+
+    def __init__(self, id, spec, two_forms_mode, fixtures, extras=None):
         self.id = id
-        self.presentation = presentation
         self.spec = spec
-        self.two_forms_mode = two_forms_mode  # derived | validated | first-order | none
+        self.two_forms_mode = two_forms_mode  # derived | validated | first-order
         self.fixtures = tuple(fixtures)
-        self.side_conditions = tuple(side_conditions)
         self.extras = dict(extras or {})
+
+    @property
+    def presentation(self):
+        return self.spec.pres
 
     def run_fixtures(self, map=map) -> Report:
         """Run every fixture; `map` may be a pool's map, the report is the same."""
@@ -68,12 +68,11 @@ class PresetBundle:
     def describe(self):
         lines = [f"preset: {self.id}",
                  f"algebra: {self.presentation!r}",
-                 f"two-forms: {self.two_forms_mode}"]
-        if self.spec is not None:
-            lines.append(f"mode: {self.spec.mode}")
-            lines.append(f"directions: {', '.join(self.spec.directions.labels)}")
-        if self.side_conditions:
-            lines.append("side conditions: " + "; ".join(self.side_conditions))
+                 f"two-forms: {self.two_forms_mode}",
+                 f"mode: {self.spec.mode}",
+                 f"directions: {', '.join(self.spec.directions.labels)}"]
+        if self.spec.side_conditions:
+            lines.append("side conditions: " + "; ".join(self.spec.side_conditions))
         lines.append("fixtures:")
         for fx in self.fixtures:
             lines.append(f"  - {fx.description}")

@@ -47,6 +47,15 @@ def _theta(spec, *labels):
     return GradedForm.theta(spec, *labels)
 
 
+def _set_validated_two_forms(spec, **structure):
+    """Attach a hand-written 2-form structure once verify_twisted_two_forms accepts it."""
+    cand = TwoFormStructure(spec, **structure)
+    rep = verify_twisted_two_forms(spec, cand)
+    if not rep.ok:
+        raise PresetError(f"{spec.name} two-form candidate failed:\n" + rep.text())
+    spec.set_two_forms(cand)
+
+
 # ---------------------------------------------------------------------------
 # polynomial shift calculi on C[x]
 
@@ -93,7 +102,7 @@ def _build_poly_shift_s12():
         feq("zeta = 0", lambda: spec.two_forms.zeta_form(), lambda: GradedForm.zero(spec)),
         feq("d(dx) = 0", lambda: d_form(spec, dx()), lambda: GradedForm.zero(spec)),
     ]
-    return PresetBundle("poly_shift_S12", cx, spec, "derived", fixtures)
+    return PresetBundle("poly_shift_S12", spec, "derived", fixtures)
 
 
 @_register("poly_shift_sym")
@@ -116,7 +125,7 @@ def _build_poly_shift_sym():
             lambda: spec.two_forms.zeta_form() * x - x * spec.two_forms.zeta_form(),
             lambda: GradedForm.zero(spec)),
     ]
-    return PresetBundle("poly_shift_sym", cx, spec, "derived", fixtures)
+    return PresetBundle("poly_shift_sym", spec, "derived", fixtures)
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +197,7 @@ def _build_qplane_a():
         fcheck("theta1 is not central (generic parameters)",
                lambda: not is_central_one_form(spec, _theta(spec, "1"))[0]),
     ]
-    return PresetBundle("quantum_plane_a", pres, spec, "derived", fixtures,
-                        side_conditions=spec.side_conditions)
+    return PresetBundle("quantum_plane_a", spec, "derived", fixtures)
 
 
 @_register("quantum_plane_b")
@@ -216,8 +224,7 @@ def _build_qplane_b():
         feq("x dy = q alpha dy x", lambda: x * dy(), lambda: (q * al) * (dy() * x)),
         *_qplane_two_form_fixtures(spec),
     ]
-    return PresetBundle("quantum_plane_b", pres, spec, "derived", fixtures,
-                        side_conditions=spec.side_conditions)
+    return PresetBundle("quantum_plane_b", spec, "derived", fixtures)
 
 
 @_register("quantum_plane_c")
@@ -243,8 +250,7 @@ def _build_qplane_c():
         feq("x dy = q dy x", lambda: x * dy(), lambda: q * (dy() * x)),
         *_qplane_two_form_fixtures(spec),
     ]
-    return PresetBundle("quantum_plane_c", pres, spec, "derived", fixtures,
-                        side_conditions=spec.side_conditions)
+    return PresetBundle("quantum_plane_c", spec, "derived", fixtures)
 
 
 @_register("quantum_torus")
@@ -292,8 +298,7 @@ def _build_quantum_torus():
             lambda: det.inverse() * (((be * A * D - de * B * C) / q) * (dx() * y)
                                      + ((de - be) * A * C) * (dy() * x))),
     ]
-    return PresetBundle("quantum_torus", pres, spec, "derived", fixtures,
-                        side_conditions=spec.side_conditions)
+    return PresetBundle("quantum_torus", spec, "derived", fixtures)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +333,7 @@ def _build_heisenberg():
                         and check_differentiability(spec, spec.phi("2")).ok)),
         feq("e_1(x) = 1", lambda: spec.e("1", x), lambda: pres.one),
     ]
-    return PresetBundle("heisenberg", pres, spec, "derived", fixtures,
-                        side_conditions=spec.side_conditions)
+    return PresetBundle("heisenberg", spec, "derived", fixtures)
 
 
 def _hplane_pres(params, name):
@@ -385,8 +389,7 @@ def _build_h_plane():
         fcheck("theta1 not central for generic r",
                lambda: not is_central_one_form(spec, _theta(spec, "1"))[0]),
     ]
-    return PresetBundle("h_plane", pres, spec, "derived", fixtures,
-                        side_conditions=spec.side_conditions)
+    return PresetBundle("h_plane", spec, "derived", fixtures)
 
 
 @_register("h_plane_r1")
@@ -403,17 +406,12 @@ def _build_h_plane_r1():
                         lambdas={"1": pres.const(t1.inverse()), "2": "h^-1*y^-1*x"},
                         side_conditions=("h != 0", "t1 != 0"), name="h_plane_r1")
     one = Scalar.one()
-    cand = TwoFormStructure(
-        spec,
-        basis=[("1", "2")],
+    _set_validated_two_forms(
+        spec, basis=[("1", "2")],
         reduction={("2", "1"): [(-one, ("1", "2"))], ("1", "1"): [], ("2", "2"): []},
         delta_table={"1": {("1", "2"): pres.const(p / h)}},
         zeta={},
     )
-    rep = verify_twisted_two_forms(spec, cand)
-    if not rep.ok:
-        raise PresetError("h_plane_r1 two-form candidate failed:\n" + rep.text())
-    spec.set_two_forms(cand)
     x, y = pres.gen("x"), pres.gen("y")
     dx = lambda: differential(spec, x)
     dy = lambda: differential(spec, y)
@@ -436,8 +434,7 @@ def _build_h_plane_r1():
         feq("[y, dy] = 0", lambda: y * dy() - dy() * y, lambda: GradedForm.zero(spec)),
         feq("[x, dy] = h dy y", lambda: x * dy() - dy() * x, lambda: h * (dy() * y)),
     ]
-    return PresetBundle("h_plane_r1", pres, spec, "validated", fixtures,
-                        side_conditions=spec.side_conditions)
+    return PresetBundle("h_plane_r1", spec, "validated", fixtures)
 
 
 # ---------------------------------------------------------------------------
@@ -469,17 +466,12 @@ def _build_z3():
                         {"1": phi1, "2": phi2},
                         lambdas={"1": lam, "2": lam}, name="z3_root_of_unity")
     zeta_c = pres.parse("(1 + q)/3")  # 1/(q-1)^2
-    cand = TwoFormStructure(
-        spec,
-        basis=[("1", "1"), ("1", "2"), ("2", "1"), ("2", "2")],
+    _set_validated_two_forms(
+        spec, basis=[("1", "1"), ("1", "2"), ("2", "1"), ("2", "2")],
         reduction={},
         delta_table={"1": {("2", "2"): lam}, "2": {("1", "1"): lam}},
         zeta={("1", "2"): zeta_c, ("2", "1"): zeta_c},
     )
-    rep = verify_twisted_two_forms(spec, cand)
-    if not rep.ok:
-        raise PresetError("z3 two-form candidate failed:\n" + rep.text())
-    spec.set_two_forms(cand)
     x, y = pres.gen("x"), pres.gen("y")
     xi, yi = pres.gen("x", -1), pres.gen("y", -1)
     q = pres.gen("q")
@@ -528,12 +520,22 @@ def _build_z3():
         feq("quotient: y^2 = c2 c3^-1 x", lambda: qpres.parse("x^4"),
             lambda: qpres.gen("x")),
     ]
-    return PresetBundle("z3_root_of_unity", pres, spec, "validated", fixtures,
+    return PresetBundle("z3_root_of_unity", spec, "validated", fixtures,
                         extras={"quotient": qpres})
 
 
 # ---------------------------------------------------------------------------
 # group lattices (function algebras on finite groups)
+
+
+def _group_inverse(elements, mul, unit):
+    """g -> g^-1 in the finite group with these elements and product."""
+    def inverse_of(g):
+        for h in elements:
+            if mul(g, h) == unit:
+                return h
+        raise PresetError("group element without inverse")
+    return inverse_of
 
 
 def make_group_lattice(name, elements, mul, unit, directions):
@@ -557,12 +559,7 @@ def make_group_lattice(name, elements, mul, unit, directions):
     def e_poly(i):
         return pres.parse(f"e{i}") if i < n - 1 else pres.parse(last)
 
-    def inverse_of(g):
-        for h in elements:
-            if mul(g, h) == unit:
-                return h
-        raise PresetError("group element without inverse")
-
+    inverse_of = _group_inverse(elements, mul, unit)
     autos = {}
     for label, s in directions.items():
         si = inverse_of(s)
@@ -573,31 +570,6 @@ def make_group_lattice(name, elements, mul, unit, directions):
     spec = CalculusSpec(pres, ds, autos, name=name)
     spec.set_two_forms(two_form_structure(spec))
     return pres, spec, elements, idx
-
-
-def _lattice_fixtures(pres, spec, theta_images):
-    fixtures = [
-        fcheck("no nonzero central 1-form up to degree 2 (simple calculus)",
-               lambda: not central_one_forms_probe(spec, 2)),
-        feq("sum of idempotents is 1",
-            lambda: sum((pres.parse(f"e{i}") for i in range(len(pres.generators))),
-                        pres.zero),
-            lambda: pres.one - pres.parse(
-                " - ".join(["1"] + [g.name for g in pres.generators]))),
-    ]
-
-    def diff_ok():
-        for sl, timg in theta_images.items():
-            rep = check_differentiability(spec, spec.phi(sl), timg)
-            if not rep.ok:
-                return False, rep.text()
-        return True, ""
-
-    fixtures.append(fcheck("R*_s differentiable with theta -> theta^{s u s^-1}", diff_ok))
-    fixtures.append(fcheck("d^2 = 0 on every idempotent",
-                           lambda: all(d_form(spec, differential(spec, pres.gen(g.name))).is_zero()
-                                       for g in pres.generators)))
-    return fixtures
 
 
 def _lattice_theta_images(spec, directions, mul, inverse_of):
@@ -613,52 +585,58 @@ def _lattice_theta_images(spec, directions, mul, inverse_of):
     return out
 
 
-@_register("group_lattice_z3")
-def _build_lattice_z3():
-    mul = lambda a, b: (a + b) % 3
-    directions = {"1": 1, "2": 2}
-    pres, spec, elements, idx = make_group_lattice(
-        "group_lattice_z3", [0, 1, 2], mul, 0, directions)
-    inverse_of = lambda g: (-g) % 3
-    theta_images = _lattice_theta_images(spec, directions, mul, inverse_of)
-    fixtures = _lattice_fixtures(pres, spec, theta_images)
-    fixtures.append(fcheck("ad(S)S inside S",
-                           lambda: all(mul(mul(s, u), inverse_of(s)) in directions.values()
-                                       for s in directions.values()
-                                       for u in directions.values())))
-    return PresetBundle("group_lattice_z3", pres, spec, "derived", fixtures,
-                        extras={"theta_images": theta_images, "simple": True})
-
-
 def _perm_mul(a, b):
     # (a*b)(i) = a(b(i)): right action pullback convention fixed in the builder
     return tuple(a[b[i]] for i in range(len(a)))
 
 
-@_register("group_lattice_s3")
-def _build_lattice_s3():
-    e = (0, 1, 2)
-    t12, t13, t23 = (1, 0, 2), (2, 1, 0), (0, 2, 1)
-    c1, c2 = (1, 2, 0), (2, 0, 1)
-    elements = [e, t12, t13, t23, c1, c2]
-    directions = {"t12": t12, "t13": t13, "t23": t23}
-    pres, spec, elems, idx = make_group_lattice(
-        "group_lattice_s3", elements, _perm_mul, e, directions)
+# S_3 as images of (0, 1, 2): e, the transpositions (12), (13), (23), the 3-cycles
+_S3 = [(0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1)]
 
-    def inverse_of(g):
-        for h in elements:
-            if _perm_mul(g, h) == e:
-                return h
+# id -> (group elements, product, unit, directions, wording of the ad(S)S fixture)
+_LATTICES = {
+    "group_lattice_z3": ([0, 1, 2], lambda a, b: (a + b) % 3, 0, {"1": 1, "2": 2},
+                         "ad(S)S inside S"),
+    "group_lattice_s3": (_S3, _perm_mul, _S3[0],
+                         {"t12": _S3[1], "t13": _S3[2], "t23": _S3[3]},
+                         "ad(S)S inside S (transpositions)"),
+}
 
-    theta_images = _lattice_theta_images(spec, directions, _perm_mul, inverse_of)
-    fixtures = _lattice_fixtures(pres, spec, theta_images)
-    fixtures.append(fcheck("ad(S)S inside S (transpositions)",
-                           lambda: all(_perm_mul(_perm_mul(s, u), inverse_of(s))
-                                       in directions.values()
-                                       for s in directions.values()
-                                       for u in directions.values())))
-    return PresetBundle("group_lattice_s3", pres, spec, "derived", fixtures,
-                        extras={"theta_images": theta_images, "simple": True})
+
+def _lattice_bundle(id_):
+    elements, mul, unit, directions, ad_description = _LATTICES[id_]
+    pres, spec, _, _ = make_group_lattice(id_, elements, mul, unit, directions)
+    inverse_of = _group_inverse(elements, mul, unit)
+    theta_images = _lattice_theta_images(spec, directions, mul, inverse_of)
+
+    def diff_ok():
+        for sl, timg in theta_images.items():
+            rep = check_differentiability(spec, spec.phi(sl), timg)
+            if not rep.ok:
+                return False, rep.text()
+        return True, ""
+
+    fixtures = [
+        fcheck("no nonzero central 1-form up to degree 2 (simple calculus)",
+               lambda: not central_one_forms_probe(spec, 2)),
+        feq("sum of idempotents is 1",
+            lambda: sum((pres.parse(f"e{i}") for i in range(len(pres.generators))),
+                        pres.zero),
+            lambda: pres.one - pres.parse(
+                " - ".join(["1"] + [g.name for g in pres.generators]))),
+        fcheck("R*_s differentiable with theta -> theta^{s u s^-1}", diff_ok),
+        fcheck("d^2 = 0 on every idempotent",
+               lambda: all(d_form(spec, differential(spec, pres.gen(g.name))).is_zero()
+                           for g in pres.generators)),
+        fcheck(ad_description,
+               lambda: all(mul(mul(s, u), inverse_of(s)) in directions.values()
+                           for s in directions.values() for u in directions.values())),
+    ]
+    return PresetBundle(id_, spec, "derived", fixtures)
+
+
+for _id in _LATTICES:
+    _register(_id)(functools.partial(_lattice_bundle, _id))
 
 
 # ---------------------------------------------------------------------------
@@ -678,16 +656,12 @@ def _build_twisted_h2():
     spec = CalculusSpec(pres, DirectionSet(["1", "2"]), {"1": ident, "2": ident},
                         lambdas={"1": "-y", "2": "x"}, name="twisted_heisenberg_2")
     one = Scalar.one()
-    cand = TwoFormStructure(
+    _set_validated_two_forms(
         spec, basis=[("1", "2")],
         reduction={("2", "1"): [(-one, ("1", "2"))], ("1", "1"): [], ("2", "2"): []},
         delta_table={},
         zeta={("1", "2"): pres.one},
     )
-    rep = verify_twisted_two_forms(spec, cand)
-    if not rep.ok:
-        raise PresetError("twisted_heisenberg_2 candidate failed:\n" + rep.text())
-    spec.set_two_forms(cand)
     x, y = pres.gen("x"), pres.gen("y")
     fixtures = [
         feq("theta1 = dx", lambda: differential(spec, x), lambda: _theta(spec, "1")),
@@ -701,7 +675,7 @@ def _build_twisted_h2():
         feq("Delta = 0", lambda: delta(spec, _theta(spec, "1")) + delta(spec, _theta(spec, "2")),
             lambda: GradedForm.zero(spec)),
     ]
-    return PresetBundle("twisted_heisenberg_2", pres, spec, "validated", fixtures)
+    return PresetBundle("twisted_heisenberg_2", spec, "validated", fixtures)
 
 
 @_register("twisted_heisenberg_3")
@@ -715,7 +689,7 @@ def _build_twisted_h3():
                         lambdas={"1": "-y", "2": "x", "3": "y*x"},
                         name="twisted_heisenberg_3")
     one = Scalar.one()
-    cand = TwoFormStructure(
+    _set_validated_two_forms(
         spec, basis=[("1", "2"), ("2", "1"), ("1", "3"), ("2", "3")],
         reduction={("1", "1"): [], ("2", "2"): [], ("3", "3"): [],
                    ("3", "1"): [(-one, ("1", "3"))],
@@ -725,10 +699,6 @@ def _build_twisted_h3():
                      "3": {("1", "2"): -pres.one, ("2", "1"): -pres.one}},
         zeta={("2", "1"): -pres.one},
     )
-    rep = verify_twisted_two_forms(spec, cand)
-    if not rep.ok:
-        raise PresetError("twisted_heisenberg_3 candidate failed:\n" + rep.text())
-    spec.set_two_forms(cand)
     fixtures = [
         feq("Delta(theta1) = -theta1 theta3", lambda: delta(spec, _theta(spec, "1")),
             lambda: -_theta(spec, "1", "3")),
@@ -745,7 +715,7 @@ def _build_twisted_h3():
         feq("(theta3)^2 = 0", lambda: _theta(spec, "3").wedge(_theta(spec, "3")),
             lambda: GradedForm.zero(spec)),
     ]
-    return PresetBundle("twisted_heisenberg_3", pres, spec, "validated", fixtures)
+    return PresetBundle("twisted_heisenberg_3", spec, "validated", fixtures)
 
 
 # ---------------------------------------------------------------------------
@@ -952,12 +922,9 @@ def _build_glpq2():
         fcheck("no nonzero central 1-form up to degree 1 (simplicity probe)",
                lambda: not central_one_forms_probe(spec, 1)),
     ]
-    theta_images = {s: {"2": r_inv} for s in "1234"}
-    return PresetBundle("glpq2", pres, spec, "first-order", fixtures,
-                        side_conditions=spec.side_conditions,
+    return PresetBundle("glpq2", spec, "first-order", fixtures,
                         extras={"frame": frame, "thetas": thetas,
-                                "alpha": GL_ALPHA, "determinant": D,
-                                "theta_images": theta_images, "simple": True})
+                                "alpha": GL_ALPHA, "determinant": D})
 
 
 # ---------------------------------------------------------------------------
@@ -1002,7 +969,7 @@ def _build_tensor_qplane():
         feq("x dy = q dy x + (pq-1) dx y", lambda: x * dy(),
             lambda: q * (dy() * x) + (pq - 1) * (dx() * y)),
     ]
-    return PresetBundle("tensor_qplane", pres, spec, "derived", fixtures)
+    return PresetBundle("tensor_qplane", spec, "derived", fixtures)
 
 
 @_register("tensor_hplane")
@@ -1075,8 +1042,7 @@ def _build_tensor_hplane():
             lambda: ((h + hp) * (differential(spec, v) * u - differential(spec, u) * v)
                      ).substitute_params(at_r1)),
     ]
-    return PresetBundle("tensor_hplane", pres, spec, "derived", fixtures,
-                        side_conditions=spec.side_conditions)
+    return PresetBundle("tensor_hplane", spec, "derived", fixtures)
 
 
 PRESET_IDS = tuple(sorted(_BUILDERS))

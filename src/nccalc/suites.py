@@ -132,12 +132,13 @@ def suite_d2(spec, samples=25, seed=2) -> Report:
     return rep
 
 
-def suite_differentiability(spec, theta_images=None, simple=False) -> Report:
+def suite_differentiability(spec) -> Report:
+    """Every phi_s extends to the forms with the images phi_s(theta^u) the spec derives."""
     rep = Report("differentiability")
-    for s in spec.directions.labels:
-        images = None if theta_images is None else theta_images.get(s)
-        sub = check_differentiability(spec, spec.phi(s), images, simple=simple)
-        rep.merge(sub, prefix=f"phi_{s}")
+    labels = spec.directions.labels
+    for s in labels:
+        images = {u: spec.theta_image(s, u) for u in labels}
+        rep.merge(check_differentiability(spec, spec.phi(s), images), prefix=f"phi_{s}")
     return rep
 
 
@@ -201,16 +202,14 @@ def property_suite(spec, samples=200, seed=7) -> Report:
     return rep
 
 
-# name -> runner(spec, samples, extras); extras hold a preset bundle's theta
-# images and simplicity flag and are empty for a calculus loaded from a file
+# name -> runner(spec, samples)
 SUITES = {
-    "inner": lambda spec, samples, extras: suite_inner(spec),
-    "leibniz": lambda spec, samples, extras: suite_leibniz(spec, samples=samples),
-    "d2": lambda spec, samples, extras: suite_d2(spec, samples=samples),
-    "differentiability": lambda spec, samples, extras: suite_differentiability(
-        spec, extras.get("theta_images"), simple=bool(extras.get("simple"))),
-    "twisted-2forms": lambda spec, samples, extras: suite_twisted_two_forms(spec),
-    "graded-leibniz": lambda spec, samples, extras: suite_graded_leibniz(
+    "inner": lambda spec, samples: suite_inner(spec),
+    "leibniz": lambda spec, samples: suite_leibniz(spec, samples=samples),
+    "d2": lambda spec, samples: suite_d2(spec, samples=samples),
+    "differentiability": lambda spec, samples: suite_differentiability(spec),
+    "twisted-2forms": lambda spec, samples: suite_twisted_two_forms(spec),
+    "graded-leibniz": lambda spec, samples: suite_graded_leibniz(
         spec, samples=max(5, samples // 4)),
-    "properties": lambda spec, samples, extras: property_suite(spec, samples=samples),
+    "properties": lambda spec, samples: property_suite(spec, samples=samples),
 }

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 import nccalc
 from nccalc.cli import main
-from nccalc.presets import load_preset
+from nccalc.presets import PRESET_IDS, load_preset
 
 
 @pytest.fixture()
@@ -346,3 +346,37 @@ labels = 1
 """)
     res = invoke(runner, "--file", str(calc), "normalize", "y*x")
     assert res.exit_code == 3
+
+
+@pytest.mark.parametrize("pid", PRESET_IDS)
+def test_serialized_preset_verifies_like_the_preset(runner, tmp_path, pid):
+    """A definition file carries the whole calculus: `verify` reads nothing else."""
+    calc = tmp_path / f"{pid}.calc"
+    calc.write_text(invoke(runner, "preset", "show", pid, "--serialize").output)
+    for fmt in ("text", "structured"):
+        by_preset = runner.invoke(main, ["--format", fmt, "--preset", pid, "verify"])
+        by_file = runner.invoke(main, ["--format", fmt, "--file", str(calc), "verify"])
+        assert by_preset.exit_code == 0, by_preset.output
+        assert (by_file.exit_code, by_file.output) == (by_preset.exit_code, by_preset.output)
+
+
+@pytest.mark.parametrize("args", [
+    ["--file", "{dir}", "normalize", "x"],
+    ["--preset", "quantum_plane_a", "torsion", "--connection", "{dir}"],
+    ["--preset", "quantum_plane_a", "metric-check", "--metric", "{dir}"],
+])
+def test_directory_for_a_file_exit_2(runner, tmp_path, args):
+    res = runner.invoke(main, [a.format(dir=tmp_path) for a in args])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.startswith("error: ") and len(res.output.splitlines()) == 1
+
+
+@pytest.mark.parametrize("thetas, message", [("zz", "error: unknown direction zz"),
+                                             ("1,,2", "error: empty direction label")])
+def test_commute_rejects_bad_theta_labels(runner, thetas, message):
+    res = runner.invoke(main, ["--preset", "h_plane", "commute", "--expr", "x",
+                               "--thetas", thetas])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.strip() == message

@@ -2,8 +2,12 @@
 
 import pytest
 
+from nccalc.calculus import GradedForm
 from nccalc.presets import PRESET_IDS, PresetError, load_preset
+from nccalc.presets import catalog
 from nccalc.presets.catalog import make_group_lattice
+from nccalc.scalar import Scalar
+from nccalc.suites import suite_differentiability
 
 
 @pytest.mark.parametrize("pid", PRESET_IDS)
@@ -159,3 +163,48 @@ def test_serialization_round_trip():
             f2 = spec2.pres.gen(g.name)
             for s in spec.directions.labels:
                 assert str(spec.e(s, f)) == str(spec2.e(s, f2))
+
+
+# -- phi_s(theta^u) derived by the spec, against independent oracles
+
+
+@pytest.mark.parametrize("pid", sorted(catalog._LATTICES))
+def test_theta_image_is_group_conjugation_on_lattices(pid):
+    """R*_s theta^u = theta^{s u s^-1}, computed in the group."""
+    elements, mul, unit, directions, _ = catalog._LATTICES[pid]
+    spec = load_preset(pid).spec
+    oracle = catalog._lattice_theta_images(spec, directions, mul,
+                                           catalog._group_inverse(elements, mul, unit))
+    labels = spec.directions.labels
+    assert {s: {u: spec.theta_image(s, u) for u in labels} for s in labels} == oracle
+    if pid == "group_lattice_s3":  # nonabelian: some theta^u really move
+        assert spec.theta_image("t12", "t13") == GradedForm.theta(spec, "t23")
+
+
+def test_theta_image_on_glpq2_scales_theta2():
+    """phi_s(theta^2) = r^-1 theta^2 and the other thetas stay fixed."""
+    spec = load_preset("glpq2").spec
+    r_inv = (Scalar.param("p") * Scalar.param("q")).inverse()
+    for s in spec.directions.labels:
+        for u in spec.directions.labels:
+            want = GradedForm.theta(spec, u)
+            assert spec.theta_image(s, u) == (r_inv * want if u == "2" else want)
+
+
+@pytest.mark.parametrize("pid", [p for p in PRESET_IDS
+                                 if p not in catalog._LATTICES and p != "glpq2"])
+def test_theta_image_fixed_elsewhere(pid):
+    spec = load_preset(pid).spec
+    for s in spec.directions.labels:
+        for u in spec.directions.labels:
+            assert spec.theta_image(s, u) == GradedForm.theta(spec, u)
+
+
+@pytest.mark.parametrize("pid", ["glpq2", *sorted(catalog._LATTICES)])
+def test_differentiability_suite_fixes_vartheta(pid):
+    spec = load_preset(pid).spec
+    rep = suite_differentiability(spec)
+    assert rep.ok, rep.text()
+    passed = {c.path for c in rep.checks if c.ok}
+    for s in spec.directions.labels:
+        assert f"phi_{s}.phi_vartheta_fixed" in passed
