@@ -1,8 +1,10 @@
 """Byte-identity gate: CLI output digests pinned against a reference tree.
 
 Every record is one `nccalc` call through `CliRunner`; its digest covers the
-exit code and the combined stdout/stderr bytes.  `tests/golden.json` holds the
-reference digests.  After a change that is meant to alter output, rewrite it
+exit code and the combined stdout/stderr bytes.  All calls run in one
+`CliRunner.isolated_filesystem()` holding the connection and metric files of
+`_input_files()`, so paths in error messages are relative and stable.
+`tests/golden.json` holds the reference digests.  After a change that is meant to alter output, rewrite it
 with
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -20,12 +22,55 @@ from nccalc.presets import PRESET_IDS, load_preset
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
-# {a}, {b}: the first two generators; {s}, {t}: the first two directions.
+# {a}, {b}: the first and last generator; {s}, {t}: the first and last direction.
 ALGEBRA_EXPRS = ("{a}", "{b}*{a}", "{b}*{a} + 2*{a}", "({a} + {b})^3",
                  "{a}^2*{b} - 1/2", "3", "0", "{a} +* {b}", "{a}/0", "zz",
                  "{a}^", "")
 FORM_EXPRS = ("{a}*theta[{s}]", "theta[{s}]*{a}", "theta[{s}]*theta[{t}]",
               "theta[zz]")
+# per preset connection and metric files, valid and with a malformed line
+INPUTS = {"conn": "V[{s},{t},{s}] = {a}\nV[{t},{s},{t}] = 1\n",
+          "g": "g[{s},{t}] = 1\ng[{t},{s}] = 1\n",
+          "bad_conn": "V[{s},{t}] = 1\n",
+          "bad_g": "g[{s}] = {a}\n"}
+# command -> (its file options, one of conn/g each), extra arguments
+FILE_COMMANDS = {"torsion": ({"--connection": "conn"}, []),
+                 "curvature": ({"--connection": "conn"}, ["--theta", "{s}"]),
+                 "metric-check": ({"--metric": "g", "--connection": "conn"}, []),
+                 "levi-civita": ({"--metric": "g", "--connection": "conn"}, [])}
+MISSING, DIRECTORY = "missing.txt", "adir"
+
+
+def _fill(pid):
+    """{a}, {b}, {s}, {t} for one preset, and {coords}: one generator per direction."""
+    bundle = load_preset(pid)
+    gens = [g.name for g in bundle.presentation.generators]
+    labels = bundle.spec.directions.labels
+    coords = ",".join(gens[i % len(gens)] for i in range(len(labels)))
+    return dict(a=gens[0], b=gens[-1], s=labels[0], t=labels[-1], coords=coords)
+
+
+def _input_files():
+    """File name -> content for every preset's connection and metric inputs."""
+    return {f"{pid}.{kind}": text.format(**_fill(pid))
+            for pid in PRESET_IDS for kind, text in INPUTS.items()}
+
+
+def _file_calls(pid, fill):
+    """Each file-reading command: valid, then every file option malformed, missing, a directory."""
+    head = ["--preset", pid]
+    for cmd, (files, extra) in FILE_COMMANDS.items():
+        extra = [x.format(**fill) for x in extra]
+
+        def argv(**swap):
+            opts = [x for opt, kind in files.items()
+                    for x in (opt, swap.get(opt, f"{pid}.{kind}"))]
+            return head + [cmd] + opts + extra
+        yield f"{pid}/{cmd}", argv()
+        for opt, kind in files.items():
+            for case, path in (("malformed", f"{pid}.bad_{kind}"), ("missing", MISSING),
+                               ("directory", DIRECTORY)):
+                yield f"{pid}/{cmd}/{opt.lstrip('-')}-{case}", argv(**{opt: path})
 
 
 def _calls():
@@ -35,10 +80,7 @@ def _calls():
             yield (f"verify-all/{fmt}/jobs{jobs}",
                    ["--format", fmt, "--jobs", jobs, "verify", "--all-presets"])
     for pid in PRESET_IDS:
-        bundle = load_preset(pid)
-        gens = [g.name for g in bundle.presentation.generators]
-        labels = bundle.spec.directions.labels
-        fill = dict(a=gens[0], b=gens[-1], s=labels[0], t=labels[-1])
+        fill = _fill(pid)
         head = ["--preset", pid]
         yield f"{pid}/preset-run", ["preset", "run", pid]
         yield f"{pid}/preset-run/jobs2", ["--jobs", "2", "preset", "run", pid]
@@ -52,11 +94,36 @@ def _calls():
             for fmt in ("text", "structured"):
                 yield (f"{pid}/d/{i}/{fmt}",
                        head + ["--format", fmt, "d", "--expr", expr.format(**fill)])
+    # records added after the first 871; the keys above keep their order
+    for pid in PRESET_IDS:
+        fill = _fill(pid)
+        head = ["--preset", pid]
+        yield (f"{pid}/commute",
+               head + ["commute", "--expr", fill["a"], "--thetas", "{s},{t}".format(**fill)])
+        yield f"{pid}/theta-solve", head + ["theta-solve", "--coords", fill["coords"]]
+        yield from _file_calls(pid, fill)
+    for case, path in (("missing", MISSING), ("directory", DIRECTORY)):
+        yield f"file/{case}", ["--file", path, "normalize", "x"]
+    yield "help", ["--help"]
+    for name, cmd in main.commands.items():
+        yield f"help/{name}", [name, "--help"]
+        for sub in getattr(cmd, "commands", ()):
+            yield f"help/{name}/{sub}", [name, sub, "--help"]
 
 
 def _record(runner, argv):
     res = runner.invoke(main, argv)
     return f"exit={res.exit_code}\n{res.output}"
+
+
+def _records(runner):
+    """(key, argv, record text) for every call, run inside one isolated filesystem."""
+    with runner.isolated_filesystem():
+        for name, text in _input_files().items():
+            Path(name).write_text(text)
+        Path(DIRECTORY).mkdir()
+        for key, argv in _calls():
+            yield key, argv, _record(runner, argv)
 
 
 def _digest(text):
@@ -68,9 +135,8 @@ def test_cli_output_matches_golden_digests():
     runner = CliRunner()
     seen = []
     mismatches = {}
-    for key, argv in _calls():
+    for key, argv, out in _records(runner):
         seen.append(key)
-        out = _record(runner, argv)
         if expected.get(key) != _digest(out):
             mismatches[key] = f"--- {key}: nccalc {' '.join(argv)}\n{out}"
     assert seen == list(expected), "record keys differ from tests/golden.json"
@@ -82,6 +148,6 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
     runner = CliRunner()
-    digests = {key: _digest(_record(runner, argv)) for key, argv in _calls()}
+    digests = {key: _digest(out) for key, _, out in _records(runner)}
     GOLDEN.write_text(json.dumps(digests, indent=0) + "\n")
     print(f"wrote {len(digests)} digests to {GOLDEN}")
