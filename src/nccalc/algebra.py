@@ -58,10 +58,6 @@ def letters_of(word):
     return tuple(out)
 
 
-def word_length(word):
-    return sum(abs(e) for _, e in word)
-
-
 def _letter_key(letter):
     g, s = letter
     return (g, 0 if s > 0 else 1)
@@ -93,8 +89,6 @@ class Presentation:
         for g in generators:
             if isinstance(g, Generator):
                 gens.append(g)
-            elif isinstance(g, tuple):
-                gens.append(Generator(g[0], bool(g[1])))
             else:
                 gens.append(Generator(g, g in invertible))
         self.generators = tuple(gens)
@@ -473,11 +467,6 @@ class NCPoly:
         if self.is_scalar():
             return self.terms[()]
         raise AlgebraError(f"{self} is not a scalar")
-
-    def degree(self):
-        if not self.terms:
-            return 0
-        return max(word_length(w) for w in self.terms)
 
     # -- arithmetic
 

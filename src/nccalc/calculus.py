@@ -119,18 +119,34 @@ def cyclic_group(shifts: Mapping[str, int], order: int) -> DirectionSet:
 # ---------------------------------------------------------------------------
 
 
+def check_theta_scaling(directions: DirectionSet, s, u, c) -> Scalar:
+    """c as the factor of phi_s(theta^u); CalculusError for an unknown label or c = 0."""
+    directions.word((s, u))
+    c = scalar(c)
+    if c.is_zero():
+        raise CalculusError(f"theta scaling for {s} {u} must be nonzero")
+    return c
+
+
 class CalculusSpec:
-    """Algebra + directions + automorphisms + weights or twists."""
+    """Algebra + directions + automorphisms + weights or twists.
+
+    The 2-form structure is fixed here: two_forms (a mapping with the
+    basis, reduction, delta_table and zeta tables of TwoFormStructure) is
+    checked by verify_twisted_two_forms in either mode; without it a
+    group-classified automorphism calculus derives two_form_structure(self),
+    and any other calculus is first order (two_forms is None).
+    """
 
     def __init__(self, pres, directions: DirectionSet, autos: Mapping[str, AlgebraMorphism],
                  weights=None, lambdas=None, theta_scalings=None,
-                 side_conditions=(), name=None):
+                 side_conditions=(), name=None, two_forms=None):
         self.pres = pres
         self.directions = directions
         self.autos = dict(autos)
         self.side_conditions = tuple(side_conditions)
         self.name = name
-        self.two_forms = None
+        self._vartheta = None  # vartheta(self), built and checked on first use
         labels = directions.labels
         for s in labels:
             m = self.autos.get(s)
@@ -167,7 +183,17 @@ class CalculusSpec:
                     raise CalculusError(f"automorphisms for {s} and {t} coincide on generators")
                 if self.mode == "twisted" and same_phi and self.lambdas[s] == self.lambdas[t]:
                     raise CalculusError(f"directions {s} and {t} carry identical twisted data")
-        self.theta_scalings = {k: scalar(c) for k, c in (theta_scalings or {}).items()}
+        self.theta_scalings = {(s, u): check_theta_scaling(directions, s, u, c)
+                               for (s, u), c in (theta_scalings or {}).items()}
+        ts = None
+        if two_forms is not None:
+            ts = TwoFormStructure(self, **two_forms)
+            rep = verify_twisted_two_forms(self, ts)
+            if not rep.ok:
+                raise CalculusError("two-form candidate fails verification:\n" + rep.text())
+        elif self.mode == "automorphism" and directions.classified:
+            ts = two_form_structure(self)
+        self.two_forms = ts
 
     # -- basic maps
 
@@ -204,10 +230,6 @@ class CalculusSpec:
         t = next((l for l in (u, *self.directions.labels)
                   if all(self.autos[l].images[g] == p for g, p in conj.items())), u)
         return self.theta_scale(s, u) * GradedForm.theta(self, t)
-
-    def set_two_forms(self, ts: "TwoFormStructure"):
-        self.two_forms = ts
-        return self
 
     def __repr__(self):
         return f"CalculusSpec({self.name or self.pres!r}, mode={self.mode})"
@@ -358,7 +380,7 @@ class GradedForm(LabelModule):
 class TwoFormStructure:
     """Degree-2 relations, the Delta table, zeta, and the word basis Xi."""
 
-    def __init__(self, spec, basis, reduction, delta_table, zeta, relations=()):
+    def __init__(self, spec, basis, reduction, delta_table, zeta):
         self.spec = spec
         self.basis = tuple(tuple(p) for p in basis)
         self.reduction = {tuple(k): tuple((c, tuple(p)) for c, p in v)
@@ -366,7 +388,6 @@ class TwoFormStructure:
         self.delta_table = {s: {tuple(p): v for p, v in tab.items()}
                             for s, tab in delta_table.items()}
         self.zeta = {tuple(p): v for p, v in zeta.items()}
-        self.relations = tuple(relations)
         basis_set = set(self.basis)
         pair_key = spec.directions.order_key
         for k, v in self.reduction.items():
@@ -441,10 +462,7 @@ def two_form_structure(spec: CalculusSpec) -> TwoFormStructure:
     t = spec.weights
     all_pairs = [(s, u) for s in d.labels for u in d.labels]
     reduction = {}
-    relations = []
     for cls in d.quad_classes:
-        rel = {(s, u): (t[s] * t[u]).inverse() for (s, u) in cls}
-        relations.append(("quadrangle", dict(rel)))
         target = max(cls, key=d.order_key)
         scale = -(t[target[0]] * t[target[1]])
         reduction[target] = tuple(
@@ -455,7 +473,7 @@ def two_form_structure(spec: CalculusSpec) -> TwoFormStructure:
         delta_table.setdefault(target, {})[(s, u)] = \
             spec.pres.const(t[target] / (t[s] * t[u]))
     zeta = {(s, u): spec.pres.const((t[s] * t[u]).inverse()) for (s, u) in d.biangles}
-    ts = TwoFormStructure(spec, basis, reduction, delta_table, zeta, relations)
+    ts = TwoFormStructure(spec, basis, reduction, delta_table, zeta)
     rep = _master_identity_report(spec, ts, _twist_table(spec))
     if not rep.ok:
         raise InconsistentCalculus(
@@ -561,9 +579,8 @@ def move_right(spec: CalculusSpec, word, f: NCPoly) -> NCPoly:
 
 def vartheta(spec: CalculusSpec) -> GradedForm:
     """The 1-form making d inner; checked against d on every generator."""
-    cached = getattr(spec, "_vartheta", None)
-    if cached is not None:
-        return cached
+    if spec._vartheta is not None:
+        return spec._vartheta
     th = GradedForm._build(spec, {(s,): spec.lambdas[s] for s in spec.directions.labels})
     for g in spec.pres.generators:
         f = spec.pres.gen(g.name)

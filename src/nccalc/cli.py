@@ -6,6 +6,7 @@ Exit codes: 0 all checks pass, 1 check failure, 2 input error,
 
 from __future__ import annotations
 
+import functools
 import sys
 from contextlib import contextmanager
 
@@ -31,6 +32,12 @@ EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL = 3
 
 
+def _read(path):
+    """The text of a --file, --connection or --metric path."""
+    with open(path) as fh:
+        return fh.read()
+
+
 def _load_spec(ctx):
     """The calculus of --preset or --file; a preset and its serialized file load alike."""
     preset = ctx.obj.get("preset")
@@ -40,8 +47,7 @@ def _load_spec(ctx):
     if preset:
         return load_preset(preset).spec
     if path:
-        with open(path) as fh:
-            return load_calculus(fh.read())  # confluence-gated inside
+        return load_calculus(_read(path))  # confluence-gated inside
     raise click.UsageError("no calculus loaded; use --preset or --file")
 
 
@@ -51,18 +57,10 @@ def _emit(ctx, report_or_lines, prefix="result"):
         click.echo(report_or_lines.structured(prefix) if fmt == "structured"
                    else report_or_lines.text())
         return report_or_lines.ok
-    lines = report_or_lines
-    if isinstance(lines, str):
-        lines = [lines]
-    if fmt == "structured":
-        for i, line in enumerate(lines):
-            if " = " in line or line.startswith(prefix):
-                click.echo(line)
-            else:
-                click.echo(f"{prefix}.{i} = {line}")
-    else:
-        for line in lines:
-            click.echo(line)
+    for i, line in enumerate(report_or_lines):
+        if fmt == "structured" and not (" = " in line or line.startswith(prefix)):
+            line = f"{prefix}.{i} = {line}"
+        click.echo(line)
     return True
 
 
@@ -84,7 +82,8 @@ def _fail(code, message):
     sys.exit(code)
 
 
-def _run(ctx, fn):
+def _run(fn):
+    """Call fn() -> ok and exit by the contract: 1 if not ok, 2 input error, 3 internal."""
     try:
         ok = fn()
     except (ParseError, FileFormatError, PresetError, OSError) as exc:
@@ -95,6 +94,15 @@ def _run(ctx, fn):
         _fail(EXIT_INPUT_ERROR, exc)
     if not ok:
         sys.exit(EXIT_CHECK_FAILED)
+
+
+def _with_spec(fn):
+    """A command fn(ctx, spec, **options) -> ok on the --preset/--file calculus, run by _run."""
+    @click.pass_context
+    @functools.wraps(fn)
+    def command(ctx, **options):
+        _run(lambda: fn(ctx, _load_spec(ctx), **options))
+    return command
 
 
 @click.group()
@@ -113,71 +121,56 @@ def main(ctx, preset, file_, format_, jobs):
 
 @main.command()
 @click.argument("expr")
-@click.pass_context
-def normalize(ctx, expr):
+@_with_spec
+def normalize(ctx, spec, expr):
     """Normal form of an algebra expression."""
-    def go():
-        spec = _load_spec(ctx)
-        return _emit(ctx, [f"normal_form = {spec.pres.parse(expr)}"])
-    _run(ctx, go)
+    return _emit(ctx, [f"normal_form = {spec.pres.parse(expr)}"])
 
 
 @main.command()
 @click.option("--expr", required=True)
-@click.pass_context
-def d(ctx, expr):
+@_with_spec
+def d(ctx, spec, expr):
     """Differential of an algebra element (or of a form expression)."""
-    def go():
-        spec = _load_spec(ctx)
-        form = parse_form(spec, expr)
-        if set(form.degrees()) <= {0}:
-            out = differential(spec, form.component(0).get((), spec.pres.zero))
-        else:
-            out = d_form(spec, form)
-        return _emit(ctx, [f"d = {out}"])
-    _run(ctx, go)
+    form = parse_form(spec, expr)
+    if set(form.degrees()) <= {0}:
+        out = differential(spec, form.component(0).get((), spec.pres.zero))
+    else:
+        out = d_form(spec, form)
+    return _emit(ctx, [f"d = {out}"])
 
 
 @main.command()
 @click.option("--expr", required=True, help="algebra element to move")
 @click.option("--thetas", required=True, help="comma-separated theta labels")
-@click.pass_context
-def commute(ctx, expr, thetas):
+@_with_spec
+def commute(ctx, spec, expr, thetas):
     """Move a coefficient to the left through a theta word."""
-    def go():
-        spec = _load_spec(ctx)
-        word = tuple(s.strip() for s in thetas.split(","))
-        out = move_left(spec, spec.pres.parse(expr), word)
-        return _emit(ctx, [f"moved = {out}"])
-    _run(ctx, go)
+    word = tuple(s.strip() for s in thetas.split(","))
+    out = move_left(spec, spec.pres.parse(expr), word)
+    return _emit(ctx, [f"moved = {out}"])
 
 
 @main.command()
-@click.pass_context
-def relations(ctx):
+@_with_spec
+def relations(ctx, spec):
     """The theta commutation table theta^s f = phi_s(f) theta^s."""
-    def go():
-        spec = _load_spec(ctx)
-        lines = []
-        for s in spec.directions.labels:
-            for g in spec.pres.generators:
-                img = spec.phi(s).apply(spec.pres.gen(g.name))
-                lines.append(f"theta[{s}]*{g.name} = ({img})*theta[{s}]")
-        return _emit(ctx, lines)
-    _run(ctx, go)
+    lines = []
+    for s in spec.directions.labels:
+        for g in spec.pres.generators:
+            img = spec.phi(s).apply(spec.pres.gen(g.name))
+            lines.append(f"theta[{s}]*{g.name} = ({img})*theta[{s}]")
+    return _emit(ctx, lines)
 
 
 @main.command("two-forms")
-@click.pass_context
-def two_forms(ctx):
+@_with_spec
+def two_forms(ctx, spec):
     """Print the 2-form structure (relations, Delta table, zeta, basis)."""
-    def go():
-        spec = _load_spec(ctx)
-        ts = spec.two_forms
-        if ts is None:
-            return _emit(ctx, ["two_forms = none (first-order calculus)"])
-        return _emit(ctx, ts.describe().splitlines())
-    _run(ctx, go)
+    ts = spec.two_forms
+    if ts is None:
+        return _emit(ctx, ["two_forms = none (first-order calculus)"])
+    return _emit(ctx, ts.describe().splitlines())
 
 
 @main.command()
@@ -207,111 +200,85 @@ def verify(ctx, suite_names, samples, all_presets):
                     rep.merge(part)
             return _emit(ctx, rep, "verify")
         return _emit(ctx, one_spec(_load_spec(ctx)), "verify")
-    _run(ctx, go)
+    _run(go)
 
 
 @main.command("theta-solve")
 @click.option("--coords", required=True, help="comma-separated coordinate elements")
-@click.pass_context
-def theta_solve(ctx, coords):
+@_with_spec
+def theta_solve(ctx, spec, coords):
     """Express the theta basis through differentials of the coordinates."""
-    def go():
-        spec = _load_spec(ctx)
-        exprs = [c.strip() for c in coords.split(",")]
-        sol = solve_theta_in_differentials(spec, exprs)
-        if not sol.ok:
-            lines = ["solve = failed (matrix not invertible)"]
-            for i, row in enumerate(sol.matrix):
-                lines.append(f"matrix.{i} = " + " | ".join(str(x) for x in row))
-            _emit(ctx, lines)
-            return False
-        lines = []
-        if sol.det is not None:
-            lines.append(f"det = {sol.det}")
-        for s in spec.directions.labels:
-            parts = [f"({c})*d({e})" for c, e in zip(sol.coefficients[s], exprs)
-                     if not c.is_zero()]
-            lines.append(f"theta[{s}] = " + (" + ".join(parts) if parts else "0"))
-        return _emit(ctx, lines)
-    _run(ctx, go)
+    exprs = [c.strip() for c in coords.split(",")]
+    sol = solve_theta_in_differentials(spec, exprs)
+    if not sol.ok:
+        lines = ["solve = failed (matrix not invertible)"]
+        for i, row in enumerate(sol.matrix):
+            lines.append(f"matrix.{i} = " + " | ".join(str(x) for x in row))
+        _emit(ctx, lines)
+        return False
+    lines = []
+    if sol.det is not None:
+        lines.append(f"det = {sol.det}")
+    for s in spec.directions.labels:
+        parts = [f"({c})*d({e})" for c, e in zip(sol.coefficients[s], exprs)
+                 if not c.is_zero()]
+        lines.append(f"theta[{s}] = " + (" + ".join(parts) if parts else "0"))
+    return _emit(ctx, lines)
 
 
 @main.command("torsion")
 @click.option("--connection", "conn_path", required=True, type=click.Path())
-@click.pass_context
-def torsion_cmd(ctx, conn_path):
+@_with_spec
+def torsion_cmd(ctx, spec, conn_path):
     """Torsion 2-forms of a connection."""
-    def go():
-        spec = _load_spec(ctx)
-        with open(conn_path) as fh:
-            conn = load_connection(spec, fh.read())
-        tor = torsion(spec, conn)
-        lines = [f"Theta(theta[{s}]) = {t}" for s, t in tor.items()]
-        _emit(ctx, lines)
-        return all(t.is_zero() for t in tor.values())
-    _run(ctx, go)
+    tor = torsion(spec, load_connection(spec, _read(conn_path)))
+    _emit(ctx, [f"Theta(theta[{s}]) = {t}" for s, t in tor.items()])
+    return all(t.is_zero() for t in tor.values())
 
 
 @main.command("torsion-conditions")
-@click.pass_context
-def torsion_conditions_cmd(ctx):
+@_with_spec
+def torsion_conditions_cmd(ctx, spec):
     """Emit the linear torsion-free conditions on the connection."""
-    def go():
-        spec = _load_spec(ctx)
-        conds = torsion_free_conditions(spec)
-        return _emit(ctx, str(conds).splitlines() or ["conditions = none"])
-    _run(ctx, go)
+    conds = torsion_free_conditions(spec)
+    return _emit(ctx, str(conds).splitlines() or ["conditions = none"])
 
 
 @main.command("curvature")
 @click.option("--connection", "conn_path", required=True, type=click.Path())
 @click.option("--theta", "theta_label", required=True)
-@click.pass_context
-def curvature_cmd(ctx, conn_path, theta_label):
+@_with_spec
+def curvature_cmd(ctx, spec, conn_path, theta_label):
     """Curvature R(theta^s) of a connection."""
-    def go():
-        spec = _load_spec(ctx)
-        with open(conn_path) as fh:
-            conn = load_connection(spec, fh.read())
-        R = curvature(spec, conn, GradedForm.theta(spec, theta_label))
-        return _emit(ctx, [f"R(theta[{theta_label}]) = {R}"])
-    _run(ctx, go)
+    conn = load_connection(spec, _read(conn_path))
+    R = curvature(spec, conn, GradedForm.theta(spec, theta_label))
+    return _emit(ctx, [f"R(theta[{theta_label}]) = {R}"])
 
 
 @main.command("metric-check")
 @click.option("--metric", "metric_path", required=True, type=click.Path())
 @click.option("--connection", "conn_path", default=None, type=click.Path())
-@click.pass_context
-def metric_check(ctx, metric_path, conn_path):
+@_with_spec
+def metric_check(ctx, spec, metric_path, conn_path):
     """Metric invariance conditions, plus compatibility if a connection is given."""
-    def go():
-        spec = _load_spec(ctx)
-        with open(metric_path) as fh:
-            g = load_metric(spec, fh.read())
-        rep = Report("metric")
-        rep.merge(metric_invariance_conditions(spec, g), "invariance")
-        if conn_path:
-            with open(conn_path) as fh:
-                conn = load_connection(spec, fh.read())
-            rep.merge(metric_compatibility(spec, conn, g), "compatibility")
-        return _emit(ctx, rep, "metric")
-    _run(ctx, go)
+    g = load_metric(spec, _read(metric_path))
+    rep = Report("metric")
+    rep.merge(metric_invariance_conditions(spec, g), "invariance")
+    if conn_path:
+        conn = load_connection(spec, _read(conn_path))
+        rep.merge(metric_compatibility(spec, conn, g), "compatibility")
+    return _emit(ctx, rep, "metric")
 
 
 @main.command("levi-civita")
 @click.option("--metric", "metric_path", required=True, type=click.Path())
 @click.option("--connection", "conn_path", required=True, type=click.Path())
-@click.pass_context
-def levi_civita(ctx, metric_path, conn_path):
+@_with_spec
+def levi_civita(ctx, spec, metric_path, conn_path):
     """Torsion-free plus metric-compatible (existence only, never uniqueness)."""
-    def go():
-        spec = _load_spec(ctx)
-        with open(metric_path) as fh:
-            g = load_metric(spec, fh.read())
-        with open(conn_path) as fh:
-            conn = load_connection(spec, fh.read())
-        return _emit(ctx, levi_civita_check(spec, conn, g), "levi_civita")
-    _run(ctx, go)
+    g = load_metric(spec, _read(metric_path))
+    conn = load_connection(spec, _read(conn_path))
+    return _emit(ctx, levi_civita_check(spec, conn, g), "levi_civita")
 
 
 @main.group()
@@ -339,7 +306,7 @@ def preset_show(ctx, preset_id, do_serialize):
         else:
             click.echo(bundle.describe())
         return True
-    _run(ctx, go)
+    _run(go)
 
 
 @preset.command("run")
@@ -351,7 +318,7 @@ def preset_run(ctx, preset_id):
         with _jobs_map(ctx) as map_:
             rep = bundle.run_fixtures(map=map_)
         return _emit(ctx, rep, f"preset.{bundle.id}")
-    _run(ctx, go)
+    _run(go)
 
 
 if __name__ == "__main__":

@@ -26,17 +26,22 @@ Calculus files add:
     [weights]            # automorphism mode; or [twists] for twisted mode
     1 = t1
 
-    [theta_scalings]     # optional: phi_s(theta^u) = c theta^t, c = 1 if absent
-    1 2 = 1/(p*q)
+    [theta_scalings]     # optional: phi_s(theta^u) = c theta^t, c = 1 if absent;
+    1 2 = 1/(p*q)        # s and u must be direction labels and c nonzero
 
     [side_conditions]    # optional: kept with the calculus, never decided
     p*q != 1
 
-    [two_forms]          # optional candidate (twisted mode)
+    [two_forms]          # optional candidate, checked by the CalculusSpec constructor
     basis = 1 2 ; 2 1
     reduce 2 2 =
     delta 1 = -1 : 1 3 , x : 2 1
     zeta = 1 : 1 2
+
+The [two_forms] tables go to the CalculusSpec constructor, which checks
+them against the twisted master identity; without them a group-classified
+automorphism calculus derives its 2-forms there, so a file and a preset
+build a calculus the same way.
 
 phi_s(theta^u) is derived from the automorphisms: theta^t is theta^u when
 phi_u equals phi_s o phi_u o phi_s^-1, else the theta whose phi_t does,
@@ -55,7 +60,8 @@ import re
 from contextlib import contextmanager
 
 from .algebra import AlgebraError, Presentation, verify_morphism
-from .calculus import CalculusSpec, DirectionSet, TwoFormStructure, verify_twisted_two_forms
+from .calculus import (CalculusError, CalculusSpec, DirectionSet, InconsistentCalculus,
+                       check_theta_scaling)
 from .geometry import Connection, Metric
 from .parsing import ParseError
 from .scalar import Scalar, ScalarError, parse_scalar
@@ -78,7 +84,7 @@ def _at(n, section=None):
     """Report an error in a file line as '[section] line n: message'."""
     try:
         yield
-    except (FileFormatError, ParseError, AlgebraError, ScalarError) as exc:
+    except (FileFormatError, ParseError, AlgebraError, CalculusError, ScalarError) as exc:
         where = f"line {n}" if section is None else f"[{section}] line {n}"
         raise FileFormatError(f"{where}: {exc}") from exc
 
@@ -216,7 +222,8 @@ def _morphisms_from_sections(pres, lines):
     return autos
 
 
-def _two_forms_from_sections(spec, lines):
+def _two_forms_from_sections(pres, lines):
+    """The [two_forms] tables, as the two_forms argument of CalculusSpec."""
     basis = None
     reduction = {}
     delta_table = {}
@@ -238,9 +245,9 @@ def _two_forms_from_sections(spec, lines):
                 raise FileFormatError(f"bad 2-form combination item: {item!r}")
             coeff, pair = item.rsplit(":", 1)
             if scalars_only:
-                c = parse_scalar(coeff.strip(), spec.pres.params)
+                c = parse_scalar(coeff.strip(), pres.params)
             else:
-                c = spec.pres.parse(coeff.strip())
+                c = pres.parse(coeff.strip())
             out.append((c, pair_of(pair)))
         return out
 
@@ -264,18 +271,19 @@ def _two_forms_from_sections(spec, lines):
             raise FileFormatError(f"bad two_forms line: {line!r}")
     if basis is None:
         raise FileFormatError("[two_forms] needs a basis line")
-    return TwoFormStructure(spec, basis, reduction, delta_table, zeta)
+    return dict(basis=basis, reduction=reduction, delta_table=delta_table, zeta=zeta)
 
 
 def load_calculus(text):
-    """Parse a calculus file; returns the spec with two-forms attached.
+    """Parse a calculus file into a CalculusSpec, 2-forms included.
 
     The rewrite system is confluence-checked before anything is built on
     top of it: a non-confluent system has no well-defined normal forms.
-    Errors in a line are reported as '[section] line n: message'.
+    Errors in a line are reported as '[section] line n: message'; other
+    construction errors (a failing [two_forms] candidate, say) are
+    FileFormatError too, and InconsistentCalculus passes through.
     """
     from .algebra import check_local_confluence
-    from .calculus import InconsistentCalculus, two_form_structure
 
     sections = parse_sections(text)
     pres = _presentation_from_sections(sections)
@@ -306,45 +314,49 @@ def load_calculus(text):
             m = re.fullmatch(r"(\S+)\s+(\S+)\s*=\s*(.+)", line)
             if not m:
                 raise FileFormatError(f"bad theta_scalings line: {line!r}")
-            scalings[(m.group(1), m.group(2))] = parse_scalar(m.group(3), pres.params)
+            s, u = m.group(1), m.group(2)
+            scalings[(s, u)] = check_theta_scaling(
+                directions, s, u, parse_scalar(m.group(3), pres.params))
     side = tuple(line for _, line in sections.get("side_conditions", []))
-    spec = CalculusSpec(pres, directions, autos, weights=weights, lambdas=lambdas,
-                        theta_scalings=scalings, side_conditions=side)
+    two_forms = None
     if "two_forms" in sections:
-        cand = _two_forms_from_sections(spec, sections["two_forms"])
-        rep = verify_twisted_two_forms(spec, cand)
-        if not rep.ok:
-            raise FileFormatError("two-form candidate fails verification:\n" + rep.text())
-        spec.set_two_forms(cand)
-    elif spec.mode == "automorphism" and directions.classified:
-        spec.set_two_forms(two_form_structure(spec))
-    return spec
+        two_forms = _two_forms_from_sections(pres, sections["two_forms"])
+    try:
+        return CalculusSpec(pres, directions, autos, weights=weights, lambdas=lambdas,
+                            theta_scalings=scalings, side_conditions=side,
+                            two_forms=two_forms)
+    except InconsistentCalculus:
+        raise
+    except CalculusError as exc:
+        raise FileFormatError(str(exc)) from exc
+
+
+def _table(spec, text, symbol, arity, what, flag=None):
+    """Lines `symbol[l1,...,ln] = expr` as {(l1, ..., ln): element}, and
+    whether a line that is just `flag` occurs."""
+    labels = ",".join([r"([^,\]]+)"] * arity)
+    pattern = re.compile(rf"{symbol}\[{labels}\]\s*=\s*(.+)")
+    entries = {}
+    flagged = False
+    for n, line in _strip_lines(text):
+        if line == flag:
+            flagged = True
+            continue
+        with _at(n):
+            m = pattern.fullmatch(line)
+            if not m:
+                raise FileFormatError(f"bad {what} line: {line!r}")
+            *key, expr = (g.strip() for g in m.groups())
+            entries[tuple(key)] = spec.pres.parse(expr)
+    return entries, flagged
 
 
 def load_connection(spec, text) -> Connection:
-    entries = {}
-    for n, line in _strip_lines(text):
-        with _at(n):
-            m = re.fullmatch(r"V\[([^,\]]+),([^,\]]+),([^,\]]+)\]\s*=\s*(.+)", line)
-            if not m:
-                raise FileFormatError(f"bad connection line: {line!r}")
-            key = (m.group(1).strip(), m.group(2).strip(), m.group(3).strip())
-            entries[key] = spec.pres.parse(m.group(4).strip())
-    return Connection(spec, entries)
+    return Connection(spec, _table(spec, text, "V", 3, "connection")[0])
 
 
 def load_metric(spec, text) -> Metric:
-    entries = {}
-    symmetric = False
-    for n, line in _strip_lines(text):
-        if line == "symmetric":
-            symmetric = True
-            continue
-        with _at(n):
-            m = re.fullmatch(r"g\[([^,\]]+),([^,\]]+)\]\s*=\s*(.+)", line)
-            if not m:
-                raise FileFormatError(f"bad metric line: {line!r}")
-            entries[(m.group(1).strip(), m.group(2).strip())] = spec.pres.parse(m.group(3).strip())
+    entries, symmetric = _table(spec, text, "g", 2, "metric", flag="symmetric")
     return Metric(spec, entries, symmetric=symmetric)
 
 

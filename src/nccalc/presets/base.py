@@ -42,20 +42,30 @@ def fcheck(description, fn):
 class PresetBundle:
     """Calculus spec + fixtures for one worked example.
 
-    The spec is all that any command reads; extras keep objects that only
-    tests look at (a quotient algebra, a frame, explicit forms).
+    The spec is all that any command reads; its name is the preset id.
+    Extras keep objects that only tests look at (a quotient algebra, a
+    frame, explicit forms).
     """
 
-    def __init__(self, id, spec, two_forms_mode, fixtures, extras=None):
-        self.id = id
+    def __init__(self, spec, fixtures, extras=None):
         self.spec = spec
-        self.two_forms_mode = two_forms_mode  # derived | validated | first-order
         self.fixtures = tuple(fixtures)
         self.extras = dict(extras or {})
 
     @property
+    def id(self):
+        return self.spec.name
+
+    @property
     def presentation(self):
         return self.spec.pres
+
+    @property
+    def two_forms_mode(self):
+        """first-order (no 2-forms), derived (automorphism mode) or validated."""
+        if self.spec.two_forms is None:
+            return "first-order"
+        return "derived" if self.spec.mode == "automorphism" else "validated"
 
     def run_fixtures(self, map=map) -> Report:
         """Run every fixture; `map` may be a pool's map, the report is the same."""

@@ -5,13 +5,12 @@ from __future__ import annotations
 import functools
 
 from ..algebra import Presentation, check_local_confluence, verify_morphism
-from ..calculus import (CalculusSpec, DirectionSet, GradedForm, TwoFormStructure,
+from ..calculus import (CalculusSpec, DirectionSet, GradedForm,
                         check_differentiability, constants, cyclic_group,
                         delta, differential, d_form, is_central_one_form,
                         central_one_forms_probe, move_right,
                         solve_theta_in_differentials, theta_solution_form,
-                        two_form_structure, vartheta, verify_twisted_two_forms,
-                        zn_group, z_group)
+                        vartheta, zn_group, z_group)
 from ..frame import ThetaFrame
 from ..scalar import Scalar, params as declare_params
 from .base import PresetBundle, PresetError, fcheck, feq
@@ -47,15 +46,6 @@ def _theta(spec, *labels):
     return GradedForm.theta(spec, *labels)
 
 
-def _set_validated_two_forms(spec, **structure):
-    """Attach a hand-written 2-form structure once verify_twisted_two_forms accepts it."""
-    cand = TwoFormStructure(spec, **structure)
-    rep = verify_twisted_two_forms(spec, cand)
-    if not rep.ok:
-        raise PresetError(f"{spec.name} two-form candidate failed:\n" + rep.text())
-    spec.set_two_forms(cand)
-
-
 # ---------------------------------------------------------------------------
 # polynomial shift calculi on C[x]
 
@@ -66,9 +56,7 @@ def _poly_shift(shifts, name):
     for label, i in shifts.items():
         autos[label] = verify_morphism(cx, {"x": f"x + {i}" if i >= 0 else f"x - {-i}"},
                                        inverse_images={"x": f"x - {i}" if i >= 0 else f"x + {-i}"})
-    spec = CalculusSpec(cx, z_group(shifts), autos, name=name)
-    spec.set_two_forms(two_form_structure(spec))
-    return cx, spec
+    return cx, CalculusSpec(cx, z_group(shifts), autos, name=name)
 
 
 @_register("poly_shift_S12")
@@ -102,7 +90,7 @@ def _build_poly_shift_s12():
         feq("zeta = 0", lambda: spec.two_forms.zeta_form(), lambda: GradedForm.zero(spec)),
         feq("d(dx) = 0", lambda: d_form(spec, dx()), lambda: GradedForm.zero(spec)),
     ]
-    return PresetBundle("poly_shift_S12", spec, "derived", fixtures)
+    return PresetBundle(spec, fixtures)
 
 
 @_register("poly_shift_sym")
@@ -125,7 +113,7 @@ def _build_poly_shift_sym():
             lambda: spec.two_forms.zeta_form() * x - x * spec.two_forms.zeta_form(),
             lambda: GradedForm.zero(spec)),
     ]
-    return PresetBundle("poly_shift_sym", spec, "derived", fixtures)
+    return PresetBundle(spec, fixtures)
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +134,9 @@ def _qplane_spec(pres, phi1_imgs, phi1_inv, phi2_imgs, phi2_inv, name,
                  weights=None, side_conditions=()):
     phi1 = verify_morphism(pres, phi1_imgs, inverse_images=phi1_inv)
     phi2 = verify_morphism(pres, phi2_imgs, inverse_images=phi2_inv)
-    spec = CalculusSpec(pres, zn_group({"1": (1, 0), "2": (0, 1)}),
+    return CalculusSpec(pres, zn_group({"1": (1, 0), "2": (0, 1)}),
                         {"1": phi1, "2": phi2}, weights=weights,
                         side_conditions=side_conditions, name=name)
-    spec.set_two_forms(two_form_structure(spec))
-    return spec
 
 
 def _qplane_two_form_fixtures(spec):
@@ -197,7 +183,7 @@ def _build_qplane_a():
         fcheck("theta1 is not central (generic parameters)",
                lambda: not is_central_one_form(spec, _theta(spec, "1"))[0]),
     ]
-    return PresetBundle("quantum_plane_a", spec, "derived", fixtures)
+    return PresetBundle(spec, fixtures)
 
 
 @_register("quantum_plane_b")
@@ -224,7 +210,7 @@ def _build_qplane_b():
         feq("x dy = q alpha dy x", lambda: x * dy(), lambda: (q * al) * (dy() * x)),
         *_qplane_two_form_fixtures(spec),
     ]
-    return PresetBundle("quantum_plane_b", spec, "derived", fixtures)
+    return PresetBundle(spec, fixtures)
 
 
 @_register("quantum_plane_c")
@@ -250,7 +236,7 @@ def _build_qplane_c():
         feq("x dy = q dy x", lambda: x * dy(), lambda: q * (dy() * x)),
         *_qplane_two_form_fixtures(spec),
     ]
-    return PresetBundle("quantum_plane_c", spec, "derived", fixtures)
+    return PresetBundle(spec, fixtures)
 
 
 @_register("quantum_torus")
@@ -298,7 +284,7 @@ def _build_quantum_torus():
             lambda: det.inverse() * (((be * A * D - de * B * C) / q) * (dx() * y)
                                      + ((de - be) * A * C) * (dy() * x))),
     ]
-    return PresetBundle("quantum_torus", spec, "derived", fixtures)
+    return PresetBundle(spec, fixtures)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +303,6 @@ def _build_heisenberg():
     spec = CalculusSpec(pres, zn_group({"1": (1, 0), "2": (0, 1)}),
                         {"1": phi1, "2": phi2}, weights={"1": a, "2": b},
                         side_conditions=("a != 0", "b != 0"), name="heisenberg")
-    spec.set_two_forms(two_form_structure(spec))
     x, y = pres.gen("x"), pres.gen("y")
     dx = lambda: differential(spec, x)
     dy = lambda: differential(spec, y)
@@ -333,7 +318,7 @@ def _build_heisenberg():
                         and check_differentiability(spec, spec.phi("2")).ok)),
         feq("e_1(x) = 1", lambda: spec.e("1", x), lambda: pres.one),
     ]
-    return PresetBundle("heisenberg", spec, "derived", fixtures)
+    return PresetBundle(spec, fixtures)
 
 
 def _hplane_pres(params, name):
@@ -354,7 +339,6 @@ def _build_h_plane():
     spec = CalculusSpec(pres, zn_group({"1": (1, 0), "2": (0, 1)}),
                         {"1": phi1, "2": phi2}, weights={"1": t1, "2": t2},
                         side_conditions=("p != 0", "r != 0", "r != 1"), name="h_plane")
-    spec.set_two_forms(two_form_structure(spec))
     x, y = pres.gen("x"), pres.gen("y")
     yi = pres.gen("y", -1)
     dx = lambda: differential(spec, x)
@@ -389,7 +373,7 @@ def _build_h_plane():
         fcheck("theta1 not central for generic r",
                lambda: not is_central_one_form(spec, _theta(spec, "1"))[0]),
     ]
-    return PresetBundle("h_plane", spec, "derived", fixtures)
+    return PresetBundle(spec, fixtures)
 
 
 @_register("h_plane_r1")
@@ -402,16 +386,16 @@ def _build_h_plane_r1():
                            inverse_images={"x": "x - p*y", "y": "y"})
     phi2 = verify_morphism(pres, {"x": "x", "y": "y"},
                            inverse_images={"x": "x", "y": "y"})
+    one = Scalar.one()
     spec = CalculusSpec(pres, DirectionSet(["1", "2"]), {"1": phi1, "2": phi2},
                         lambdas={"1": pres.const(t1.inverse()), "2": "h^-1*y^-1*x"},
-                        side_conditions=("h != 0", "t1 != 0"), name="h_plane_r1")
-    one = Scalar.one()
-    _set_validated_two_forms(
-        spec, basis=[("1", "2")],
-        reduction={("2", "1"): [(-one, ("1", "2"))], ("1", "1"): [], ("2", "2"): []},
-        delta_table={"1": {("1", "2"): pres.const(p / h)}},
-        zeta={},
-    )
+                        side_conditions=("h != 0", "t1 != 0"), name="h_plane_r1",
+                        two_forms=dict(
+                            basis=[("1", "2")],
+                            reduction={("2", "1"): [(-one, ("1", "2"))],
+                                       ("1", "1"): [], ("2", "2"): []},
+                            delta_table={"1": {("1", "2"): pres.const(p / h)}},
+                            zeta={}))
     x, y = pres.gen("x"), pres.gen("y")
     dx = lambda: differential(spec, x)
     dy = lambda: differential(spec, y)
@@ -434,7 +418,7 @@ def _build_h_plane_r1():
         feq("[y, dy] = 0", lambda: y * dy() - dy() * y, lambda: GradedForm.zero(spec)),
         feq("[x, dy] = h dy y", lambda: x * dy() - dy() * x, lambda: h * (dy() * y)),
     ]
-    return PresetBundle("h_plane_r1", spec, "validated", fixtures)
+    return PresetBundle(spec, fixtures)
 
 
 # ---------------------------------------------------------------------------
@@ -462,16 +446,15 @@ def _build_z3():
     lam = pres.parse("-(2 + q)/3")  # 1/(q-1) in Q[q]/(q^2+q+1)
     if not (pres.parse("q - 1") * lam).is_one():
         raise PresetError("z3 twist element is not 1/(q-1)")
+    zeta_c = pres.parse("(1 + q)/3")  # 1/(q-1)^2
     spec = CalculusSpec(pres, cyclic_group({"1": 1, "2": 2}, 3),
                         {"1": phi1, "2": phi2},
-                        lambdas={"1": lam, "2": lam}, name="z3_root_of_unity")
-    zeta_c = pres.parse("(1 + q)/3")  # 1/(q-1)^2
-    _set_validated_two_forms(
-        spec, basis=[("1", "1"), ("1", "2"), ("2", "1"), ("2", "2")],
-        reduction={},
-        delta_table={"1": {("2", "2"): lam}, "2": {("1", "1"): lam}},
-        zeta={("1", "2"): zeta_c, ("2", "1"): zeta_c},
-    )
+                        lambdas={"1": lam, "2": lam}, name="z3_root_of_unity",
+                        two_forms=dict(
+                            basis=[("1", "1"), ("1", "2"), ("2", "1"), ("2", "2")],
+                            reduction={},
+                            delta_table={"1": {("2", "2"): lam}, "2": {("1", "1"): lam}},
+                            zeta={("1", "2"): zeta_c, ("2", "1"): zeta_c}))
     x, y = pres.gen("x"), pres.gen("y")
     xi, yi = pres.gen("x", -1), pres.gen("y", -1)
     q = pres.gen("q")
@@ -520,7 +503,7 @@ def _build_z3():
         feq("quotient: y^2 = c2 c3^-1 x", lambda: qpres.parse("x^4"),
             lambda: qpres.gen("x")),
     ]
-    return PresetBundle("z3_root_of_unity", spec, "validated", fixtures,
+    return PresetBundle(spec, fixtures,
                         extras={"quotient": qpres})
 
 
@@ -567,9 +550,7 @@ def make_group_lattice(name, elements, mul, unit, directions):
         inv_images = {f"e{i}": e_poly(idx[mul(elements[i], s)]) for i in range(n - 1)}
         autos[label] = verify_morphism(pres, images, inverse_images=inv_images)
     ds = DirectionSet.from_group({l: g for l, g in directions.items()}, mul, unit)
-    spec = CalculusSpec(pres, ds, autos, name=name)
-    spec.set_two_forms(two_form_structure(spec))
-    return pres, spec, elements, idx
+    return pres, CalculusSpec(pres, ds, autos, name=name), elements, idx
 
 
 def _lattice_theta_images(spec, directions, mul, inverse_of):
@@ -632,7 +613,7 @@ def _lattice_bundle(id_):
                lambda: all(mul(mul(s, u), inverse_of(s)) in directions.values()
                            for s in directions.values() for u in directions.values())),
     ]
-    return PresetBundle(id_, spec, "derived", fixtures)
+    return PresetBundle(spec, fixtures)
 
 
 for _id in _LATTICES:
@@ -653,15 +634,15 @@ def _build_twisted_h2():
 
     pres = _twisted_heis_pres("twisted_heisenberg_2")
     ident = identity_morphism(pres)
-    spec = CalculusSpec(pres, DirectionSet(["1", "2"]), {"1": ident, "2": ident},
-                        lambdas={"1": "-y", "2": "x"}, name="twisted_heisenberg_2")
     one = Scalar.one()
-    _set_validated_two_forms(
-        spec, basis=[("1", "2")],
-        reduction={("2", "1"): [(-one, ("1", "2"))], ("1", "1"): [], ("2", "2"): []},
-        delta_table={},
-        zeta={("1", "2"): pres.one},
-    )
+    spec = CalculusSpec(pres, DirectionSet(["1", "2"]), {"1": ident, "2": ident},
+                        lambdas={"1": "-y", "2": "x"}, name="twisted_heisenberg_2",
+                        two_forms=dict(
+                            basis=[("1", "2")],
+                            reduction={("2", "1"): [(-one, ("1", "2"))],
+                                       ("1", "1"): [], ("2", "2"): []},
+                            delta_table={},
+                            zeta={("1", "2"): pres.one}))
     x, y = pres.gen("x"), pres.gen("y")
     fixtures = [
         feq("theta1 = dx", lambda: differential(spec, x), lambda: _theta(spec, "1")),
@@ -675,7 +656,7 @@ def _build_twisted_h2():
         feq("Delta = 0", lambda: delta(spec, _theta(spec, "1")) + delta(spec, _theta(spec, "2")),
             lambda: GradedForm.zero(spec)),
     ]
-    return PresetBundle("twisted_heisenberg_2", spec, "validated", fixtures)
+    return PresetBundle(spec, fixtures)
 
 
 @_register("twisted_heisenberg_3")
@@ -684,21 +665,21 @@ def _build_twisted_h3():
 
     pres = _twisted_heis_pres("twisted_heisenberg_3")
     ident = identity_morphism(pres)
+    one = Scalar.one()
     spec = CalculusSpec(pres, DirectionSet(["1", "2", "3"]),
                         {"1": ident, "2": ident, "3": ident},
                         lambdas={"1": "-y", "2": "x", "3": "y*x"},
-                        name="twisted_heisenberg_3")
-    one = Scalar.one()
-    _set_validated_two_forms(
-        spec, basis=[("1", "2"), ("2", "1"), ("1", "3"), ("2", "3")],
-        reduction={("1", "1"): [], ("2", "2"): [], ("3", "3"): [],
-                   ("3", "1"): [(-one, ("1", "3"))],
-                   ("3", "2"): [(-one, ("2", "3"))]},
-        delta_table={"1": {("1", "3"): -pres.one},
-                     "2": {("2", "3"): pres.one},
-                     "3": {("1", "2"): -pres.one, ("2", "1"): -pres.one}},
-        zeta={("2", "1"): -pres.one},
-    )
+                        name="twisted_heisenberg_3",
+                        two_forms=dict(
+                            basis=[("1", "2"), ("2", "1"), ("1", "3"), ("2", "3")],
+                            reduction={("1", "1"): [], ("2", "2"): [], ("3", "3"): [],
+                                       ("3", "1"): [(-one, ("1", "3"))],
+                                       ("3", "2"): [(-one, ("2", "3"))]},
+                            delta_table={"1": {("1", "3"): -pres.one},
+                                         "2": {("2", "3"): pres.one},
+                                         "3": {("1", "2"): -pres.one,
+                                               ("2", "1"): -pres.one}},
+                            zeta={("2", "1"): -pres.one}))
     fixtures = [
         feq("Delta(theta1) = -theta1 theta3", lambda: delta(spec, _theta(spec, "1")),
             lambda: -_theta(spec, "1", "3")),
@@ -715,7 +696,7 @@ def _build_twisted_h3():
         feq("(theta3)^2 = 0", lambda: _theta(spec, "3").wedge(_theta(spec, "3")),
             lambda: GradedForm.zero(spec)),
     ]
-    return PresetBundle("twisted_heisenberg_3", spec, "validated", fixtures)
+    return PresetBundle(spec, fixtures)
 
 
 # ---------------------------------------------------------------------------
@@ -856,17 +837,16 @@ def _build_glpq2():
             if not rep.ok:
                 return False, f"phi_{s}: " + rep.text()
             ext = frame.apply_morphism(spec.phi(s), timg)
-            scal = {"1": pres.one, "2": pres.parse("(p*q)^-1"),
-                    "3": pres.one, "4": pres.one}
             for u in "1234":
-                if ext(thetas[u]) != thetas[u].mul_left(scal[u]):
+                if ext(thetas[u]) != thetas[u].mul_left(pres.const(spec.theta_scale(s, u))):
                     return False, f"phi_{s}(theta^{u}) is not the expected scaling"
         return True, ""
 
     def spec_differentiability():
         for s in "1234":
             rep = check_differentiability(
-                spec, spec.phi(s), theta_images={"2": r_inv}, simple=True)
+                spec, spec.phi(s), theta_images={u: spec.theta_image(s, u) for u in "1234"},
+                simple=True)
             if not rep.ok:
                 return False, rep.text()
         return True, ""
@@ -922,7 +902,7 @@ def _build_glpq2():
         fcheck("no nonzero central 1-form up to degree 1 (simplicity probe)",
                lambda: not central_one_forms_probe(spec, 1)),
     ]
-    return PresetBundle("glpq2", spec, "first-order", fixtures,
+    return PresetBundle(spec, fixtures,
                         extras={"frame": frame, "thetas": thetas,
                                 "alpha": GL_ALPHA, "determinant": D})
 
@@ -946,7 +926,6 @@ def _build_tensor_qplane():
                            inverse_images={"u": "u", "v": "p*q*v", "U": "U", "V": "V"})
     spec = CalculusSpec(pres, zn_group({"1": (1, 0), "2": (0, 1)}),
                         {"1": phi1, "2": phi2}, name="tensor_qplane")
-    spec.set_two_forms(two_form_structure(spec))
     x, y = pres.parse("u*U"), pres.parse("v*V")
     u, v = pres.gen("u"), pres.gen("v")
     q = pres.parse("q").as_scalar()
@@ -969,7 +948,7 @@ def _build_tensor_qplane():
         feq("x dy = q dy x + (pq-1) dx y", lambda: x * dy(),
             lambda: q * (dy() * x) + (pq - 1) * (dx() * y)),
     ]
-    return PresetBundle("tensor_qplane", spec, "derived", fixtures)
+    return PresetBundle(spec, fixtures)
 
 
 @_register("tensor_hplane")
@@ -996,7 +975,6 @@ def _build_tensor_hplane():
                         side_conditions=("r != 0", "r != 1 before the limit",
                                          "h + hp != 0"),
                         name="tensor_hplane")
-    spec.set_two_forms(two_form_structure(spec))
     x, y = pres.parse("v*U + u*V"), pres.parse("v*V")
     u, v = pres.gen("u"), pres.gen("v")
     yi = pres.parse("(v*V)^-1")
@@ -1042,7 +1020,7 @@ def _build_tensor_hplane():
             lambda: ((h + hp) * (differential(spec, v) * u - differential(spec, u) * v)
                      ).substitute_params(at_r1)),
     ]
-    return PresetBundle("tensor_hplane", spec, "derived", fixtures)
+    return PresetBundle(spec, fixtures)
 
 
 PRESET_IDS = tuple(sorted(_BUILDERS))

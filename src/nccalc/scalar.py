@@ -492,7 +492,7 @@ class Scalar:
         values = []
         for i, p in enumerate(self.params):
             v = bindings.get(p)
-            values.append(_coerce(v) if v is not None else Scalar.param(p))
+            values.append(scalar(v) if v is not None else Scalar.param(p))
         num = _p_eval(self.num, values)
         den = _p_eval(self.den, values)
         if den.is_zero():
@@ -504,7 +504,7 @@ class Scalar:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = _coerce(other)
+            other = scalar(other)
         if not isinstance(other, Scalar):
             return NotImplemented
         return (self.params == other.params and self.num == other.num
@@ -538,16 +538,12 @@ def _try_coerce(x):
     return None
 
 
-def _coerce(x) -> Scalar:
+def scalar(x) -> Scalar:
+    """Coerce ints and Fractions to Scalar."""
     s = _try_coerce(x)
     if s is None:
         raise TypeError(f"cannot interpret {x!r} as a scalar")
     return s
-
-
-def scalar(x) -> Scalar:
-    """Coerce ints and Fractions to Scalar."""
-    return _coerce(x)
 
 
 def params(names: str | Iterable[str]):

@@ -6,14 +6,14 @@ import pytest
 
 from nccalc.algebra import Presentation, identity_morphism
 from nccalc.calculus import (CalculusError, CalculusSpec, DirectionSet, GradedForm,
-                             TwoFormStructure,
+                             InconsistentCalculus, TwoFormStructure,
                              central_one_forms_probe, check_differentiability,
                              constants, delta, differential, d_form,
                              graded_commutator, is_central_one_form, move_left,
                              move_right, parse_form, solve_theta_in_differentials,
                              theta_solution_form, two_form_structure, vartheta,
                              verify_inner_identities, verify_twisted_two_forms)
-from nccalc.presets import load_preset
+from nccalc.presets import PRESET_IDS, load_preset
 from nccalc.scalar import Scalar, params
 
 
@@ -461,3 +461,62 @@ def test_form_parse_round_trip():
                  x * theta(spec, spec.directions.labels[0])]
         for f in forms:
             assert parse_form(spec, str(f)) == f
+
+
+# -- the constructor fixes the 2-form structure
+
+
+@pytest.mark.parametrize("pid", [p for p in PRESET_IDS
+                                 if spec_of(p).mode == "automorphism"
+                                 and spec_of(p).directions.classified])
+def test_group_classified_spec_carries_the_derived_two_forms(pid):
+    preset = spec_of(pid)
+    spec = CalculusSpec(preset.pres, preset.directions, preset.autos,
+                        weights=preset.weights)  # built directly, nothing attached
+    derived = two_form_structure(spec)
+    assert spec.two_forms.basis == derived.basis
+    assert spec.two_forms.reduction == derived.reduction
+    assert spec.two_forms.delta_table == derived.delta_table
+    assert spec.two_forms.zeta == derived.zeta
+
+
+def test_unclassified_automorphism_spec_is_first_order():
+    preset = spec_of("heisenberg")
+    spec = CalculusSpec(preset.pres, DirectionSet(["1", "2"]), preset.autos,
+                        weights=preset.weights)
+    assert spec.two_forms is None
+
+
+def _twisted_h2(zeta_coeff):
+    pres = Presentation(["x", "y"], rules=[("y*x", "x*y - 1")])
+    ident = identity_morphism(pres)
+    one = Scalar.one()
+    return CalculusSpec(pres, DirectionSet(["1", "2"]), {"1": ident, "2": ident},
+                        lambdas={"1": "-y", "2": "x"},
+                        two_forms=dict(basis=[("1", "2")],
+                                       reduction={("2", "1"): [(-one, ("1", "2"))],
+                                                  ("1", "1"): [], ("2", "2"): []},
+                                       delta_table={},
+                                       zeta={("1", "2"): pres.const(zeta_coeff)}))
+
+
+def test_two_form_tables_are_validated_by_the_constructor():
+    spec = _twisted_h2(1)
+    assert spec.two_forms.zeta_form() == theta(spec, "1", "2")
+    with pytest.raises(CalculusError) as exc:
+        _twisted_h2(2)
+    assert not isinstance(exc.value, InconsistentCalculus)
+    assert str(exc.value).startswith("two-form candidate fails verification:\n")
+
+
+@pytest.mark.parametrize("scalings, message", [
+    ({("9", "2"): Scalar.from_int(2)}, "unknown direction 9"),
+    ({("1", "9"): Scalar.from_int(2)}, "unknown direction 9"),
+    ({("1", "1"): Scalar.zero()}, "theta scaling for 1 1 must be nonzero"),
+], ids=["unknown_source", "unknown_target", "zero_factor"])
+def test_theta_scalings_need_known_labels_and_nonzero_factors(scalings, message):
+    preset = spec_of("glpq2")
+    with pytest.raises(CalculusError) as exc:
+        CalculusSpec(preset.pres, preset.directions, preset.autos,
+                     lambdas=preset.lambdas, theta_scalings=scalings)
+    assert str(exc.value) == message

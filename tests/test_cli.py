@@ -380,3 +380,43 @@ def test_commute_rejects_bad_theta_labels(runner, thetas, message):
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
     assert res.output.strip() == message
+
+
+@pytest.mark.parametrize("bad", ["unknown_label", "zero_factor"])
+def test_bad_theta_scalings_exit_2_with_one_error_line(runner, tmp_path, bad):
+    text = invoke(runner, "preset", "show", "glpq2", "--serialize").output
+    if bad == "unknown_label":
+        text = text.replace("\n1 2 = ", "\n9 2 = ", 1)
+    else:
+        text = text.replace("\n1 2 = 1/(p*q)", "\n1 2 = 0", 1)
+    calc = tmp_path / "glpq2.calc"
+    calc.write_text(text)
+    res = runner.invoke(main, ["--file", str(calc), "normalize", "a"])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert len(res.output.splitlines()) == 1
+    assert res.output.startswith("error: [theta_scalings] line ")
+
+
+# every command on a --preset/--file calculus, with its required options
+SPEC_COMMANDS = [
+    ["normalize", "x"], ["d", "--expr", "x"], ["commute", "--expr", "x", "--thetas", "1"],
+    ["relations"], ["two-forms"], ["theta-solve", "--coords", "x,y"],
+    ["torsion", "--connection", "c"], ["torsion-conditions"],
+    ["curvature", "--connection", "c", "--theta", "1"], ["metric-check", "--metric", "g"],
+    ["levi-civita", "--metric", "g", "--connection", "c"],
+]
+
+
+@pytest.mark.parametrize("args", SPEC_COMMANDS, ids=lambda a: a[0])
+def test_every_spec_command_reads_file_and_exits_by_the_contract(runner, tmp_path, args):
+    res = runner.invoke(main, ["--file", str(tmp_path)] + args)
+    assert (res.exit_code, res.output) == (2, f"error: [Errno 21] Is a directory: '{tmp_path}'\n")
+    res = runner.invoke(main, ["--file", str(tmp_path / "missing.calc")] + args)
+    assert res.exit_code == 2
+    assert res.output.startswith("error: [Errno 2] No such file or directory")
+    assert len(res.output.splitlines()) == 1
+
+
+def test_spec_commands_cover_every_calculus_command():
+    assert {a[0] for a in SPEC_COMMANDS} == set(main.commands) - {"verify", "preset"}

@@ -217,3 +217,55 @@ def test_uninvertible_image_is_located():
     with pytest.raises(FileFormatError) as exc:
         load_calculus(text)
     assert str(exc.value) == "[automorphisms] line 8: cannot compute the image of x^-1 from 1 + x"
+
+
+def _serialized_glpq2_with(old, new):
+    from nccalc.files import serialize_calculus
+    text = serialize_calculus(load_preset("glpq2").spec)
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+ONE_DIRECTION_FILE = """[generators]
+x
+
+[directions]
+labels = 1
+
+[automorphisms]
+1: x -> x + 1
+1 inverse: x -> x - 1
+
+[weights]
+1 = 1
+
+[theta_scalings]
+1 1 = 0
+"""
+
+
+@pytest.mark.parametrize("text, bad_line, message", [
+    (_serialized_glpq2_with("\n1 2 = ", "\n9 2 = "), "9 2 =", "unknown direction 9"),
+    (ONE_DIRECTION_FILE, "1 1 = 0", "theta scaling for 1 1 must be nonzero"),
+], ids=["unknown_label", "zero_factor"])
+def test_bad_theta_scalings_are_located(text, bad_line, message):
+    with pytest.raises(FileFormatError) as exc:
+        load_calculus(text)
+    assert str(exc.value) == f"[theta_scalings] line {_line_of(text, bad_line)}: {message}"
+
+
+def test_failing_two_form_candidate_keeps_its_message():
+    bad = TWISTED_FILE.replace("zeta = 1 : 1 2", "zeta = 2 : 1 2")
+    with pytest.raises(FileFormatError) as exc:
+        load_calculus(bad)
+    assert str(exc.value).startswith("two-form candidate fails verification:\n")
+
+
+def test_inconsistent_derived_two_forms_pass_through():
+    from nccalc.calculus import InconsistentCalculus
+    # (1, 1) declared a biangle although phi_1 phi_1 is not the identity
+    text = ONE_DIRECTION_FILE.replace("labels = 1", "labels = 1\nclass 1 1 = biangle")
+    text = text.replace("\n[theta_scalings]\n1 1 = 0\n", "")
+    with pytest.raises(InconsistentCalculus) as exc:
+        load_calculus(text)
+    assert str(exc.value).startswith("derived 2-form structure violates the master identity")

@@ -3,7 +3,7 @@
 import pytest
 
 from nccalc.calculus import GradedForm
-from nccalc.presets import PRESET_IDS, PresetError, load_preset
+from nccalc.presets import PRESET_IDS, PresetBundle, PresetError, load_preset
 from nccalc.presets import catalog
 from nccalc.presets.catalog import make_group_lattice
 from nccalc.scalar import Scalar
@@ -208,3 +208,13 @@ def test_differentiability_suite_fixes_vartheta(pid):
     passed = {c.path for c in rep.checks if c.ok}
     for s in spec.directions.labels:
         assert f"phi_{s}.phi_vartheta_fixed" in passed
+
+
+@pytest.mark.parametrize("pid, mode", [("glpq2", "first-order"), ("heisenberg", "derived"),
+                                       ("group_lattice_s3", "derived"),
+                                       ("z3_root_of_unity", "validated"),
+                                       ("twisted_heisenberg_2", "validated")])
+def test_bundle_reads_id_and_two_forms_mode_from_its_spec(pid, mode):
+    bundle = PresetBundle(load_preset(pid).spec, [])
+    assert (bundle.id, bundle.two_forms_mode) == (pid, mode)
+    assert load_preset(pid).id == pid
