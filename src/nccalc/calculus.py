@@ -148,6 +148,7 @@ class CalculusSpec:
         self.name = name
         self._vartheta = None  # vartheta(self), built and checked on first use
         labels = directions.labels
+        directions.word(self.autos)  # CalculusError for a label outside the directions
         for s in labels:
             m = self.autos.get(s)
             if m is None:
@@ -162,12 +163,14 @@ class CalculusSpec:
             self.mode = "twisted"
             self.weights = None
             self.lambdas = {s: pres.element(v) for s, v in lambdas.items()}
+            directions.word(self.lambdas)
             for s in labels:
                 if s not in self.lambdas:
                     raise CalculusError(f"no twist element for direction {s}")
         else:
             self.mode = "automorphism"
             weights = dict(weights or {})
+            directions.word(weights)
             self.weights = {s: weights.get(s, Scalar.one()) for s in labels}
             for s, t in self.weights.items():
                 if not isinstance(t, Scalar):

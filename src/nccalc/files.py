@@ -19,12 +19,12 @@ Calculus files add:
     class 1 1 = quadrangle g20      # or: biangle / triangle <label>
     ...
 
-    [automorphisms]
+    [automorphisms]      # one line each per direction label
     1: x -> q^-1*x, y -> y
     1 inverse: x -> q*x, y -> y
 
-    [weights]            # automorphism mode; or [twists] for twisted mode
-    1 = t1
+    [weights]            # automorphism mode; or [twists] for twisted mode;
+    1 = t1               # at most one line per direction label
 
     [theta_scalings]     # optional: phi_s(theta^u) = c theta^t, c = 1 if absent;
     1 2 = 1/(p*q)        # s and u must be direction labels and c nonzero
@@ -94,6 +94,14 @@ def _assignment(line, what):
         raise FileFormatError(f"bad {what} line: {line!r}")
     lhs, rhs = line.split("=", 1)
     return lhs.strip(), rhs.strip()
+
+
+def _new_label(directions, label, seen):
+    """label, if it is a direction label not yet in seen (one section's entries)."""
+    directions.word((label,))
+    if label in seen:
+        raise FileFormatError(f"repeated direction {label}")
+    return label
 
 
 def parse_sections(text):
@@ -186,7 +194,7 @@ def _class_name_key(name):
     return [int(t) if i % 2 else t for i, t in enumerate(re.split(r"(\d+)", name))], name
 
 
-def _morphisms_from_sections(pres, lines):
+def _morphisms_from_sections(pres, directions, lines):
     images = {}
     inverses = {}
     first_line = {}
@@ -196,9 +204,9 @@ def _morphisms_from_sections(pres, lines):
             if not m:
                 raise FileFormatError(f"bad automorphism line: {line!r}")
             label, is_inv, body = m.group(1), bool(m.group(2)), m.group(3)
-            first_line.setdefault(label, n)
             target = inverses if is_inv else images
-            imgs = target.setdefault(label, {})
+            imgs = target[_new_label(directions, label, target)] = {}
+            first_line.setdefault(label, n)
             for piece in body.split(","):
                 if "->" not in piece:
                     raise FileFormatError(f"bad image in: {line!r}")
@@ -293,7 +301,7 @@ def load_calculus(text):
     if "directions" not in sections:
         raise FileFormatError("no [directions] section")
     directions = _directions_from_sections(sections["directions"])
-    autos = _morphisms_from_sections(pres, sections.get("automorphisms", []))
+    autos = _morphisms_from_sections(pres, directions, sections.get("automorphisms", []))
     weights = None
     lambdas = None
     if "weights" in sections:
@@ -301,13 +309,13 @@ def load_calculus(text):
         for n, line in sections["weights"]:
             with _at(n, "weights"):
                 label, expr = _assignment(line, "weights")
-                weights[label] = parse_scalar(expr, pres.params)
+                weights[_new_label(directions, label, weights)] = parse_scalar(expr, pres.params)
     if "twists" in sections:
         lambdas = {}
         for n, line in sections["twists"]:
             with _at(n, "twists"):
                 label, expr = _assignment(line, "twists")
-                lambdas[label] = pres.parse(expr)
+                lambdas[_new_label(directions, label, lambdas)] = pres.parse(expr)
     scalings = {}
     for n, line in sections.get("theta_scalings", []):
         with _at(n, "theta_scalings"):

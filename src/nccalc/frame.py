@@ -43,7 +43,7 @@ class FrameForm(LabelModule):
 class ThetaFrame:
     """Frame basis with matrix commutation and a d-table on generators."""
 
-    def __init__(self, pres, labels, comm: Mapping, d_images: Mapping, check=True):
+    def __init__(self, pres, labels, comm: Mapping, d_images: Mapping):
         self.pres = pres
         self.labels = tuple(labels)
         self.comm = {}
@@ -61,10 +61,9 @@ class ThetaFrame:
                 raise FrameError(f"no commutation matrix for generator {g.name}")
             if g.invertible:
                 self._inv_comm[g.name] = self._invert_matrix(self.comm[g.name])
-        if check:
-            rep = self.verify()
-            if not rep.ok:
-                raise FrameError("frame tables violate the relations:\n" + rep.text())
+        rep = self.verify()
+        if not rep.ok:
+            raise FrameError("frame tables violate the relations:\n" + rep.text())
 
     # -- matrix machinery
 

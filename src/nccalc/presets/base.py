@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 from typing import NamedTuple
 
 from ..report import Report
@@ -27,6 +28,24 @@ def feq(description, lhs_fn, rhs_fn):
     return Fixture(description, run)
 
 
+def once(build):
+    """A zero-argument function that returns build(), calling build at most
+    once: the first caller builds under a lock and every later caller, in
+    any thread, gets the same object.  A build that raises is not kept, so
+    the next caller raises again."""
+    lock = threading.Lock()
+    built = []
+
+    def get():
+        if not built:
+            with lock:
+                if not built:
+                    built.append(build())
+        return built[0]
+
+    return get
+
+
 def fcheck(description, fn):
     """Fixture around a predicate returning bool or (bool, detail)."""
 
@@ -43,14 +62,19 @@ class PresetBundle:
     """Calculus spec + fixtures for one worked example.
 
     The spec is all that any command reads; its name is the preset id.
-    Extras keep objects that only tests look at (a quotient algebra, a
-    frame, explicit forms).
+    Extras keep objects that only fixtures and tests look at (a quotient
+    algebra, a frame, explicit forms): `extras` is a zero-argument function
+    returning them, called on the first read of `bundle.extras`.
     """
 
-    def __init__(self, spec, fixtures, extras=None):
+    def __init__(self, spec, fixtures, extras=dict):
         self.spec = spec
         self.fixtures = tuple(fixtures)
-        self.extras = dict(extras or {})
+        self._extras = once(extras)
+
+    @property
+    def extras(self):
+        return self._extras()
 
     @property
     def id(self):

@@ -1,4 +1,11 @@
-"""The preset catalog: every worked example, built and verified on load."""
+"""The preset catalog: every worked example as a calculus spec and fixtures.
+
+A load builds and checks what the calculus needs: the automorphisms,
+local confluence of the rewrite system and the 2-form structure.  The
+fixtures run under `preset run`; objects that only fixtures and tests
+read (the z3 quotient algebra, the GL_pq(2) frame) are built on first use,
+once per bundle.
+"""
 
 from __future__ import annotations
 
@@ -11,9 +18,8 @@ from ..calculus import (CalculusSpec, DirectionSet, GradedForm,
                         central_one_forms_probe, move_right,
                         solve_theta_in_differentials, theta_solution_form,
                         vartheta, zn_group, z_group)
-from ..frame import ThetaFrame
 from ..scalar import Scalar, params as declare_params
-from .base import PresetBundle, PresetError, fcheck, feq
+from .base import PresetBundle, PresetError, fcheck, feq, once
 
 _BUILDERS = {}
 
@@ -462,8 +468,8 @@ def _build_z3():
     dy = lambda: differential(spec, y)
 
     # quotient by the constants: x^3 = y^3 = xy = yx = 1, so y = x^2
-    qpres = Presentation(["q", "x"], rules=[("q^2", "-1 - q"), ("x*q", "q*x"),
-                                            ("x^3", "1")], name="z3_quotient")
+    qpres = once(lambda: Presentation(["q", "x"], rules=[("q^2", "-1 - q"), ("x*q", "q*x"),
+                                                         ("x^3", "1")], name="z3_quotient"))
 
     fixtures = [
         feq("dx = x theta1 - q^2 x theta2",
@@ -496,15 +502,14 @@ def _build_z3():
         feq("x^2 = c1 c4^-1 y", lambda: x * x, lambda: pres.parse("x^3*(y*x)^-1*y")),
         feq("y^2 = c2 c3^-1 x", lambda: y * y, lambda: pres.parse("y^3*(x*y)^-1*x")),
         feq("quotient: all four constants become 1",
-            lambda: (qpres.parse("x^3"), qpres.parse("x^6"), qpres.parse("x^2*x")),
-            lambda: (qpres.one, qpres.one, qpres.one)),
+            lambda: (qpres().parse("x^3"), qpres().parse("x^6"), qpres().parse("x^2*x")),
+            lambda: (qpres().one, qpres().one, qpres().one)),
         feq("quotient: x^2 = c1 c4^-1 y with y = x^2, c_i = 1",
-            lambda: qpres.parse("x^3") * qpres.parse("x^2"), lambda: qpres.parse("x^2")),
-        feq("quotient: y^2 = c2 c3^-1 x", lambda: qpres.parse("x^4"),
-            lambda: qpres.gen("x")),
+            lambda: qpres().parse("x^3") * qpres().parse("x^2"), lambda: qpres().parse("x^2")),
+        feq("quotient: y^2 = c2 c3^-1 x", lambda: qpres().parse("x^4"),
+            lambda: qpres().gen("x")),
     ]
-    return PresetBundle(spec, fixtures,
-                        extras={"quotient": qpres})
+    return PresetBundle(spec, fixtures, extras=lambda: {"quotient": qpres()})
 
 
 # ---------------------------------------------------------------------------
@@ -724,6 +729,8 @@ GL_ALPHA = {"1": {"a": "(p*q)", "b": "1", "c": "(p*q)", "d": "1"},
 
 
 def _gl_frame(pres):
+    from ..frame import ThetaFrame  # here, so a load that reads no frame never imports it
+
     r = "(p*q)"
     comm = {
         "a": {("t1", "t1"): f"{r}*a", ("t1", "t3"): f"({r}-1)*b",
@@ -770,8 +777,12 @@ def _gl_thetas(frame):
 @_register("glpq2")
 def _build_glpq2():
     pres = _gl_pres()
-    frame = _gl_frame(pres)
-    thetas = _gl_thetas(frame)
+
+    @once
+    def frame_thetas():
+        frame = _gl_frame(pres)
+        return frame, _gl_thetas(frame)
+
     autos = {}
     for s, row in GL_ALPHA.items():
         autos[s] = verify_morphism(
@@ -787,6 +798,7 @@ def _build_glpq2():
     D = pres.parse("a*d - p*b*c")
 
     def theta_commutation():
+        _, thetas = frame_thetas()
         for s in "1234":
             for g in "abcd":
                 f = pres.gen(g)
@@ -797,12 +809,14 @@ def _build_glpq2():
         return True, ""
 
     def vartheta_frame():
+        frame, thetas = frame_thetas()
         vt = (thetas["1"] + thetas["2"].mul_left(pres.gen("a"))
               + thetas["3"].mul_left(pres.gen("d")) + thetas["4"])
         expect = frame.form({"t1": "(p*q-1)^-1", "t4": "(p*q-1)^-1*(p*q)^-1"})
         return vt == expect, f"vartheta = {vt}"
 
     def d_table_inner():
+        frame, thetas = frame_thetas()
         vt = (thetas["1"] + thetas["2"].mul_left(pres.gen("a"))
               + thetas["3"].mul_left(pres.gen("d")) + thetas["4"])
         for g in "abcd":
@@ -812,6 +826,7 @@ def _build_glpq2():
         return True, ""
 
     def e_s_match_frame():
+        frame, thetas = frame_thetas()
         # sum_s e_s(f) theta^s expanded in the frame must equal d f
         for g in "abcd":
             f = pres.gen(g)
@@ -823,6 +838,7 @@ def _build_glpq2():
         return True, ""
 
     def frame_phis_ok():
+        frame, thetas = frame_thetas()
         for s in "1234":
             row = {g: pres.parse(GL_ALPHA[s][g]) for g in "abcd"}
             timg = {
@@ -852,6 +868,7 @@ def _build_glpq2():
         return True, ""
 
     def general_families():
+        frame, _ = frame_thetas()
         # the parametrized theta families, sampled at small exponents:
         # theta^4 = D^P b^N c^M tth4, theta^2 = D^Q b^K c^L (c tth2 + d tth4),
         # theta^3 = D^R b^S c^T (b tth3 - r^-1 a tth4),
@@ -902,9 +919,12 @@ def _build_glpq2():
         fcheck("no nonzero central 1-form up to degree 1 (simplicity probe)",
                lambda: not central_one_forms_probe(spec, 1)),
     ]
-    return PresetBundle(spec, fixtures,
-                        extras={"frame": frame, "thetas": thetas,
-                                "alpha": GL_ALPHA, "determinant": D})
+
+    def extras():
+        frame, thetas = frame_thetas()
+        return {"frame": frame, "thetas": thetas, "alpha": GL_ALPHA, "determinant": D}
+
+    return PresetBundle(spec, fixtures, extras=extras)
 
 
 # ---------------------------------------------------------------------------

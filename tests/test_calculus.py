@@ -520,3 +520,17 @@ def test_theta_scalings_need_known_labels_and_nonzero_factors(scalings, message)
         CalculusSpec(preset.pres, preset.directions, preset.autos,
                      lambdas=preset.lambdas, theta_scalings=scalings)
     assert str(exc.value) == message
+
+
+def test_weights_twists_and_automorphisms_need_known_labels():
+    heis, gl = spec_of("heisenberg"), spec_of("glpq2")
+    with pytest.raises(CalculusError) as exc:
+        CalculusSpec(heis.pres, heis.directions, heis.autos,
+                     weights={"1": heis.weights["1"], "9": heis.weights["2"]})
+    assert str(exc.value) == "unknown direction 9"
+    with pytest.raises(CalculusError) as exc:
+        CalculusSpec(gl.pres, gl.directions, gl.autos, lambdas={**gl.lambdas, "7": gl.pres.one})
+    assert str(exc.value) == "unknown direction 7"
+    with pytest.raises(CalculusError) as exc:
+        CalculusSpec(heis.pres, heis.directions, {**heis.autos, "7": heis.autos["1"]})
+    assert str(exc.value) == "unknown direction 7"

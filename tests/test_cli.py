@@ -420,3 +420,30 @@ def test_every_spec_command_reads_file_and_exits_by_the_contract(runner, tmp_pat
 
 def test_spec_commands_cover_every_calculus_command():
     assert {a[0] for a in SPEC_COMMANDS} == set(main.commands) - {"verify", "preset"}
+
+
+@pytest.mark.parametrize("pid, old, new, message", [
+    ("heisenberg", "\n2 = b\n", "\n9 = b\n", "[weights] line 28: unknown direction 9"),
+    ("heisenberg", "\n2 = b\n", "\n1 = b\n", "[weights] line 28: repeated direction 1"),
+    ("twisted_heisenberg_2", "\n2 = x\n", "\n2 = x\n7 = x*y\n",
+     "[twists] line 20: unknown direction 7"),
+    ("twisted_heisenberg_2", "\n2 = x\n", "\n2 = x\n2 = y\n",
+     "[twists] line 20: repeated direction 2"),
+    ("heisenberg", "\n\n[weights]", "\n7: x -> x, y -> y\n\n[weights]",
+     "[automorphisms] line 25: unknown direction 7"),
+    ("heisenberg", "\n\n[weights]", "\n1 inverse: x -> x, y -> y\n\n[weights]",
+     "[automorphisms] line 25: repeated direction 1"),
+], ids=["unknown_weight", "repeated_weight", "unknown_twist", "repeated_twist",
+        "unknown_automorphism", "repeated_inverse"])
+def test_entries_for_unknown_or_repeated_directions_exit_2(runner, tmp_path, pid, old, new,
+                                                           message):
+    """A weight, twist or automorphism for a label outside [directions], or a
+    second one for a label, is one located input error; it is not dropped
+    (a serialized heisenberg with `9 = b` printed d = b*theta[2] for y)."""
+    text = invoke(runner, "preset", "show", pid, "--serialize").output
+    assert old in text
+    calc = tmp_path / f"{pid}.calc"
+    calc.write_text(text.replace(old, new, 1))
+    res = runner.invoke(main, ["--file", str(calc), "d", "--expr", "y"])
+    assert (res.exit_code, res.output) == (2, f"error: {message}\n")
+    assert isinstance(res.exception, SystemExit)

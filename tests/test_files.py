@@ -269,3 +269,40 @@ def test_inconsistent_derived_two_forms_pass_through():
     with pytest.raises(InconsistentCalculus) as exc:
         load_calculus(text)
     assert str(exc.value).startswith("derived 2-form structure violates the master identity")
+
+
+def _serialized_with(pid, old, new):
+    from nccalc.files import serialize_calculus
+    text = serialize_calculus(load_preset(pid).spec)
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+# (preset, old text, new text, the bad line, message): every entry of
+# [weights], [twists] and [automorphisms] names a direction, once
+BAD_DIRECTION_ENTRIES = [
+    ("heisenberg", "\n2 = b\n", "\n9 = b\n", "9 = b", "[weights]", "unknown direction 9"),
+    ("heisenberg", "\n2 = b\n", "\n1 = b\n", "1 = b", "[weights]", "repeated direction 1"),
+    ("twisted_heisenberg_2", "\n2 = x\n", "\n2 = x\n7 = x*y\n", "7 = x*y", "[twists]",
+     "unknown direction 7"),
+    ("twisted_heisenberg_2", "\n2 = x\n", "\n2 = x\n2 = y\n", "2 = y", "[twists]",
+     "repeated direction 2"),
+    ("heisenberg", "\n\n[weights]", "\n7: x -> x, y -> y\n\n[weights]", "7: x -> x, y -> y",
+     "[automorphisms]", "unknown direction 7"),
+    ("heisenberg", "\n\n[weights]", "\n1: x -> x, y -> y\n\n[weights]", "1: x -> x, y -> y",
+     "[automorphisms]", "repeated direction 1"),
+    ("heisenberg", "\n\n[weights]", "\n2 inverse: x -> x, y -> y\n\n[weights]",
+     "2 inverse: x -> x, y -> y", "[automorphisms]", "repeated direction 2"),
+]
+BAD_DIRECTION_IDS = ["unknown_weight", "repeated_weight", "unknown_twist", "repeated_twist",
+                     "unknown_automorphism", "repeated_automorphism", "repeated_inverse"]
+
+
+@pytest.mark.parametrize("pid, old, new, bad_line, section, message", BAD_DIRECTION_ENTRIES,
+                         ids=BAD_DIRECTION_IDS)
+def test_entries_for_unknown_or_repeated_directions_are_located(pid, old, new, bad_line,
+                                                                section, message):
+    text = _serialized_with(pid, old, new)
+    with pytest.raises(FileFormatError) as exc:
+        load_calculus(text)
+    assert str(exc.value) == f"{section} line {_line_of(text, bad_line)}: {message}"

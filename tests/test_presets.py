@@ -17,7 +17,7 @@ def test_preset_fixtures(pid):
     assert rep.ok, f"{pid}:\n{rep.text()}"
 
 
-@pytest.mark.parametrize("pid", ["quantum_plane_a", "group_lattice_s3"])
+@pytest.mark.parametrize("pid", ["quantum_plane_a", "group_lattice_s3", "glpq2"])
 def test_cold_bundle_fixtures_same_under_threads(pid):
     """Memo tables filled concurrently from cold give the serial report."""
     import sys
@@ -123,6 +123,71 @@ def test_glpq2_extras_present():
     D = bundle.extras["determinant"]
     pres = bundle.presentation
     assert (D * pres.gen("a") - pres.gen("a") * D).is_zero()
+
+
+@pytest.mark.parametrize("code", [
+    "from nccalc.presets import load_preset; load_preset('glpq2')",
+    "from nccalc.cli import main\n"
+    "try:\n    main(['--preset', 'glpq2', 'normalize', 'a'])\n"
+    "except SystemExit as exc:\n    assert exc.code == 0, exc.code",
+], ids=["load_preset", "cli_normalize"])
+def test_glpq2_load_leaves_frame_module_unloaded(code):
+    """A load builds the calculus; the frame waits for its first reader."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import nccalc
+
+    src = str(Path(nccalc.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code += "\nimport sys; print('nccalc.frame' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_glpq2_frame_is_built_once_and_shared(monkeypatch):
+    built = []
+
+    def counting_frame(pres):
+        built.append(frame_builder(pres))
+        return built[-1]
+
+    frame_builder = catalog._gl_frame
+    monkeypatch.setattr(catalog, "_gl_frame", counting_frame)
+    bundle = load_preset.__wrapped__("glpq2")
+    assert built == []
+    assert bundle.run_fixtures().ok
+    assert len(built) == 1
+    assert bundle.extras["frame"] is built[0]
+    assert bundle.extras["frame"] is bundle.extras["frame"]
+    assert bundle.extras["thetas"]["1"].spec is built[0]
+    assert len(built) == 1
+
+
+def test_glpq2_bad_frame_table_fails_the_frame_fixtures(monkeypatch):
+    """A broken frame no longer stops the load: its fixtures fail instead."""
+    from nccalc.frame import ThetaFrame
+
+    def bad_frame(pres):
+        good = frame_builder(pres)
+        d_images = {"a": {"t1": "a", "t3": "b"},
+                    "b": {"t3": "a", "t4": "b"},  # misprinted row
+                    "c": {"t1": "c", "t3": "d"},
+                    "d": {"t2": "c", "t4": "d"}}
+        return ThetaFrame(pres, good.labels, good.comm, d_images)
+
+    frame_builder = catalog._gl_frame
+    monkeypatch.setattr(catalog, "_gl_frame", bad_frame)
+    bundle = load_preset.__wrapped__("glpq2")
+    failures = bundle.run_fixtures().failures()
+    assert [c.path.split(".")[0] for c in failures] == [f"fixture_{i:02d}" for i in range(6)]
+    assert all(c.detail.startswith("FrameError: frame tables violate the relations")
+               for c in failures)
 
 
 def test_gl_theta_tilde_move_example():
