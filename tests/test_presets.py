@@ -151,13 +151,13 @@ def test_glpq2_load_leaves_frame_module_unloaded(code):
 
 
 def test_glpq2_frame_is_built_once_and_shared(monkeypatch):
+    frame_builder = catalog._gl_frame
     built = []
 
     def counting_frame(pres):
         built.append(frame_builder(pres))
         return built[-1]
 
-    frame_builder = catalog._gl_frame
     monkeypatch.setattr(catalog, "_gl_frame", counting_frame)
     bundle = load_preset.__wrapped__("glpq2")
     assert built == []
@@ -173,6 +173,8 @@ def test_glpq2_bad_frame_table_fails_the_frame_fixtures(monkeypatch):
     """A broken frame no longer stops the load: its fixtures fail instead."""
     from nccalc.frame import ThetaFrame
 
+    frame_builder = catalog._gl_frame
+
     def bad_frame(pres):
         good = frame_builder(pres)
         d_images = {"a": {"t1": "a", "t3": "b"},
@@ -181,7 +183,6 @@ def test_glpq2_bad_frame_table_fails_the_frame_fixtures(monkeypatch):
                     "d": {"t2": "c", "t4": "d"}}
         return ThetaFrame(pres, good.labels, good.comm, d_images)
 
-    frame_builder = catalog._gl_frame
     monkeypatch.setattr(catalog, "_gl_frame", bad_frame)
     bundle = load_preset.__wrapped__("glpq2")
     failures = bundle.run_fixtures().failures()
