@@ -789,14 +789,14 @@ def invert_element(p: NCPoly, max_length=4):
     occurring in p) up to max_length letters, then checks z*p = 1.
     Returns None when no inverse is found within the bound.
     """
-    from .linalg import solve_linear
-
     if p.is_zero():
         return None
     try:
         return unit_inverse(p)
     except AlgebraError:
         pass
+    from .linalg import solve_linear  # here, so a unit monomial never loads linalg
+
     pres = p.pres
     gens = sorted({g for w in p.terms for g, _ in w})
     cands = normal_words(pres, max_length, gens=gens)

@@ -51,6 +51,7 @@ class DirectionSet:
         self.biangles = tuple((s, t) for s in self.labels for t in self.labels
                               if (s, t) in given)
         self.triangles = dict(triangles or {})
+        self.word(self.triangles.values())  # a triangle's product is a direction
         self.quad_classes = tuple(tuple(c) for c in (quad_classes or ()))
         if self.classified:
             seen = given | set(self.triangles)

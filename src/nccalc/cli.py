@@ -10,22 +10,37 @@ import functools
 import sys
 from contextlib import contextmanager
 
-import click
-
+from . import _lazy_attributes
 from .algebra import AlgebraError
 from .calculus import (CalculusError, GradedForm, InconsistentCalculus,
                        d_form, differential, move_left, parse_form,
                        solve_theta_in_differentials)
-from .files import (FileFormatError, load_calculus, load_connection,
-                    load_metric, serialize_calculus)
-from .geometry import (curvature, levi_civita_check, metric_compatibility,
-                       metric_invariance_conditions, torsion,
-                       torsion_free_conditions)
-from .parsing import ParseError
+from .parsing import FileFormatError, ParseError
 from .presets import PRESET_IDS, PresetError, load_preset
 from .report import Report
 from .scalar import ScalarError
-from . import suites
+
+# after the engine: compiling it on top of click's heap raised the peak RSS of a call
+import click
+
+# The geometry and file layers are imported by the commands that use them,
+# so a light call never compiles them; their names still resolve here.
+__getattr__ = _lazy_attributes(__name__, {
+    "files": ("load_calculus", "load_connection", "load_metric", "serialize_calculus"),
+    "geometry": ("curvature", "levi_civita_check", "metric_compatibility",
+                 "metric_invariance_conditions", "torsion", "torsion_free_conditions"),
+})
+
+# verify --suite name -> runner(suites module, spec, samples); only verify imports suites
+SUITES = {
+    "inner": lambda m, spec, n: m.suite_inner(spec),
+    "leibniz": lambda m, spec, n: m.suite_leibniz(spec, samples=n),
+    "d2": lambda m, spec, n: m.suite_d2(spec, samples=n),
+    "differentiability": lambda m, spec, n: m.suite_differentiability(spec),
+    "twisted-2forms": lambda m, spec, n: m.suite_twisted_two_forms(spec),
+    "graded-leibniz": lambda m, spec, n: m.suite_graded_leibniz(spec, samples=max(5, n // 4)),
+    "properties": lambda m, spec, n: m.property_suite(spec, samples=n),
+}
 
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
@@ -47,6 +62,8 @@ def _load_spec(ctx):
     if preset:
         return load_preset(preset).spec
     if path:
+        from .files import load_calculus
+
         return load_calculus(_read(path))  # confluence-gated inside
     raise click.UsageError("no calculus loaded; use --preset or --file")
 
@@ -175,20 +192,22 @@ def two_forms(ctx, spec):
 
 @main.command()
 @click.option("--suite", "suite_names", multiple=True,
-              type=click.Choice([*suites.SUITES, "all"]), default=("all",))
+              type=click.Choice([*SUITES, "all"]), default=("all",))
 @click.option("--samples", type=int, default=25, help="randomized sample count")
 @click.option("--all-presets", is_flag=True, help="run over the whole catalog")
 @click.pass_context
 def verify(ctx, suite_names, samples, all_presets):
     """Run verification suites; exit 0 iff everything passes."""
+    from . import suites
+
     names = list(suite_names)
     if "all" in names:
-        names = [s for s in suites.SUITES if s != "properties"]
+        names = [s for s in SUITES if s != "properties"]
 
     def one_spec(spec, tag=""):
         rep = Report(f"verify {tag}".strip())
         for name in names:
-            part = suites.SUITES[name](spec, samples)
+            part = SUITES[name](suites, spec, samples)
             rep.merge(part, prefix=(f"{tag}.{name}" if tag else name))
         return rep
 
@@ -231,6 +250,9 @@ def theta_solve(ctx, spec, coords):
 @_with_spec
 def torsion_cmd(ctx, spec, conn_path):
     """Torsion 2-forms of a connection."""
+    from .files import load_connection
+    from .geometry import torsion
+
     tor = torsion(spec, load_connection(spec, _read(conn_path)))
     _emit(ctx, [f"Theta(theta[{s}]) = {t}" for s, t in tor.items()])
     return all(t.is_zero() for t in tor.values())
@@ -240,6 +262,8 @@ def torsion_cmd(ctx, spec, conn_path):
 @_with_spec
 def torsion_conditions_cmd(ctx, spec):
     """Emit the linear torsion-free conditions on the connection."""
+    from .geometry import torsion_free_conditions
+
     conds = torsion_free_conditions(spec)
     return _emit(ctx, str(conds).splitlines() or ["conditions = none"])
 
@@ -250,6 +274,9 @@ def torsion_conditions_cmd(ctx, spec):
 @_with_spec
 def curvature_cmd(ctx, spec, conn_path, theta_label):
     """Curvature R(theta^s) of a connection."""
+    from .files import load_connection
+    from .geometry import curvature
+
     conn = load_connection(spec, _read(conn_path))
     R = curvature(spec, conn, GradedForm.theta(spec, theta_label))
     return _emit(ctx, [f"R(theta[{theta_label}]) = {R}"])
@@ -261,6 +288,9 @@ def curvature_cmd(ctx, spec, conn_path, theta_label):
 @_with_spec
 def metric_check(ctx, spec, metric_path, conn_path):
     """Metric invariance conditions, plus compatibility if a connection is given."""
+    from .files import load_connection, load_metric
+    from .geometry import metric_compatibility, metric_invariance_conditions
+
     g = load_metric(spec, _read(metric_path))
     rep = Report("metric")
     rep.merge(metric_invariance_conditions(spec, g), "invariance")
@@ -276,6 +306,9 @@ def metric_check(ctx, spec, metric_path, conn_path):
 @_with_spec
 def levi_civita(ctx, spec, metric_path, conn_path):
     """Torsion-free plus metric-compatible (existence only, never uniqueness)."""
+    from .files import load_connection, load_metric
+    from .geometry import levi_civita_check
+
     g = load_metric(spec, _read(metric_path))
     conn = load_connection(spec, _read(conn_path))
     return _emit(ctx, levi_civita_check(spec, conn, g), "levi_civita")
@@ -302,6 +335,8 @@ def preset_show(ctx, preset_id, do_serialize):
     def go():
         bundle = load_preset(preset_id)
         if do_serialize:
+            from .files import serialize_calculus
+
             click.echo(serialize_calculus(bundle.spec))
         else:
             click.echo(bundle.describe())

@@ -62,13 +62,8 @@ from contextlib import contextmanager
 from .algebra import AlgebraError, Presentation, verify_morphism
 from .calculus import (CalculusError, CalculusSpec, DirectionSet, InconsistentCalculus,
                        check_theta_scaling)
-from .geometry import Connection, Metric
-from .parsing import ParseError
+from .parsing import FileFormatError, ParseError
 from .scalar import Scalar, ScalarError, parse_scalar
-
-
-class FileFormatError(ValueError):
-    pass
 
 
 def _strip_lines(text):
@@ -160,6 +155,7 @@ def _directions_from_sections(lines):
     biangles = []
     triangles = {}
     quads = {}
+    targets = []  # (file line, triangle target)
     classified = False
     for n, line in lines:
         with _at(n, "directions"):
@@ -176,16 +172,21 @@ def _directions_from_sections(lines):
                 biangles.append(pair)
             elif kind[0] == "triangle" and len(kind) > 1:
                 triangles[pair] = kind[1]
+                targets.append((n, kind[1]))
             elif kind[0] == "quadrangle" and len(kind) > 1:
                 quads.setdefault(kind[1], []).append(pair)
             else:
                 raise FileFormatError(f"unknown pair class {m.group(3)!r}")
     if labels is None:
         raise FileFormatError("[directions] needs a labels line")
-    if classified:
-        classes = [tuple(quads[name]) for name in sorted(quads, key=_class_name_key)]
-        return DirectionSet(labels, biangles, triangles, classes)
-    return DirectionSet(labels)
+    plain = DirectionSet(labels)
+    if not classified:
+        return plain
+    for n, target in targets:
+        with _at(n, "directions"):
+            plain.word((target,))
+    classes = [tuple(quads[name]) for name in sorted(quads, key=_class_name_key)]
+    return DirectionSet(labels, biangles, triangles, classes)
 
 
 def _class_name_key(name):
@@ -323,8 +324,10 @@ def load_calculus(text):
             if not m:
                 raise FileFormatError(f"bad theta_scalings line: {line!r}")
             s, u = m.group(1), m.group(2)
-            scalings[(s, u)] = check_theta_scaling(
-                directions, s, u, parse_scalar(m.group(3), pres.params))
+            c = check_theta_scaling(directions, s, u, parse_scalar(m.group(3), pres.params))
+            if (s, u) in scalings:
+                raise FileFormatError(f"repeated pair {s} {u}")
+            scalings[(s, u)] = c
     side = tuple(line for _, line in sections.get("side_conditions", []))
     two_forms = None
     if "two_forms" in sections:
@@ -359,11 +362,17 @@ def _table(spec, text, symbol, arity, what, flag=None):
     return entries, flagged
 
 
-def load_connection(spec, text) -> Connection:
+def load_connection(spec, text):
+    """The Connection of a `V[s,u,t] = expr` table."""
+    from .geometry import Connection  # here, so loading a calculus never imports geometry
+
     return Connection(spec, _table(spec, text, "V", 3, "connection")[0])
 
 
-def load_metric(spec, text) -> Metric:
+def load_metric(spec, text):
+    """The Metric of a `g[s,u] = expr` table, with an optional `symmetric` line."""
+    from .geometry import Metric
+
     entries, symmetric = _table(spec, text, "g", 2, "metric", flag="symmetric")
     return Metric(spec, entries, symmetric=symmetric)
 

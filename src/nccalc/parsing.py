@@ -30,6 +30,10 @@ class ParseError(ValueError):
     pass
 
 
+class FileFormatError(ValueError):
+    """A definition, connection or metric file that does not follow its format."""
+
+
 def tokenize(text):
     """Tokens (kind, value, column); columns are 1-based, "end" is one past the text."""
     out = []

@@ -62,15 +62,21 @@ class PresetBundle:
     """Calculus spec + fixtures for one worked example.
 
     The spec is all that any command reads; its name is the preset id.
-    Extras keep objects that only fixtures and tests look at (a quotient
-    algebra, a frame, explicit forms): `extras` is a zero-argument function
-    returning them, called on the first read of `bundle.extras`.
+    `fixtures` is a function of the bundle returning its fixtures, called
+    on the first read of `bundle.fixtures`.  Extras keep objects that only
+    fixtures and tests look at (a quotient algebra, a frame, explicit
+    forms): `extras` is a zero-argument function returning them, called on
+    the first read of `bundle.extras`.
     """
 
     def __init__(self, spec, fixtures, extras=dict):
         self.spec = spec
-        self.fixtures = tuple(fixtures)
+        self._fixtures = once(lambda: tuple(fixtures(self)))
         self._extras = once(extras)
+
+    @property
+    def fixtures(self):
+        return self._fixtures()
 
     @property
     def extras(self):

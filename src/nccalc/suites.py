@@ -201,15 +201,3 @@ def property_suite(spec, samples=200, seed=7) -> Report:
             rep.add(f"{name}", not bad, f"{n} instances, failures at {bad[:5]}")
     return rep
 
-
-# name -> runner(spec, samples)
-SUITES = {
-    "inner": lambda spec, samples: suite_inner(spec),
-    "leibniz": lambda spec, samples: suite_leibniz(spec, samples=samples),
-    "d2": lambda spec, samples: suite_d2(spec, samples=samples),
-    "differentiability": lambda spec, samples: suite_differentiability(spec),
-    "twisted-2forms": lambda spec, samples: suite_twisted_two_forms(spec),
-    "graded-leibniz": lambda spec, samples: suite_graded_leibniz(
-        spec, samples=max(5, samples // 4)),
-    "properties": lambda spec, samples: property_suite(spec, samples=samples),
-}

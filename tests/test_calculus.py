@@ -534,3 +534,13 @@ def test_weights_twists_and_automorphisms_need_known_labels():
     with pytest.raises(CalculusError) as exc:
         CalculusSpec(heis.pres, heis.directions, {**heis.autos, "7": heis.autos["1"]})
     assert str(exc.value) == "unknown direction 7"
+
+
+def test_triangle_target_must_be_a_direction():
+    """A triangle (s, u) names the direction of the product s u; an unknown
+    one used to end in a KeyError from two_form_structure."""
+    shift = spec_of("poly_shift_S12").directions
+    triangles = {**shift.triangles, ("1", "1"): "9"}
+    with pytest.raises(CalculusError) as exc:
+        DirectionSet(shift.labels, shift.biangles, triangles, shift.quad_classes)
+    assert str(exc.value) == "unknown direction 9"

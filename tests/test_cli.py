@@ -433,13 +433,18 @@ def test_spec_commands_cover_every_calculus_command():
      "[automorphisms] line 25: unknown direction 7"),
     ("heisenberg", "\n\n[weights]", "\n1 inverse: x -> x, y -> y\n\n[weights]",
      "[automorphisms] line 25: repeated direction 1"),
+    ("poly_shift_S12", "class 1 1 = triangle 2", "class 1 1 = triangle 9",
+     "[directions] line 8: unknown direction 9"),
+    ("glpq2", "\n2 2 = 1/(p*q)", "\n1 2 = 7", "[theta_scalings] line 47: repeated pair 1 2"),
 ], ids=["unknown_weight", "repeated_weight", "unknown_twist", "repeated_twist",
-        "unknown_automorphism", "repeated_inverse"])
+        "unknown_automorphism", "repeated_inverse", "unknown_triangle_target",
+        "repeated_theta_scaling"])
 def test_entries_for_unknown_or_repeated_directions_exit_2(runner, tmp_path, pid, old, new,
                                                            message):
-    """A weight, twist or automorphism for a label outside [directions], or a
-    second one for a label, is one located input error; it is not dropped
-    (a serialized heisenberg with `9 = b` printed d = b*theta[2] for y)."""
+    """A weight, twist, automorphism or triangle target for a label outside
+    [directions], or a second weight, twist, automorphism or theta scaling
+    for a label, is one located input error; it is not dropped (a
+    serialized heisenberg with `9 = b` printed d = b*theta[2] for y)."""
     text = invoke(runner, "preset", "show", pid, "--serialize").output
     assert old in text
     calc = tmp_path / f"{pid}.calc"

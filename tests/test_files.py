@@ -247,7 +247,8 @@ labels = 1
 @pytest.mark.parametrize("text, bad_line, message", [
     (_serialized_glpq2_with("\n1 2 = ", "\n9 2 = "), "9 2 =", "unknown direction 9"),
     (ONE_DIRECTION_FILE, "1 1 = 0", "theta scaling for 1 1 must be nonzero"),
-], ids=["unknown_label", "zero_factor"])
+    (_serialized_glpq2_with("\n2 2 = 1/(p*q)", "\n1 2 = 7"), "1 2 = 7", "repeated pair 1 2"),
+], ids=["unknown_label", "zero_factor", "repeated_pair"])
 def test_bad_theta_scalings_are_located(text, bad_line, message):
     with pytest.raises(FileFormatError) as exc:
         load_calculus(text)
@@ -293,9 +294,12 @@ BAD_DIRECTION_ENTRIES = [
      "[automorphisms]", "repeated direction 1"),
     ("heisenberg", "\n\n[weights]", "\n2 inverse: x -> x, y -> y\n\n[weights]",
      "2 inverse: x -> x, y -> y", "[automorphisms]", "repeated direction 2"),
+    ("poly_shift_S12", "class 1 1 = triangle 2", "class 1 1 = triangle 9",
+     "class 1 1 = triangle 9", "[directions]", "unknown direction 9"),
 ]
 BAD_DIRECTION_IDS = ["unknown_weight", "repeated_weight", "unknown_twist", "repeated_twist",
-                     "unknown_automorphism", "repeated_automorphism", "repeated_inverse"]
+                     "unknown_automorphism", "repeated_automorphism", "repeated_inverse",
+                     "unknown_triangle_target"]
 
 
 @pytest.mark.parametrize("pid, old, new, bad_line, section, message", BAD_DIRECTION_ENTRIES,

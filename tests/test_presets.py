@@ -1,7 +1,10 @@
 """Every catalog bundle loads, re-verifies, and passes its fixtures."""
 
+import pkgutil
+
 import pytest
 
+import nccalc
 from nccalc.calculus import GradedForm
 from nccalc.presets import PRESET_IDS, PresetBundle, PresetError, load_preset
 from nccalc.presets import catalog
@@ -125,29 +128,44 @@ def test_glpq2_extras_present():
     assert (D * pres.gen("a") - pres.gen("a") * D).is_zero()
 
 
-@pytest.mark.parametrize("code", [
-    "from nccalc.presets import load_preset; load_preset('glpq2')",
-    "from nccalc.cli import main\n"
-    "try:\n    main(['--preset', 'glpq2', 'normalize', 'a'])\n"
-    "except SystemExit as exc:\n    assert exc.code == 0, exc.code",
-], ids=["load_preset", "cli_normalize"])
-def test_glpq2_load_leaves_frame_module_unloaded(code):
-    """A load builds the calculus; the frame waits for its first reader."""
+# modules a command never uses: the geometry, file and suite layers, the
+# GL_pq(2) frame and the preset fixtures
+_UNUSED = {"nccalc.geometry", "nccalc.files", "nccalc.suites", "nccalc.frame",
+           "nccalc.presets.fixtures"}
+_EVERY = {m.name for m in pkgutil.walk_packages(nccalc.__path__, "nccalc.")}
+_CLI = ("from nccalc.cli import main\n"
+        "try:\n    main([{args}])\n"
+        "except SystemExit as exc:\n    assert exc.code == 0, exc.code")
+_SHIFT_FILE = ("[generators]\nx\n\n[directions]\nlabels = 1\n\n[automorphisms]\n"
+               "1: x -> x + 1\n1 inverse: x -> x - 1\n\n[weights]\n1 = 1\n")
+
+
+@pytest.mark.parametrize("code, absent", [
+    ("import nccalc", _EVERY),
+    ("from nccalc.presets import load_preset; load_preset('glpq2')", _UNUSED),
+    (_CLI.format(args="'--preset', 'glpq2', 'normalize', 'a'"), _UNUSED),
+    (_CLI.format(args="'--file', {calc!r}, 'normalize', 'x'"), _UNUSED - {"nccalc.files"}),
+], ids=["import_nccalc", "load_preset", "cli_normalize", "cli_file_normalize"])
+def test_glpq2_load_leaves_frame_module_unloaded(code, absent, tmp_path):
+    """A load builds the calculus; the frame waits for its first reader, and
+    a command imports only the modules it runs."""
     import os
     import subprocess
     import sys
     from pathlib import Path
 
-    import nccalc
-
+    calc = tmp_path / "shift.calc"
+    calc.write_text(_SHIFT_FILE)
     src = str(Path(nccalc.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code += "\nimport sys; print('nccalc.frame' in sys.modules)"
+    code = code.format(calc=str(calc))
+    code += "\nimport sys; print(*sorted(m for m in sys.modules if m.startswith('nccalc.')))"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert not loaded & absent, sorted(loaded & absent)
 
 
 def test_glpq2_frame_is_built_once_and_shared(monkeypatch):
