@@ -113,8 +113,7 @@ def _qplane_two_form_fixtures(spec):
 
 @_fixtures_of("quantum_plane_a")
 def _qplane_a(bundle):
-    spec = bundle.spec
-    pres = spec.pres
+    spec, pres = bundle.spec, bundle.presentation
     x, y = pres.gen("x"), pres.gen("y")
     dx = lambda: differential(spec, x)
     dy = lambda: differential(spec, y)
@@ -137,8 +136,7 @@ def _qplane_a(bundle):
 
 @_fixtures_of("quantum_plane_b")
 def _qplane_b(bundle):
-    spec = bundle.spec
-    pres = spec.pres
+    spec, pres = bundle.spec, bundle.presentation
     x, y = pres.gen("x"), pres.gen("y")
     dx = lambda: differential(spec, x)
     dy = lambda: differential(spec, y)
@@ -157,8 +155,7 @@ def _qplane_b(bundle):
 
 @_fixtures_of("quantum_plane_c")
 def _qplane_c(bundle):
-    spec = bundle.spec
-    pres = spec.pres
+    spec, pres = bundle.spec, bundle.presentation
     x, y = pres.gen("x"), pres.gen("y")
     dx = lambda: differential(spec, x)
     dy = lambda: differential(spec, y)
@@ -176,8 +173,7 @@ def _qplane_c(bundle):
 
 @_fixtures_of("quantum_torus")
 def _quantum_torus(bundle):
-    spec = bundle.spec
-    pres = spec.pres
+    spec, pres = bundle.spec, bundle.presentation
     al, be, ga, de, t1, t2 = declare_params("alpha beta gamma delta t1 t2")
     A, B = (1 - al) / t1, (1 - be) / t1
     C, D = (1 - ga) / t2, (1 - de) / t2
@@ -219,8 +215,7 @@ def _quantum_torus(bundle):
 
 @_fixtures_of("heisenberg")
 def _heisenberg(bundle):
-    spec = bundle.spec
-    pres = spec.pres
+    spec, pres = bundle.spec, bundle.presentation
     a, b = declare_params("a b")
     x, y = pres.gen("x"), pres.gen("y")
     dx = lambda: differential(spec, x)
@@ -241,8 +236,7 @@ def _heisenberg(bundle):
 
 @_fixtures_of("h_plane")
 def _h_plane(bundle):
-    spec = bundle.spec
-    pres = spec.pres
+    spec, pres = bundle.spec, bundle.presentation
     p, r, h, t1, t2 = declare_params("p r h t1 t2")
     x, y = pres.gen("x"), pres.gen("y")
     yi = pres.gen("y", -1)
@@ -282,8 +276,7 @@ def _h_plane(bundle):
 
 @_fixtures_of("h_plane_r1")
 def _h_plane_r1(bundle):
-    spec = bundle.spec
-    pres = spec.pres
+    spec, pres = bundle.spec, bundle.presentation
     p, h, t1 = declare_params("p h t1")
     x, y = pres.gen("x"), pres.gen("y")
     dx = lambda: differential(spec, x)
@@ -315,8 +308,7 @@ def _h_plane_r1(bundle):
 
 @_fixtures_of("z3_root_of_unity")
 def _z3(bundle):
-    spec = bundle.spec
-    pres = spec.pres
+    spec, pres = bundle.spec, bundle.presentation
     x, y = pres.gen("x"), pres.gen("y")
     xi, yi = pres.gen("x", -1), pres.gen("y", -1)
     q = pres.gen("q")
@@ -369,8 +361,7 @@ def _z3(bundle):
 
 @_fixtures_of(*_LATTICES)
 def _lattice(bundle):
-    spec = bundle.spec
-    pres = spec.pres
+    spec, pres = bundle.spec, bundle.presentation
     elements, mul, unit, directions, ad_description = _LATTICES[bundle.id]
     inverse_of = _group_inverse(elements, mul, unit)
     theta_images = _lattice_theta_images(spec, directions, mul, inverse_of)
@@ -451,8 +442,7 @@ def _twisted_h3(bundle):
 def _glpq2(bundle):
     # the first six fixtures read the frame and thetas of bundle.extras, so a
     # broken frame table fails exactly those
-    spec = bundle.spec
-    pres = spec.pres
+    spec, pres = bundle.spec, bundle.presentation
     D = pres.parse("a*d - p*b*c")
 
     def frame_thetas():
@@ -589,8 +579,7 @@ def _glpq2(bundle):
 
 @_fixtures_of("tensor_qplane")
 def _tensor_qplane(bundle):
-    spec = bundle.spec
-    pres = spec.pres
+    spec, pres = bundle.spec, bundle.presentation
     x, y = pres.parse("u*U"), pres.parse("v*V")
     u, v = pres.gen("u"), pres.gen("v")
     q = pres.parse("q").as_scalar()
@@ -617,8 +606,7 @@ def _tensor_qplane(bundle):
 
 @_fixtures_of("tensor_hplane")
 def _tensor_hplane(bundle):
-    spec = bundle.spec
-    pres = spec.pres
+    spec, pres = bundle.spec, bundle.presentation
     h, hp, r = declare_params("h hp r")
     x, y = pres.parse("v*U + u*V"), pres.parse("v*V")
     u, v = pres.gen("u"), pres.gen("v")
