@@ -7,19 +7,24 @@ rewriting terminates; local confluence is checked separately from critical
 pairs.  Elements (NCPoly) always keep their words in normal form, so
 equality of values is equality of representations.
 
-Words are run-length encoded: tuples of (generator index, exponent), with
-negative exponents only on invertible generators.  Inverse cancellation
-x x^-1 -> 1 happens structurally when runs are merged.
+A word is a tuple of int letters, a word of the free monoid as in Bergman's
+diamond lemma: generator i is the letter 2*i and, on an invertible
+generator only, its inverse is 2*i + 1, so a letter's inverse is l ^ 1.  A
+word never holds a letter next to its inverse: `join` cancels such pairs
+where two words meet, which is the implicit rule x x^-1 -> 1.  Rule sides,
+NCPoly terms and every memo key use this one format; `word_str` groups
+runs of a letter back into powers when a word is printed.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import NamedTuple
 
 from .parsing import ParseError, parse_with_context
 from .scalar import Scalar, scalar
 
-Word = tuple  # tuple[(gen_index, exponent), ...]
+Word = tuple  # tuple[letter, ...]; letter 2*i is generator i, 2*i + 1 its inverse
 
 _ONE = Scalar.one()  # shared by every memoized irreducible word
 
@@ -37,44 +42,36 @@ class Generator(NamedTuple):
 # word helpers
 
 
+def join(u, v):
+    """The word u*v: inverse letters cancel where u meets v, in a cascade."""
+    k, n = 0, min(len(u), len(v))
+    while k < n and u[-1 - k] == v[k] ^ 1:
+        k += 1
+    return u[:len(u) - k] + v[k:] if k else u + v
+
+
 def word_from_letters(letters):
-    """Merge a letter sequence into run-length form, cancelling inverses."""
-    runs = []
-    for g, s in letters:
-        if runs and runs[-1][0] == g:
-            runs[-1][1] += s
-            if runs[-1][1] == 0:
-                runs.pop()
-        else:
-            runs.append([g, s])
-    return tuple((g, e) for g, e in runs)
-
-
-def letters_of(word):
+    """Reduce a raw letter sequence to a word, cancelling inverse pairs."""
     out = []
-    for g, e in word:
-        sign = 1 if e > 0 else -1
-        out.extend([(g, sign)] * abs(e))
+    for l in letters:
+        if out and out[-1] == l ^ 1:
+            out.pop()
+        else:
+            out.append(l)
     return tuple(out)
 
 
-def _letter_key(letter):
-    g, s = letter
-    return (g, 0 if s > 0 else 1)
-
-
 def word_key(word):
-    ls = letters_of(word)
-    return (len(ls), tuple(_letter_key(l) for l in ls))
+    """Graded-lexicographic sort key: length first, then letters."""
+    return (len(word), word)
 
 
 def word_inverse(word):
-    return tuple((g, -e) for g, e in reversed(word))
+    return tuple(l ^ 1 for l in reversed(word))
 
 
 class RewriteRule(NamedTuple):
     lhs: Word
-    lhs_letters: tuple
     rhs: tuple  # tuple[(Word, Scalar), ...]
 
 
@@ -127,13 +124,13 @@ class Presentation:
             if word_key(w) >= lk:
                 raise AlgebraError(
                     f"rule is not order-decreasing: {self.word_str(lw)} -> {self.word_str(w)}")
-        return RewriteRule(lw, letters_of(lw), tuple(sorted(rhs_terms.items())))
+        return RewriteRule(lw, tuple(sorted(rhs_terms.items())))
 
     def _install_rules(self, new_rules):
         self.rules = self.rules + tuple(new_rules)
         index = {}
         for r in self.rules:
-            index.setdefault(r.lhs_letters[0], []).append(r)
+            index.setdefault(r.lhs[0], []).append(r)
         self._rule_index = index
         self._nf = {}
 
@@ -145,13 +142,15 @@ class Presentation:
         except KeyError:
             raise AlgebraError(f"undeclared generator {name!r}") from None
 
+    def letters(self, i):
+        """Generator i's letters: 2*i, and 2*i + 1 for its inverse if it has one."""
+        return (2 * i, 2 * i + 1) if self.generators[i].invertible else (2 * i,)
+
     def gen(self, name, power=1):
         i = self.gen_index(name)
         if power < 0 and not self.generators[i].invertible:
             raise AlgebraError(f"generator {name!r} is not invertible")
-        if power == 0:
-            return self.one
-        return self.poly({((i, power),): Scalar.one()})
+        return self.poly({(2 * i + (power < 0),) * abs(power): Scalar.one()})
 
     @property
     def one(self):
@@ -197,23 +196,20 @@ class Presentation:
         if not word:
             return "1"
         parts = []
-        for g, e in word:
-            name = self.generators[g].name
+        for l, run in groupby(word):
+            name = self.generators[l >> 1].name
+            e = len(list(run)) * (-1 if l & 1 else 1)
             parts.append(name if e == 1 else f"{name}^{e}")
         return "*".join(parts)
 
     # -- rewriting
 
-    def _first_redex(self, letters):
+    def _first_redex(self, word):
         index = self._rule_index
-        n = len(letters)
-        for i in range(n):
-            cands = index.get(letters[i])
-            if not cands:
-                continue
-            for rule in cands:
-                L = rule.lhs_letters
-                if letters[i:i + len(L)] == L:
+        for i, l in enumerate(word):
+            for rule in index.get(l, ()):
+                L = rule.lhs
+                if word[i:i + len(L)] == L:
                     return i, rule
         return None
 
@@ -251,8 +247,7 @@ class Presentation:
         nf = self._nf
         k = _ONE
         while word not in nf:
-            letters = letters_of(word)
-            m = self._first_redex(letters)
+            m = self._first_redex(word)
             if m is None:
                 nf[word] = {word: _ONE}
                 break
@@ -260,8 +255,7 @@ class Presentation:
             if len(rule.rhs) != 1:
                 return (k, word) if rule.rhs else (k, None)
             (rw, rc), = rule.rhs
-            word = word_from_letters(letters[:i] + letters_of(rw)
-                                     + letters[i + len(rule.lhs_letters):])
+            word = join(join(word[:i], rw), word[i + len(rule.lhs):])
             if not rc.is_one():
                 k = k * rc
         return k, word
@@ -269,12 +263,11 @@ class Presentation:
     def _branches(self, word):
         """(coefficient, chain end) for each right-hand term of word's leftmost
         redex, last term first, the order in which terms are accumulated."""
-        letters = letters_of(word)
-        i, rule = self._first_redex(letters)
-        head, tail = letters[:i], letters[i + len(rule.lhs_letters):]
+        i, rule = self._first_redex(word)
+        head, tail = word[:i], word[i + len(rule.lhs):]
         parts = []
         for rw, rc in reversed(rule.rhs):
-            k, end = self._chain(word_from_letters(head + letters_of(rw) + tail))
+            k, end = self._chain(join(join(head, rw), tail))
             if end is not None:
                 parts.append((rc * k, end))
         return parts
@@ -308,8 +301,8 @@ class Presentation:
     def is_commutative(self):
         for i in range(len(self.generators)):
             for j in range(i + 1, len(self.generators)):
-                a = self.poly({((i, 1), (j, 1)): Scalar.one()})
-                b = self.poly({((j, 1), (i, 1)): Scalar.one()})
+                a = self.poly({(2 * i, 2 * j): Scalar.one()})
+                b = self.poly({(2 * j, 2 * i): Scalar.one()})
                 if a != b:
                     return False
         return True
@@ -524,10 +517,8 @@ class NCPoly:
         acc = {}
         reduce = self.pres._reduce_word
         for wa, ca in self.terms.items():
-            la = letters_of(wa)
             for wb, cb in other.terms.items():
-                w = word_from_letters(la + letters_of(wb))
-                _acc_nf(acc, reduce(w), ca * cb)
+                _acc_nf(acc, reduce(join(wa, wb)), ca * cb)
         return NCPoly(self.pres, acc)
 
     def __rmul__(self, other):
@@ -592,7 +583,7 @@ def unit_inverse(p: NCPoly) -> NCPoly:
     if len(p.terms) != 1:
         raise AlgebraError(f"{p} is not a unit monomial")
     (w, c), = p.terms.items()
-    if any(not p.pres.generators[g].invertible for g, _ in w):
+    if any(not p.pres.generators[l >> 1].invertible for l in w):
         raise AlgebraError(f"{p} has non-invertible factors")
     return p.pres.poly({word_inverse(w): c.inverse()})
 
@@ -619,18 +610,17 @@ def check_local_confluence(pres: Presentation, max_overlap_len=6) -> ConfluenceR
     """Reduce both sides of every critical pair up to the given overlap length.
 
     Implicit inverse-cancellation rules x x^-1 -> 1 participate in the
-    overlap computation even though cancellation happens structurally.
+    overlap computation even though `join` cancels inverses structurally.
     """
-    rules = [(r.lhs_letters, r.rhs) for r in pres.rules]
+    rules = [(r.lhs, r.rhs) for r in pres.rules]
     one = Scalar.one()
     for i, g in enumerate(pres.generators):
         if g.invertible:
-            rules.append((((i, 1), (i, -1)), (((), one),)))
-            rules.append((((i, -1), (i, 1)), (((), one),)))
+            rules.append(((2 * i, 2 * i + 1), (((), one),)))
+            rules.append(((2 * i + 1, 2 * i), (((), one),)))
 
     def side(prefix, rhs, suffix):
-        return pres.poly({word_from_letters(prefix + letters_of(rw) + suffix): rc
-                          for rw, rc in rhs})
+        return pres.poly({join(join(prefix, rw), suffix): rc for rw, rc in rhs})
 
     failures = []
     checked = 0
@@ -688,9 +678,9 @@ class AlgebraMorphism:
         if out is not None:
             return out
         out = self.pres.one
-        for g, s in letters_of(word):
-            name = self.pres.generators[g].name
-            out = out * (self.images[name] if s > 0 else self.inv_images[name])
+        for l in word:
+            name = self.pres.generators[l >> 1].name
+            out = out * (self.inv_images[name] if l & 1 else self.images[name])
         self._word_images[word] = out
         return out
 
@@ -798,7 +788,7 @@ def invert_element(p: NCPoly, max_length=4):
     from .linalg import solve_linear  # here, so a unit monomial never loads linalg
 
     pres = p.pres
-    gens = sorted({g for w in p.terms for g, _ in w})
+    gens = sorted({l >> 1 for w in p.terms for l in w})
     cands = normal_words(pres, max_length, gens=gens)
     col = {w: j for j, w in enumerate(cands)}
     rows = {}
@@ -837,28 +827,20 @@ def tensor_product(p1: Presentation, p2: Presentation, name=None) -> Presentatio
         gens.append(Generator(nm, g.invertible))
     params = tuple(dict.fromkeys(p1.params + p2.params))
     pres = Presentation(gens, params, name=name)
-    off = len(p1.generators)
+    off = 2 * len(p1.generators)
 
-    def shift_word(w, offset):
-        return tuple((g + offset, e) for g, e in w)
+    def shift(w):
+        return tuple(l + off for l in w)
 
-    rules = []
-    for r in p1.rules:
-        rules.append(RewriteRule(r.lhs, r.lhs_letters, r.rhs))
+    rules = list(p1.rules)
     for r in p2.rules:
-        lhs = shift_word(r.lhs, off)
-        rules.append(RewriteRule(lhs, letters_of(lhs),
-                                 tuple((shift_word(w, off), c) for w, c in r.rhs)))
+        rules.append(RewriteRule(shift(r.lhs), tuple((shift(w), c) for w, c in r.rhs)))
     one = Scalar.one()
-    for j in range(off, len(gens)):
-        for i in range(off):
-            signs_i = (1, -1) if gens[i].invertible else (1,)
-            signs_j = (1, -1) if gens[j].invertible else (1,)
-            for sj in signs_j:
-                for si in signs_i:
-                    lhs = ((j, sj), (i, si))
-                    rules.append(RewriteRule(word_from_letters(lhs), lhs,
-                                             ((word_from_letters(((i, si), (j, sj))), one),)))
+    for j in range(len(p1.generators), len(gens)):
+        for i in range(len(p1.generators)):
+            for lj in pres.letters(j):
+                for li in pres.letters(i):
+                    rules.append(RewriteRule((lj, li), (((li, lj), one),)))
     pres.rules = ()
     pres._install_rules(rules)
     return pres
@@ -871,24 +853,19 @@ def tensor_product(p1: Presentation, p2: Presentation, name=None) -> Presentatio
 def normal_words(pres: Presentation, max_length: int, include_empty=True, gens=None):
     """All rewrite-irreducible words up to the given letter length."""
     out = [()] if include_empty else []
-    alphabet = []
-    for i, g in enumerate(pres.generators):
-        if gens is not None and i not in gens:
-            continue
-        alphabet.append((i, 1))
-        if g.invertible:
-            alphabet.append((i, -1))
+    alphabet = [l for i in range(len(pres.generators)) if gens is None or i in gens
+                for l in pres.letters(i)]
 
-    def grow(letters):
-        if len(letters) == max_length:
+    def grow(word):
+        if len(word) == max_length:
             return
         for l in alphabet:
-            if letters and letters[-1][0] == l[0] and letters[-1][1] != l[1]:
+            if word and word[-1] == l ^ 1:
                 continue  # would cancel
-            nxt = letters + (l,)
+            nxt = word + (l,)
             if pres._first_redex(nxt) is not None:
                 continue
-            out.append(word_from_letters(nxt))
+            out.append(nxt)
             grow(nxt)
 
     grow(())

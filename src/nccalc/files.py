@@ -155,38 +155,39 @@ def _directions_from_sections(lines):
     biangles = []
     triangles = {}
     quads = {}
-    targets = []  # (file line, triangle target)
-    classified = False
+    named = []  # (file line, direction labels a class line names)
     for n, line in lines:
         with _at(n, "directions"):
             if line.startswith("labels"):
-                labels = _assignment(line, "directions")[1].split()
+                labels_at, labels = n, _assignment(line, "directions")[1].split()
                 continue
             m = re.fullmatch(r"class\s+(\S+)\s+(\S+)\s*=\s*(.+)", line)
             if not m:
                 raise FileFormatError(f"bad directions line: {line!r}")
-            classified = True
             pair = (m.group(1), m.group(2))
+            named.append((n, pair))
             kind = m.group(3).split()
             if kind[0] == "biangle":
                 biangles.append(pair)
             elif kind[0] == "triangle" and len(kind) > 1:
                 triangles[pair] = kind[1]
-                targets.append((n, kind[1]))
+                named.append((n, (kind[1],)))
             elif kind[0] == "quadrangle" and len(kind) > 1:
                 quads.setdefault(kind[1], []).append(pair)
             else:
                 raise FileFormatError(f"unknown pair class {m.group(3)!r}")
     if labels is None:
         raise FileFormatError("[directions] needs a labels line")
-    plain = DirectionSet(labels)
-    if not classified:
+    with _at(labels_at, "directions"):
+        plain = DirectionSet(labels)
+    if not named:
         return plain
-    for n, target in targets:
+    for n, names in named:
         with _at(n, "directions"):
-            plain.word((target,))
+            plain.word(names)
     classes = [tuple(quads[name]) for name in sorted(quads, key=_class_name_key)]
-    return DirectionSet(labels, biangles, triangles, classes)
+    with _at(labels_at, "directions"):
+        return DirectionSet(labels, biangles, triangles, classes)
 
 
 def _class_name_key(name):

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .algebra import AlgebraMorphism, LabelModule, NCPoly, _acc, letters_of
+from .algebra import AlgebraMorphism, LabelModule, NCPoly, _acc
 from .report import Report
-from .scalar import Scalar
 
 
 class FrameError(ValueError):
@@ -81,15 +80,12 @@ class ThetaFrame:
                 for i in range(n) for j in range(n)
                 if not inv[i][j].is_zero()}
 
-    def letter_matrix(self, g, sign):
-        name = self.pres.generators[g].name
-        return self.comm[name] if sign > 0 else self._inv_comm[name]
-
     def move_word(self, form: FrameForm, word) -> FrameForm:
         """theta-row vector times a word: row <- row * Phi(letter) ..."""
         row = dict(form.comps)
-        for g, s in letters_of(word):
-            mat = self.letter_matrix(g, s)
+        for l in word:
+            name = self.pres.generators[l >> 1].name
+            mat = self._inv_comm[name] if l & 1 else self.comm[name]
             new = {}
             for i, c in row.items():
                 for (mi, mj), v in mat.items():
@@ -111,20 +107,15 @@ class ThetaFrame:
     def d_word(self, word) -> FrameForm:
         """The derivation applied to one (possibly un-normalized) word."""
         out = FrameForm(self, {})
-        ls = letters_of(word)
-        for k, (g, s) in enumerate(ls):
-            name = self.pres.generators[g].name
-            if s > 0:
-                dpart = self.d_images[name]
-            else:
+        for k, l in enumerate(word):
+            name = self.pres.generators[l >> 1].name
+            if l & 1:
                 ginv = self.pres.gen(name, -1)
                 dpart = (-self.d_images[name].mul_left(ginv)).mul_right(ginv)
-            prefix = self.pres.one
-            for g2, s2 in ls[:k]:
-                prefix = prefix * self.pres.poly({((g2, s2),): Scalar.one()})
-            suffix = self.pres.one
-            for g2, s2 in ls[k + 1:]:
-                suffix = suffix * self.pres.poly({((g2, s2),): Scalar.one()})
+            else:
+                dpart = self.d_images[name]
+            prefix = self.pres.poly({word[:k]: 1})
+            suffix = self.pres.poly({word[k + 1:]: 1})
             out = out + dpart.mul_left(prefix).mul_right(suffix)
         return out
 

@@ -401,7 +401,7 @@ def invariant_monomial_scan(spec, exponent_bound=3) -> dict:
     for exps in itertools.product(*ranges):
         if all(e == 0 for e in exps):
             continue
-        word = tuple((i, e) for i, e in enumerate(exps) if e != 0)
+        word = sum(((pres.letters(i)[e < 0],) * abs(e) for i, e in enumerate(exps)), ())
         p = pres.poly({word: Scalar.one()})
         if len(p.terms) != 1:
             continue  # not a normal monomial

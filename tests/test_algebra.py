@@ -11,7 +11,7 @@ import pytest
 
 import nccalc
 from nccalc.algebra import (AlgebraError, Presentation, _acc, basis_independence_probe,
-                            check_local_confluence, identity_morphism, letters_of,
+                            check_local_confluence, identity_morphism, join,
                             normal_words, tensor_product, unit_inverse,
                             verify_morphism, word_from_letters)
 from nccalc.parsing import ParseError
@@ -105,7 +105,7 @@ def test_q_binomial_expansion():
         row = [(row[k - 1] if k > 0 else Scalar.zero())
                + (q ** -k * row[k] if k < m else Scalar.zero()) for k in range(m + 1)]
     ix, iy = pres.gen_index("x"), pres.gen_index("y")
-    expected = pres.poly({tuple(r for r in ((ix, k), (iy, n - k)) if r[1]): c
+    expected = pres.poly({(2 * ix,) * k + (2 * iy,) * (n - k): c
                           for k, c in enumerate(row)})
     got = pres.parse(f"(x+y)^{n}")
     assert len(got.terms) == n + 1
@@ -235,7 +235,7 @@ def test_probe_finds_nilpotent_dependency():
 
     def scaling_derivation(mu):
         def e(f):
-            return nil.poly({w: c * (mu ** sum(k for _, k in w) - 1)
+            return nil.poly({w: c * (mu ** len(w) - 1)
                              for w, c in f.terms.items()})
         return e
 
@@ -286,16 +286,15 @@ def _reference_nf(pres, word, memo):
             for nw, nc in hit.items():
                 _acc(result, nw, nc * coeff)
             continue
-        letters = letters_of(w)
-        m = pres._first_redex(letters)
+        m = pres._first_redex(w)
         if m is None:
             memo[w] = {w: one}
             _acc(result, w, coeff)
             continue
         i, rule = m
-        head, tail = letters[:i], letters[i + len(rule.lhs_letters):]
+        head, tail = w[:i], w[i + len(rule.lhs):]
         for rw, rc in rule.rhs:
-            stack.append((word_from_letters(head + letters_of(rw) + tail), coeff * rc))
+            stack.append((word_from_letters(head + rw + tail), coeff * rc))
     memo[word] = result
     return result
 
@@ -312,8 +311,7 @@ def test_reducer_against_depth_first_reference(pid):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     pres = load_preset(pid).presentation
-    alphabet = [(i, s) for i, g in enumerate(pres.generators)
-                for s in ((1, -1) if g.invertible else (1,))]
+    alphabet = [l for i in range(len(pres.generators)) for l in pres.letters(i)]
     engine, ref = _cold(pres), {}
 
     @hypothesis.settings(**_ORACLE)
@@ -335,7 +333,7 @@ def test_heisenberg_normal_ordering(n):
     takes about a minute at n = 8."""
     pres = load_preset("heisenberg").presentation
     h = Scalar.param("h")
-    expected = pres.poly({tuple(r for r in ((0, n - j), (1, n - j)) if r[1]):
+    expected = pres.poly({(0,) * (n - j) + (2,) * (n - j):
                           (-h) ** j * (math.factorial(j) * math.comb(n, j) ** 2)
                           for j in range(n + 1)})
     src = str(Path(nccalc.__file__).resolve().parent.parent)
@@ -364,9 +362,9 @@ def _fold_image(m, p):
     out = pres.zero
     for w, c in p.terms.items():
         img = pres.one
-        for g, s in letters_of(w):
-            name = pres.generators[g].name
-            img = img * (m.images[name] if s > 0 else m.inv_images[name])
+        for l in w:
+            name = pres.generators[l >> 1].name
+            img = img * (m.inv_images[name] if l & 1 else m.images[name])
         out = out + img * c
     return out
 
@@ -388,7 +386,7 @@ def _general_product(a, b):
     acc, memo = {}, {}
     for wa, ca in a.terms.items():
         for wb, cb in b.terms.items():
-            w = word_from_letters(letters_of(wa) + letters_of(wb))
+            w = word_from_letters(wa + wb)
             for nw, nc in _reference_nf(a.pres, w, memo).items():
                 _acc(acc, nw, nc * (ca * cb))
     return a.pres.poly(acc)
@@ -406,3 +404,35 @@ def test_scalar_lane_matches_general_product(pid):
             f = random_poly(pres, rng, max_len=3, terms=3)
             assert cp * f == _general_product(cp, f)
             assert f * cp == _general_product(f, cp)
+
+
+@pytest.mark.parametrize("pid", ["quantum_torus", "glpq2"])
+def test_join_matches_reduced_concatenation(pid):
+    """join(u, v) cancels inverse letters where two words meet, in a cascade
+    when the cancellation reaches further letters: the same word as reducing
+    the concatenated letters from scratch."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    pres = load_preset(pid).presentation
+    alphabet = [l for i in range(len(pres.generators)) for l in pres.letters(i)]
+    letters = st.lists(st.sampled_from(alphabet), max_size=8)
+
+    @hypothesis.settings(**_ORACLE)
+    @hypothesis.given(letters, letters)
+    def check(a, b):
+        u, v = word_from_letters(a), word_from_letters(b)
+        assert join(u, v) == word_from_letters(u + v) == word_from_letters(a + b)
+
+    check()
+    # x*y joined with y^-1*x^-1 cancels all the way; a cascade stops at the
+    # first pair of letters that are not inverse
+    x, y = [2 * i for i, g in enumerate(pres.generators) if g.invertible][:2]
+    assert join((x, y), (y ^ 1, x ^ 1)) == ()
+    assert join((x, y), (y ^ 1,)) == (x,)
+    assert join((y, x, y), (y ^ 1, x ^ 1, y)) == (y, y)
+
+
+def test_parse_cancels_inverse_letters():
+    pres = load_preset("quantum_torus").presentation
+    assert pres.parse("x*y*y^-1*x^-1") == 1
+    assert pres.parse("x^-2*x^3") == pres.gen("x")

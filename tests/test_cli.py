@@ -436,15 +436,20 @@ def test_spec_commands_cover_every_calculus_command():
     ("poly_shift_S12", "class 1 1 = triangle 2", "class 1 1 = triangle 9",
      "[directions] line 8: unknown direction 9"),
     ("glpq2", "\n2 2 = 1/(p*q)", "\n1 2 = 7", "[theta_scalings] line 47: repeated pair 1 2"),
+    ("poly_shift_S12", "class 1 2 = quadrangle g0", "class 1 9 = quadrangle g0",
+     "[directions] line 9: unknown direction 9"),
+    ("poly_shift_S12", "labels = 1 2\n", "labels = 1 2 2\n",
+     "[directions] line 7: duplicate direction labels"),
 ], ids=["unknown_weight", "repeated_weight", "unknown_twist", "repeated_twist",
         "unknown_automorphism", "repeated_inverse", "unknown_triangle_target",
-        "repeated_theta_scaling"])
+        "repeated_theta_scaling", "unknown_class_pair", "duplicate_labels"])
 def test_entries_for_unknown_or_repeated_directions_exit_2(runner, tmp_path, pid, old, new,
                                                            message):
-    """A weight, twist, automorphism or triangle target for a label outside
-    [directions], or a second weight, twist, automorphism or theta scaling
-    for a label, is one located input error; it is not dropped (a
-    serialized heisenberg with `9 = b` printed d = b*theta[2] for y)."""
+    """A weight, twist, automorphism, class pair or triangle target for a
+    label outside [directions], or a second direction label, weight, twist,
+    automorphism or theta scaling for a label, is one located input error;
+    it is not dropped (a serialized heisenberg with `9 = b` printed
+    d = b*theta[2] for y)."""
     text = invoke(runner, "preset", "show", pid, "--serialize").output
     assert old in text
     calc = tmp_path / f"{pid}.calc"

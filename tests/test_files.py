@@ -280,7 +280,8 @@ def _serialized_with(pid, old, new):
 
 
 # (preset, old text, new text, the bad line, message): every entry of
-# [weights], [twists] and [automorphisms] names a direction, once
+# [weights], [twists] and [automorphisms] names a direction, once; every
+# label of [directions] is new, and a class line names only those labels
 BAD_DIRECTION_ENTRIES = [
     ("heisenberg", "\n2 = b\n", "\n9 = b\n", "9 = b", "[weights]", "unknown direction 9"),
     ("heisenberg", "\n2 = b\n", "\n1 = b\n", "1 = b", "[weights]", "repeated direction 1"),
@@ -296,10 +297,14 @@ BAD_DIRECTION_ENTRIES = [
      "2 inverse: x -> x, y -> y", "[automorphisms]", "repeated direction 2"),
     ("poly_shift_S12", "class 1 1 = triangle 2", "class 1 1 = triangle 9",
      "class 1 1 = triangle 9", "[directions]", "unknown direction 9"),
+    ("poly_shift_S12", "class 1 2 = quadrangle g0", "class 1 9 = quadrangle g0",
+     "class 1 9 = quadrangle g0", "[directions]", "unknown direction 9"),
+    ("poly_shift_S12", "labels = 1 2\n", "labels = 1 2 2\n", "labels = 1 2 2",
+     "[directions]", "duplicate direction labels"),
 ]
 BAD_DIRECTION_IDS = ["unknown_weight", "repeated_weight", "unknown_twist", "repeated_twist",
                      "unknown_automorphism", "repeated_automorphism", "repeated_inverse",
-                     "unknown_triangle_target"]
+                     "unknown_triangle_target", "unknown_class_pair", "duplicate_labels"]
 
 
 @pytest.mark.parametrize("pid, old, new, bad_line, section, message", BAD_DIRECTION_ENTRIES,
@@ -310,3 +315,11 @@ def test_entries_for_unknown_or_repeated_directions_are_located(pid, old, new, b
     with pytest.raises(FileFormatError) as exc:
         load_calculus(text)
     assert str(exc.value) == f"{section} line {_line_of(text, bad_line)}: {message}"
+
+
+def test_unclassified_pair_is_located_on_the_labels_line():
+    text = _serialized_with("poly_shift_S12", "class 2 2 = quadrangle g1\n", "")
+    with pytest.raises(FileFormatError) as exc:
+        load_calculus(text)
+    assert str(exc.value) == (f"[directions] line {_line_of(text, 'labels = 1 2')}: "
+                              "pair classification must cover S x S exactly")

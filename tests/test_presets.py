@@ -145,7 +145,10 @@ _SHIFT_FILE = ("[generators]\nx\n\n[directions]\nlabels = 1\n\n[automorphisms]\n
     ("from nccalc.presets import load_preset; load_preset('glpq2')", _UNUSED),
     (_CLI.format(args="'--preset', 'glpq2', 'normalize', 'a'"), _UNUSED),
     (_CLI.format(args="'--file', {calc!r}, 'normalize', 'x'"), _UNUSED - {"nccalc.files"}),
-], ids=["import_nccalc", "load_preset", "cli_normalize", "cli_file_normalize"])
+    (_CLI.format(args="'--preset', 'heisenberg', 'verify', '--suite', 'inner'"),
+     _UNUSED - {"nccalc.suites"}),
+], ids=["import_nccalc", "load_preset", "cli_normalize", "cli_file_normalize",
+        "cli_verify_inner"])
 def test_glpq2_load_leaves_frame_module_unloaded(code, absent, tmp_path):
     """A load builds the calculus; the frame waits for its first reader, and
     a command imports only the modules it runs."""
