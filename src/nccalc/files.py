@@ -156,6 +156,7 @@ def _directions_from_sections(lines):
     triangles = {}
     quads = {}
     named = []  # (file line, direction labels a class line names)
+    pairs = set()
     for n, line in lines:
         with _at(n, "directions"):
             if line.startswith("labels"):
@@ -165,6 +166,9 @@ def _directions_from_sections(lines):
             if not m:
                 raise FileFormatError(f"bad directions line: {line!r}")
             pair = (m.group(1), m.group(2))
+            if pair in pairs:
+                raise FileFormatError(f"repeated pair {pair[0]} {pair[1]}")
+            pairs.add(pair)
             named.append((n, pair))
             kind = m.group(3).split()
             if kind[0] == "biangle":

@@ -11,13 +11,16 @@ equality of representations:
     tuple.
 
 Polynomials are dicts mapping exponent tuples to Fractions; the exponent
-positions line up with the scalar's sorted parameter tuple.
+positions line up with the scalar's sorted parameter tuple.  Cancellation
+splits num and den into a rational content and an integer primitive part
+and takes the gcd of the parts over Z.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import sub as _sub
+from math import gcd, lcm
+from operator import add as _add, sub as _sub
 from typing import Iterable, Mapping
 
 _ZERO = Fraction(0)
@@ -33,28 +36,19 @@ class ZeroDenominator(ScalarError):
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers (dict exponent-tuple -> Fraction, length = nvars)
-
-
-def _p_const(c, nvars):
-    c = Fraction(c)
-    if c == 0:
-        return {}
-    return {(0,) * nvars: c}
-
-
-def _p_is_const(p):
-    return not p or (len(p) == 1 and not any(next(iter(p))))
+# polynomial helpers (dict exponent-tuple -> coefficient, length = nvars).
+# A Scalar holds Fraction coefficients; the gcd runs on int ones.  Helpers
+# that only add and multiply serve both.
 
 
 def _p_add(a, b):
     r = dict(a)
     for e, c in b.items():
-        s = r.get(e, _ZERO) + c
+        s = r[e] + c if e in r else c
         if s:
             r[e] = s
         else:
-            r.pop(e, None)
+            del r[e]
     return r
 
 
@@ -70,13 +64,25 @@ def _p_mul(a, b):
     r = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            s = r.get(e, _ZERO) + ca * cb
+            e = tuple(map(_add, ea, eb))
+            s = r[e] + ca * cb if e in r else ca * cb
             if s:
                 r[e] = s
             else:
                 del r[e]
     return r
+
+
+def _p_pow(a, k):
+    """a**k for k >= 1 by repeated squaring."""
+    out = None
+    while True:
+        if k & 1:
+            out = a if out is None else _p_mul(out, a)
+        k >>= 1
+        if not k:
+            return out
+        a = _p_mul(a, a)
 
 
 def _p_scale(a, c):
@@ -94,30 +100,37 @@ def _p_lead(a):
     return e, a[e]
 
 
-def _p_monic(a):
+def _p_primitive(a):
+    """(c, p) with a = c*p: c a positive Fraction, p over Z with content 1."""
     if not a:
-        return a
-    _, c = _p_lead(a)
-    if c == 1:
-        return a
-    return _p_scale(a, 1 / c)
+        return _ONE, a
+    m = lcm(*(c.denominator for c in a.values()))
+    p = {e: c.numerator * (m // c.denominator) for e, c in a.items()}
+    g = gcd(*p.values())
+    return Fraction(g, m), ({e: c // g for e, c in p.items()} if g != 1 else p)
 
 
 def _p_div_exact(a, b):
-    """Exact multivariate division; raises if b does not divide a."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
+    """Exact division over Z; raises if b does not divide a."""
+    eb, cb = _p_lead(b)
+    rest = [(e, c) for e, c in b.items() if e != eb]
     q = {}
     rem = dict(a)
-    eb, cb = _p_lead(b)
     while rem:
-        ea, ca = _p_lead(rem)
-        de = tuple(x - y for x, y in zip(ea, eb))
-        if any(x < 0 for x in de):
+        # a monomial b divides term by term, in any order
+        ea = max(rem, key=_grlex) if rest else next(iter(rem))
+        dc, r = divmod(rem.pop(ea), cb)
+        de = tuple(map(_sub, ea, eb))
+        if r or any(x < 0 for x in de):
             raise ArithmeticError("inexact polynomial division")
-        dc = ca / cb
         q[de] = dc
-        rem = _p_sub(rem, _p_mul({de: dc}, b))
+        for e, c in rest:
+            e = tuple(map(_add, de, e))
+            s = rem.get(e, 0) - dc * c
+            if s:
+                rem[e] = s
+            else:
+                del rem[e]
     return q
 
 
@@ -136,100 +149,80 @@ def _common_power(exps, m):
 def _p_to_rec(a):
     rec = {}
     for e, c in a.items():
-        d = e[0]
-        rec.setdefault(d, {})[e[1:]] = c
+        rec.setdefault(e[0], {})[e[1:]] = c
     return rec
 
 
 def _p_from_rec(rec):
-    a = {}
-    for d, sub in rec.items():
-        for e, c in sub.items():
-            a[(d,) + e] = c
-    return a
+    return {(d,) + e: c for d, sub in rec.items() for e, c in sub.items()}
 
 
-def _lift(sub):
-    """Embed a poly in vars[1:] as a poly in all vars (degree 0 in var 0)."""
-    return {(0,) + e: c for e, c in sub.items()}
-
-
-def _rec_sub(a, b):
-    r = dict(a)
-    for d, p in b.items():
-        s = _p_sub(r.get(d, {}), p)
-        if s:
-            r[d] = s
-        else:
-            r.pop(d, None)
+def _rec_prem(f, g):
+    """Pseudo-remainder of f by g, both in the view on var 0."""
+    dg = max(g)
+    lg = g[dg]
+    r = f
+    while r and max(r) >= dg:
+        dr = max(r)
+        lr = r[dr]
+        # r <- lg*r - lr*x^(dr-dg)*g; the leading terms cancel
+        r2 = {d: _p_mul(p, lg) for d, p in r.items() if d != dr}
+        for d, p in g.items():
+            if d != dg:
+                k = d + dr - dg
+                s = _p_sub(r2.get(k, {}), _p_mul(p, lr))
+                if s:
+                    r2[k] = s
+                else:
+                    del r2[k]
+        r = r2
     return r
 
 
-def _p_pseudo_rem(a, b):
-    """Pseudo-remainder of a by b, both univariate in var 0 over poly coeffs."""
-    ra, rb = _p_to_rec(a), _p_to_rec(b)
-    db = max(rb)
-    lb = rb[db]
-    r = ra
-    while r and max(r) >= db:
-        dr = max(r)
-        lr = r[dr]
-        # r <- lb*r - lr*x^(dr-db)*b
-        r2 = {d: _p_mul(p, lb) for d, p in r.items()}
-        shifted = {d + dr - db: _p_mul(p, lr) for d, p in rb.items()}
-        r = _rec_sub(r2, shifted)
-    return _p_from_rec(r)
+def _content_pp(rec, nvars):
+    """(content, primitive part) of a poly in the view on var 0, over Z."""
+    cont = {}
+    one = (0,) * (nvars - 1)
+    for sub in sorted(rec.values(), key=len):
+        cont = _z_gcd(cont, sub, nvars - 1)
+        if len(cont) == 1 and cont.get(one) in (1, -1):
+            return {one: 1}, rec
+    return cont, {d: _p_div_exact(sub, cont) for d, sub in rec.items()}
+
+
+def _z_gcd(a, b, nvars):
+    """Gcd of polynomials over Z, up to sign.
+
+    A single-term operand divides only into monomials, so the gcd is then
+    an integer times the common power of both operands (at nvars = 0, the
+    integer gcd).  Otherwise a primitive pseudo-remainder sequence on the
+    first variable (Collins 1967, Brown 1971): by Gauss's lemma each
+    remainder may be replaced by its primitive part, whose content is a
+    gcd over Z in the other variables, so coefficients stay small.
+    """
+    if not a or not b:
+        return a or b
+    if len(a) == 1 or len(b) == 1:
+        m = _common_power(b, _common_power(a, next(iter(a))))
+        return {m: gcd(*a.values(), *b.values())}
+    ca, f = _content_pp(_p_to_rec(a), nvars)
+    cb, g = _content_pp(_p_to_rec(b), nvars)
+    if max(f) < max(g):
+        f, g = g, f
+    # a primitive g of degree 0 in var 0 is a unit
+    while max(g):
+        r = _rec_prem(f, g)
+        if not r:
+            break
+        f, g = g, _content_pp(r, nvars)[1]
+    return _p_mul({(0,) + e: c for e, c in _z_gcd(ca, cb, nvars - 1).items()},
+                  _p_from_rec(g))
 
 
 def _p_gcd(a, b, nvars):
-    """Gcd of multivariate polynomials over Q, monic under graded-lex.
-
-    A single-term operand divides only into monomials, so the gcd is then
-    the common power of both operands.  Otherwise a primitive
-    pseudo-remainder sequence on the first variable with recursive
-    content computation.
-    """
-    if not a:
-        return _p_monic(dict(b))
-    if not b:
-        return _p_monic(dict(a))
-    if nvars == 0:
-        return {(): _ONE}
-    if _p_is_const(a) or _p_is_const(b):
-        return _p_const(1, nvars)
-    if len(a) == 1 or len(b) == 1:
-        m = _common_power(b, _common_power(a, next(iter(a))))
-        return {m: _ONE}
-
-    def content_pp(p):
-        rec = _p_to_rec(p)
-        cont = {}
-        for sub in rec.values():
-            cont = _p_gcd(cont, sub, nvars - 1)
-        pp = _p_div_exact(p, _lift(cont))
-        return cont, pp
-
-    ca, pa = content_pp(a)
-    cb, pb = content_pp(b)
-    cg = _p_gcd(ca, cb, nvars - 1)
-
-    def deg0(p):
-        return max(d for d in _p_to_rec(p))
-
-    f, g = pa, pb
-    if deg0(f) < deg0(g):
-        f, g = g, f
-    while True:
-        r = _p_pseudo_rem(f, g)
-        if not r:
-            break
-        _, rp = content_pp(r)
-        f, g = g, rp
-        if deg0(g) == 0:
-            # primitive and degree 0 in var 0: gcd of primitive parts is 1
-            g = _p_const(1, nvars)
-            break
-    return _p_monic(_p_mul(_lift(cg), g))
+    """Gcd of polynomials over Q, monic under graded-lex."""
+    g = _z_gcd(_p_primitive(a)[1], _p_primitive(b)[1], nvars)
+    return _p_scale(g, Fraction(1, _p_lead(g)[1])) if g else g
 
 
 def _p_eval(p, values):
@@ -331,6 +324,19 @@ class Scalar:
             elif c != 1:
                 num = {k: v / c for k, v in num.items()}
                 den = {e: _ONE}
+        else:
+            # over Z: split off the rational contents, cancel the gcd of the
+            # primitive parts, then make den monic; the parts left are coprime
+            cn, num = _p_primitive(num)
+            cd, den = _p_primitive(den)
+            g = _z_gcd(num, den, len(params))
+            if len(g) > 1 or any(next(iter(g))):
+                num = _p_div_exact(num, g)
+                den = _p_div_exact(den, g)
+            lc = _p_lead(den)[1]
+            c = cn / cd / lc
+            num = {e: c * v for e, v in num.items()}
+            den = {e: Fraction(v, lc) for e, v in den.items()}
         # drop unused parameters
         n = len(params)
         used = [i for i in range(n) if any(e[i] for e in num) or any(e[i] for e in den)]
@@ -339,17 +345,6 @@ class Scalar:
             num = {proj(e): c for e, c in num.items()}
             den = {proj(e): c for e, c in den.items()}
             params = tuple(params[i] for i in used)
-            n = len(params)
-        if len(den) > 1:
-            g = _p_gcd(num, den, n)
-            if not _p_is_const(g):
-                num = _p_div_exact(num, g)
-                den = _p_div_exact(den, g)
-                return Scalar._make(params, num, den)
-            _, lc = _p_lead(den)
-            if lc != 1:
-                num = _p_scale(num, 1 / lc)
-                den = _p_scale(den, 1 / lc)
         return Scalar(params, num, den, _canonical=True)
 
     # -- alignment of parameter contexts
@@ -479,11 +474,11 @@ class Scalar:
             raise TypeError("scalar powers must be integers")
         if n == 0:
             return Scalar.one()
+        # num and den are coprime, so are their powers, and the grlex
+        # leading coefficient of den**k is 1**k: no gcd
         base = self if n > 0 else self.inverse()
-        out = base
-        for _ in range(abs(n) - 1):
-            out = out * base
-        return out
+        return Scalar(base.params, _p_pow(base.num, abs(n)), _p_pow(base.den, abs(n)),
+                      _canonical=True)
 
     # -- substitution
 

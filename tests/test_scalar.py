@@ -90,6 +90,27 @@ def test_field_axioms_random():
             assert a * a.inverse() == Scalar.one()
 
 
+def test_power_equals_repeated_product():
+    p, q, t = params("p q t")
+    rng = random.Random(13)
+    cases = [(p ** 2 - 2 * q + Scalar.from_int(1) / 3) / (p * q + q - Scalar.from_int(5) / 7),
+             (p - q) / (3 * p + 2 * t - 1), Scalar.from_int(-2) / 3 * (p + q * t + 1),
+             Scalar.from_int(7) / 5]
+    cases += [s for s in (_random_scalar(rng, ("p", "q", "t")) for _ in range(40))
+              if len(s.num) > 1 or len(s.den) > 1][:8]
+    for a in cases:
+        for k in range(-4, 7):
+            base = a if k >= 0 else a.inverse()
+            want = Scalar.one()
+            for _ in range(abs(k)):
+                want = want * base
+            assert a ** k == want, (a, k)
+    zero = Scalar.zero()
+    assert zero ** 3 == zero
+    with pytest.raises(ZeroDenominator):
+        zero ** -2
+
+
 def test_substitute_commutes_with_arithmetic():
     rng = random.Random(11)
     p = Scalar.param("p")
@@ -293,5 +314,40 @@ def test_constant_lane_against_sympy_cancel():
             assert _p_lead(ours.den)[1] == 1, name
             assert all(any(e[i] for e in ours.num) or any(e[i] for e in ours.den)
                        for i in range(len(ours.params))), name
+
+    check()
+
+
+def test_integer_gcd_with_polynomial_content_against_sympy():
+    """Large rational coefficients over 3 variables; the planted factor's content
+    in the main variable p is a nonconstant polynomial in q and t."""
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from fractions import Fraction
+    from nccalc.scalar import _p_gcd, _p_mul
+
+    coeffs = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6).filter(bool),
+                       st.integers(1, 10 ** 3))
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+    qt_exps = st.tuples(st.just(0), st.integers(0, 2), st.integers(0, 2))
+
+    @st.composite
+    def cases(draw):
+        content = draw(st.dictionaries(qt_exps, coeffs, min_size=2, max_size=3))
+        core = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=3))
+        core.setdefault((1, 0, 0), draw(coeffs))
+        factor = _p_mul(content, core)
+        cofactors = st.dictionaries(exps, coeffs, min_size=1, max_size=3)
+        return _p_mul(factor, draw(cofactors)), _p_mul(factor, draw(cofactors))
+
+    @hypothesis.settings(**_ORACLE)
+    @hypothesis.given(cases())
+    def check(case):
+        a, b = case
+        g = _from_sympy(_sympy_poly(sympy, a, 3).gcd(_sympy_poly(sympy, b, 3)))
+        assert _p_gcd(a, b, 3) == _grlex_monic(g, g)[0]
+        s = Scalar._make(_NAMES, a, b)
+        assert (s.params, s.num, s.den) == _sympy_canonical(sympy, a, b, 3)
 
     check()
