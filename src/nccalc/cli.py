@@ -6,7 +6,7 @@ Exit codes: 0 all checks pass, 1 check failure, 2 input error,
 
 from __future__ import annotations
 
-import functools
+import argparse
 import sys
 from contextlib import contextmanager
 
@@ -19,9 +19,6 @@ from .parsing import FileFormatError, ParseError
 from .presets import PRESET_IDS, PresetError, load_preset
 from .report import Report
 from .scalar import ScalarError
-
-# after the engine: compiling it on top of click's heap raised the peak RSS of a call
-import click
 
 # The geometry and file layers are imported by the commands that use them,
 # so a light call never compiles them; their names still resolve here.
@@ -47,6 +44,34 @@ EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL = 3
 
 
+def arg(*flags, **options):
+    """One argument of a command: the flags and keywords of `add_argument`."""
+    return flags, options
+
+
+GLOBAL_ARGS = (
+    arg("--preset", help="load a catalog preset"),
+    arg("--file", help="load a calculus definition file"),
+    arg("--format", choices=("text", "structured"), default="text", help="output format"),
+    arg("--jobs", type=int, default=1, help="parallel independent checks"),
+)
+
+
+COMMANDS = {}
+
+
+def command(name, *arguments, spec=True, table=COMMANDS):
+    """Enter the decorated handler in `table` under `name` with its arguments
+    and an empty table of subcommands; its docstring is its help.  It is
+    called as handler(ctx, spec, **options) -> ok with the --preset/--file
+    calculus, or as handler(ctx, **options) -> ok when `spec` is false."""
+    def register(fn):
+        fn.arguments, fn.spec, fn.commands = arguments, spec, {}
+        table[name] = fn
+        return fn
+    return register
+
+
 def _read(path):
     """The text of a --file, --connection or --metric path."""
     with open(path) as fh:
@@ -55,47 +80,45 @@ def _read(path):
 
 def _load_spec(ctx):
     """The calculus of --preset or --file; a preset and its serialized file load alike."""
-    preset = ctx.obj.get("preset")
-    path = ctx.obj.get("file")
+    preset, path = ctx["preset"], ctx["file"]
     if preset and path:
-        raise click.UsageError("give either --preset or --file, not both")
+        _fail(EXIT_INPUT_ERROR, "give either --preset or --file, not both")
     if preset:
         return load_preset(preset).spec
     if path:
         from .files import load_calculus
 
         return load_calculus(_read(path))  # confluence-gated inside
-    raise click.UsageError("no calculus loaded; use --preset or --file")
+    _fail(EXIT_INPUT_ERROR, "no calculus loaded; use --preset or --file")
 
 
 def _emit(ctx, report_or_lines, prefix="result"):
-    fmt = ctx.obj.get("format", "text")
+    fmt = ctx["format"]
     if isinstance(report_or_lines, Report):
-        click.echo(report_or_lines.structured(prefix) if fmt == "structured"
-                   else report_or_lines.text())
+        print(report_or_lines.structured(prefix) if fmt == "structured"
+              else report_or_lines.text())
         return report_or_lines.ok
     for i, line in enumerate(report_or_lines):
         if fmt == "structured" and not (" = " in line or line.startswith(prefix)):
             line = f"{prefix}.{i} = {line}"
-        click.echo(line)
+        print(line)
     return True
 
 
 @contextmanager
 def _jobs_map(ctx):
-    """The map for independent checks: builtin at --jobs 1, else a thread pool's."""
-    jobs = ctx.obj.get("jobs", 1)
-    if jobs == 1:
+    """The map for independent checks: builtin at --jobs 1 (or less), else a thread pool's."""
+    if ctx["jobs"] <= 1:
         yield map
         return
     from concurrent.futures import ThreadPoolExecutor  # loads logging: keep it off cold calls
 
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=ctx["jobs"]) as pool:
         yield pool.map
 
 
 def _fail(code, message):
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
 
@@ -113,40 +136,70 @@ def _run(fn):
         sys.exit(EXIT_CHECK_FAILED)
 
 
-def _with_spec(fn):
-    """A command fn(ctx, spec, **options) -> ok on the --preset/--file calculus, run by _run."""
-    @click.pass_context
-    @functools.wraps(fn)
-    def command(ctx, **options):
-        _run(lambda: fn(ctx, _load_spec(ctx), **options))
-    return command
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one `error:` line and exit 2; help has a fixed width."""
+
+    def __init__(self, **kw):
+        super().__init__(add_help=False, allow_abbrev=False, formatter_class=_formatter, **kw)
+        self.add_argument("--help", action="help", help="show this message and exit")
+
+    def error(self, message):
+        _fail(EXIT_INPUT_ERROR, message)
 
 
-@click.group()
-@click.option("--preset", type=str, default=None, help="load a catalog preset")
-@click.option("--file", "file_", type=click.Path(), default=None,
-              help="load a calculus definition file")
-@click.option("--format", "format_", type=click.Choice(["text", "structured"]),
-              default="text", help="output format")
-@click.option("--jobs", type=int, default=1, help="parallel independent checks")
-@click.pass_context
-def main(ctx, preset, file_, format_, jobs):
+def _formatter(prog):
+    return argparse.HelpFormatter(prog, width=80)
+
+
+def _parser(prog):
+    """The parser of GLOBAL_ARGS and the command table, and the options that take a value."""
+    takes_value = set()
+
+    def add(parser, arguments, table):
+        for flags, options in arguments:
+            action = parser.add_argument(*flags, **options)
+            if action.nargs != 0:
+                takes_value.update(action.option_strings)
+        sub = table and parser.add_subparsers(metavar="COMMAND", required=True)
+        for name, cmd in table.items():
+            cmd_parser = sub.add_parser(name, help=cmd.__doc__, description=cmd.__doc__)
+            cmd_parser.set_defaults(command=cmd)
+            add(cmd_parser, cmd.arguments, cmd.commands)
+
+    parser = _Parser(prog=prog, description=main.__doc__)
+    add(parser, GLOBAL_ARGS, COMMANDS)
+    return parser, takes_value
+
+
+def _join_values(argv, takes_value):
+    """`--opt value` -> `--opt=value` for every option that takes a value, so
+    a value that starts with '-' (`d --expr -x`) is read as the value."""
+    out, it = [], iter(argv)
+    for a in it:
+        if a == "--":
+            return [*out, a, *it]
+        value = next(it, None) if a in takes_value else None
+        out.append(a if value is None else f"{a}={value}")
+    return out
+
+
+def main(args=None, prog_name=None):
     """Exact engine for differential calculi on finitely presented algebras."""
-    ctx.ensure_object(dict)
-    ctx.obj.update(preset=preset, file=file_, format=format_, jobs=max(1, jobs))
+    parser, takes_value = _parser(prog_name or "nccalc")
+    argv = sys.argv[1:] if args is None else args
+    options = vars(parser.parse_args(_join_values(argv, takes_value)))
+    cmd = options.pop("command")
+    ctx = {name: options.pop(name) for name in ("preset", "file", "format", "jobs")}
+    _run(lambda: cmd(ctx, _load_spec(ctx), **options) if cmd.spec else cmd(ctx, **options))
 
 
-@main.command()
-@click.argument("expr")
-@_with_spec
+@command("normalize", arg("expr"))
 def normalize(ctx, spec, expr):
     """Normal form of an algebra expression."""
     return _emit(ctx, [f"normal_form = {spec.pres.parse(expr)}"])
 
 
-@main.command()
-@click.option("--expr", required=True)
-@_with_spec
+@command("d", arg("--expr", required=True))
 def d(ctx, spec, expr):
     """Differential of an algebra element (or of a form expression)."""
     form = parse_form(spec, expr)
@@ -157,10 +210,8 @@ def d(ctx, spec, expr):
     return _emit(ctx, [f"d = {out}"])
 
 
-@main.command()
-@click.option("--expr", required=True, help="algebra element to move")
-@click.option("--thetas", required=True, help="comma-separated theta labels")
-@_with_spec
+@command("commute", arg("--expr", required=True, help="algebra element to move"),
+         arg("--thetas", required=True, help="comma-separated theta labels"))
 def commute(ctx, spec, expr, thetas):
     """Move a coefficient to the left through a theta word."""
     word = tuple(s.strip() for s in thetas.split(","))
@@ -168,8 +219,7 @@ def commute(ctx, spec, expr, thetas):
     return _emit(ctx, [f"moved = {out}"])
 
 
-@main.command()
-@_with_spec
+@command("relations")
 def relations(ctx, spec):
     """The theta commutation table theta^s f = phi_s(f) theta^s."""
     lines = []
@@ -180,8 +230,7 @@ def relations(ctx, spec):
     return _emit(ctx, lines)
 
 
-@main.command("two-forms")
-@_with_spec
+@command("two-forms")
 def two_forms(ctx, spec):
     """Print the 2-form structure (relations, Delta table, zeta, basis)."""
     ts = spec.two_forms
@@ -190,17 +239,15 @@ def two_forms(ctx, spec):
     return _emit(ctx, ts.describe().splitlines())
 
 
-@main.command()
-@click.option("--suite", "suite_names", multiple=True,
-              type=click.Choice([*SUITES, "all"]), default=("all",))
-@click.option("--samples", type=int, default=25, help="randomized sample count")
-@click.option("--all-presets", is_flag=True, help="run over the whole catalog")
-@click.pass_context
-def verify(ctx, suite_names, samples, all_presets):
+@command("verify", arg("--suite", action="append", choices=(*SUITES, "all"), metavar="SUITE",
+                       help="suite to run, repeatable: %(choices)s (default all)"),
+         arg("--samples", type=int, default=25, help="randomized sample count"),
+         arg("--all-presets", action="store_true", help="run over the whole catalog"), spec=False)
+def verify(ctx, suite, samples, all_presets):
     """Run verification suites; exit 0 iff everything passes."""
     from . import suites
 
-    names = list(suite_names)
+    names = suite or ["all"]
     if "all" in names:
         names = [s for s in SUITES if s != "properties"]
 
@@ -211,20 +258,16 @@ def verify(ctx, suite_names, samples, all_presets):
             rep.merge(part, prefix=(f"{tag}.{name}" if tag else name))
         return rep
 
-    def go():
-        if all_presets:
-            rep = Report("verify all presets")
-            with _jobs_map(ctx) as map_:
-                for part in map_(lambda pid: one_spec(load_preset(pid).spec, pid), PRESET_IDS):
-                    rep.merge(part)
-            return _emit(ctx, rep, "verify")
-        return _emit(ctx, one_spec(_load_spec(ctx)), "verify")
-    _run(go)
+    if all_presets:
+        rep = Report("verify all presets")
+        with _jobs_map(ctx) as map_:
+            for part in map_(lambda pid: one_spec(load_preset(pid).spec, pid), PRESET_IDS):
+                rep.merge(part)
+        return _emit(ctx, rep, "verify")
+    return _emit(ctx, one_spec(_load_spec(ctx)), "verify")
 
 
-@main.command("theta-solve")
-@click.option("--coords", required=True, help="comma-separated coordinate elements")
-@_with_spec
+@command("theta-solve", arg("--coords", required=True, help="comma-separated coordinate elements"))
 def theta_solve(ctx, spec, coords):
     """Express the theta basis through differentials of the coordinates."""
     exprs = [c.strip() for c in coords.split(",")]
@@ -245,21 +288,18 @@ def theta_solve(ctx, spec, coords):
     return _emit(ctx, lines)
 
 
-@main.command("torsion")
-@click.option("--connection", "conn_path", required=True, type=click.Path())
-@_with_spec
-def torsion_cmd(ctx, spec, conn_path):
+@command("torsion", arg("--connection", required=True))
+def torsion_cmd(ctx, spec, connection):
     """Torsion 2-forms of a connection."""
     from .files import load_connection
     from .geometry import torsion
 
-    tor = torsion(spec, load_connection(spec, _read(conn_path)))
+    tor = torsion(spec, load_connection(spec, _read(connection)))
     _emit(ctx, [f"Theta(theta[{s}]) = {t}" for s, t in tor.items()])
     return all(t.is_zero() for t in tor.values())
 
 
-@main.command("torsion-conditions")
-@_with_spec
+@command("torsion-conditions")
 def torsion_conditions_cmd(ctx, spec):
     """Emit the linear torsion-free conditions on the connection."""
     from .geometry import torsion_free_conditions
@@ -268,92 +308,78 @@ def torsion_conditions_cmd(ctx, spec):
     return _emit(ctx, str(conds).splitlines() or ["conditions = none"])
 
 
-@main.command("curvature")
-@click.option("--connection", "conn_path", required=True, type=click.Path())
-@click.option("--theta", "theta_label", required=True)
-@_with_spec
-def curvature_cmd(ctx, spec, conn_path, theta_label):
+@command("curvature", arg("--connection", required=True), arg("--theta", required=True))
+def curvature_cmd(ctx, spec, connection, theta):
     """Curvature R(theta^s) of a connection."""
     from .files import load_connection
     from .geometry import curvature
 
-    conn = load_connection(spec, _read(conn_path))
-    R = curvature(spec, conn, GradedForm.theta(spec, theta_label))
-    return _emit(ctx, [f"R(theta[{theta_label}]) = {R}"])
+    conn = load_connection(spec, _read(connection))
+    R = curvature(spec, conn, GradedForm.theta(spec, theta))
+    return _emit(ctx, [f"R(theta[{theta}]) = {R}"])
 
 
-@main.command("metric-check")
-@click.option("--metric", "metric_path", required=True, type=click.Path())
-@click.option("--connection", "conn_path", default=None, type=click.Path())
-@_with_spec
-def metric_check(ctx, spec, metric_path, conn_path):
+@command("metric-check", arg("--metric", required=True), arg("--connection"))
+def metric_check(ctx, spec, metric, connection):
     """Metric invariance conditions, plus compatibility if a connection is given."""
     from .files import load_connection, load_metric
     from .geometry import metric_compatibility, metric_invariance_conditions
 
-    g = load_metric(spec, _read(metric_path))
+    g = load_metric(spec, _read(metric))
     rep = Report("metric")
     rep.merge(metric_invariance_conditions(spec, g), "invariance")
-    if conn_path:
-        conn = load_connection(spec, _read(conn_path))
+    if connection:
+        conn = load_connection(spec, _read(connection))
         rep.merge(metric_compatibility(spec, conn, g), "compatibility")
     return _emit(ctx, rep, "metric")
 
 
-@main.command("levi-civita")
-@click.option("--metric", "metric_path", required=True, type=click.Path())
-@click.option("--connection", "conn_path", required=True, type=click.Path())
-@_with_spec
-def levi_civita(ctx, spec, metric_path, conn_path):
+@command("levi-civita", arg("--metric", required=True), arg("--connection", required=True))
+def levi_civita(ctx, spec, metric, connection):
     """Torsion-free plus metric-compatible (existence only, never uniqueness)."""
     from .files import load_connection, load_metric
     from .geometry import levi_civita_check
 
-    g = load_metric(spec, _read(metric_path))
-    conn = load_connection(spec, _read(conn_path))
+    g = load_metric(spec, _read(metric))
+    conn = load_connection(spec, _read(connection))
     return _emit(ctx, levi_civita_check(spec, conn, g), "levi_civita")
 
 
-@main.group()
-def preset():
+@command("preset", spec=False)
+def preset(ctx):
     """Catalog of the worked examples."""
 
 
-@preset.command("list")
-@click.pass_context
+@command("list", spec=False, table=preset.commands)
 def preset_list(ctx):
+    """The catalog preset ids, one a line."""
     for pid in PRESET_IDS:
-        click.echo(pid)
+        print(pid)
+    return True
 
 
-@preset.command("show")
-@click.argument("preset_id")
-@click.option("--serialize", "do_serialize", is_flag=True,
-              help="emit the calculus in the definition-file format")
-@click.pass_context
-def preset_show(ctx, preset_id, do_serialize):
-    def go():
-        bundle = load_preset(preset_id)
-        if do_serialize:
-            from .files import serialize_calculus
+@command("show", arg("preset_id"), arg("--serialize", action="store_true",
+                                       help="emit the calculus in the definition-file format"),
+         spec=False, table=preset.commands)
+def preset_show(ctx, preset_id, serialize):
+    """Describe a preset, or print it as a definition file."""
+    bundle = load_preset(preset_id)
+    if serialize:
+        from .files import serialize_calculus
 
-            click.echo(serialize_calculus(bundle.spec))
-        else:
-            click.echo(bundle.describe())
-        return True
-    _run(go)
+        print(serialize_calculus(bundle.spec))
+    else:
+        print(bundle.describe())
+    return True
 
 
-@preset.command("run")
-@click.argument("preset_id")
-@click.pass_context
+@command("run", arg("preset_id"), spec=False, table=preset.commands)
 def preset_run(ctx, preset_id):
-    def go():
-        bundle = load_preset(preset_id)
-        with _jobs_map(ctx) as map_:
-            rep = bundle.run_fixtures(map=map_)
-        return _emit(ctx, rep, f"preset.{bundle.id}")
-    _run(go)
+    """Replay the golden fixtures of a preset."""
+    bundle = load_preset(preset_id)
+    with _jobs_map(ctx) as map_:
+        rep = bundle.run_fixtures(map=map_)
+    return _emit(ctx, rep, f"preset.{bundle.id}")
 
 
 if __name__ == "__main__":

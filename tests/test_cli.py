@@ -6,64 +6,60 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import nccalc
-from nccalc.cli import main
+from nccalc.cli import COMMANDS
 from nccalc.presets import PRESET_IDS, load_preset
 
-
-@pytest.fixture()
-def runner():
-    return CliRunner()
+from clirun import run_cli
 
 
-def invoke(runner, *args, **kw):
-    return runner.invoke(main, list(args), catch_exceptions=False, **kw)
+def invoke(*args):
+    return run_cli(args, catch_exceptions=False)
 
 
-def test_normalize(runner):
-    res = invoke(runner, "--preset", "quantum_plane_a", "normalize", "y*x")
+def test_normalize():
+    res = invoke("--preset", "quantum_plane_a", "normalize", "y*x")
     assert res.exit_code == 0
     assert "x*y" in res.output
 
 
-def test_d_z3_cube_is_zero(runner):
-    res = invoke(runner, "--preset", "z3_root_of_unity", "d", "--expr", "x^3")
+def test_d_z3_cube_is_zero():
+    res = invoke("--preset", "z3_root_of_unity", "d", "--expr", "x^3")
     assert res.exit_code == 0
     assert res.output.strip() == "d = 0"
 
 
-def test_torsion_conditions_output(runner):
-    res = invoke(runner, "--preset", "quantum_plane_a", "torsion-conditions")
+def test_torsion_conditions_output():
+    res = invoke("--preset", "quantum_plane_a", "torsion-conditions")
     assert res.exit_code == 0
     assert "V[1,2,1] = V[1,1,2] + 1" in res.output
     assert "V[2,2,1] = V[2,1,2] - 1" in res.output
 
 
-def test_verify_inner_passes(runner):
-    res = invoke(runner, "--preset", "quantum_plane_a", "verify", "--suite", "inner")
+def test_verify_inner_passes():
+    res = invoke("--preset", "quantum_plane_a", "verify", "--suite", "inner")
     assert res.exit_code == 0
 
 
-def test_verify_all_suites_on_presets(runner):
+def test_verify_all_suites_on_presets():
     for pid in ["heisenberg", "twisted_heisenberg_2", "glpq2"]:
-        res = invoke(runner, "--preset", pid, "verify", "--samples", "5")
+        res = invoke("--preset", pid, "verify", "--samples", "5")
         assert res.exit_code == 0, res.output
 
 
-def test_unknown_preset_exit_2(runner):
-    res = invoke(runner, "--preset", "bogus", "normalize", "x")
+def test_unknown_preset_exit_2():
+    res = invoke("--preset", "bogus", "normalize", "x")
     assert res.exit_code == 2
 
 
-def test_parse_error_exit_2(runner):
-    res = invoke(runner, "--preset", "quantum_plane_a", "normalize", "x +* y")
+def test_parse_error_exit_2():
+    res = invoke("--preset", "quantum_plane_a", "normalize", "x +* y")
     assert res.exit_code == 2
 
 
-def test_trailing_operator_located_exit_2(runner):
-    res = runner.invoke(main, ["--preset", "quantum_plane_a", "normalize", "x +"])
+def test_trailing_operator_located_exit_2():
+    res = run_cli(["--preset", "quantum_plane_a", "normalize", "x +"])
     assert res.exit_code == 2
     assert res.exception is None or isinstance(res.exception, SystemExit)
     assert "Traceback" not in res.output
@@ -71,8 +67,8 @@ def test_trailing_operator_located_exit_2(runner):
 
 
 @pytest.mark.parametrize("expr", ["x/0", "(1/0)*x", "0^-1*x", "x/(q-q)", "x*(q-q)^-1"])
-def test_division_by_zero_exit_2(runner, expr):
-    res = invoke(runner, "--preset", "quantum_plane_a", "normalize", expr)
+def test_division_by_zero_exit_2(expr):
+    res = invoke("--preset", "quantum_plane_a", "normalize", expr)
     assert res.exit_code == 2
     assert "Traceback" not in res.output
     assert res.output.strip() == "error: division by zero"
@@ -81,9 +77,9 @@ def test_division_by_zero_exit_2(runner, expr):
 @pytest.mark.parametrize("pid, expr", [("quantum_plane_a", "x/0"),
                                        ("quantum_plane_a", "x/(x*y)"),
                                        ("h_plane", "(x*y)^-1")])
-def test_normalize_and_d_share_error_wording(runner, pid, expr):
-    norm = runner.invoke(main, ["--preset", pid, "normalize", expr])
-    diff = runner.invoke(main, ["--preset", pid, "d", "--expr", expr])
+def test_normalize_and_d_share_error_wording(pid, expr):
+    norm = run_cli(["--preset", pid, "normalize", expr])
+    diff = run_cli(["--preset", pid, "d", "--expr", expr])
     for res in (norm, diff):
         assert res.exit_code == 2
         assert isinstance(res.exception, SystemExit)
@@ -92,18 +88,18 @@ def test_normalize_and_d_share_error_wording(runner, pid, expr):
     assert norm.output == diff.output
 
 
-def test_division_by_zero_in_relation_file_exit_2(runner, tmp_path):
-    text = invoke(runner, "preset", "show", "quantum_plane_a", "--serialize").output
+def test_division_by_zero_in_relation_file_exit_2(tmp_path):
+    text = invoke("preset", "show", "quantum_plane_a", "--serialize").output
     assert "y*x = (1/(q))*x*y" in text
     calc = tmp_path / "qp.calc"
     calc.write_text(text.replace("y*x = (1/(q))*x*y", "y*x = (1/0)*x*y"))
-    res = invoke(runner, "--file", str(calc), "normalize", "y*x")
+    res = invoke("--file", str(calc), "normalize", "y*x")
     assert res.exit_code == 2
     assert "Traceback" not in res.output
     assert res.output.strip() == "error: [relations] line 10: division by zero"
 
 
-def test_scalar_error_exit_2(runner, monkeypatch):
+def test_scalar_error_exit_2(monkeypatch):
     from nccalc.algebra import Presentation
     from nccalc.scalar import ZeroDenominator
 
@@ -111,21 +107,21 @@ def test_scalar_error_exit_2(runner, monkeypatch):
         raise ZeroDenominator("zero denominator")
 
     monkeypatch.setattr(Presentation, "parse", vanishing)
-    res = invoke(runner, "--preset", "quantum_plane_a", "normalize", "x")
+    res = invoke("--preset", "quantum_plane_a", "normalize", "x")
     assert res.exit_code == 2
     assert res.output.strip() == "error: zero denominator"
 
 
-def test_commute(runner):
-    res = invoke(runner, "--preset", "h_plane", "commute",
+def test_commute():
+    res = invoke("--preset", "h_plane", "commute",
                  "--expr", "x", "--thetas", "1")
     assert res.exit_code == 0
     assert "p*y" in res.output.replace(" ", "").replace("(", "").replace(")", "") \
         or "p*y" in res.output
 
 
-def test_relations_round_trip(runner):
-    res = invoke(runner, "--preset", "heisenberg", "relations")
+def test_relations_round_trip():
+    res = invoke("--preset", "heisenberg", "relations")
     assert res.exit_code == 0
     pres = load_preset("heisenberg").presentation
     for line in res.output.splitlines():
@@ -135,44 +131,44 @@ def test_relations_round_trip(runner):
         assert pres.parse(coeff) == pres.parse(coeff)
 
 
-def test_normalize_round_trip(runner):
+def test_normalize_round_trip():
     pres = load_preset("glpq2").presentation
-    res = invoke(runner, "--preset", "glpq2", "normalize", "d*a*b^-1")
+    res = invoke("--preset", "glpq2", "normalize", "d*a*b^-1")
     assert res.exit_code == 0
     printed = res.output.split("=", 1)[1].strip()
     assert pres.parse(printed) == pres.parse("d*a*b^-1")
 
 
-def test_two_forms_listing(runner):
-    res = invoke(runner, "--preset", "poly_shift_S12", "two-forms")
+def test_two_forms_listing():
+    res = invoke("--preset", "poly_shift_S12", "two-forms")
     assert res.exit_code == 0
     assert "Delta(theta[2]) = theta[1]*theta[1]" in res.output
 
 
-def test_theta_solve(runner):
-    res = invoke(runner, "--preset", "poly_shift_S12", "theta-solve",
+def test_theta_solve():
+    res = invoke("--preset", "poly_shift_S12", "theta-solve",
                  "--coords", "x, x^2")
     assert res.exit_code == 0
     assert "det = 2" in res.output
     assert "theta[1] =" in res.output
 
 
-def test_theta_solve_failure_exit_1(runner):
-    res = invoke(runner, "--preset", "poly_shift_S12", "theta-solve",
+def test_theta_solve_failure_exit_1():
+    res = invoke("--preset", "poly_shift_S12", "theta-solve",
                  "--coords", "x, x")
     assert res.exit_code == 1
     assert "failed" in res.output
 
 
-def test_torsion_command(runner, tmp_path):
+def test_torsion_command(tmp_path):
     conn = tmp_path / "conn.txt"
     conn.write_text("V[1,2,1] = 1\nV[2,2,1] = -1\n")
-    res = invoke(runner, "--preset", "quantum_plane_a", "torsion",
+    res = invoke("--preset", "quantum_plane_a", "torsion",
                  "--connection", str(conn))
     assert res.exit_code == 0
     bad = tmp_path / "bad.txt"
     bad.write_text("V[1,2,1] = 5\n")
-    res = invoke(runner, "--preset", "quantum_plane_a", "torsion",
+    res = invoke("--preset", "quantum_plane_a", "torsion",
                  "--connection", str(bad))
     assert res.exit_code == 1
 
@@ -189,11 +185,11 @@ def test_torsion_command(runner, tmp_path):
      "  [FAIL] compatibility.transport.1: V_1(g) - g"
      " = (-x) theta[1] (x)L theta[2] + (-y) theta[2] (x)L theta[1]"),
 ])
-def test_printed_forms_and_tensors_are_pinned(runner, tmp_path, pid, files, args, line):
+def test_printed_forms_and_tensors_are_pinned(tmp_path, pid, files, args, line):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     args = [str(tmp_path / a) if a in files else a for a in args]
-    res = invoke(runner, "--preset", pid, *args)
+    res = invoke("--preset", pid, *args)
     assert line in res.output.splitlines()
 
 
@@ -201,83 +197,83 @@ def test_printed_forms_and_tensors_are_pinned(runner, tmp_path, pid, files, args
     ["--preset", "quantum_plane_a", "normalize", "x^99999999999"],
     ["--preset", "quantum_plane_a", "d", "--expr", "theta[1]^5000"],
 ])
-def test_huge_exponent_exit_2(runner, args):
-    res = runner.invoke(main, args)
+def test_huge_exponent_exit_2(args):
+    res = run_cli(args)
     assert res.exit_code == 2
     assert res.exception is None or isinstance(res.exception, SystemExit)
     assert res.output.strip().startswith("error: exponent ")
 
 
-def test_huge_exponent_in_weights_file_exit_2(runner, tmp_path):
-    text = invoke(runner, "preset", "show", "quantum_plane_a", "--serialize").output
+def test_huge_exponent_in_weights_file_exit_2(tmp_path):
+    text = invoke("preset", "show", "quantum_plane_a", "--serialize").output
     lines = text.splitlines()
     n = lines.index("[weights]") + 2
     assert lines[n - 1] == "1 = 1"
     calc = tmp_path / "qp.calc"
     calc.write_text(text.replace("[weights]\n1 = 1", "[weights]\n1 = q^-99999999999"))
-    res = runner.invoke(main, ["--file", str(calc), "normalize", "x"])
+    res = run_cli(["--file", str(calc), "normalize", "x"])
     assert res.exit_code == 2
     assert res.exception is None or isinstance(res.exception, SystemExit)
     assert res.output.strip() == (f"error: [weights] line {n}: exponent -99999999999 exceeds "
                                   "1000 in absolute value at column 3")
 
 
-def test_curvature_command(runner, tmp_path):
+def test_curvature_command(tmp_path):
     conn = tmp_path / "conn.txt"
     conn.write_text("")  # V = 0
-    res = invoke(runner, "--preset", "quantum_plane_a", "curvature",
+    res = invoke("--preset", "quantum_plane_a", "curvature",
                  "--connection", str(conn), "--theta", "1")
     assert res.exit_code == 0
     assert "R(theta[1]) = 0" in res.output
 
 
-def test_metric_check_and_levi_civita(runner, tmp_path):
+def test_metric_check_and_levi_civita(tmp_path):
     metric = tmp_path / "g.txt"
     metric.write_text("g[1,2] = 1\ng[2,1] = 1\n")
     conn = tmp_path / "v.txt"
     conn.write_text("V[1,1,2] = -1\nV[2,1,1] = -1\nV[1,2,2] = -1\nV[2,2,1] = -1\n")
-    res = invoke(runner, "--preset", "quantum_plane_a", "metric-check",
+    res = invoke("--preset", "quantum_plane_a", "metric-check",
                  "--metric", str(metric), "--connection", str(conn))
     assert res.exit_code == 0, res.output
-    res = invoke(runner, "--preset", "quantum_plane_a", "levi-civita",
+    res = invoke("--preset", "quantum_plane_a", "levi-civita",
                  "--metric", str(metric), "--connection", str(conn))
     assert res.exit_code == 0, res.output
 
 
-def test_preset_list_show_run(runner):
-    res = invoke(runner, "preset", "list")
+def test_preset_list_show_run():
+    res = invoke("preset", "list")
     assert res.exit_code == 0
     assert "quantum_plane_a" in res.output
-    res = invoke(runner, "preset", "show", "heisenberg")
+    res = invoke("preset", "show", "heisenberg")
     assert res.exit_code == 0
     assert "fixtures:" in res.output
-    res = invoke(runner, "preset", "run", "poly_shift_sym")
+    res = invoke("preset", "run", "poly_shift_sym")
     assert res.exit_code == 0
 
 
-def test_preset_show_serialized_reloads(runner, tmp_path):
-    res = invoke(runner, "preset", "show", "quantum_plane_a", "--serialize")
+def test_preset_show_serialized_reloads(tmp_path):
+    res = invoke("preset", "show", "quantum_plane_a", "--serialize")
     assert res.exit_code == 0
     calc = tmp_path / "qp.calc"
     calc.write_text(res.output)
-    res = invoke(runner, "--file", str(calc), "normalize", "y*x")
+    res = invoke("--file", str(calc), "normalize", "y*x")
     assert res.exit_code == 0
     assert "x*y" in res.output
 
 
-def test_structured_format_stable(runner):
-    r1 = invoke(runner, "--preset", "heisenberg", "--format", "structured",
+def test_structured_format_stable():
+    r1 = invoke("--preset", "heisenberg", "--format", "structured",
                 "verify", "--suite", "inner")
-    r2 = invoke(runner, "--preset", "heisenberg", "--format", "structured",
+    r2 = invoke("--preset", "heisenberg", "--format", "structured",
                 "verify", "--suite", "inner")
     assert r1.exit_code == 0 and r1.output == r2.output
     assert all(" = " in line for line in r1.output.splitlines() if line)
 
 
-def test_verify_all_presets_deterministic_and_parallel(runner):
+def test_verify_all_presets_deterministic_and_parallel():
     args = ["verify", "--suite", "inner", "--suite", "twisted-2forms", "--all-presets"]
-    seq = invoke(runner, "--format", "structured", *args)
-    par = invoke(runner, "--format", "structured", "--jobs", "4", *args)
+    seq = invoke("--format", "structured", *args)
+    par = invoke("--format", "structured", "--jobs", "4", *args)
     assert seq.exit_code == 0
     assert seq.output == par.output
 
@@ -309,21 +305,91 @@ def test_cli_import_leaves_thread_pool_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-def test_jobs_preset_run_deterministic(runner):
+def test_cli_call_leaves_click_unloaded():
+    """The command line is stdlib argparse: a call imports no click, even where it is installed."""
+    src = str(Path(nccalc.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, nccalc.cli; nccalc.cli.main(['--preset', 'glpq2', 'normalize', 'a']); "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'click'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["normal_form = a", "[]"]
+
+
+@pytest.mark.parametrize("args, line", [
+    (["d", "--expr", "-x"], "d = (p*q - 1)/(p*q)*x*theta[1]"),
+    (["commute", "--expr", "-x", "--thetas", "1"], "moved = (-1/(p*q))*x*theta[1]"),
+    (["normalize", "--", "-x"], "normal_form = -x"),
+], ids=["d", "commute", "normalize"])
+def test_option_value_may_start_with_a_dash(args, line):
+    res = invoke("--preset", "quantum_plane_a", *args)
+    assert (res.exit_code, res.output) == (0, f"{line}\n")
+
+
+def test_jobs_below_one_means_one():
+    args = ["--format", "structured", "preset", "run", "poly_shift_sym"]
+    assert invoke("--jobs", "-1", *args) == invoke("--jobs", "1", *args)
+
+
+@pytest.mark.parametrize("args, fragment", [
+    ([], "COMMAND"),
+    (["--preset", "glpq2"], "COMMAND"),
+    (["bogus"], "bogus"),
+    (["--preset", "glpq2", "preset", "bogus"], "bogus"),
+    (["--bogus", "--preset", "glpq2", "normalize", "a"], "--bogus"),
+    (["--preset", "glpq2", "normalize", "a", "--bogus"], "--bogus"),
+    (["--preset", "glpq2", "d"], "--expr"),
+    (["--preset", "glpq2", "normalize"], "expr"),
+    (["--format", "xml", "--preset", "glpq2", "normalize", "a"], "--format"),
+    (["--preset", "glpq2", "verify", "--suite", "nope"], "--suite"),
+    (["--jobs", "x", "--preset", "glpq2", "normalize", "a"], "--jobs"),
+    (["--preset", "glpq2", "verify", "--samples", "x"], "--samples"),
+    (["--preset", "glpq2", "--file", "x.calc", "normalize", "a"],
+     "give either --preset or --file, not both"),
+    (["normalize", "a"], "no calculus loaded; use --preset or --file"),
+], ids=["no_arguments", "no_command", "unknown_command", "unknown_subcommand",
+        "unknown_option", "unknown_command_option", "missing_option", "missing_argument",
+        "bad_format", "bad_suite", "bad_jobs", "bad_samples", "preset_and_file", "no_calculus"])
+def test_usage_error_is_one_error_line_exit_2(args, fragment):
+    res = run_cli(args)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.startswith("error: ") and len(res.output.splitlines()) == 1
+    assert fragment in res.output
+
+
+HELP_CALLS = [["--help"], *([name, "--help"] for name in COMMANDS),
+              *(["preset", name, "--help"] for name in COMMANDS["preset"].commands)]
+
+
+@pytest.mark.parametrize("args", HELP_CALLS, ids=" ".join)
+def test_help_does_not_depend_on_the_terminal_width(monkeypatch, args):
+    outs = []
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        res = invoke(*args)
+        assert res.exit_code == 0 and res.output.startswith("usage: nccalc")
+        outs.append(res.output)
+    assert outs[0] == outs[1]
+
+
+def test_jobs_preset_run_deterministic():
     for pid in ("quantum_plane_b", "heisenberg"):
-        seq = invoke(runner, "--format", "structured", "--jobs", "1", "preset", "run", pid)
-        par = invoke(runner, "--format", "structured", "--jobs", "3", "preset", "run", pid)
+        seq = invoke("--format", "structured", "--jobs", "1", "preset", "run", pid)
+        par = invoke("--format", "structured", "--jobs", "3", "preset", "run", pid)
         assert seq.exit_code == 0 and par.exit_code == 0
         assert f"preset.{pid}.fixture_00." in seq.output
         assert seq.output == par.output
 
 
-def test_file_session_missing_exit_2(runner):
-    res = invoke(runner, "--file", "/nonexistent/path.calc", "normalize", "x")
+def test_file_session_missing_exit_2():
+    res = invoke("--file", "/nonexistent/path.calc", "normalize", "x")
     assert res.exit_code == 2
 
 
-def test_nonconfluent_file_exit_3(runner, tmp_path):
+def test_nonconfluent_file_exit_3(tmp_path):
     calc = tmp_path / "bad.calc"
     calc.write_text("""
 [generators]
@@ -344,18 +410,18 @@ labels = 1
 [weights]
 1 = 1
 """)
-    res = invoke(runner, "--file", str(calc), "normalize", "y*x")
+    res = invoke("--file", str(calc), "normalize", "y*x")
     assert res.exit_code == 3
 
 
 @pytest.mark.parametrize("pid", PRESET_IDS)
-def test_serialized_preset_verifies_like_the_preset(runner, tmp_path, pid):
+def test_serialized_preset_verifies_like_the_preset(tmp_path, pid):
     """A definition file carries the whole calculus: `verify` reads nothing else."""
     calc = tmp_path / f"{pid}.calc"
-    calc.write_text(invoke(runner, "preset", "show", pid, "--serialize").output)
+    calc.write_text(invoke("preset", "show", pid, "--serialize").output)
     for fmt in ("text", "structured"):
-        by_preset = runner.invoke(main, ["--format", fmt, "--preset", pid, "verify"])
-        by_file = runner.invoke(main, ["--format", fmt, "--file", str(calc), "verify"])
+        by_preset = run_cli(["--format", fmt, "--preset", pid, "verify"])
+        by_file = run_cli(["--format", fmt, "--file", str(calc), "verify"])
         assert by_preset.exit_code == 0, by_preset.output
         assert (by_file.exit_code, by_file.output) == (by_preset.exit_code, by_preset.output)
 
@@ -365,8 +431,8 @@ def test_serialized_preset_verifies_like_the_preset(runner, tmp_path, pid):
     ["--preset", "quantum_plane_a", "torsion", "--connection", "{dir}"],
     ["--preset", "quantum_plane_a", "metric-check", "--metric", "{dir}"],
 ])
-def test_directory_for_a_file_exit_2(runner, tmp_path, args):
-    res = runner.invoke(main, [a.format(dir=tmp_path) for a in args])
+def test_directory_for_a_file_exit_2(tmp_path, args):
+    res = run_cli([a.format(dir=tmp_path) for a in args])
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
     assert res.output.startswith("error: ") and len(res.output.splitlines()) == 1
@@ -374,8 +440,8 @@ def test_directory_for_a_file_exit_2(runner, tmp_path, args):
 
 @pytest.mark.parametrize("thetas, message", [("zz", "error: unknown direction zz"),
                                              ("1,,2", "error: empty direction label")])
-def test_commute_rejects_bad_theta_labels(runner, thetas, message):
-    res = runner.invoke(main, ["--preset", "h_plane", "commute", "--expr", "x",
+def test_commute_rejects_bad_theta_labels(thetas, message):
+    res = run_cli(["--preset", "h_plane", "commute", "--expr", "x",
                                "--thetas", thetas])
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
@@ -383,15 +449,15 @@ def test_commute_rejects_bad_theta_labels(runner, thetas, message):
 
 
 @pytest.mark.parametrize("bad", ["unknown_label", "zero_factor"])
-def test_bad_theta_scalings_exit_2_with_one_error_line(runner, tmp_path, bad):
-    text = invoke(runner, "preset", "show", "glpq2", "--serialize").output
+def test_bad_theta_scalings_exit_2_with_one_error_line(tmp_path, bad):
+    text = invoke("preset", "show", "glpq2", "--serialize").output
     if bad == "unknown_label":
         text = text.replace("\n1 2 = ", "\n9 2 = ", 1)
     else:
         text = text.replace("\n1 2 = 1/(p*q)", "\n1 2 = 0", 1)
     calc = tmp_path / "glpq2.calc"
     calc.write_text(text)
-    res = runner.invoke(main, ["--file", str(calc), "normalize", "a"])
+    res = run_cli(["--file", str(calc), "normalize", "a"])
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
     assert len(res.output.splitlines()) == 1
@@ -409,17 +475,17 @@ SPEC_COMMANDS = [
 
 
 @pytest.mark.parametrize("args", SPEC_COMMANDS, ids=lambda a: a[0])
-def test_every_spec_command_reads_file_and_exits_by_the_contract(runner, tmp_path, args):
-    res = runner.invoke(main, ["--file", str(tmp_path)] + args)
+def test_every_spec_command_reads_file_and_exits_by_the_contract(tmp_path, args):
+    res = run_cli(["--file", str(tmp_path)] + args)
     assert (res.exit_code, res.output) == (2, f"error: [Errno 21] Is a directory: '{tmp_path}'\n")
-    res = runner.invoke(main, ["--file", str(tmp_path / "missing.calc")] + args)
+    res = run_cli(["--file", str(tmp_path / "missing.calc")] + args)
     assert res.exit_code == 2
     assert res.output.startswith("error: [Errno 2] No such file or directory")
     assert len(res.output.splitlines()) == 1
 
 
 def test_spec_commands_cover_every_calculus_command():
-    assert {a[0] for a in SPEC_COMMANDS} == set(main.commands) - {"verify", "preset"}
+    assert {a[0] for a in SPEC_COMMANDS} == set(COMMANDS) - {"verify", "preset"}
 
 
 @pytest.mark.parametrize("pid, old, new, message", [
@@ -443,17 +509,17 @@ def test_spec_commands_cover_every_calculus_command():
 ], ids=["unknown_weight", "repeated_weight", "unknown_twist", "repeated_twist",
         "unknown_automorphism", "repeated_inverse", "unknown_triangle_target",
         "repeated_theta_scaling", "unknown_class_pair", "duplicate_labels"])
-def test_entries_for_unknown_or_repeated_directions_exit_2(runner, tmp_path, pid, old, new,
+def test_entries_for_unknown_or_repeated_directions_exit_2(tmp_path, pid, old, new,
                                                            message):
     """A weight, twist, automorphism, class pair or triangle target for a
     label outside [directions], or a second direction label, weight, twist,
     automorphism or theta scaling for a label, is one located input error;
     it is not dropped (a serialized heisenberg with `9 = b` printed
     d = b*theta[2] for y)."""
-    text = invoke(runner, "preset", "show", pid, "--serialize").output
+    text = invoke("preset", "show", pid, "--serialize").output
     assert old in text
     calc = tmp_path / f"{pid}.calc"
     calc.write_text(text.replace(old, new, 1))
-    res = runner.invoke(main, ["--file", str(calc), "d", "--expr", "y"])
+    res = run_cli(["--file", str(calc), "d", "--expr", "y"])
     assert (res.exit_code, res.output) == (2, f"error: {message}\n")
     assert isinstance(res.exception, SystemExit)

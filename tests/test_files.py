@@ -326,8 +326,7 @@ def test_unclassified_pair_is_located_on_the_labels_line():
 
 
 def test_pair_classified_twice_is_located_on_the_second_line(tmp_path):
-    from click.testing import CliRunner
-    from nccalc.cli import main
+    from clirun import run_cli
     text = _serialized_with("poly_shift_S12", "class 1 2 = quadrangle g0\n",
                             "class 1 2 = quadrangle g0\nclass 1 2 = biangle\n")
     message = f"[directions] line {_line_of(text, 'class 1 2 = biangle')}: repeated pair 1 2"
@@ -336,6 +335,6 @@ def test_pair_classified_twice_is_located_on_the_second_line(tmp_path):
     assert str(exc.value) == message
     calc = tmp_path / "twice.calc"
     calc.write_text(text)
-    res = CliRunner().invoke(main, ["--file", str(calc), "verify", "--suite", "inner"])
+    res = run_cli(["--file", str(calc), "verify", "--suite", "inner"])
     assert res.exit_code == 2
     assert res.output.strip() == f"error: {message}"

@@ -1,8 +1,8 @@
 """Byte-identity gate: CLI output digests pinned against a reference tree.
 
-Every record is one `nccalc` call through `CliRunner`; its digest covers the
-exit code and the combined stdout/stderr bytes.  All calls run in one
-`CliRunner.isolated_filesystem()` holding the connection and metric files of
+Every record is one `nccalc` call through `clirun.run_cli`; its digest covers
+the exit code and the combined stdout/stderr bytes.  All calls run in one
+temporary working directory holding the connection and metric files of
 `_input_files()`, so paths in error messages are relative and stable.
 `tests/golden.json` holds the reference digests.  After a change that is meant to alter output, rewrite it
 with
@@ -12,13 +12,15 @@ with
 
 import hashlib
 import json
+import os
 import sys
+import tempfile
 from pathlib import Path
 
-from click.testing import CliRunner
-
-from nccalc.cli import main
+from nccalc.cli import COMMANDS
 from nccalc.presets import PRESET_IDS, load_preset
+
+from clirun import run_cli
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -105,25 +107,30 @@ def _calls():
     for case, path in (("missing", MISSING), ("directory", DIRECTORY)):
         yield f"file/{case}", ["--file", path, "normalize", "x"]
     yield "help", ["--help"]
-    for name, cmd in main.commands.items():
+    for name, cmd in COMMANDS.items():
         yield f"help/{name}", [name, "--help"]
-        for sub in getattr(cmd, "commands", ()):
+        for sub in cmd.commands:
             yield f"help/{name}/{sub}", [name, sub, "--help"]
 
 
-def _record(runner, argv):
-    res = runner.invoke(main, argv)
+def _record(argv):
+    res = run_cli(argv)
     return f"exit={res.exit_code}\n{res.output}"
 
 
-def _records(runner):
-    """(key, argv, record text) for every call, run inside one isolated filesystem."""
-    with runner.isolated_filesystem():
-        for name, text in _input_files().items():
-            Path(name).write_text(text)
-        Path(DIRECTORY).mkdir()
-        for key, argv in _calls():
-            yield key, argv, _record(runner, argv)
+def _records():
+    """(key, argv, record text) for every call, run inside one temporary directory."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, text in _input_files().items():
+                Path(name).write_text(text)
+            Path(DIRECTORY).mkdir()
+            for key, argv in _calls():
+                yield key, argv, _record(argv)
+        finally:
+            os.chdir(cwd)
 
 
 def _digest(text):
@@ -132,10 +139,9 @@ def _digest(text):
 
 def test_cli_output_matches_golden_digests():
     expected = json.loads(GOLDEN.read_text())
-    runner = CliRunner()
     seen = []
     mismatches = {}
-    for key, argv, out in _records(runner):
+    for key, argv, out in _records():
         seen.append(key)
         if expected.get(key) != _digest(out):
             mismatches[key] = f"--- {key}: nccalc {' '.join(argv)}\n{out}"
@@ -147,7 +153,6 @@ def test_cli_output_matches_golden_digests():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
-    runner = CliRunner()
-    digests = {key: _digest(out) for key, _, out in _records(runner)}
+    digests = {key: _digest(out) for key, _, out in _records()}
     GOLDEN.write_text(json.dumps(digests, indent=0) + "\n")
     print(f"wrote {len(digests)} digests to {GOLDEN}")
