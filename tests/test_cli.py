@@ -305,13 +305,16 @@ def test_cli_import_leaves_thread_pool_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-def test_cli_call_leaves_click_unloaded():
-    """The command line is stdlib argparse: a call imports no click, even where it is installed."""
+def test_cli_call_imports_only_the_standard_library():
+    """A call imports no third-party module, even one that is installed: nccalc
+    needs a bare Python, and each import is paid by every cold call."""
     src = str(Path(nccalc.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("import sys, nccalc.cli; nccalc.cli.main(['--preset', 'glpq2', 'normalize', 'a']); "
-            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'click'))")
+    code = ("import sys; before = set(sys.modules); import nccalc.cli; "
+            "nccalc.cli.main(['--preset', 'glpq2', 'normalize', 'a']); "
+            "print(sorted({m.partition('.')[0] for m in set(sys.modules) - before}"
+            " - set(sys.stdlib_module_names) - {'nccalc'}))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
