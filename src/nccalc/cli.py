@@ -49,6 +49,14 @@ def arg(*flags, **options):
     return flags, options
 
 
+def count(text):
+    """The type of a count option: an int of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 GLOBAL_ARGS = (
     arg("--preset", help="load a catalog preset"),
     arg("--file", help="load a calculus definition file"),
@@ -241,13 +249,13 @@ def two_forms(ctx, spec):
 
 @command("verify", arg("--suite", action="append", choices=(*SUITES, "all"), metavar="SUITE",
                        help="suite to run, repeatable: %(choices)s (default all)"),
-         arg("--samples", type=int, default=25, help="randomized sample count"),
+         arg("--samples", type=count, default=25, help="randomized sample count"),
          arg("--all-presets", action="store_true", help="run over the whole catalog"), spec=False)
 def verify(ctx, suite, samples, all_presets):
     """Run verification suites; exit 0 iff everything passes."""
     from . import suites
 
-    names = suite or ["all"]
+    names = list(dict.fromkeys(suite or ["all"]))  # a suite named twice runs once
     if "all" in names:
         names = [s for s in SUITES if s != "properties"]
 

@@ -1,31 +1,27 @@
 """Exact arithmetic in the coefficient field: rational functions over Q.
 
-A Scalar is a reduced fraction of multivariate polynomials with Fraction
+A Scalar is a reduced fraction of multivariate polynomials with integer
 coefficients.  The representation is canonical, so equality of values is
 equality of representations:
 
-  * gcd(numerator, denominator) = 1,
-  * the denominator has leading coefficient 1 under graded-lex order with
-    parameter names sorted alphabetically,
+  * numerator and denominator are coprime over Z: no common polynomial
+    factor, and no integer that divides every coefficient of both,
+  * the denominator has a positive leading coefficient under graded-lex
+    order with parameter names sorted alphabetically,
   * parameters that do not occur are dropped from the scalar's parameter
     tuple.
 
-Polynomials are dicts mapping exponent tuples to Fractions; the exponent
+Polynomials are dicts mapping exponent tuples to ints; the exponent
 positions line up with the scalar's sorted parameter tuple.  Cancellation
-splits num and den into a rational content and an integer primitive part
-and takes the gcd of the parts over Z.
+takes the gcd over Z and divides out the integer content.  A scalar prints
+monic: every coefficient over the denominator's leading coefficient.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import add as _add, sub as _sub
 from typing import Iterable, Mapping
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 class ScalarError(ValueError):
     pass
@@ -36,9 +32,7 @@ class ZeroDenominator(ScalarError):
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers (dict exponent-tuple -> coefficient, length = nvars).
-# A Scalar holds Fraction coefficients; the gcd runs on int ones.  Helpers
-# that only add and multiply serve both.
+# polynomial helpers (dict exponent-tuple -> int coefficient, length = nvars)
 
 
 def _p_add(a, b):
@@ -85,12 +79,6 @@ def _p_pow(a, k):
         a = _p_mul(a, a)
 
 
-def _p_scale(a, c):
-    if c == 0:
-        return {}
-    return {e: k * c for e, k in a.items()}
-
-
 def _grlex(e):
     return (sum(e), e)
 
@@ -98,16 +86,6 @@ def _grlex(e):
 def _p_lead(a):
     e = max(a, key=_grlex)
     return e, a[e]
-
-
-def _p_primitive(a):
-    """(c, p) with a = c*p: c a positive Fraction, p over Z with content 1."""
-    if not a:
-        return _ONE, a
-    m = lcm(*(c.denominator for c in a.values()))
-    p = {e: c.numerator * (m // c.denominator) for e, c in a.items()}
-    g = gcd(*p.values())
-    return Fraction(g, m), ({e: c // g for e, c in p.items()} if g != 1 else p)
 
 
 def _p_div_exact(a, b):
@@ -219,17 +197,11 @@ def _z_gcd(a, b, nvars):
                   _p_from_rec(g))
 
 
-def _p_gcd(a, b, nvars):
-    """Gcd of polynomials over Q, monic under graded-lex."""
-    g = _z_gcd(_p_primitive(a)[1], _p_primitive(b)[1], nvars)
-    return _p_scale(g, Fraction(1, _p_lead(g)[1])) if g else g
-
-
 def _p_eval(p, values):
     """Evaluate with values[i] a Scalar for each variable; returns Scalar."""
     acc = None
     for e, c in p.items():
-        term = Scalar._from_fraction(c)
+        term = Scalar.from_int(c)
         for i, k in enumerate(e):
             if k:
                 term = term * values[i] ** k
@@ -237,7 +209,15 @@ def _p_eval(p, values):
     return acc if acc is not None else Scalar.zero()
 
 
-def _p_str(p, names):
+def _coeff_str(c, lc):
+    """|c/lc| in lowest terms, as `n` or `n/d`."""
+    g = gcd(c, lc)
+    n, d = abs(c) // g, lc // g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _p_str(p, names, lc):
+    """p/lc for a positive int lc; the coefficient 1 is left out of a term."""
     if not p:
         return "0"
     parts = []
@@ -249,12 +229,11 @@ def _p_str(p, names):
                 factors.append(name)
             elif k:
                 factors.append(f"{name}^{k}")
+        body = "*".join(factors)
         if not factors:
-            body = str(abs(c))
-        else:
-            body = "*".join(factors)
-            if abs(c) != 1:
-                body = f"{abs(c)}*{body}"
+            body = _coeff_str(c, lc)
+        elif abs(c) != lc:
+            body = f"{_coeff_str(c, lc)}*{body}"
         sign = "-" if c < 0 else "+"
         parts.append((sign, body))
     sign, body = parts[0]
@@ -262,6 +241,23 @@ def _p_str(p, names):
     for sign, body in parts[1:]:
         out += f" {sign} {body}"
     return out
+
+
+def _content_free(params, num, den):
+    """The Scalar num/den for num, den coprime over Q: divide out the integer
+    content of both and make den's grlex-leading coefficient positive."""
+    g = gcd(*num.values(), *den.values())
+    if _p_lead(den)[1] < 0:
+        g = -g
+    if g != 1:
+        num = {e: c // g for e, c in num.items()}
+        den = {e: c // g for e, c in den.items()}
+    return Scalar(params, num, den, _canonical=True)
+
+
+def _ratio(c):
+    """(a, b) with c = a/b, for a Scalar c without parameters."""
+    return c.num.get((), 0), c.den[()]
 
 
 # ---------------------------------------------------------------------------
@@ -284,28 +280,21 @@ class Scalar:
 
     @staticmethod
     def zero():
-        return Scalar((), {}, {(): _ONE}, _canonical=True)
+        return Scalar((), {}, {(): 1}, _canonical=True)
 
     @staticmethod
     def one():
-        return Scalar((), {(): _ONE}, {(): _ONE}, _canonical=True)
+        return Scalar((), {(): 1}, {(): 1}, _canonical=True)
 
     @staticmethod
     def from_int(n):
-        return Scalar._from_fraction(Fraction(n))
-
-    @staticmethod
-    def _from_fraction(q):
-        q = Fraction(q)
-        if q == 0:
-            return Scalar.zero()
-        return Scalar((), {(): q}, {(): _ONE}, _canonical=True)
+        return Scalar((), {(): n} if n else {}, {(): 1}, _canonical=True)
 
     @staticmethod
     def param(name):
         if not name or not name.isidentifier():
             raise ScalarError(f"invalid parameter name {name!r}")
-        return Scalar((name,), {(1,): _ONE}, {(0,): _ONE}, _canonical=True)
+        return Scalar((name,), {(1,): 1}, {(0,): 1}, _canonical=True)
 
     @staticmethod
     def _make(params, num, den):
@@ -315,28 +304,18 @@ class Scalar:
         if not num:
             return Scalar.zero()
         if len(den) == 1:
-            # monomial c*x^e: cancel the common power, then make den monic
+            # monomial c*x^e: cancel the common power
             ((e, c),) = den.items()
             m = _common_power(num, e)
             if any(m):
-                num = {tuple(map(_sub, k, m)): v / c for k, v in num.items()}
-                den = {tuple(map(_sub, e, m)): _ONE}
-            elif c != 1:
-                num = {k: v / c for k, v in num.items()}
-                den = {e: _ONE}
+                num = {tuple(map(_sub, k, m)): v for k, v in num.items()}
+                den = {tuple(map(_sub, e, m)): c}
         else:
-            # over Z: split off the rational contents, cancel the gcd of the
-            # primitive parts, then make den monic; the parts left are coprime
-            cn, num = _p_primitive(num)
-            cd, den = _p_primitive(den)
+            # cancel the gcd over Z; an integer gcd is left to _content_free
             g = _z_gcd(num, den, len(params))
             if len(g) > 1 or any(next(iter(g))):
                 num = _p_div_exact(num, g)
                 den = _p_div_exact(den, g)
-            lc = _p_lead(den)[1]
-            c = cn / cd / lc
-            num = {e: c * v for e, v in num.items()}
-            den = {e: Fraction(v, lc) for e, v in den.items()}
         # drop unused parameters
         n = len(params)
         used = [i for i in range(n) if any(e[i] for e in num) or any(e[i] for e in den)]
@@ -345,7 +324,7 @@ class Scalar:
             num = {proj(e): c for e, c in num.items()}
             den = {proj(e): c for e, c in den.items()}
             params = tuple(params[i] for i in used)
-        return Scalar(params, num, den, _canonical=True)
+        return _content_free(params, num, den)
 
     # -- alignment of parameter contexts
 
@@ -380,38 +359,38 @@ class Scalar:
     # -- arithmetic
     #
     # The constant lane: when one operand has no parameters it is a
-    # rational c, and the other operand n/d needs no alignment and no
-    # gcd.  c*n/d is canonical as it stands, and so is (n + c*d)/d:
-    # gcd(n + c*d, d) = gcd(n, d) = 1, d is unchanged, and a parameter
-    # missing from d keeps its terms in n.  Scalars are never mutated,
-    # so an operand may be returned as the result.
+    # rational a/b, and the other operand n/d needs no alignment and no
+    # polynomial gcd.  a*n/(b*d) and (b*n + a*d)/(b*d) are coprime over Q
+    # as they stand (gcd(b*n + a*d, d) = gcd(n, d) = 1), and a parameter
+    # missing from d keeps its terms in n, so only the integer content is
+    # left to divide out.  Scalars are never mutated, so an operand may be
+    # returned as the result.
 
-    def _scaled(self, c):
-        """self * c for a Fraction c."""
-        if not c:
+    def _scaled(self, a, b):
+        """self * a/b for ints a and b != 0, a/b in lowest terms."""
+        if not a:
             return Scalar.zero()
-        if c == 1:
+        if a == b:
             return self
-        return Scalar(self.params, {e: v * c for e, v in self.num.items()}, self.den,
-                      _canonical=True)
+        return _content_free(self.params, {e: v * a for e, v in self.num.items()},
+                             {e: v * b for e, v in self.den.items()})
 
-    def _shifted(self, c):
-        """self + c for a Fraction c."""
-        if not c:
+    def _shifted(self, a, b):
+        """self + a/b for ints a and b > 0."""
+        if not a:
             return self
-        if not self.params:
-            return Scalar._from_fraction(self.num.get((), _ZERO) + c)
-        num = _p_add(self.num, {e: c * k for e, k in self.den.items()})
-        return Scalar(self.params, num, self.den, _canonical=True)
+        num = _p_add({e: v * b for e, v in self.num.items()},
+                     {e: v * a for e, v in self.den.items()})
+        return _content_free(self.params, num, {e: v * b for e, v in self.den.items()})
 
     def __add__(self, other):
         other = _try_coerce(other)
         if other is None:
             return NotImplemented
         if not other.params:
-            return self._shifted(other.num.get((), _ZERO))
+            return self._shifted(*_ratio(other))
         if not self.params:
-            return other._shifted(self.num.get((), _ZERO))
+            return other._shifted(*_ratio(self))
         params, an, ad, bn, bd = self._aligned(other)
         if ad == bd:
             return Scalar._make(params, _p_add(an, bn), ad)
@@ -441,9 +420,9 @@ class Scalar:
         if other is None:
             return NotImplemented
         if not other.params:
-            return self._scaled(other.num.get((), _ZERO))
+            return self._scaled(*_ratio(other))
         if not self.params:
-            return other._scaled(self.num.get((), _ZERO))
+            return other._scaled(*_ratio(self))
         params, an, ad, bn, bd = self._aligned(other)
         return Scalar._make(params, _p_mul(an, bn), _p_mul(ad, bd))
 
@@ -456,7 +435,8 @@ class Scalar:
         if other.is_zero():
             raise ZeroDenominator("division by zero scalar")
         if not other.params:
-            return self._scaled(1 / other.num[()])
+            a, b = _ratio(other)
+            return self._scaled(b, a)
         params, an, ad, bn, bd = self._aligned(other)
         return Scalar._make(params, _p_mul(an, bd), _p_mul(ad, bn))
 
@@ -474,8 +454,8 @@ class Scalar:
             raise TypeError("scalar powers must be integers")
         if n == 0:
             return Scalar.one()
-        # num and den are coprime, so are their powers, and the grlex
-        # leading coefficient of den**k is 1**k: no gcd
+        # num and den are coprime over Z, so are their powers (Gauss's
+        # lemma), and the grlex-leading coefficient of den**k is lc**k > 0
         base = self if n > 0 else self.inverse()
         return Scalar(base.params, _p_pow(base.num, abs(n)), _p_pow(base.den, abs(n)),
                       _canonical=True)
@@ -492,15 +472,15 @@ class Scalar:
         den = _p_eval(self.den, values)
         if den.is_zero():
             raise ZeroDenominator(
-                f"substitution makes denominator factor ({_p_str(self.den, self.params)}) vanish")
+                "substitution makes denominator factor "
+                f"({_p_str(self.den, self.params, _p_lead(self.den)[1])}) vanish")
         return num / den
 
     # -- comparisons / hashing / printing
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = scalar(other)
-        if not isinstance(other, Scalar):
+        other = _try_coerce(other)
+        if other is None:
             return NotImplemented
         return (self.params == other.params and self.num == other.num
                 and self.den == other.den)
@@ -513,10 +493,11 @@ class Scalar:
         return self._hash
 
     def __str__(self):
-        num = _p_str(self.num, self.params)
-        if self.den == {(0,) * len(self.params): _ONE}:
+        lc = _p_lead(self.den)[1]
+        num = _p_str(self.num, self.params, lc)
+        den = _p_str(self.den, self.params, lc)
+        if den == "1":
             return num
-        den = _p_str(self.den, self.params)
         if len(self.num) > 1:
             num = f"({num})"
         return f"{num}/({den})"
@@ -526,10 +507,13 @@ class Scalar:
 
 
 def _try_coerce(x):
+    """x as a Scalar: a Scalar, an int, or a rational with int numerator and
+    denominator (a Fraction); None for anything else."""
     if isinstance(x, Scalar):
         return x
-    if isinstance(x, (int, Fraction)):
-        return Scalar._from_fraction(Fraction(x))
+    a, b = getattr(x, "numerator", None), getattr(x, "denominator", None)
+    if isinstance(a, int) and isinstance(b, int) and b:
+        return _content_free((), {(): a} if a else {}, {(): b})
     return None
 
 

@@ -293,16 +293,20 @@ def test_verify_text_independent_of_hash_seed():
     assert outs[0] == outs[1]
 
 
-def test_cli_import_leaves_thread_pool_unloaded():
-    """concurrent.futures loads logging; only --jobs > 1 needs it."""
+@pytest.mark.parametrize("module", ["concurrent.futures", "fractions", "decimal"])
+def test_cli_import_leaves_thread_pool_unloaded(module):
+    """concurrent.futures loads logging, and only --jobs > 1 needs it; a Scalar
+    holds ints, so a light call needs neither fractions nor the decimal module
+    that fractions imports."""
     src = str(Path(nccalc.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, nccalc.cli; print('concurrent.futures' in sys.modules)"
+    code = ("import sys, nccalc.cli; nccalc.cli.main(['--preset', 'glpq2', 'normalize', 'a']); "
+            f"print({module!r} in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines() == ["normal_form = a", "False"]
 
 
 def test_cli_call_imports_only_the_standard_library():
@@ -349,12 +353,15 @@ def test_jobs_below_one_means_one():
     (["--preset", "glpq2", "verify", "--suite", "nope"], "--suite"),
     (["--jobs", "x", "--preset", "glpq2", "normalize", "a"], "--jobs"),
     (["--preset", "glpq2", "verify", "--samples", "x"], "--samples"),
+    (["--preset", "glpq2", "verify", "--samples", "0"], "--samples"),
+    (["--preset", "glpq2", "verify", "--samples", "-3"], "--samples"),
     (["--preset", "glpq2", "--file", "x.calc", "normalize", "a"],
      "give either --preset or --file, not both"),
     (["normalize", "a"], "no calculus loaded; use --preset or --file"),
 ], ids=["no_arguments", "no_command", "unknown_command", "unknown_subcommand",
         "unknown_option", "unknown_command_option", "missing_option", "missing_argument",
-        "bad_format", "bad_suite", "bad_jobs", "bad_samples", "preset_and_file", "no_calculus"])
+        "bad_format", "bad_suite", "bad_jobs", "bad_samples", "zero_samples",
+        "negative_samples", "preset_and_file", "no_calculus"])
 def test_usage_error_is_one_error_line_exit_2(args, fragment):
     res = run_cli(args)
     assert res.exit_code == 2
@@ -376,6 +383,15 @@ def test_help_does_not_depend_on_the_terminal_width(monkeypatch, args):
         assert res.exit_code == 0 and res.output.startswith("usage: nccalc")
         outs.append(res.output)
     assert outs[0] == outs[1]
+
+
+def test_suite_named_twice_runs_once():
+    args = ["--preset", "heisenberg", "--format", "structured", "verify"]
+    once = invoke(*args, "--suite", "inner")
+    twice = invoke(*args, "--suite", "inner", "--suite", "inner")
+    assert once.exit_code == twice.exit_code == 0
+    assert "verify.inner." in once.output
+    assert twice.output == once.output
 
 
 def test_jobs_preset_run_deterministic():

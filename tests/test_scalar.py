@@ -1,10 +1,13 @@
 """Exact rational-function arithmetic: canonical forms, gcd, substitution."""
 
 import random
+from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
-from nccalc.scalar import Scalar, ScalarError, ZeroDenominator, params, parse_scalar
+from nccalc.scalar import (Scalar, ScalarError, ZeroDenominator, params, parse_scalar,
+                           scalar)
 
 
 def test_cancellation_of_inverse_weight():
@@ -44,6 +47,27 @@ def test_substitute_vanishing_denominator_names_factor():
     with pytest.raises(ZeroDenominator) as exc:
         ((1 + r) / (r - 1)).substitute({"r": Scalar.one()})
     assert "r - 1" in str(exc.value)
+    with pytest.raises(ZeroDenominator) as exc:
+        ((1 + r) / (2 * r - 1)).substitute({"r": Fraction(1, 2)})
+    assert "factor (r - 1/2) vanish" in str(exc.value)
+
+
+@pytest.mark.parametrize("build, text", [
+    (lambda p, q: (2 * p - 1) / (4 * q + 6), "(1/2*p - 1/4)/(q + 3/2)"),
+    (lambda p, q: (3 * p) / (6 - 4 * q), "-3/4*p/(q - 3/2)"),
+    (lambda p, q: Scalar.from_int(-6) / 4, "-3/2"),
+    (lambda p, q: (p + Fraction(1, 2)) / (3 - q), "(-p - 1/2)/(q - 3)"),
+    (lambda p, q: (2 * p * q + 4) / (6 * p), "(1/3*p*q + 2/3)/(p)"),
+    (lambda p, q: (p * p - q * q) / (2 * p + 2 * q), "1/2*p - 1/2*q"),
+])
+def test_integer_scalar_prints_monic(build, text):
+    """Integer num and den print over den's leading coefficient."""
+    value = build(*params("p q"))
+    assert str(value) == text
+    assert parse_scalar(text, ["p", "q"]) == value
+    assert scalar(Fraction(-6, 4)) == Fraction(-3, 2)
+    with pytest.raises(TypeError):
+        scalar(1.5)
 
 
 def test_division_by_zero_scalar():
@@ -191,7 +215,6 @@ _ORACLE = dict(max_examples=300, deadline=None, derandomize=True, database=None)
 
 def _strategies():
     st = pytest.importorskip("hypothesis.strategies")
-    from fractions import Fraction
     from nccalc.scalar import _p_mul
 
     def polys(n):
@@ -213,45 +236,61 @@ def _strategies():
     return st, polys, poly_pairs
 
 
-def _sympy_poly(sympy, poly, n):
+def _sympy_poly(sympy, poly, n, domain="QQ"):
     return sympy.Poly.from_dict({e: sympy.Rational(c.numerator, c.denominator)
                                  for e, c in poly.items()},
-                                *sympy.symbols(_NAMES[:n]), domain="QQ")
+                                *sympy.symbols(_NAMES[:n]), domain=domain)
 
 
 def _from_sympy(poly):
-    from fractions import Fraction
     return {tuple(int(k) for k in e): Fraction(int(c.p), int(c.q))
             for e, c in poly.terms() if c}
 
 
-def _grlex_monic(num, den):
-    lead = max(den, key=lambda e: (sum(e), e))
-    c = den[lead]
-    return {e: v / c for e, v in num.items()}, {e: v / c for e, v in den.items()}
+def _over_z(*polys):
+    """The polys times the lcm of all their coefficient denominators: integer
+    coefficients, and the same ratios between them."""
+    m = lcm(*(Fraction(c).denominator for p in polys for c in p.values()))
+    return [{e: int(c * m) for e, c in p.items()} for p in polys]
 
 
 def _sympy_canonical(sympy, num, den, n):
-    """(params, num, den) of sympy's cancel of num/den in nccalc's canonical form."""
+    """(params, num, den) of sympy's cancel of num/den in nccalc's canonical form:
+    integer coefficients with no common integer factor, den's grlex lead positive."""
     top, bottom = _sympy_poly(sympy, num, n).cancel(_sympy_poly(sympy, den, n), include=True)
-    top, bottom = _grlex_monic(_from_sympy(top), _from_sympy(bottom))
+    top, bottom = _over_z(_from_sympy(top), _from_sympy(bottom))
+    g = gcd(*top.values(), *bottom.values())
+    if bottom[max(bottom, key=lambda e: (sum(e), e))] < 0:
+        g = -g
     used = [i for i in range(n) if any(e[i] for e in top) or any(e[i] for e in bottom)]
-    proj = lambda p: {tuple(e[i] for i in used): c for e, c in p.items()}
+    proj = lambda p: {tuple(e[i] for i in used): c // g for e, c in p.items()}
     return tuple(_NAMES[i] for i in used), proj(top), proj(bottom)
+
+
+def _canonical(s):
+    """(params, num, den) of a Scalar, whose coefficients must all be ints."""
+    assert all(type(c) is int for p in (s.num, s.den) for c in p.values()), s
+    return s.params, s.num, s.den
+
+
+def _sympy_z_gcd(sympy, a, b, n):
+    """sympy's gcd over ZZ of integer polys a and b, and its negative."""
+    g = _from_sympy(_sympy_poly(sympy, a, n, "ZZ").gcd(_sympy_poly(sympy, b, n, "ZZ")))
+    return g, {e: -c for e, c in g.items()}
 
 
 def test_gcd_fast_paths_against_sympy():
     sympy = pytest.importorskip("sympy")
     hypothesis = pytest.importorskip("hypothesis")
-    from nccalc.scalar import _p_gcd
+    from nccalc.scalar import _z_gcd
     _, _, poly_pairs = _strategies()
 
     @hypothesis.settings(**_ORACLE)
     @hypothesis.given(poly_pairs(1))
     def check(case):
         n, [(a, b)] = case
-        g = _from_sympy(_sympy_poly(sympy, a, n).gcd(_sympy_poly(sympy, b, n)))
-        assert _p_gcd(a, b, n) == _grlex_monic(g, g)[0]
+        [a], [b] = _over_z(a), _over_z(b)
+        assert _z_gcd(a, b, n) in _sympy_z_gcd(sympy, a, b, n)
 
     check()
 
@@ -262,22 +301,19 @@ def test_make_and_add_fast_paths_against_sympy_cancel():
     from nccalc.scalar import _p_add, _p_mul
     st, _, poly_pairs = _strategies()
 
-    def canonical(s):
-        return s.params, s.num, s.den
-
     @hypothesis.settings(**_ORACLE)
     @hypothesis.given(poly_pairs(2), st.booleans())
     def check(case, same_den):
         n, [(num, den), (onum, oden)] = case
         params = _NAMES[:n]
-        a = Scalar._make(params, num, den)
-        assert canonical(a) == _sympy_canonical(sympy, num, den, n)
+        a = Scalar._make(params, *_over_z(num, den))
+        assert _canonical(a) == _sympy_canonical(sympy, num, den, n)
         if same_den:
             oden = den
-        b = Scalar._make(params, onum, oden)
+        b = Scalar._make(params, *_over_z(onum, oden))
         want = _sympy_canonical(sympy, _p_add(_p_mul(num, oden), _p_mul(onum, den)),
                                 _p_mul(den, oden), n)
-        assert canonical(a + b) == want
+        assert _canonical(a + b) == want
 
     check()
 
@@ -286,9 +322,9 @@ def test_constant_lane_against_sympy_cancel():
     """a*c, c*a, a+c, c+a, a-c, c-a and a/c for a rational c skip the gcd."""
     sympy = pytest.importorskip("sympy")
     hypothesis = pytest.importorskip("hypothesis")
-    from fractions import Fraction
-    from nccalc.scalar import _p_add, _p_lead, _p_scale
+    from nccalc.scalar import _p_add
     st, polys, _ = _strategies()
+    scale = lambda p, c: {e: v * c for e, v in p.items()}
 
     @st.composite
     def quotients(draw):
@@ -301,17 +337,16 @@ def test_constant_lane_against_sympy_cancel():
     @hypothesis.given(quotients(), constants, st.booleans())
     def check(case, c, as_scalar):
         n, f, g = case
-        a = Scalar._make(_NAMES[:n], f, g)
+        a = Scalar._make(_NAMES[:n], *_over_z(f, g))
         k = Scalar.from_int(c.numerator) / c.denominator if as_scalar else c
-        shifted = lambda sign_f, sign_c: _p_add(_p_scale(f, sign_f), _p_scale(g, sign_c * c))
-        cases = {"a*c": (a * k, _p_scale(f, c), g), "c*a": (k * a, _p_scale(f, c), g),
+        shifted = lambda sign_f, sign_c: _p_add(scale(f, sign_f), scale(g, sign_c * c))
+        cases = {"a*c": (a * k, scale(f, c), g), "c*a": (k * a, scale(f, c), g),
                  "a+c": (a + k, shifted(1, 1), g), "c+a": (k + a, shifted(1, 1), g),
                  "a-c": (a - k, shifted(1, -1), g), "c-a": (k - a, shifted(-1, 1), g),
-                 "a/c": (a / k, _p_scale(f, 1 / c), g)}
+                 "a/c": (a / k, scale(f, 1 / c), g)}
         for name, (ours, num, den) in cases.items():
             want = _sympy_canonical(sympy, num, den, n)
-            assert (ours.params, ours.num, ours.den) == want, name
-            assert _p_lead(ours.den)[1] == 1, name
+            assert _canonical(ours) == want, name
             assert all(any(e[i] for e in ours.num) or any(e[i] for e in ours.den)
                        for i in range(len(ours.params))), name
 
@@ -324,8 +359,7 @@ def test_integer_gcd_with_polynomial_content_against_sympy():
     sympy = pytest.importorskip("sympy")
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
-    from fractions import Fraction
-    from nccalc.scalar import _p_gcd, _p_mul
+    from nccalc.scalar import _p_mul, _z_gcd
 
     coeffs = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6).filter(bool),
                        st.integers(1, 10 ** 3))
@@ -345,9 +379,9 @@ def test_integer_gcd_with_polynomial_content_against_sympy():
     @hypothesis.given(cases())
     def check(case):
         a, b = case
-        g = _from_sympy(_sympy_poly(sympy, a, 3).gcd(_sympy_poly(sympy, b, 3)))
-        assert _p_gcd(a, b, 3) == _grlex_monic(g, g)[0]
-        s = Scalar._make(_NAMES, a, b)
-        assert (s.params, s.num, s.den) == _sympy_canonical(sympy, a, b, 3)
+        [za], [zb] = _over_z(a), _over_z(b)
+        assert _z_gcd(za, zb, 3) in _sympy_z_gcd(sympy, za, zb, 3)
+        s = Scalar._make(_NAMES, *_over_z(a, b))
+        assert _canonical(s) == _sympy_canonical(sympy, a, b, 3)
 
     check()
