@@ -338,9 +338,9 @@ class LabelModule:
     """Sparse left module element: label word -> NCPoly coefficient.
 
     Forms, tensors of 1-forms and frame forms all store their coefficients
-    on the left of a word of basis labels; subclasses differ only in how
-    results are normalized (`_new`) and how a word is printed (`_word_str`).
-    Elements of different subclasses never compare equal.
+    on the left of a word of basis labels; sums and left multiples keep
+    their words, and subclasses differ in how a word is printed
+    (`_word_str`).  Elements of different subclasses never compare equal.
     """
 
     __slots__ = ("spec", "comps")
@@ -352,9 +352,6 @@ class LabelModule:
     @classmethod
     def zero(cls, spec):
         return cls(spec, {})
-
-    def _new(self, comps):
-        return type(self)(self.spec, comps)
 
     def _coerce(self, other):
         return other if type(other) is type(self) else None
@@ -369,7 +366,7 @@ class LabelModule:
         comps = dict(self.comps)
         for w, c in other.comps.items():
             _acc(comps, w, c)
-        return self._new(comps)
+        return type(self)(self.spec, comps)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -378,11 +375,10 @@ class LabelModule:
         return self + (-other)
 
     def __neg__(self):
-        # negating a normalized element leaves its words normalized: skip _new
         return type(self)(self.spec, {w: -c for w, c in self.comps.items()})
 
     def mul_left(self, p):
-        return self._new({w: p * c for w, c in self.comps.items()})
+        return type(self)(self.spec, {w: p * c for w, c in self.comps.items()})
 
     def __eq__(self, other):
         other = self._coerce(other)

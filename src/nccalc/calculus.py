@@ -261,21 +261,14 @@ class GradedForm(LabelModule):
 
     @staticmethod
     def _build(spec, comps):
-        """Normalize: drop zeros, reduce words of degree >= 2 when possible."""
-        ts = spec.two_forms
-        if ts is None:
-            return GradedForm(spec, comps)
-        out = {}
-        for w, c in comps.items():
-            if len(w) < 2:
-                _acc(out, w, c)
-                continue
-            for rw, rc in ts.reduce_word(w).items():
-                _acc(out, rw, c * rc)
-        return GradedForm(spec, out)
+        """The form with its theta-words reduced to the basis Xi, if spec has one.
 
-    def _new(self, comps):
-        return GradedForm._build(self.spec, comps)
+        Called only where a theta-word is formed (theta, wedge, move_left,
+        delta, geometry.wedge_projection); sums and multiples keep their
+        words and use the constructor.
+        """
+        ts = spec.two_forms
+        return GradedForm(spec, comps if ts is None else ts.reduce(comps))
 
     def _coerce(self, other):
         if isinstance(other, GradedForm):
@@ -314,7 +307,7 @@ class GradedForm(LabelModule):
         if isinstance(other, GradedForm):
             return self.wedge(other)
         if isinstance(other, (int, Scalar)):
-            return self._new({w: k * other for w, k in self.comps.items()})
+            return GradedForm(self.spec, {w: k * other for w, k in self.comps.items()})
         if isinstance(other, NCPoly):
             return self.mul_right(other)
         return NotImplemented
@@ -329,7 +322,7 @@ class GradedForm(LabelModule):
     def mul_right(self, p: NCPoly):
         """Move p across every theta-word: theta^w p = phi_w(p) theta^w."""
         phi_word = self.spec.phi_word
-        return self._new({w: c * phi_word(w, p) for w, c in self.comps.items()})
+        return GradedForm(self.spec, {w: c * phi_word(w, p) for w, c in self.comps.items()})
 
     def wedge(self, other: "GradedForm"):
         other = self._coerce(other)
@@ -338,7 +331,7 @@ class GradedForm(LabelModule):
         for w, c in self.comps.items():
             for w2, c2 in other.comps.items():
                 _acc(comps, w + w2, c * phi_word(w, c2))
-        return self._new(comps)
+        return GradedForm._build(self.spec, comps)
 
     def __pow__(self, n):
         if n < 1:
@@ -349,7 +342,8 @@ class GradedForm(LabelModule):
         return out
 
     def substitute_params(self, bindings):
-        return self._new({w: c.substitute_params(bindings) for w, c in self.comps.items()})
+        return GradedForm(self.spec,
+                          {w: c.substitute_params(bindings) for w, c in self.comps.items()})
 
     # -- printing
 
@@ -392,6 +386,11 @@ class TwoFormStructure:
         self.delta_table = {s: {tuple(p): v for p, v in tab.items()}
                             for s, tab in delta_table.items()}
         self.zeta = {tuple(p): v for p, v in zeta.items()}
+        # CalculusError for an unknown label, before any pair is ordered
+        pairs = [*self.basis, *self.zeta, *self.reduction, tuple(self.delta_table)]
+        pairs += [p for v in self.reduction.values() for _, p in v]
+        pairs += [p for tab in self.delta_table.values() for p in tab]
+        spec.directions.word(sum(pairs, ()))
         basis_set = set(self.basis)
         pair_key = spec.directions.order_key
         for k, v in self.reduction.items():
@@ -413,6 +412,20 @@ class TwoFormStructure:
             if p not in basis_set:
                 raise CalculusError("zeta must be expressed in the basis")
 
+    def reduce(self, comps):
+        """comps (theta-word -> coefficient) with every word reduced to the basis Xi.
+
+        The one reduction of theta-words; words of degree < 2 pass unchanged.
+        """
+        out = {}
+        for w, c in comps.items():
+            if len(w) < 2:
+                _acc(out, w, c)
+                continue
+            for rw, rc in self.reduce_word(w).items():
+                _acc(out, rw, c * rc)
+        return out
+
     def reduce_word(self, word):
         """Reduce adjacent pairs left-to-right to a fixpoint; scalar coeffs."""
         out = {}
@@ -430,18 +443,16 @@ class TwoFormStructure:
         return out
 
     def delta_theta(self, s) -> GradedForm:
-        tab = self.delta_table.get(s, {})
-        return GradedForm._build(self.spec, tab)
+        return GradedForm(self.spec, self.delta_table.get(s, {}))
 
     def zeta_form(self) -> GradedForm:
-        return GradedForm._build(self.spec, self.zeta)
+        return GradedForm(self.spec, self.zeta)
 
     def describe(self):
         lines = []
         lines.append("basis: " + ", ".join(f"theta[{a}]*theta[{b}]" for a, b in self.basis))
         for k in sorted(self.reduction):
-            form = GradedForm._build(
-                self.spec, {p: self.spec.pres.const(c) for c, p in self.reduction[k]})
+            form = GradedForm(self.spec, {p: self.spec.pres.const(c) for c, p in self.reduction[k]})
             lines.append(f"theta[{k[0]}]*theta[{k[1]}] = {form}")
         for s in self.spec.directions.labels:
             lines.append(f"Delta(theta[{s}]) = {self.delta_theta(s)}")
@@ -496,9 +507,7 @@ def _master_identity_report(spec, ts: TwoFormStructure, twist) -> Report:
     lam = spec.lambdas
     for g in spec.pres.generators:
         f = spec.pres.gen(g.name)
-        lhs = {}
-        for pair, c in twist.items():
-            _acc_reduced(lhs, ts, pair, f * c - c * spec.phi_word(pair, f))
+        lhs = ts.reduce({pair: f * c - c * spec.phi_word(pair, f) for pair, c in twist.items()})
         rhs = {}
         for s in spec.directions.labels:
             front = f * lam[s] - lam[s] * spec.phi(s).apply(f)
@@ -521,14 +530,6 @@ def _twist_table(spec) -> dict:
     return {(s, u): lam[s] * spec.phi(s).apply(lam[u]) for s in labels for u in labels}
 
 
-def _acc_reduced(out, ts: TwoFormStructure, pair, c):
-    """Add c theta^pair, reduced to the basis Xi, into out (pair -> coefficient)."""
-    if c.is_zero():
-        return
-    for rp, rc in ts.reduce_word(pair).items():
-        _acc(out, rp, c * rc)
-
-
 def verify_twisted_two_forms(spec: CalculusSpec, candidate: TwoFormStructure) -> Report:
     """Validate a user-supplied 2-form structure for a twisted calculus."""
     rep = Report("twisted 2-form structure")
@@ -545,7 +546,8 @@ def verify_twisted_two_forms(spec: CalculusSpec, candidate: TwoFormStructure) ->
     lam = spec.lambdas
     for s in spec.directions.labels:
         for u in spec.directions.labels:
-            _acc_reduced(zeta, candidate, (s, u), twist[(s, u)])
+            for p, v in candidate.reduce({(s, u): twist[(s, u)]}).items():
+                _acc(zeta, p, v)
         for p, v in candidate.delta_table.get(s, {}).items():
             _acc(zeta, p, -(lam[s] * v))
     diff = dict(zeta)
@@ -567,7 +569,7 @@ def e_s(spec: CalculusSpec, s, f: NCPoly) -> NCPoly:
 def differential(spec: CalculusSpec, f) -> GradedForm:
     """d f = sum_s e_s(f) theta^s, with coefficients on the left."""
     f = spec.pres.element(f)
-    return GradedForm._build(spec, {(s,): spec.e(s, f) for s in spec.directions.labels})
+    return GradedForm(spec, {(s,): spec.e(s, f) for s in spec.directions.labels})
 
 
 def move_left(spec: CalculusSpec, f: NCPoly, word) -> GradedForm:
@@ -585,7 +587,7 @@ def vartheta(spec: CalculusSpec) -> GradedForm:
     """The 1-form making d inner; checked against d on every generator."""
     if spec._vartheta is not None:
         return spec._vartheta
-    th = GradedForm._build(spec, {(s,): spec.lambdas[s] for s in spec.directions.labels})
+    th = GradedForm(spec, {(s,): spec.lambdas[s] for s in spec.directions.labels})
     for g in spec.pres.generators:
         f = spec.pres.gen(g.name)
         if th * f - f * th != differential(spec, f):
@@ -604,14 +606,14 @@ def delta(spec: CalculusSpec, omega: GradedForm) -> GradedForm:
     ts = spec.two_forms
     if ts is None:
         raise CalculusError("delta needs a two-form structure on the spec")
-    out = GradedForm.zero(spec)
+    comps = {}
     for w, c in omega.comps.items():
         for i, s in enumerate(w):
-            part = GradedForm._build(spec, {w[:i]: spec.pres.one}) \
-                .wedge(ts.delta_theta(s)) \
-                .wedge(GradedForm._build(spec, {w[i + 1:]: spec.pres.one}))
-            out = out + (c * Scalar.from_int((-1) ** i)) * part
-    return out
+            # theta^{w<i} Delta(theta^s) theta^{w>i}, signed by the 0-based position i
+            ci = -c if i % 2 else c
+            for pair, v in ts.delta_table.get(s, {}).items():
+                _acc(comps, w[:i] + pair + w[i + 1:], ci * spec.phi_word(w[:i], v))
+    return GradedForm._build(spec, comps)
 
 
 def graded_commutator(spec: CalculusSpec, a: GradedForm, b: GradedForm) -> GradedForm:

@@ -236,8 +236,9 @@ def _morphisms_from_sections(pres, directions, lines):
     return autos
 
 
-def _two_forms_from_sections(pres, lines):
-    """The [two_forms] tables, as the two_forms argument of CalculusSpec."""
+def _two_forms_from_sections(pres, directions, lines):
+    """The [two_forms] tables, as the two_forms argument of CalculusSpec;
+    every label on a line must be a direction label."""
     basis = None
     reduction = {}
     delta_table = {}
@@ -247,7 +248,7 @@ def _two_forms_from_sections(pres, lines):
         pair = tuple(text.split())
         if len(pair) != 2:
             raise FileFormatError(f"expected two labels, got {text.strip()!r}")
-        return pair
+        return directions.word(pair)
 
     def parse_combo(text, scalars_only):
         out = []
@@ -272,11 +273,12 @@ def _two_forms_from_sections(pres, lines):
                 continue
             m = re.fullmatch(r"reduce\s+(\S+)\s+(\S+)\s*=(.*)", line)
             if m:
-                reduction[(m.group(1), m.group(2))] = parse_combo(m.group(3), True)
+                reduction[directions.word(m.group(1, 2))] = parse_combo(m.group(3), True)
                 continue
             m = re.fullmatch(r"delta\s+(\S+)\s*=(.*)", line)
             if m:
-                delta_table[m.group(1)] = {p: c for c, p in parse_combo(m.group(2), False)}
+                s = _new_label(directions, m.group(1), delta_table)
+                delta_table[s] = {p: c for c, p in parse_combo(m.group(2), False)}
                 continue
             m = re.fullmatch(r"zeta\s*=(.*)", line)
             if m:
@@ -336,7 +338,7 @@ def load_calculus(text):
     side = tuple(line for _, line in sections.get("side_conditions", []))
     two_forms = None
     if "two_forms" in sections:
-        two_forms = _two_forms_from_sections(pres, sections["two_forms"])
+        two_forms = _two_forms_from_sections(pres, directions, sections["two_forms"])
     try:
         return CalculusSpec(pres, directions, autos, weights=weights, lambdas=lambdas,
                             theta_scalings=scalings, side_conditions=side,

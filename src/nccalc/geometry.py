@@ -62,7 +62,7 @@ def transport_theta(spec, conn: Connection, s, sp) -> GradedForm:
         v = conn.entry(sp, s, spp)
         if not v.is_zero():
             comps[(spp,)] = spec.phi_inv(s).apply(v)
-    return GradedForm._build(spec, comps)
+    return GradedForm(spec, comps)
 
 
 def transport_one_form(spec, conn: Connection, s, alpha: GradedForm) -> GradedForm:
@@ -235,13 +235,14 @@ class WedgeTensor(LabelModule):
 def nabla_on_tensor(spec, conn: Connection, t: TensorA) -> WedgeTensor:
     """Extension nabla(omega (x) E) = d omega (x) E + (-1)^r omega nabla(E)."""
     comps = {}
+    nablas = {v: nabla_one_form(spec, conn, GradedForm.theta(spec, v))
+              for v in sorted({v for _, v in t.comps})}
     for (u, v), f in t.comps.items():
         omega = f * GradedForm.theta(spec, u)
         dom = d_form(spec, omega)
         for pair, c in dom.component(2).items():
             _acc(comps, (pair, v), c)
-        nb = nabla_one_form(spec, conn, GradedForm.theta(spec, v))
-        for (w, z), g in nb.comps.items():
+        for (w, z), g in nablas[v].comps.items():
             two = omega.wedge(g * GradedForm.theta(spec, w))
             for pair, c in two.component(2).items():
                 _acc(comps, (pair, z), -c)
@@ -309,10 +310,12 @@ def tensor_L(spec, a: LTensor, b: LTensor) -> LTensor:
 def transport_ltensor(spec, conn: Connection, s, t: LTensor) -> LTensor:
     """V_s on semi-left-linear tensors: factorwise, with phi_s^-1 twist."""
     out = LTensor.zero(spec)
+    images = {u: LTensor.from_one_form(transport_theta(spec, conn, s, u))
+              for u in sorted({u for w in t.comps for u in w})}
     for w, f in t.comps.items():
         part = LTensor(spec, {(): spec.phi_inv(s).apply(f)})
         for u in w:
-            part = part.tensor(LTensor.from_one_form(transport_theta(spec, conn, s, u)))
+            part = part.tensor(images[u])
         out = out + part
     return out
 

@@ -119,6 +119,17 @@ def test_confluence_flags_inconsistent_rules():
     assert rep.failures
 
 
+@pytest.mark.parametrize("rhs, failures", [
+    ("0", (("x*y*x", "0", "x^3"),)),
+    ("x^3", ()),
+], ids=["not_confluent", "confluent"])
+def test_confluence_checks_inclusions(rhs, failures):
+    # y -> x lies inside x*y*x: an inclusion ambiguity, not an overlap
+    pres = Presentation(["x", "y"], rules=[("x*y*x", rhs), ("y", "x")])
+    rep = check_local_confluence(pres)
+    assert (rep.ok, rep.pairs_checked, rep.failures) == (not failures, 2, failures)
+
+
 def test_gl_scaling_morphism_verified():
     gl = load_preset("glpq2").presentation
     # alpha*delta = beta*gamma with (alpha, beta, gamma, delta) = (pq, q, p, 1)

@@ -274,6 +274,54 @@ def test_delta_bimodule_property():
         assert lhs == rhs
 
 
+def _delta_by_wedges(spec, omega):
+    """sum_i (-1)^i c theta^{w<i} Delta(theta^{w_i}) theta^{w>i} over the terms c theta^w."""
+    out = GradedForm.zero(spec)
+    for w, c in omega.comps.items():
+        for i, s in enumerate(w):
+            part = theta(spec, *w[:i]).wedge(spec.two_forms.delta_theta(s)) \
+                .wedge(theta(spec, *w[i + 1:]))
+            out = out + (c * Scalar.from_int((-1) ** i)) * part
+    return out
+
+
+def _random_forms(spec, rng, count=30):
+    """Seeded sums of up to three terms f theta^w, with words of length 1-3."""
+    from nccalc.suites import random_poly
+    labels = spec.directions.labels
+    for _ in range(count):
+        omega = GradedForm.zero(spec)
+        for _ in range(rng.randint(1, 3)):
+            word = [rng.choice(labels) for _ in range(rng.randint(1, 3))]
+            omega = omega + random_poly(spec.pres, rng) * theta(spec, *word)
+        yield omega
+
+
+def test_delta_matches_its_wedge_definition_on_every_two_form_preset():
+    rng = random.Random(29)
+    specs = [spec_of(pid) for pid in PRESET_IDS]
+    specs = [spec for spec in specs if spec.two_forms is not None]
+    assert len(specs) == 16
+    for spec in specs:
+        for omega in _random_forms(spec, rng):
+            assert delta(spec, omega) == _delta_by_wedges(spec, omega), f"{spec}: {omega}"
+
+
+def test_delta_moves_algebra_valued_table_entries_past_the_prefix():
+    # every preset Delta entry is a scalar, so phi_{w<i} acts on it trivially;
+    # this table is not a valid calculus, but both sides are the same sum
+    qp = spec_of("quantum_plane_a")
+    spec = CalculusSpec(qp.pres, qp.directions, qp.autos, weights=qp.weights)
+    ts = spec.two_forms
+    x, y = qp.pres.gen("x"), qp.pres.gen("y")
+    spec.two_forms = TwoFormStructure(spec, ts.basis, ts.reduction,
+                                      {"1": {("1", "2"): x}, "2": {("1", "2"): x * y}},
+                                      ts.zeta)
+    rng = random.Random(31)
+    for omega in _random_forms(spec, rng):
+        assert delta(spec, omega) == _delta_by_wedges(spec, omega), str(omega)
+
+
 def test_delta_graded_leibniz_pair():
     spec = spec_of("poly_shift_S12")
     t1, t2 = theta(spec, "1"), theta(spec, "2")
@@ -507,6 +555,21 @@ def test_two_form_tables_are_validated_by_the_constructor():
         _twisted_h2(2)
     assert not isinstance(exc.value, InconsistentCalculus)
     assert str(exc.value).startswith("two-form candidate fails verification:\n")
+
+
+@pytest.mark.parametrize("table, entry", [
+    ("basis", [("1", "2"), ("9", "1")]),
+    ("reduction", {("2", "1"): [(Scalar.one(), ("1", "9"))]}),
+    ("delta_table", {"9": {}}),
+    ("zeta", {("9", "2"): 1}),
+], ids=["basis", "reduction", "delta_key", "zeta"])
+def test_two_form_tables_need_known_labels(table, entry):
+    spec = _twisted_h2(1)
+    tables = dict(basis=spec.two_forms.basis, reduction=spec.two_forms.reduction,
+                  delta_table={}, zeta=spec.two_forms.zeta)
+    with pytest.raises(CalculusError) as exc:
+        TwoFormStructure(spec, **{**tables, table: entry})
+    assert str(exc.value) == "unknown direction 9"
 
 
 @pytest.mark.parametrize("scalings, message", [

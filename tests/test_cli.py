@@ -193,6 +193,28 @@ def test_printed_forms_and_tensors_are_pinned(tmp_path, pid, files, args, line):
     assert line in res.output.splitlines()
 
 
+GL_FORM = "(theta[t12] + e1*theta[t13])"
+
+
+@pytest.mark.parametrize("pid, expr, code, line", [
+    ("quantum_plane_a", "d(x)*y", 0,
+     "d = (-p^2*q^2 + 2*p*q - 1)/(p^3*q^3)*x*y*theta[1]*theta[2]"),
+    ("twisted_heisenberg_3", "theta[3]*x", 0,
+     "d = x*theta[1]*theta[2] + theta[1]*theta[3] + x*theta[2]*theta[1]"),
+    ("group_lattice_s3", f"{GL_FORM}^2", 0, None),
+    ("quantum_plane_a", "d(theta[1])", 2, "error: d(...) takes an algebra element"),
+    ("quantum_plane_a", "theta[1]^0", 2, "error: form powers must be positive"),
+    ("quantum_plane_a", "x/theta[1]", 2, "error: cannot divide by a form of positive degree"),
+], ids=["d_call", "theta_times_element", "form_power", "d_of_a_form", "zero_form_power",
+        "divide_by_a_form"])
+def test_form_syntax_is_pinned(pid, expr, code, line):
+    if line is None:  # a power of a form prints as the explicit product
+        line = invoke("--preset", pid, "d", "--expr", f"{GL_FORM}*{GL_FORM}").output.strip()
+        assert line != "d = 0"
+    res = run_cli(["--preset", pid, "d", "--expr", expr])
+    assert (res.exit_code, res.output.splitlines()) == (code, [line])
+
+
 @pytest.mark.parametrize("args", [
     ["--preset", "quantum_plane_a", "normalize", "x^99999999999"],
     ["--preset", "quantum_plane_a", "d", "--expr", "theta[1]^5000"],

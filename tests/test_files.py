@@ -255,6 +255,31 @@ def test_bad_theta_scalings_are_located(text, bad_line, message):
     assert str(exc.value) == f"[theta_scalings] line {_line_of(text, bad_line)}: {message}"
 
 
+# (preset, old line start, new line start): one label on a [two_forms] line becomes 9
+BAD_TWO_FORM_LABELS = [
+    ("h_plane_r1", "reduce 2 1 = ", "reduce 9 1 = "),
+    ("h_plane_r1", "reduce 2 1 = -1 : 1 2", "reduce 2 1 = -1 : 1 9"),
+    ("h_plane_r1", "basis = 1 2", "basis = 1 9"),
+    ("h_plane_r1", "delta 1 = ", "delta 9 = "),
+    ("h_plane_r1", "delta 1 = p/(h) : 1 2", "delta 1 = p/(h) : 9 2"),
+    ("twisted_heisenberg_2", "zeta = 1 : 1 2", "zeta = 1 : 9 2"),
+]
+
+
+@pytest.mark.parametrize("pid, old, new", BAD_TWO_FORM_LABELS,
+                         ids=["reduce_key", "reduce_pair", "basis", "delta_key", "delta_pair",
+                              "zeta_pair"])
+def test_unknown_two_form_label_is_one_located_error(tmp_path, pid, old, new):
+    from clirun import run_cli
+    text = _serialized_with(pid, "\n" + old, "\n" + new)
+    calc = tmp_path / "bad.calc"
+    calc.write_text(text)
+    res = run_cli(["--file", str(calc), "relations"])
+    assert res.exit_code == 2
+    assert res.output.splitlines() == [
+        f"error: [two_forms] line {_line_of(text, new)}: unknown direction 9"]
+
+
 def test_failing_two_form_candidate_keeps_its_message():
     bad = TWISTED_FILE.replace("zeta = 1 : 1 2", "zeta = 2 : 1 2")
     with pytest.raises(FileFormatError) as exc:
@@ -301,10 +326,13 @@ BAD_DIRECTION_ENTRIES = [
      "class 1 9 = quadrangle g0", "[directions]", "unknown direction 9"),
     ("poly_shift_S12", "labels = 1 2\n", "labels = 1 2 2\n", "labels = 1 2 2",
      "[directions]", "duplicate direction labels"),
+    ("h_plane_r1", "\ndelta 1 = p/(h) : 1 2\n", "\ndelta 1 = p/(h) : 1 2\ndelta 1 = 0 : 1 2\n",
+     "delta 1 = 0", "[two_forms]", "repeated direction 1"),
 ]
 BAD_DIRECTION_IDS = ["unknown_weight", "repeated_weight", "unknown_twist", "repeated_twist",
                      "unknown_automorphism", "repeated_automorphism", "repeated_inverse",
-                     "unknown_triangle_target", "unknown_class_pair", "duplicate_labels"]
+                     "unknown_triangle_target", "unknown_class_pair", "duplicate_labels",
+                     "repeated_delta"]
 
 
 @pytest.mark.parametrize("pid, old, new, bad_line, section, message", BAD_DIRECTION_ENTRIES,
