@@ -602,8 +602,9 @@ class ConfluenceReport(NamedTuple):
         return "\n".join(lines)
 
 
-def check_local_confluence(pres: Presentation, max_overlap_len=6) -> ConfluenceReport:
-    """Reduce both sides of every critical pair up to the given overlap length.
+def check_local_confluence(pres: Presentation) -> ConfluenceReport:
+    """Reduce both sides of every critical pair; an overlap of l1 and l2 is
+    at most |l1| + |l2| - 1 letters long, so there are finitely many.
 
     Implicit inverse-cancellation rules x x^-1 -> 1 participate in the
     overlap computation even though `join` cancels inverses structurally.
@@ -635,8 +636,6 @@ def check_local_confluence(pres: Presentation, max_overlap_len=6) -> ConfluenceR
                 spots += [(l1, i) for i in range(len(l1) - len(l2) + 1)
                           if l1[i:i + len(l2)] == l2]
             for sup, i in spots:
-                if len(sup) > max_overlap_len:
-                    continue
                 checked += 1
                 a = side((), rhs1, sup[len(l1):])
                 b = side(sup[:i], rhs2, sup[i + len(l2):])

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
 
 from . import _lazy_attributes
 from .algebra import AlgebraError
@@ -61,7 +60,8 @@ GLOBAL_ARGS = (
     arg("--preset", help="load a catalog preset"),
     arg("--file", help="load a calculus definition file"),
     arg("--format", choices=("text", "structured"), default="text", help="output format"),
-    arg("--jobs", type=int, default=1, help="parallel independent checks"),
+    # ignored, every check runs in one thread; scripts and perfbench's cli stream pass it
+    arg("--jobs", type=int, default=1, help=argparse.SUPPRESS),
 )
 
 
@@ -111,18 +111,6 @@ def _emit(ctx, report_or_lines, prefix="result"):
             line = f"{prefix}.{i} = {line}"
         print(line)
     return True
-
-
-@contextmanager
-def _jobs_map(ctx):
-    """The map for independent checks: builtin at --jobs 1 (or less), else a thread pool's."""
-    if ctx["jobs"] <= 1:
-        yield map
-        return
-    from concurrent.futures import ThreadPoolExecutor  # loads logging: keep it off cold calls
-
-    with ThreadPoolExecutor(max_workers=ctx["jobs"]) as pool:
-        yield pool.map
 
 
 def _fail(code, message):
@@ -197,7 +185,8 @@ def main(args=None, prog_name=None):
     argv = sys.argv[1:] if args is None else args
     options = vars(parser.parse_args(_join_values(argv, takes_value)))
     cmd = options.pop("command")
-    ctx = {name: options.pop(name) for name in ("preset", "file", "format", "jobs")}
+    options.pop("jobs")
+    ctx = {name: options.pop(name) for name in ("preset", "file", "format")}
     _run(lambda: cmd(ctx, _load_spec(ctx), **options) if cmd.spec else cmd(ctx, **options))
 
 
@@ -268,9 +257,8 @@ def verify(ctx, suite, samples, all_presets):
 
     if all_presets:
         rep = Report("verify all presets")
-        with _jobs_map(ctx) as map_:
-            for part in map_(lambda pid: one_spec(load_preset(pid).spec, pid), PRESET_IDS):
-                rep.merge(part)
+        for pid in PRESET_IDS:
+            rep.merge(one_spec(load_preset(pid).spec, pid))
         return _emit(ctx, rep, "verify")
     return _emit(ctx, one_spec(_load_spec(ctx)), "verify")
 
@@ -385,9 +373,7 @@ def preset_show(ctx, preset_id, serialize):
 def preset_run(ctx, preset_id):
     """Replay the golden fixtures of a preset."""
     bundle = load_preset(preset_id)
-    with _jobs_map(ctx) as map_:
-        rep = bundle.run_fixtures(map=map_)
-    return _emit(ctx, rep, f"preset.{bundle.id}")
+    return _emit(ctx, bundle.run_fixtures(), f"preset.{bundle.id}")
 
 
 if __name__ == "__main__":

@@ -239,10 +239,9 @@ def _morphisms_from_sections(pres, directions, lines):
 def _two_forms_from_sections(pres, directions, lines):
     """The [two_forms] tables, as the two_forms argument of CalculusSpec;
     every label on a line must be a direction label."""
-    basis = None
+    basis = zeta = None
     reduction = {}
     delta_table = {}
-    zeta = {}
 
     def pair_of(text):
         pair = tuple(text.split())
@@ -269,11 +268,16 @@ def _two_forms_from_sections(pres, directions, lines):
     for n, line in lines:
         with _at(n, "two_forms"):
             if line.startswith("basis"):
+                if basis is not None:
+                    raise FileFormatError("repeated basis line")
                 basis = [pair_of(p) for p in _assignment(line, "basis")[1].split(";")]
                 continue
             m = re.fullmatch(r"reduce\s+(\S+)\s+(\S+)\s*=(.*)", line)
             if m:
-                reduction[directions.word(m.group(1, 2))] = parse_combo(m.group(3), True)
+                pair = directions.word(m.group(1, 2))
+                if pair in reduction:
+                    raise FileFormatError(f"repeated pair {pair[0]} {pair[1]}")
+                reduction[pair] = parse_combo(m.group(3), True)
                 continue
             m = re.fullmatch(r"delta\s+(\S+)\s*=(.*)", line)
             if m:
@@ -282,12 +286,14 @@ def _two_forms_from_sections(pres, directions, lines):
                 continue
             m = re.fullmatch(r"zeta\s*=(.*)", line)
             if m:
+                if zeta is not None:
+                    raise FileFormatError("repeated zeta line")
                 zeta = {p: c for c, p in parse_combo(m.group(1), False)}
                 continue
             raise FileFormatError(f"bad two_forms line: {line!r}")
     if basis is None:
         raise FileFormatError("[two_forms] needs a basis line")
-    return dict(basis=basis, reduction=reduction, delta_table=delta_table, zeta=zeta)
+    return dict(basis=basis, reduction=reduction, delta_table=delta_table, zeta=zeta or {})
 
 
 def load_calculus(text):

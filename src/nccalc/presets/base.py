@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import threading
+import functools
 from typing import NamedTuple
 
 from ..report import Report
@@ -28,24 +28,6 @@ def feq(description, lhs_fn, rhs_fn):
     return Fixture(description, run)
 
 
-def once(build):
-    """A zero-argument function that returns build(), calling build at most
-    once: the first caller builds under a lock and every later caller, in
-    any thread, gets the same object.  A build that raises is not kept, so
-    the next caller raises again."""
-    lock = threading.Lock()
-    built = []
-
-    def get():
-        if not built:
-            with lock:
-                if not built:
-                    built.append(build())
-        return built[0]
-
-    return get
-
-
 def fcheck(description, fn):
     """Fixture around a predicate returning bool or (bool, detail)."""
 
@@ -66,21 +48,22 @@ class PresetBundle:
     on the first read of `bundle.fixtures`.  Extras keep objects that only
     fixtures and tests look at (a quotient algebra, a frame, explicit
     forms): `extras` is a zero-argument function returning them, called on
-    the first read of `bundle.extras`.
+    the first read of `bundle.extras`.  Each is kept once built; a build
+    that raises is not kept, so the next read raises again.
     """
 
     def __init__(self, spec, fixtures, extras=dict):
         self.spec = spec
-        self._fixtures = once(lambda: tuple(fixtures(self)))
-        self._extras = once(extras)
+        self._build_fixtures = fixtures
+        self._build_extras = extras
 
-    @property
+    @functools.cached_property
     def fixtures(self):
-        return self._fixtures()
+        return tuple(self._build_fixtures(self))
 
-    @property
+    @functools.cached_property
     def extras(self):
-        return self._extras()
+        return self._build_extras()
 
     @property
     def id(self):
@@ -97,12 +80,11 @@ class PresetBundle:
             return "first-order"
         return "derived" if self.spec.mode == "automorphism" else "validated"
 
-    def run_fixtures(self, map=map) -> Report:
-        """Run every fixture; `map` may be a pool's map, the report is the same."""
+    def run_fixtures(self) -> Report:
+        """Run every fixture, in order, into one report."""
         rep = Report(f"preset {self.id}")
-        results = map(_run_fixture, self.fixtures)
-        for i, (fx, (ok, detail)) in enumerate(zip(self.fixtures, results)):
-            rep.add(f"fixture_{i:02d}.{_slug(fx.description)}", ok, detail)
+        for i, fx in enumerate(self.fixtures):
+            rep.add(f"fixture_{i:02d}.{_slug(fx.description)}", *_run_fixture(fx))
         return rep
 
     def describe(self):

@@ -317,9 +317,9 @@ def test_verify_text_independent_of_hash_seed():
 
 @pytest.mark.parametrize("module", ["concurrent.futures", "fractions", "decimal"])
 def test_cli_import_leaves_thread_pool_unloaded(module):
-    """concurrent.futures loads logging, and only --jobs > 1 needs it; a Scalar
-    holds ints, so a light call needs neither fractions nor the decimal module
-    that fractions imports."""
+    """No call needs concurrent.futures, which loads logging; a Scalar holds
+    ints, so a light call needs neither fractions nor the decimal module that
+    fractions imports."""
     src = str(Path(nccalc.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -453,6 +453,31 @@ labels = 1
 """)
     res = invoke("--file", str(calc), "normalize", "y*x")
     assert res.exit_code == 3
+    # overlaps of 6 and 7 letters: every critical pair is checked, however long
+    calc.write_text("""
+[generators]
+x
+y
+
+[relations]
+y*y*y*x = 0
+x*y*x*x = y^2
+
+[directions]
+labels = 1
+
+[automorphisms]
+1: x -> x, y -> y
+1 inverse: x -> x, y -> y
+
+[weights]
+1 = 1
+""")
+    res = run_cli(["--file", str(calc), "normalize", "(y^3*x)*(y*x^2)"])
+    assert res.exit_code == 3
+    assert res.output.splitlines() == ["error: 2 critical pair(s) fail to join:",
+                                       "  y^3*x*y*x^2: 0  !=  y^5",
+                                       "  x*y*x^2*y*x^2: 0  !=  x*y*x*y^2"]
 
 
 @pytest.mark.parametrize("pid", PRESET_IDS)
@@ -465,6 +490,30 @@ def test_serialized_preset_verifies_like_the_preset(tmp_path, pid):
         by_file = run_cli(["--format", fmt, "--file", str(calc), "verify"])
         assert by_preset.exit_code == 0, by_preset.output
         assert (by_file.exit_code, by_file.output) == (by_preset.exit_code, by_preset.output)
+
+
+@pytest.mark.parametrize("args, error", [
+    (["normalize", "x $ y"], "error: unexpected character '$' at column 3 in 'x $ y'"),
+    (["normalize", "x y"], "error: trailing input: token 'y' at column 3"),
+    (["d", "--expr", "theta[]"], "error: empty index"),
+], ids=["bad_character", "trailing_input", "empty_index"])
+def test_malformed_expression_is_one_error_line(args, error):
+    res = run_cli(["--preset", "quantum_plane_a", *args])
+    assert (res.exit_code, res.output.splitlines()) == (2, [error])
+
+
+def test_failing_check_detail_in_structured_output(tmp_path):
+    metric = tmp_path / "F"
+    metric.write_text("g[1,1] = x\n")
+    res = run_cli(["--format", "structured", "--preset", "quantum_plane_a",
+                   "metric-check", "--metric", str(metric)])
+    assert res.exit_code == 1
+    assert res.output.splitlines() == [
+        "metric.invariance.phi_1.g[1,1].scale_1 = fail",
+        "metric.invariance.phi_1.g[1,1].scale_1.detail = "
+        "phi_1(g[1,1]) = (1/(p*q))*x, required 1 * g = x",
+        "metric.invariance.phi_2.g[1,1].scale_1 = pass",
+        "metric.ok = fail"]
 
 
 @pytest.mark.parametrize("args", [

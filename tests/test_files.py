@@ -280,6 +280,70 @@ def test_unknown_two_form_label_is_one_located_error(tmp_path, pid, old, new):
         f"error: [two_forms] line {_line_of(text, new)}: unknown direction 9"]
 
 
+# (preset, a [two_forms] line, the line added after it, message): a pair,
+# basis or zeta given twice is an error on the second line, equal or not
+REPEATED_TWO_FORM_LINES = [
+    ("h_plane_r1", "reduce 2 1 = -1 : 1 2", "reduce 2 1 = 5 : 1 2", "repeated pair 2 1"),
+    ("h_plane_r1", "reduce 2 1 = -1 : 1 2", "reduce 2 1 = -1 : 1 2", "repeated pair 2 1"),
+    ("h_plane_r1", "basis = 1 2", "basis = 1 2", "repeated basis line"),
+    ("twisted_heisenberg_2", "zeta = 1 : 1 2", "zeta = 1 : 1 2", "repeated zeta line"),
+]
+
+
+@pytest.mark.parametrize("pid, line, added, message", REPEATED_TWO_FORM_LINES,
+                         ids=["reduce_other", "reduce_same", "basis", "zeta"])
+def test_repeated_two_form_line_is_one_located_error(tmp_path, pid, line, added, message):
+    from clirun import run_cli
+    text = _serialized_with(pid, f"\n{line}\n", f"\n{line}\n{added}\n")
+    calc = tmp_path / "twice.calc"
+    calc.write_text(text)
+    res = run_cli(["--file", str(calc), "relations"])
+    assert res.exit_code == 2
+    assert res.output.splitlines() == [
+        f"error: [two_forms] line {_line_of(text, line) + 1}: {message}"]
+
+
+# (preset, old text, new text, the one error line of `relations` on the result)
+MALFORMED_FILES = [
+    ("quantum_plane_a", "\n1 = 1\n", "\n1 = zz\n",
+     "error: [weights] line 26: unknown parameter 'zz'"),
+    ("quantum_plane_a", "\nx\n", "\nx extra\n",
+     "error: [generators] line 6: bad generator line: 'x extra'"),
+    ("quantum_plane_a", "[generators]", "[gens]", "error: no [generators] section"),
+    ("quantum_plane_a", "class 1 1 =", "klass 1 1 =",
+     "error: [directions] line 14: bad directions line: 'klass 1 1 = quadrangle g0'"),
+    ("quantum_plane_a", "labels = 1 2\n", "", "error: [directions] needs a labels line"),
+    ("quantum_plane_a", "[directions]", "[direction]", "error: no [directions] section"),
+    ("quantum_plane_a", "\n1: x ->", "\n1 x ->",
+     "error: [automorphisms] line 20: bad automorphism line: "
+     "'1 x -> (1/(p*q))*x, y -> (1/(p*q))*y'"),
+    ("quantum_plane_a", ", y -> (1/(p*q))*y\n", ", y (1/(p*q))*y\n",
+     "error: [automorphisms] line 20: bad image in: '1: x -> (1/(p*q))*x, y (1/(p*q))*y'"),
+    ("quantum_plane_a", "\n[side_conditions]",
+     "\n[theta_scalings]\n1 2 1/(p*q)\n\n[side_conditions]",
+     "error: [theta_scalings] line 30: bad theta_scalings line: '1 2 1/(p*q)'"),
+    ("h_plane_r1", "reduce 2 1 = -1 : 1 2", "reduce 2 1 = -1 1 2",
+     "error: [two_forms] line 34: bad 2-form combination item: '-1 1 2'"),
+    ("h_plane_r1", "reduce 2 2 =", "reduced 2 2 =",
+     "error: [two_forms] line 35: bad two_forms line: 'reduced 2 2 ='"),
+    ("h_plane_r1", "basis = 1 2\n", "", "error: [two_forms] needs a basis line"),
+]
+
+
+@pytest.mark.parametrize("pid, old, new, error", MALFORMED_FILES,
+                         ids=["unknown_weight_param", "bad_generator", "no_generators",
+                              "bad_directions_line", "no_labels", "no_directions",
+                              "bad_automorphism_line", "image_without_arrow",
+                              "bad_theta_scalings_line", "bad_combination_item",
+                              "bad_two_forms_line", "no_basis"])
+def test_malformed_file_is_one_error_line(tmp_path, pid, old, new, error):
+    from clirun import run_cli
+    calc = tmp_path / "bad.calc"
+    calc.write_text(_serialized_with(pid, old, new))
+    res = run_cli(["--file", str(calc), "relations"])
+    assert (res.exit_code, res.output.splitlines()) == (2, [error])
+
+
 def test_failing_two_form_candidate_keeps_its_message():
     bad = TWISTED_FILE.replace("zeta = 1 : 1 2", "zeta = 2 : 1 2")
     with pytest.raises(FileFormatError) as exc:

@@ -20,40 +20,6 @@ def test_preset_fixtures(pid):
     assert rep.ok, f"{pid}:\n{rep.text()}"
 
 
-@pytest.mark.parametrize("pid", ["quantum_plane_a", "group_lattice_s3", "glpq2"])
-def test_cold_bundle_fixtures_same_under_threads(pid):
-    """Memo tables filled concurrently from cold give the serial report."""
-    import sys
-    from concurrent.futures import ThreadPoolExecutor
-
-    build = load_preset.__wrapped__  # bypass the cache: fresh presentation and spec
-    serial = build(pid).run_fixtures(map=map).structured()
-    serial_images = _images(build(pid), map)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # switch threads often, inside memo updates too
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            threaded = build(pid).run_fixtures(map=pool.map).structured()
-            threaded_images = _images(build(pid), pool.map)
-    finally:
-        sys.setswitchinterval(interval)
-    assert threaded == serial
-    assert threaded_images == serial_images
-
-
-def _images(bundle, map):
-    """Images of fixed random polynomials under one morphism, applied through
-    `map`: in a pool, the threads share the morphism's word-image memo."""
-    import random
-
-    from nccalc.suites import random_poly
-
-    rng = random.Random(7)
-    polys = [random_poly(bundle.presentation, rng, max_len=4, terms=3) for _ in range(40)]
-    m = next(iter(bundle.spec.autos.values()))
-    return [str(v) for v in map(m.apply, polys)]
-
-
 def test_catalog_is_complete():
     expected = {
         "poly_shift_S12", "poly_shift_sym", "quantum_plane_a", "quantum_plane_b",
