@@ -216,9 +216,12 @@ class Presentation:
     def _reduce_word(self, word):
         """Full normal form of a word, as a dict word -> Scalar (memoized).
 
-        Rewriting always takes the leftmost redex.  Single-term rules are
-        followed as a chain without storing the words between; the memo
-        holds requested words, branch words (where a rule with two or more
+        A post-order walk over the rewrite DAG from word.  Rewriting always
+        takes the leftmost redex; each right-hand term of the rule that fires
+        is followed with `_chain` through single-term rules to a part
+        (coefficient, end), last term first.  A word is reduced once the
+        missing ends are, by accumulating its parts.  The memo holds
+        requested words, branch words (where a rule with two or more
         right-hand terms fires) and irreducible words, so shared subterms of
         the rewrite DAG are reduced once.
         """
@@ -226,17 +229,38 @@ class Presentation:
         hit = nf.get(word)
         if hit is not None:
             return hit
-        k, end = self._chain(word)
-        if end is None:
+        pending = {}
+        stack = [word]
+        while stack:
+            w = stack[-1]
+            if w in nf:
+                stack.pop()
+                continue
+            parts = pending.get(w)
+            if parts is None:
+                m = self._first_redex(w)
+                if m is None:
+                    nf[w] = {w: _ONE}
+                    stack.pop()
+                    continue
+                i, rule = m
+                head, tail = w[:i], w[i + len(rule.lhs):]
+                parts = pending[w] = []
+                for rw, rc in reversed(rule.rhs):
+                    k, end = self._chain(join(join(head, rw), tail))
+                    if end is not None:
+                        parts.append((rc * k, end))
+                missing = [e for _, e in parts if e not in nf]
+                if missing:
+                    stack.extend(missing)
+                    continue
             result = {}
-        else:
-            if end not in nf:
-                self._reduce_branches(end)
-            result = nf[end]
-            if not k.is_one():
-                result = {w: c * k for w, c in result.items()}
-        nf[word] = result
-        return result
+            for c, e in parts:
+                _acc_nf(result, nf[e], c)
+            nf[w] = result
+            del pending[w]
+            stack.pop()
+        return nf[word]
 
     def _chain(self, word):
         """Follow single-term rewrites from word: (k, end) with nf(word) = k*nf(end).
@@ -259,42 +283,6 @@ class Presentation:
             if not rc.is_one():
                 k = k * rc
         return k, word
-
-    def _branches(self, word):
-        """(coefficient, chain end) for each right-hand term of word's leftmost
-        redex, last term first, the order in which terms are accumulated."""
-        i, rule = self._first_redex(word)
-        head, tail = word[:i], word[i + len(rule.lhs):]
-        parts = []
-        for rw, rc in reversed(rule.rhs):
-            k, end = self._chain(join(join(head, rw), tail))
-            if end is not None:
-                parts.append((rc * k, end))
-        return parts
-
-    def _reduce_branches(self, word):
-        """Memoize nf of a branch word by a post-order walk over branch words."""
-        nf = self._nf
-        pending = {}
-        stack = [word]
-        while stack:
-            w = stack[-1]
-            if w in nf:
-                stack.pop()
-                continue
-            parts = pending.get(w)
-            if parts is None:
-                parts = pending[w] = self._branches(w)
-                missing = [e for _, e in parts if e not in nf]
-                if missing:
-                    stack.extend(missing)
-                    continue
-            result = {}
-            for c, e in parts:
-                _acc_nf(result, nf[e], c)
-            nf[w] = result
-            del pending[w]
-            stack.pop()
 
     # -- misc
 
@@ -651,13 +639,13 @@ def check_local_confluence(pres: Presentation) -> ConfluenceReport:
 class AlgebraMorphism:
     """Algebra map given by generator images, with verified relation preservation."""
 
-    def __init__(self, pres, images, inv_images, verified, violations=(), inverse=None):
+    def __init__(self, pres, images, inv_images, verified):
         self.pres = pres
         self.images = images          # gen name -> NCPoly
         self.inv_images = inv_images  # gen name -> NCPoly (image of g^-1)
         self.verified = verified
-        self.violations = tuple(violations)
-        self.inverse = inverse
+        self.violations = ()
+        self.inverse = None  # set by verify_morphism and identity_morphism
         self._word_images = {}  # word -> NCPoly, one complete assignment per entry
 
     def apply(self, p: NCPoly) -> NCPoly:
@@ -679,28 +667,16 @@ class AlgebraMorphism:
         self._word_images[word] = out
         return out
 
-    def __call__(self, p):
-        return self.apply(p)
-
     def equal_on_generators(self, other):
         return all(self.images[g.name] == other.images[g.name]
                    for g in self.pres.generators)
 
     def then(self, outer: "AlgebraMorphism") -> "AlgebraMorphism":
-        """Composition outer o self; verified morphisms compose verified."""
+        """Composition outer o self; verified morphisms compose verified.
+        Only the forward map is built: the composite has no inverse."""
         images = {g: outer.apply(p) for g, p in self.images.items()}
         inv_images = {g: outer.apply(p) for g, p in self.inv_images.items()}
-        inv = None
-        if self.inverse is not None and outer.inverse is not None:
-            inv = AlgebraMorphism(self.pres,
-                                  {g: self.inverse.apply(p) for g, p in outer.inverse.images.items()},
-                                  {g: self.inverse.apply(p) for g, p in outer.inverse.inv_images.items()},
-                                  self.verified and outer.verified)
-        m = AlgebraMorphism(self.pres, images, inv_images,
-                            self.verified and outer.verified, inverse=inv)
-        if inv is not None:
-            inv.inverse = m
-        return m
+        return AlgebraMorphism(self.pres, images, inv_images, self.verified and outer.verified)
 
     def __repr__(self):
         ims = ", ".join(f"{g.name}->{self.images.get(g.name)}" for g in self.pres.generators)
@@ -780,26 +756,18 @@ def invert_element(p: NCPoly, max_length=4):
         return unit_inverse(p)
     except AlgebraError:
         pass
-    from .linalg import solve_linear  # here, so a unit monomial never loads linalg
+    from .linalg import solve_linear, span_rows  # here, so a unit monomial never loads linalg
 
     pres = p.pres
     gens = sorted({l >> 1 for w in p.terms for l in w})
     cands = normal_words(pres, max_length, gens=gens)
-    col = {w: j for j, w in enumerate(cands)}
-    rows = {}
-    for w in cands:
-        prod = p * pres.poly({w: Scalar.one()})
-        for rw, rc in prod.terms.items():
-            rows.setdefault(rw, {})[col[w]] = rc
+    rows = span_rows(cands, lambda w: (p * pres.poly({w: Scalar.one()})).terms.items())
     eqs = [(coeffs, Scalar.one() if rw == () else Scalar.zero())
            for rw, coeffs in rows.items()]
     sol = solve_linear(eqs, len(cands))
     if sol is None:
         return None
-    z = pres.zero
-    for w, j in col.items():
-        if not sol[j].is_zero():
-            z = z + pres.poly({w: sol[j]})
+    z = pres.poly(dict(zip(cands, sol)))
     if (p * z).is_one() and (z * p).is_one():
         return z
     return None
@@ -845,9 +813,9 @@ def tensor_product(p1: Presentation, p2: Presentation, name=None) -> Presentatio
 # word enumeration and the module-basis probe
 
 
-def normal_words(pres: Presentation, max_length: int, include_empty=True, gens=None):
-    """All rewrite-irreducible words up to the given letter length."""
-    out = [()] if include_empty else []
+def normal_words(pres: Presentation, max_length: int, gens=None):
+    """All rewrite-irreducible words up to the given letter length, () first."""
+    out = [()]
     alphabet = [l for i in range(len(pres.generators)) if gens is None or i in gens
                 for l in pres.letters(i)]
 
@@ -886,33 +854,22 @@ def basis_independence_probe(pres, derivations, degree_bound) -> ProbeReport:
     must hold on all normal monomials up to degree_bound, with the f_s
     ranging over combinations of normal words up to degree_bound.
     """
-    from .linalg import nullspace_vector
+    from .linalg import nullspace_vector, span_rows
 
     labels = list(derivations)
-    words = normal_words(pres, degree_bound)
-    unknowns = [(s, w) for s in labels for w in words]
-    col = {u: j for j, u in enumerate(unknowns)}
-    tests = normal_words(pres, degree_bound)
-    rows = []
-    for m in tests:
-        mono = pres.poly({m: Scalar.one()})
-        per_result_word = {}
-        for s in labels:
-            es_m = derivations[s](mono)
-            for w in words:
-                prod = es_m * pres.poly({w: Scalar.one()})
-                for rw, rc in prod.terms.items():
-                    _acc(per_result_word.setdefault(rw, {}), col[(s, w)], rc)
-        rows.extend(per_result_word.values())
-    vec = nullspace_vector(rows, len(unknowns))
+    words = normal_words(pres, degree_bound)  # the span of each f_s, and the test monomials
+    es = {(s, m): derivations[s](pres.poly({m: Scalar.one()})) for m in words for s in labels}
+
+    def image(u):  # e_s(m) * w for every test monomial m, row key (m, result word)
+        s, w = u
+        wp = pres.poly({w: Scalar.one()})
+        return (((m, rw), rc) for m in words for rw, rc in (es[s, m] * wp).terms.items())
+
+    rows = span_rows([(s, w) for s in labels for w in words], image)
+    vec = nullspace_vector(list(rows.values()), len(labels) * len(words))
     if vec is None:
-        return ProbeReport(False, None, len(tests))
-    witness = {}
-    for (s, w), j in col.items():
-        c = vec[j]
-        if not c.is_zero():
-            witness.setdefault(s, pres.zero)
-            witness[s] = witness[s] + pres.poly({w: c})
-    for s in labels:
-        witness.setdefault(s, pres.zero)
-    return ProbeReport(True, witness, len(tests))
+        return ProbeReport(False, None, len(words))
+    n = len(words)
+    witness = {s: pres.poly(dict(zip(words, vec[i * n:(i + 1) * n])))
+               for i, s in enumerate(labels)}
+    return ProbeReport(True, witness, len(words))

@@ -677,27 +677,21 @@ def central_one_forms_probe(spec: CalculusSpec, degree_bound=4):
     where a nonzero solution of a_s phi_s(f) = f a_s exists with a_s in
     the span of normal words up to degree_bound.
     """
-    from .linalg import nullspace_vector
+    from .linalg import nullspace_vector, span_rows
 
+    pres = spec.pres
     witnesses = {}
-    words = normal_words(spec.pres, degree_bound)
+    words = normal_words(pres, degree_bound)
+    gens = [pres.gen(g.name) for g in pres.generators]
     for s in spec.directions.labels:
-        col = {w: j for j, w in enumerate(words)}
-        rows = {}
-        for w in words:
-            wp = spec.pres.poly({w: Scalar.one()})
-            for g in spec.pres.generators:
-                f = spec.pres.gen(g.name)
-                res = wp * spec.phi(s).apply(f) - f * wp
-                for rw, rc in res.terms.items():
-                    _acc(rows.setdefault((g.name, rw), {}), col[w], rc)
-        vec = nullspace_vector(list(rows.values()), len(words))
+        def image(w, phi=spec.phi(s)):  # a_s phi_s(f) - f a_s, row key (f, result word)
+            wp = pres.poly({w: Scalar.one()})
+            return (((i, rw), rc) for i, f in enumerate(gens)
+                    for rw, rc in (wp * phi.apply(f) - f * wp).terms.items())
+
+        vec = nullspace_vector(list(span_rows(words, image).values()), len(words))
         if vec is not None:
-            a = spec.pres.zero
-            for w, j in col.items():
-                if not vec[j].is_zero():
-                    a = a + spec.pres.poly({w: vec[j]})
-            witnesses[s] = a
+            witnesses[s] = pres.poly(dict(zip(words, vec)))
     return witnesses
 
 
@@ -793,7 +787,7 @@ def solve_theta_in_differentials(spec: CalculusSpec, coords) -> ThetaSolution:
     if spec.pres.is_commutative():
         inv, det = commutative_inverse(spec.pres, M)
     else:
-        inv, _ = nc_left_inverse(spec.pres, M)
+        inv = nc_left_inverse(spec.pres, M)
     if inv is None:
         return ThetaSolution(False, None, det, tuple(tuple(r) for r in M))
     # validate: inv * M = identity

@@ -81,9 +81,12 @@ def command(name, *arguments, spec=True, table=COMMANDS):
 
 
 def _read(path):
-    """The text of a --file, --connection or --metric path."""
-    with open(path) as fh:
-        return fh.read()
+    """The UTF-8 text of a --file, --connection or --metric path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()  # decodes the whole file at once, so exc.start is a file offset
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 text (byte offset {exc.start})") from None
 
 
 def _load_spec(ctx):

@@ -19,8 +19,8 @@ Calculus files add:
     class 1 1 = quadrangle g20      # or: biangle / triangle <label>
     ...
 
-    [automorphisms]      # one line each per direction label
-    1: x -> q^-1*x, y -> y
+    [automorphisms]      # one line each per direction label; each generator
+    1: x -> q^-1*x, y -> y   # at most once on a line, x -> x if absent
     1 inverse: x -> q*x, y -> y
 
     [weights]            # automorphism mode; or [twists] for twisted mode;
@@ -37,6 +37,8 @@ Calculus files add:
     reduce 2 2 =
     delta 1 = -1 : 1 3 , x : 2 1
     zeta = 1 : 1 2
+
+A header other than these ten section names is an error.
 
 The [two_forms] tables go to the CalculusSpec constructor, which checks
 them against the twisted master identity; without them a group-classified
@@ -99,14 +101,23 @@ def _new_label(directions, label, seen):
     return label
 
 
+# The sections of presentation and calculus files; both loaders accept all
+# ten, and a presentation reads the first three.
+SECTIONS = ("params", "generators", "relations", "directions", "automorphisms",
+            "weights", "twists", "theta_scalings", "side_conditions", "two_forms")
+
+
 def parse_sections(text):
-    """Section name -> [(file line number, line)], comments and blank lines dropped."""
+    """Section name -> [(file line number, line)], comments and blank lines
+    dropped; a header that names no section of SECTIONS is an error."""
     sections = {}
     current = None
     for n, line in _strip_lines(text):
-        m = re.fullmatch(r"\[([a-z_]+)\]", line)
+        m = re.fullmatch(r"\[([^][]*)\]", line)
         if m:
             current = m.group(1)
+            if current not in SECTIONS:
+                raise FileFormatError(f"line {n}: unknown section [{current}]")
             sections.setdefault(current, [])
             continue
         if current is None:
@@ -216,8 +227,11 @@ def _morphisms_from_sections(pres, directions, lines):
             for piece in body.split(","):
                 if "->" not in piece:
                     raise FileFormatError(f"bad image in: {line!r}")
-                g, expr = piece.split("->", 1)
-                imgs[g.strip()] = pres.parse(expr.strip())
+                g, expr = (t.strip() for t in piece.split("->", 1))
+                pres.gen_index(g)  # an undeclared name is an error
+                if g in imgs:
+                    raise FileFormatError(f"repeated generator {g}")
+                imgs[g] = pres.parse(expr)
     autos = {}
     for label, imgs in images.items():
         with _at(first_line[label], "automorphisms"):

@@ -72,7 +72,7 @@ class ThetaFrame:
         n = len(self.labels)
         M = [[mat.get((self.labels[i], self.labels[j]), self.pres.zero)
               for j in range(n)] for i in range(n)]
-        inv, _ = nc_left_inverse(self.pres, M)
+        inv = nc_left_inverse(self.pres, M)
         if inv is None:
             raise FrameError("commutation matrix of an invertible generator "
                              "is not invertible by unit pivots")

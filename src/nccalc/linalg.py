@@ -51,6 +51,20 @@ def nullspace_vector(rows, ncols):
     return [vec.get(j, Scalar.zero()) for j in range(ncols)]
 
 
+def span_rows(unknowns, image):
+    """The sparse rows of a linear search over the span of unknowns.
+
+    image(u) yields the (key, Scalar) items of the image of unknown u; the
+    result is {key: {column: Scalar}}, column j holding unknowns[j], with
+    keys in the order they first occur.
+    """
+    rows = {}
+    for j, u in enumerate(unknowns):
+        for key, c in image(u):
+            _acc(rows.setdefault(key, {}), j, c)
+    return rows
+
+
 def solve_linear(equations, ncols):
     """One solution of a sparse linear system over the scalar field, or None.
 
@@ -73,8 +87,7 @@ def nc_left_inverse(pres, M):
     """Left inverse of a matrix over the algebra by Gaussian elimination.
 
     Requires an invertible pivot in every column (unit monomials, or
-    elements inverted by the bounded search); returns None together with
-    the failing column index otherwise.
+    elements inverted by the bounded search); returns None otherwise.
     """
     from .algebra import invert_element
 
@@ -92,7 +105,7 @@ def nc_left_inverse(pres, M):
                 piv = r
                 break
         if piv is None:
-            return None, col
+            return None
         A[col], A[piv] = A[piv], A[col]
         B[col], B[piv] = B[piv], B[col]
         A[col] = [inv * x for x in A[col]]
@@ -109,8 +122,8 @@ def nc_left_inverse(pres, M):
         for c in range(n):
             expect = pres.one if r == c else pres.zero
             if A[r][c] != expect:
-                return None, c
-    return B, None
+                return None
+    return B
 
 
 def det_permanent_expansion(pres, M):

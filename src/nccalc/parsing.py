@@ -4,7 +4,7 @@ Grammar (products are explicit, `^` takes an integer literal exponent):
 
     expr    := term (('+'|'-') term)*
     term    := factor (('*'|'/') factor)*
-    factor  := '-' factor | power
+    factor  := '-'* power
     power   := atom ('^' signed-int)?
     atom    := number | name | name '[' label ']' | 'd' '(' expr ')' | '(' expr ')'
 
@@ -22,6 +22,10 @@ from .scalar import Scalar, ScalarError
 # word powers by repeated letters), so an unbounded exponent exhausts memory
 # or time; the presets, tests and benchmark use at most 32.
 MAX_EXPONENT = 1000
+
+# Deepest nesting of parentheses accepted.  Each level costs the recursive
+# descent a few stack frames, so much deeper text would exhaust the stack.
+MAX_NESTING = 100
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^|\+|-|\*|/|\(|\)|\[|\])|(\S))")
 
@@ -68,6 +72,7 @@ class _Parser:
         self.toks = tokens
         self.i = 0
         self.ctx = ctx
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.i][0]
@@ -110,10 +115,13 @@ class _Parser:
         return v
 
     def factor(self):
-        if self.peek() == "-":
+        # a run of unary minus negates once if it is odd: negation is exact
+        neg = False
+        while self.peek() == "-":
             self.next()
-            return -self.factor()
-        return self.power()
+            neg = not neg
+        v = self.power()
+        return -v if neg else v
 
     def power(self):
         v = self.atom()
@@ -137,9 +145,7 @@ class _Parser:
         if kind == "num":
             return self.ctx.number(val)
         if kind == "(":
-            v = self.expr()
-            self.expect(")")
-            return v
+            return self.group(tok)
         if kind == "name":
             if self.peek() == "[":
                 self.next()
@@ -147,12 +153,20 @@ class _Parser:
                 self.expect("]")
                 return self.ctx.indexed(val, label)
             if self.peek() == "(":
-                self.next()
-                v = self.expr()
-                self.expect(")")
-                return self.ctx.call(val, v)
+                return self.ctx.call(val, self.group(self.next()))
             return self.ctx.name(val)
         raise ParseError(f"unexpected {_found(tok)}")
+
+    def group(self, opening):
+        """expr ')' after the token '(', nested at most MAX_NESTING deep."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"parentheses nested deeper than {MAX_NESTING} "
+                             f"at column {opening[2]}")
+        v = self.expr()
+        self.expect(")")
+        self.depth -= 1
+        return v
 
     def label_body(self):
         # labels are short free-form tokens such as 1, -1, 2

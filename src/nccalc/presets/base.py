@@ -44,22 +44,23 @@ class PresetBundle:
     """Calculus spec + fixtures for one worked example.
 
     The spec is all that any command reads; its name is the preset id.
-    `fixtures` is a function of the bundle returning its fixtures, called
-    on the first read of `bundle.fixtures`.  Extras keep objects that only
-    fixtures and tests look at (a quotient algebra, a frame, explicit
-    forms): `extras` is a zero-argument function returning them, called on
-    the first read of `bundle.extras`.  Each is kept once built; a build
-    that raises is not kept, so the next read raises again.
+    The first read of `bundle.fixtures` imports `presets.fixtures` and
+    builds the fixtures its FIXTURES entry for the id returns.  Extras keep
+    objects that only fixtures and tests look at (a quotient algebra, a
+    frame, explicit forms): `extras` is a zero-argument function returning
+    them, called on the first read of `bundle.extras`.  Each is kept once
+    built; a build that raises is not kept, so the next read raises again.
     """
 
-    def __init__(self, spec, fixtures, extras=dict):
+    def __init__(self, spec, extras=dict):
         self.spec = spec
-        self._build_fixtures = fixtures
         self._build_extras = extras
 
     @functools.cached_property
     def fixtures(self):
-        return tuple(self._build_fixtures(self))
+        from .fixtures import FIXTURES  # here, so a load never compiles the fixtures
+
+        return tuple(FIXTURES[self.id](self))
 
     @functools.cached_property
     def extras(self):

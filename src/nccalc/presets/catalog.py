@@ -44,13 +44,6 @@ def load_preset(id_) -> PresetBundle:
     return bundle
 
 
-def _fixtures(bundle):
-    """The fixtures of a catalog bundle, read from the fixtures module."""
-    from .fixtures import FIXTURES  # here, so a load never compiles the fixtures
-
-    return FIXTURES[bundle.id](bundle)
-
-
 # ---------------------------------------------------------------------------
 # polynomial shift calculi on C[x]
 
@@ -67,13 +60,13 @@ def _poly_shift(shifts, name):
 @_register("poly_shift_S12")
 def _build_poly_shift_s12():
     _, spec = _poly_shift({"1": 1, "2": 2}, "poly_shift_S12")
-    return PresetBundle(spec, _fixtures)
+    return PresetBundle(spec)
 
 
 @_register("poly_shift_sym")
 def _build_poly_shift_sym():
     _, spec = _poly_shift({"-1": -1, "1": 1}, "poly_shift_sym")
-    return PresetBundle(spec, _fixtures)
+    return PresetBundle(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +101,7 @@ def _build_qplane_a():
         {"x": "x", "y": "(p*q)^-1 * y"}, {"x": "x", "y": "p*q*y"},
         "quantum_plane_a",
         side_conditions=("p*q != 1", "q != 0", "p != 0"))
-    return PresetBundle(spec, _fixtures)
+    return PresetBundle(spec)
 
 
 @_register("quantum_plane_b")
@@ -121,7 +114,7 @@ def _build_qplane_b():
         {"x": "alpha^-1 * x", "y": "delta^-1 * y"}, {"x": "alpha*x", "y": "delta*y"},
         "quantum_plane_b",
         side_conditions=("alpha != 1", "delta != 1", "alpha != delta"))
-    return PresetBundle(spec, _fixtures)
+    return PresetBundle(spec)
 
 
 @_register("quantum_plane_c")
@@ -134,7 +127,7 @@ def _build_qplane_c():
         {"x": "x", "y": "delta^-1 * y"}, {"x": "x", "y": "delta*y"},
         "quantum_plane_c",
         side_conditions=("alpha != 1", "delta != 1"))
-    return PresetBundle(spec, _fixtures)
+    return PresetBundle(spec)
 
 
 @_register("quantum_torus")
@@ -150,7 +143,7 @@ def _build_quantum_torus():
         weights={"1": t1, "2": t2},
         side_conditions=("A*D - B*C != 0 with A=(1-alpha)/t1 etc.",
                          "faithful action: (alpha,beta) != (1,1) != (gamma,delta)"))
-    return PresetBundle(spec, _fixtures)
+    return PresetBundle(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +162,7 @@ def _build_heisenberg():
     spec = CalculusSpec(pres, zn_group({"1": (1, 0), "2": (0, 1)}),
                         {"1": phi1, "2": phi2}, weights={"1": a, "2": b},
                         side_conditions=("a != 0", "b != 0"), name="heisenberg")
-    return PresetBundle(spec, _fixtures)
+    return PresetBundle(spec)
 
 
 def _hplane_pres(params, name):
@@ -190,7 +183,7 @@ def _build_h_plane():
     spec = CalculusSpec(pres, zn_group({"1": (1, 0), "2": (0, 1)}),
                         {"1": phi1, "2": phi2}, weights={"1": t1, "2": t2},
                         side_conditions=("p != 0", "r != 0", "r != 1"), name="h_plane")
-    return PresetBundle(spec, _fixtures)
+    return PresetBundle(spec)
 
 
 @_register("h_plane_r1")
@@ -213,7 +206,7 @@ def _build_h_plane_r1():
                                        ("1", "1"): [], ("2", "2"): []},
                             delta_table={"1": {("1", "2"): pres.const(p / h)}},
                             zeta={}))
-    return PresetBundle(spec, _fixtures)
+    return PresetBundle(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +249,7 @@ def _build_z3():
         return {"quotient": Presentation(["q", "x"], rules=[("q^2", "-1 - q"), ("x*q", "q*x"),
                                                             ("x^3", "1")], name="z3_quotient")}
 
-    return PresetBundle(spec, _fixtures, extras=extras)
+    return PresetBundle(spec, extras=extras)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +332,7 @@ _LATTICES = {
 def _lattice_bundle(id_):
     elements, mul, unit, directions, _ = _LATTICES[id_]
     _, spec, _, _ = make_group_lattice(id_, elements, mul, unit, directions)
-    return PresetBundle(spec, _fixtures)
+    return PresetBundle(spec)
 
 
 for _id in _LATTICES:
@@ -369,7 +362,7 @@ def _build_twisted_h2():
                                        ("1", "1"): [], ("2", "2"): []},
                             delta_table={},
                             zeta={("1", "2"): pres.one}))
-    return PresetBundle(spec, _fixtures)
+    return PresetBundle(spec)
 
 
 @_register("twisted_heisenberg_3")
@@ -393,7 +386,7 @@ def _build_twisted_h3():
                                          "3": {("1", "2"): -pres.one,
                                                ("2", "1"): -pres.one}},
                             zeta={("2", "1"): -pres.one}))
-    return PresetBundle(spec, _fixtures)
+    return PresetBundle(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +480,7 @@ def _build_glpq2():
         return {"frame": frame, "thetas": _gl_thetas(frame), "alpha": GL_ALPHA,
                 "determinant": pres.parse("a*d - p*b*c")}
 
-    return PresetBundle(spec, _fixtures, extras=extras)
+    return PresetBundle(spec, extras=extras)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +502,7 @@ def _build_tensor_qplane():
                            inverse_images={"u": "u", "v": "p*q*v", "U": "U", "V": "V"})
     spec = CalculusSpec(pres, zn_group({"1": (1, 0), "2": (0, 1)}),
                         {"1": phi1, "2": phi2}, name="tensor_qplane")
-    return PresetBundle(spec, _fixtures)
+    return PresetBundle(spec)
 
 
 @_register("tensor_hplane")
@@ -536,7 +529,7 @@ def _build_tensor_hplane():
                         side_conditions=("r != 0", "r != 1 before the limit",
                                          "h + hp != 0"),
                         name="tensor_hplane")
-    return PresetBundle(spec, _fixtures)
+    return PresetBundle(spec)
 
 
 PRESET_IDS = tuple(sorted(_BUILDERS))

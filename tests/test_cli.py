@@ -492,14 +492,26 @@ def test_serialized_preset_verifies_like_the_preset(tmp_path, pid):
         assert (by_file.exit_code, by_file.output) == (by_preset.exit_code, by_preset.output)
 
 
+_DEEP = "(" * 200 + "x" + ")" * 200
+
+
 @pytest.mark.parametrize("args, error", [
     (["normalize", "x $ y"], "error: unexpected character '$' at column 3 in 'x $ y'"),
     (["normalize", "x y"], "error: trailing input: token 'y' at column 3"),
     (["d", "--expr", "theta[]"], "error: empty index"),
-], ids=["bad_character", "trailing_input", "empty_index"])
+    (["normalize", _DEEP], "error: parentheses nested deeper than 100 at column 101"),
+    (["d", "--expr", "d" + _DEEP], "error: parentheses nested deeper than 100 at column 102"),
+], ids=["bad_character", "trailing_input", "empty_index", "deep_parentheses",
+        "deep_call_parentheses"])
 def test_malformed_expression_is_one_error_line(args, error):
     res = run_cli(["--preset", "quantum_plane_a", *args])
     assert (res.exit_code, res.output.splitlines()) == (2, [error])
+
+
+def test_long_run_of_unary_minus_negates_once():
+    for n, nf in [(1500, "x"), (1501, "-x")]:
+        res = run_cli(["--preset", "quantum_plane_a", "normalize", "--", "-" * n + "x"])
+        assert (res.exit_code, res.output) == (0, f"normal_form = {nf}\n")
 
 
 def test_failing_check_detail_in_structured_output(tmp_path):
@@ -526,6 +538,19 @@ def test_directory_for_a_file_exit_2(tmp_path, args):
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
     assert res.output.startswith("error: ") and len(res.output.splitlines()) == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["--file", "{path}", "normalize", "x"],
+    ["--preset", "quantum_plane_a", "torsion", "--connection", "{path}"],
+    ["--preset", "quantum_plane_a", "metric-check", "--metric", "{path}"],
+])
+def test_file_that_is_not_utf8_is_one_error_line(tmp_path, args):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("g[1,2] = x # café\n".encode("latin-1"))
+    res = run_cli([a.format(path=path) for a in args])
+    assert (res.exit_code, res.output.splitlines()) == (
+        2, [f"error: {path}: not UTF-8 text (byte offset 16)"])
 
 
 @pytest.mark.parametrize("thetas, message", [("zz", "error: unknown direction zz"),

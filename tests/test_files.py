@@ -309,16 +309,30 @@ MALFORMED_FILES = [
      "error: [weights] line 26: unknown parameter 'zz'"),
     ("quantum_plane_a", "\nx\n", "\nx extra\n",
      "error: [generators] line 6: bad generator line: 'x extra'"),
-    ("quantum_plane_a", "[generators]", "[gens]", "error: no [generators] section"),
+    ("quantum_plane_a", "[generators]", "[gens]", "error: line 5: unknown section [gens]"),
+    ("quantum_plane_a", "[generators]\nx\ny\n\n", "", "error: no [generators] section"),
     ("quantum_plane_a", "class 1 1 =", "klass 1 1 =",
      "error: [directions] line 14: bad directions line: 'klass 1 1 = quadrangle g0'"),
     ("quantum_plane_a", "labels = 1 2\n", "", "error: [directions] needs a labels line"),
-    ("quantum_plane_a", "[directions]", "[direction]", "error: no [directions] section"),
+    ("quantum_plane_a", "[directions]", "[direction]",
+     "error: line 12: unknown section [direction]"),
+    ("quantum_plane_a", "[directions]\nlabels = 1 2\nclass 1 1 = quadrangle g0\n"
+     "class 1 2 = quadrangle g1\nclass 2 1 = quadrangle g1\nclass 2 2 = quadrangle g2\n\n",
+     "", "error: no [directions] section"),
+    ("quantum_plane_a", "[side_conditions]", "[bogus]", "error: line 29: unknown section [bogus]"),
+    ("glpq2", "[theta_scalings]", "[theta_scaling]",
+     "error: line 45: unknown section [theta_scaling]"),
     ("quantum_plane_a", "\n1: x ->", "\n1 x ->",
      "error: [automorphisms] line 20: bad automorphism line: "
      "'1 x -> (1/(p*q))*x, y -> (1/(p*q))*y'"),
     ("quantum_plane_a", ", y -> (1/(p*q))*y\n", ", y (1/(p*q))*y\n",
      "error: [automorphisms] line 20: bad image in: '1: x -> (1/(p*q))*x, y (1/(p*q))*y'"),
+    ("quantum_plane_a", "1: x ->", "1: X ->",
+     "error: [automorphisms] line 20: undeclared generator 'X'"),
+    ("quantum_plane_a", "1 inverse: x ->", "1 inverse: X ->",
+     "error: [automorphisms] line 21: undeclared generator 'X'"),
+    ("quantum_plane_a", "1: x -> (1/(p*q))*x,", "1: x -> (1/(p*q))*x, x -> x,",
+     "error: [automorphisms] line 20: repeated generator x"),
     ("quantum_plane_a", "\n[side_conditions]",
      "\n[theta_scalings]\n1 2 1/(p*q)\n\n[side_conditions]",
      "error: [theta_scalings] line 30: bad theta_scalings line: '1 2 1/(p*q)'"),
@@ -331,9 +345,12 @@ MALFORMED_FILES = [
 
 
 @pytest.mark.parametrize("pid, old, new, error", MALFORMED_FILES,
-                         ids=["unknown_weight_param", "bad_generator", "no_generators",
-                              "bad_directions_line", "no_labels", "no_directions",
-                              "bad_automorphism_line", "image_without_arrow",
+                         ids=["unknown_weight_param", "bad_generator", "misspelled_generators",
+                              "no_generators", "bad_directions_line", "no_labels",
+                              "misspelled_directions", "no_directions", "unknown_section",
+                              "misspelled_theta_scalings", "bad_automorphism_line",
+                              "image_without_arrow", "undeclared_image_generator",
+                              "undeclared_inverse_generator", "repeated_image_generator",
                               "bad_theta_scalings_line", "bad_combination_item",
                               "bad_two_forms_line", "no_basis"])
 def test_malformed_file_is_one_error_line(tmp_path, pid, old, new, error):

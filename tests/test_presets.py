@@ -268,6 +268,6 @@ def test_differentiability_suite_fixes_vartheta(pid):
                                        ("z3_root_of_unity", "validated"),
                                        ("twisted_heisenberg_2", "validated")])
 def test_bundle_reads_id_and_two_forms_mode_from_its_spec(pid, mode):
-    bundle = PresetBundle(load_preset(pid).spec, [])
+    bundle = PresetBundle(load_preset(pid).spec)
     assert (bundle.id, bundle.two_forms_mode) == (pid, mode)
     assert load_preset(pid).id == pid
