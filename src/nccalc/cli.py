@@ -81,12 +81,14 @@ def command(name, *arguments, spec=True, table=COMMANDS):
 
 
 def _read(path):
-    """The UTF-8 text of a --file, --connection or --metric path."""
+    """The UTF-8 text of a --file, --connection or --metric path, without a
+    leading byte-order mark."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()  # decodes the whole file at once, so exc.start is a file offset
+            text = fh.read()  # decodes the whole file at once, so exc.start is a file offset
     except UnicodeDecodeError as exc:
         raise FileFormatError(f"{path}: not UTF-8 text (byte offset {exc.start})") from None
+    return text.removeprefix("\ufeff")
 
 
 def _load_spec(ctx):

@@ -109,7 +109,8 @@ SECTIONS = ("params", "generators", "relations", "directions", "automorphisms",
 
 def parse_sections(text):
     """Section name -> [(file line number, line)], comments and blank lines
-    dropped; a header that names no section of SECTIONS is an error."""
+    dropped; a header that names no section of SECTIONS, or one named
+    before, is an error."""
     sections = {}
     current = None
     for n, line in _strip_lines(text):
@@ -118,7 +119,9 @@ def parse_sections(text):
             current = m.group(1)
             if current not in SECTIONS:
                 raise FileFormatError(f"line {n}: unknown section [{current}]")
-            sections.setdefault(current, [])
+            if current in sections:
+                raise FileFormatError(f"line {n}: repeated section [{current}]")
+            sections[current] = []
             continue
         if current is None:
             raise FileFormatError(f"line {n}: line outside any section: {line!r}")

@@ -260,6 +260,14 @@ def _ratio(c):
     return c.num.get((), 0), c.den[()]
 
 
+def _rational(n, d):
+    """The Scalar n/d for ints n and d != 0: one gcd, den positive."""
+    g = gcd(n, d)
+    if d < 0:
+        g = -g
+    return Scalar((), {(): n // g} if n else {}, {(): d // g}, _canonical=True)
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -363,8 +371,9 @@ class Scalar:
     # polynomial gcd.  a*n/(b*d) and (b*n + a*d)/(b*d) are coprime over Q
     # as they stand (gcd(b*n + a*d, d) = gcd(n, d) = 1), and a parameter
     # missing from d keeps its terms in n, so only the integer content is
-    # left to divide out.  Scalars are never mutated, so an operand may be
-    # returned as the result.
+    # left to divide out.  When both operands are constants that is one
+    # integer gcd (_rational), with no dict built along the way.  Scalars
+    # are never mutated, so an operand may be returned as the result.
 
     def _scaled(self, a, b):
         """self * a/b for ints a and b != 0, a/b in lowest terms."""
@@ -372,6 +381,9 @@ class Scalar:
             return Scalar.zero()
         if a == b:
             return self
+        if not self.params:
+            n, d = _ratio(self)
+            return _rational(n * a, d * b)
         return _content_free(self.params, {e: v * a for e, v in self.num.items()},
                              {e: v * b for e, v in self.den.items()})
 
@@ -379,6 +391,9 @@ class Scalar:
         """self + a/b for ints a and b > 0."""
         if not a:
             return self
+        if not self.params:
+            n, d = _ratio(self)
+            return _rational(n * b + a * d, d * b)
         num = _p_add({e: v * b for e, v in self.num.items()},
                      {e: v * a for e, v in self.den.items()})
         return _content_free(self.params, num, {e: v * b for e, v in self.den.items()})
@@ -513,7 +528,7 @@ def _try_coerce(x):
         return x
     a, b = getattr(x, "numerator", None), getattr(x, "denominator", None)
     if isinstance(a, int) and isinstance(b, int) and b:
-        return _content_free((), {(): a} if a else {}, {(): b})
+        return _rational(a, b)
     return None
 
 

@@ -553,6 +553,25 @@ def test_file_that_is_not_utf8_is_one_error_line(tmp_path, args):
         2, [f"error: {path}: not UTF-8 text (byte offset 16)"])
 
 
+@pytest.mark.parametrize("args, text", [
+    (["--file", "{path}", "normalize", "y*x"], None),
+    (["--preset", "quantum_plane_a", "torsion", "--connection", "{path}"],
+     "V[1,2,1] = 5\n"),
+    (["--preset", "quantum_plane_a", "metric-check", "--metric", "{path}"],
+     "g[1,2] = x\ng[2,1] = y\n"),
+], ids=["file", "connection", "metric"])
+def test_file_with_a_byte_order_mark_reads_as_without(tmp_path, args, text):
+    if text is None:
+        text = invoke("preset", "show", "quantum_plane_a", "--serialize").output
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    expected = run_cli([a.format(path=plain) for a in args])
+    res = run_cli([a.format(path=marked) for a in args])
+    assert expected.output.strip() and not expected.output.startswith("error: ")
+    assert (res.exit_code, res.output) == (expected.exit_code, expected.output)
+
+
 @pytest.mark.parametrize("thetas, message", [("zz", "error: unknown direction zz"),
                                              ("1,,2", "error: empty direction label")])
 def test_commute_rejects_bad_theta_labels(thetas, message):

@@ -341,6 +341,10 @@ MALFORMED_FILES = [
     ("h_plane_r1", "reduce 2 2 =", "reduced 2 2 =",
      "error: [two_forms] line 35: bad two_forms line: 'reduced 2 2 ='"),
     ("h_plane_r1", "basis = 1 2\n", "", "error: [two_forms] needs a basis line"),
+    ("quantum_plane_a", "\n[directions]", "\n[relations]\nx*x = y\n\n[directions]",
+     "error: line 12: repeated section [relations]"),
+    ("quantum_plane_a", "\n[side_conditions]", "\n[automorphisms]\n\n[side_conditions]",
+     "error: line 29: repeated section [automorphisms]"),
 ]
 
 
@@ -352,7 +356,8 @@ MALFORMED_FILES = [
                               "image_without_arrow", "undeclared_image_generator",
                               "undeclared_inverse_generator", "repeated_image_generator",
                               "bad_theta_scalings_line", "bad_combination_item",
-                              "bad_two_forms_line", "no_basis"])
+                              "bad_two_forms_line", "no_basis", "repeated_relations_section",
+                              "repeated_empty_section"])
 def test_malformed_file_is_one_error_line(tmp_path, pid, old, new, error):
     from clirun import run_cli
     calc = tmp_path / "bad.calc"

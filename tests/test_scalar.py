@@ -385,3 +385,44 @@ def test_integer_gcd_with_polynomial_content_against_sympy():
         assert _canonical(s) == _sympy_canonical(sympy, a, b, 3)
 
     check()
+
+
+def test_integer_lane_against_fractions():
+    """Two constants combine in ints: +, -, *, /, inverse and a Fraction factor
+    agree with fractions.Fraction and give the canonical form; a constant
+    against a parameterized scalar agrees with _make of the unreduced dicts."""
+    from nccalc.scalar import _p_add
+    rng = random.Random(19)
+    nums = range(-50, 51)
+    dens = [d for d in range(-12, 13) if d]
+    scale = lambda p, k: {e: v * k for e, v in p.items() if k}
+
+    def constant(n, d):
+        return Scalar._make((), scale({(): 1}, n), {(): d}), Fraction(n, d)
+
+    def check(s, want):
+        assert s.params == () and s.den[()] > 0
+        n = s.num.get((), 0)
+        assert gcd(n, s.den[()]) == 1 and (s.num == {} if want == 0 else s.num == {(): n})
+        assert Fraction(n, s.den[()]) == want
+
+    for _ in range(2000):
+        (a, fa), (b, fb) = (constant(rng.choice(nums), rng.choice(dens)) for _ in range(2))
+        k = Fraction(rng.choice(nums), rng.choice(dens))
+        for s, want in [(a, fa), (a + b, fa + fb), (a - b, fa - fb), (a * b, fa * fb),
+                        (a * k, fa * k), (k * a, fa * k), (a + k, fa + k)]:
+            check(s, want)
+        if fb:
+            check(a / b, fa / fb)
+        if fa:
+            check(a.inverse(), 1 / fa)
+            check(k / a, k / fa)
+
+    for _ in range(300):
+        c, n, d = _random_scalar(rng), rng.choice(nums), rng.choice(dens)
+        k, _ = constant(n, d)
+        prod = Scalar._make(c.params, scale(c.num, n), scale(c.den, d))
+        total = Scalar._make(c.params, _p_add(scale(c.num, d), scale(c.den, n)),
+                             scale(c.den, d))
+        assert c * k == k * c == prod
+        assert c + k == k + c == total
