@@ -22,7 +22,11 @@ from .scalar import Scalar, scalar
 
 
 class CalculusError(ValueError):
-    pass
+    """An invalid calculus; label, when given, is the direction at fault."""
+
+    def __init__(self, message="", label=None):
+        super().__init__(message)
+        self.label = label
 
 
 class InconsistentCalculus(CalculusError):
@@ -184,9 +188,11 @@ class CalculusSpec:
             for t in labels[i + 1:]:
                 same_phi = self.autos[s].equal_on_generators(self.autos[t])
                 if self.mode == "automorphism" and same_phi:
-                    raise CalculusError(f"automorphisms for {s} and {t} coincide on generators")
+                    raise CalculusError(f"automorphisms for {s} and {t} coincide on generators",
+                                        label=t)
                 if self.mode == "twisted" and same_phi and self.lambdas[s] == self.lambdas[t]:
-                    raise CalculusError(f"directions {s} and {t} carry identical twisted data")
+                    raise CalculusError(f"directions {s} and {t} carry identical twisted data",
+                                        label=t)
         self.theta_scalings = {(s, u): check_theta_scaling(directions, s, u, c)
                                for (s, u), c in (theta_scalings or {}).items()}
         ts = None
@@ -639,8 +645,7 @@ def verify_inner_identities(spec: CalculusSpec) -> Report:
         raise CalculusError("verify_inner_identities needs a two-form structure")
     th = vartheta(spec)
     zeta = d_form(spec, th) - th.wedge(th)
-    rep.add("zeta_matches_table", zeta == ts.zeta_form(),
-            f"d(vartheta) - vartheta^2 = {zeta}")
+    rep.add("zeta_matches_table", zeta == ts.zeta_form(), "d(vartheta) - vartheta^2 = ", zeta)
     gens = [spec.pres.gen(g.name) for g in spec.pres.generators]
     for g, f in zip(spec.pres.generators, gens):
         res = zeta * f - f * zeta
@@ -652,7 +657,8 @@ def verify_inner_identities(spec: CalculusSpec) -> Report:
     for i, w in enumerate(samples):
         res = delta(spec, delta(spec, w)) + graded_commutator(spec, zeta, w)
         rep.add(f"delta_square.{i}", res.is_zero(), res)
-    rep.add("delta_zeta", delta(spec, zeta).is_zero(), delta(spec, zeta))
+    res = delta(spec, zeta)
+    rep.add("delta_zeta", res.is_zero(), res)
     res = d_form(spec, zeta) - graded_commutator(spec, th, zeta)
     rep.add("d_zeta", res.is_zero(), res)
     return rep
@@ -752,13 +758,13 @@ def check_differentiability(spec: CalculusSpec, phi: AlgebraMorphism,
         phi_th = phi_th + phi.apply(spec.lambdas[s]) * images[s]
     corr = phi_th - th
     if simple:
-        rep.add("phi_vartheta_fixed", corr.is_zero(), f"phi(vartheta) - vartheta = {corr}")
+        rep.add("phi_vartheta_fixed", corr.is_zero(), "phi(vartheta) - vartheta = ", corr)
     elif corr.is_zero():
         rep.add("phi_vartheta_fixed", True)
     else:
         central, witness = is_central_one_form(spec, corr)
         rep.add("phi_vartheta_central_correction", central,
-                f"vartheta_phi = {corr}, witness {witness}")
+                "vartheta_phi = ", corr, f", witness {witness}")
     return rep
 
 

@@ -215,6 +215,7 @@ def _class_name_key(name):
 
 
 def _morphisms_from_sections(pres, directions, lines):
+    """label -> verified automorphism, and label -> its first file line."""
     images = {}
     inverses = {}
     first_line = {}
@@ -250,7 +251,7 @@ def _morphisms_from_sections(pres, directions, lines):
                     f"automorphism {label} violates relations: "
                     + "; ".join(f"{r}: {res}" for r, res in m.violations))
         autos[label] = m
-    return autos
+    return autos, first_line
 
 
 def _two_forms_from_sections(pres, directions, lines):
@@ -318,7 +319,9 @@ def load_calculus(text):
 
     The rewrite system is confluence-checked before anything is built on
     top of it: a non-confluent system has no well-defined normal forms.
-    Errors in a line are reported as '[section] line n: message'; other
+    Errors in a line are reported as '[section] line n: message'; a
+    direction whose automorphism (or twisted data) repeats an earlier one's
+    is reported on its [automorphisms] (or [twists]) line.  Other
     construction errors (a failing [two_forms] candidate, say) are
     FileFormatError too, and InconsistentCalculus passes through.
     """
@@ -332,7 +335,8 @@ def load_calculus(text):
     if "directions" not in sections:
         raise FileFormatError("no [directions] section")
     directions = _directions_from_sections(sections["directions"])
-    autos = _morphisms_from_sections(pres, directions, sections.get("automorphisms", []))
+    autos, auto_lines = _morphisms_from_sections(pres, directions,
+                                                 sections.get("automorphisms", []))
     weights = None
     lambdas = None
     if "weights" in sections:
@@ -343,10 +347,12 @@ def load_calculus(text):
                 weights[_new_label(directions, label, weights)] = parse_scalar(expr, pres.params)
     if "twists" in sections:
         lambdas = {}
+        twist_lines = {}
         for n, line in sections["twists"]:
             with _at(n, "twists"):
                 label, expr = _assignment(line, "twists")
                 lambdas[_new_label(directions, label, lambdas)] = pres.parse(expr)
+                twist_lines[label] = n
     scalings = {}
     for n, line in sections.get("theta_scalings", []):
         with _at(n, "theta_scalings"):
@@ -369,7 +375,15 @@ def load_calculus(text):
     except InconsistentCalculus:
         raise
     except CalculusError as exc:
-        raise FileFormatError(str(exc)) from exc
+        if exc.label is None:
+            raise FileFormatError(str(exc)) from exc
+        # a direction the calculus cannot tell apart from an earlier one
+        if lambdas is None:
+            section, at = "automorphisms", auto_lines
+        else:
+            section, at = "twists", twist_lines
+        with _at(at[exc.label], section):
+            raise
 
 
 def _table(spec, text, symbol, arity, what, flag=None):

@@ -143,14 +143,14 @@ class ThetaFrame:
                     moved = self.move_word(self.theta(i), w)
                     rhs = rhs + FrameForm(self, {k: v * c for k, v in moved.comps.items()})
                 rep.add(f"phi.{self.pres.word_str(lhs_word)}.{i}", lhs == rhs,
-                        f"{lhs} != {rhs}")
+                        lhs, " != ", rhs)
             # apply the derivation to the raw rule sides: normalizing first
             # would compare d of the same element with itself
             dl = self.d_word(lhs_word)
             dr = FrameForm(self, {})
             for w, c in rule.rhs:
                 dr = dr + self.d_word(w).mul_left(self.pres.const(c))
-            rep.add(f"d.{self.pres.word_str(lhs_word)}", dl == dr, f"{dl} != {dr}")
+            rep.add(f"d.{self.pres.word_str(lhs_word)}", dl == dr, dl, " != ", dr)
         return rep
 
     def apply_morphism(self, phi: AlgebraMorphism, theta_images: Mapping) -> callable:
@@ -177,5 +177,5 @@ class ThetaFrame:
                 f = self.pres.gen(g.name)
                 lhs = image.mul_right(phi.apply(f))
                 rhs = ext(self.move_word(self.theta(i), next(iter(f.terms))))
-                rep.add(f"{i}.{g.name}", lhs == rhs, f"{lhs} != {rhs}")
+                rep.add(f"{i}.{g.name}", lhs == rhs, lhs, " != ", rhs)
         return rep

@@ -163,7 +163,7 @@ class TorsionConditions(NamedTuple):
         rep = Report("torsion-free conditions")
         for eq in self.equations:
             res = eq.residue(conn)
-            rep.add(str(eq), res.is_zero(), f"residue {res}")
+            rep.add(str(eq), res.is_zero(), "residue ", res)
         return rep
 
     def __str__(self):
@@ -357,7 +357,7 @@ def metric_invariance_conditions(spec, g: Metric) -> Report:
             lhs = spec.phi(s).apply(v)
             rhs = v * mu
             rep.add(f"phi_{s}.g[{a},{b}].scale_{mu}", lhs == rhs,
-                    f"phi_{s}(g[{a},{b}]) = {lhs}, required {mu} * g = {rhs}")
+                    f"phi_{s}(g[{a},{b}]) = ", lhs, f", required {mu} * g = ", rhs)
     return rep
 
 
@@ -453,12 +453,12 @@ def metric_compatibility(spec, conn: Connection, g: Metric) -> Report:
                     bad_components.add(s)
                 if not ok or not g.entry(s1, s2).is_zero():
                     rep.add(f"component.{s}.g[{s1},{s2}]", ok,
-                            f"phi(g) = {lhs}, sum g V V = {rhs}")
+                            "phi(g) = ", lhs, ", sum g V V = ", rhs)
     gl = g.as_ltensor()
     tensor_bad = set()
     for s in labels:
         res = transport_ltensor(spec, conn, s, gl) - gl
-        rep.add(f"transport.{s}", res.is_zero(), f"V_{s}(g) - g = {res}")
+        rep.add(f"transport.{s}", res.is_zero(), f"V_{s}(g) - g = ", res)
         if not res.is_zero():
             tensor_bad.add(s)
     rep.add("paths_agree", bad_components == tensor_bad,
@@ -472,6 +472,6 @@ def levi_civita_check(spec, conn: Connection, g: Metric) -> Report:
     rep = Report("levi-civita")
     tor = torsion(spec, conn)
     for s, t in tor.items():
-        rep.add(f"torsion.{s}", t.is_zero(), f"Theta(theta^{s}) = {t}")
+        rep.add(f"torsion.{s}", t.is_zero(), f"Theta(theta^{s}) = ", t)
     rep.merge(metric_compatibility(spec, conn, g), "compat")
     return rep

@@ -16,8 +16,10 @@ class Report:
         self.title = title
         self.checks = []
 
-    def add(self, path, ok, detail=""):
-        self.checks.append(Check(path, bool(ok), str(detail)))
+    def add(self, path, ok, *detail):
+        """Record a check.  Only a failing check prints its detail, so the
+        detail parts are formatted (each with str, then joined) only then."""
+        self.checks.append(Check(path, bool(ok), "" if ok else "".join(map(str, detail))))
         return self
 
     def merge(self, other, prefix=""):

@@ -19,6 +19,7 @@ monic: every coefficient over the denominator's leading coefficient.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 from operator import add as _add, sub as _sub
 from typing import Iterable, Mapping
@@ -406,10 +407,7 @@ class Scalar:
             return self._shifted(*_ratio(other))
         if not self.params:
             return other._shifted(*_ratio(self))
-        params, an, ad, bn, bd = self._aligned(other)
-        if ad == bd:
-            return Scalar._make(params, _p_add(an, bn), ad)
-        return Scalar._make(params, _p_add(_p_mul(an, bd), _p_mul(bn, ad)), _p_mul(ad, bd))
+        return _combined("+", self, other)
 
     __radd__ = __add__
 
@@ -438,8 +436,7 @@ class Scalar:
             return self._scaled(*_ratio(other))
         if not self.params:
             return other._scaled(*_ratio(self))
-        params, an, ad, bn, bd = self._aligned(other)
-        return Scalar._make(params, _p_mul(an, bn), _p_mul(ad, bd))
+        return _combined("*", self, other)
 
     __rmul__ = __mul__
 
@@ -452,8 +449,7 @@ class Scalar:
         if not other.params:
             a, b = _ratio(other)
             return self._scaled(b, a)
-        params, an, ad, bn, bd = self._aligned(other)
-        return Scalar._make(params, _p_mul(an, bd), _p_mul(ad, bn))
+        return _combined("/", self, other)
 
     def __rtruediv__(self, other):
         other = _try_coerce(other)
@@ -519,6 +515,33 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self})"
+
+
+def _combine(op, a, b):
+    """a op b for op in "+", "*", "/": align, form the unreduced fraction,
+    reduce it with _make."""
+    params, an, ad, bn, bd = a._aligned(b)
+    if op == "*":
+        return Scalar._make(params, _p_mul(an, bn), _p_mul(ad, bd))
+    if op == "/":
+        return Scalar._make(params, _p_mul(an, bd), _p_mul(ad, bn))
+    if ad == bd:
+        return Scalar._make(params, _p_add(an, bn), ad)
+    return Scalar._make(params, _p_add(_p_mul(an, bd), _p_mul(bn, ad)), _p_mul(ad, bd))
+
+
+# Scalars are canonical and never mutated, and == and hash compare values,
+# so a hit is the very Scalar that _make would build.  Only the lane whose
+# cancellation takes a polynomial gcd is kept; the bound holds memory level.
+_combine_memo = lru_cache(maxsize=256)(_combine)
+
+
+def _combined(op, a, b):
+    """a op b for a and b with parameters: memoized when a multi-term
+    denominator (or, for /, a multi-term divisor) makes _make take a gcd."""
+    if len(a.den) > 1 or len(b.den) > 1 or (op == "/" and len(b.num) > 1):
+        return _combine_memo(op, a, b)
+    return _combine(op, a, b)
 
 
 def _try_coerce(x):

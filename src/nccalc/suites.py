@@ -42,7 +42,7 @@ def suite_inner(spec) -> Report:
     if spec.two_forms is None:
         rep = Report("inner identities")
         th = vartheta(spec)  # raises if [vartheta, f] != d f
-        rep.add("vartheta_inner", True, str(th))
+        rep.add("vartheta_inner", True)
         rep.add("skipped_higher_order", True, "no 2-form structure (first order only)")
         return rep
     return verify_inner_identities(spec)

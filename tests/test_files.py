@@ -345,6 +345,11 @@ MALFORMED_FILES = [
      "error: line 12: repeated section [relations]"),
     ("quantum_plane_a", "\n[side_conditions]", "\n[automorphisms]\n\n[side_conditions]",
      "error: line 29: repeated section [automorphisms]"),
+    ("quantum_plane_a", "2: x -> x, y -> (1/(p*q))*y\n2 inverse: x -> x, y -> p*q*y\n",
+     "2: x -> (1/(p*q))*x, y -> (1/(p*q))*y\n2 inverse: x -> p*q*x, y -> p*q*y\n",
+     "error: [automorphisms] line 22: automorphisms for 1 and 2 coincide on generators"),
+    ("twisted_heisenberg_2", "\n2 = x\n", "\n2 = -y\n",
+     "error: [twists] line 19: directions 1 and 2 carry identical twisted data"),
 ]
 
 
@@ -357,7 +362,8 @@ MALFORMED_FILES = [
                               "undeclared_inverse_generator", "repeated_image_generator",
                               "bad_theta_scalings_line", "bad_combination_item",
                               "bad_two_forms_line", "no_basis", "repeated_relations_section",
-                              "repeated_empty_section"])
+                              "repeated_empty_section", "coinciding_automorphisms",
+                              "identical_twisted_data"])
 def test_malformed_file_is_one_error_line(tmp_path, pid, old, new, error):
     from clirun import run_cli
     calc = tmp_path / "bad.calc"

@@ -426,3 +426,77 @@ def test_integer_lane_against_fractions():
                              scale(c.den, d))
         assert c * k == k * c == prod
         assert c + k == k + c == total
+
+
+# -- oracle for the cancellation memo ----------------------------------------
+
+
+def _unreduced(op, a, b):
+    """_make of a op b formed from the aligned dicts, with no memo."""
+    from nccalc.scalar import _p_add, _p_mul, _p_neg
+    params, an, ad, bn, bd = a._aligned(b)
+    if op == "-":
+        op, bn = "+", _p_neg(bn)
+    num, den = {"+": (_p_add(_p_mul(an, bd), _p_mul(bn, ad)), _p_mul(ad, bd)),
+                "*": (_p_mul(an, bn), _p_mul(ad, bd)),
+                "/": (_p_mul(an, bd), _p_mul(ad, bn))}[op]
+    return Scalar._make(params, num, den)
+
+
+_OPS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+        "*": lambda a, b: a * b, "/": lambda a, b: a / b}
+
+
+def test_cancellation_memo_against_unreduced_make():
+    """+ - * / on quotients of multi-term polynomials in 2-3 parameters equal
+    _make of the unreduced aligned dicts, on a cold and on a warm memo, for
+    repeated and swapped operands; one pair gives four different results."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from nccalc.scalar import _combine_memo
+
+    # multilinear terms: the PRS gcd of higher degrees in 3 parameters can
+    # take seconds per operation
+    coeffs = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+
+    @st.composite
+    def quotients(draw):
+        n = draw(st.sampled_from((2, 3)))
+        multi = st.dictionaries(st.tuples(*[st.integers(0, 1)] * n), coeffs,
+                                min_size=2, max_size=3)
+        names = sorted(draw(st.permutations(_NAMES))[:n])
+        return Scalar._make(tuple(names), *_over_z(draw(multi), draw(multi)))
+
+    @hypothesis.settings(**_ORACLE)
+    @hypothesis.given(quotients(), quotients())
+    def check(a, b):
+        cases = [(op, x, y, _unreduced(op, x, y))
+                 for x, y in [(a, b), (b, a), (a, a), (b, b)]
+                 for op in _OPS if op != "/" or not y.is_zero()]
+        _combine_memo.cache_clear()
+        for rounds in (cases, cases, cases[::-1]):
+            for op, x, y, want in rounds:
+                assert _OPS[op](x, y) == want, (op, x, y)
+
+    check()
+    p, q, t = params("p q t")
+    a, b = (p + q) / (p - q), (p * t + 1) / (q + t)
+    _combine_memo.cache_clear()
+    results = [f(a, b) for f in _OPS.values()]
+    assert results == [_unreduced(op, a, b) for op in _OPS]
+    assert len(set(results)) == 4
+    assert [f(a, b) for f in _OPS.values()] == results
+    assert _combine_memo.cache_info().hits >= 4
+
+
+def test_cancellation_memo_stays_bounded():
+    from nccalc.scalar import _combine_memo
+    p, q = params("p q")
+    maxsize = _combine_memo.cache_parameters()["maxsize"]
+    assert maxsize is not None
+    b = (p - q) / (p + q)
+    _combine_memo.cache_clear()
+    for k in range(maxsize + 50):
+        a = (p + k) / (q + 1)
+        assert a * b == _unreduced("*", a, b)
+    assert _combine_memo.cache_info().currsize == maxsize
