@@ -531,8 +531,9 @@ def _combine(op, a, b):
 
 
 # Scalars are canonical and never mutated, and == and hash compare values,
-# so a hit is the very Scalar that _make would build.  Only the lane whose
-# cancellation takes a polynomial gcd is kept; the bound holds memory level.
+# so a hit is a Scalar equal to the one _make would build.  Only the lane
+# whose cancellation takes a polynomial gcd is kept, and the bound caps
+# the memory it holds.
 _combine_memo = lru_cache(maxsize=256)(_combine)
 
 
