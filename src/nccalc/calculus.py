@@ -24,7 +24,7 @@ from .scalar import Scalar, scalar
 class CalculusError(ValueError):
     """An invalid calculus; label, when given, is the direction at fault."""
 
-    def __init__(self, message="", label=None):
+    def __init__(self, message, label=None):
         super().__init__(message)
         self.label = label
 
