@@ -392,6 +392,7 @@ class TwoFormStructure:
         self.delta_table = {s: {tuple(p): v for p, v in tab.items()}
                             for s, tab in delta_table.items()}
         self.zeta = {tuple(p): v for p, v in zeta.items()}
+        self._reduced = {}  # reduce_word's memo
         # CalculusError for an unknown label, before any pair is ordered
         pairs = [*self.basis, *self.zeta, *self.reduction, tuple(self.delta_table)]
         pairs += [p for v in self.reduction.values() for _, p in v]
@@ -428,14 +429,23 @@ class TwoFormStructure:
             if len(w) < 2:
                 _acc(out, w, c)
                 continue
-            for rw, rc in self.reduce_word(w).items():
+            for rw, rc in self.reduce_word(w):
                 _acc(out, rw, c * rc)
         return out
 
     def reduce_word(self, word):
-        """Reduce adjacent pairs left-to-right to a fixpoint; scalar coeffs."""
+        """Reduce adjacent pairs left-to-right to a fixpoint; scalar coeffs.
+
+        Returns the pairs (basis word, coefficient) as a tuple.  The
+        structure is not changed after construction, so each word is
+        reduced once and the tuple is shared by every caller.
+        """
+        word = tuple(word)
+        items = self._reduced.get(word)
+        if items is not None:
+            return items
         out = {}
-        stack = [(tuple(word), Scalar.one())]
+        stack = [(word, Scalar.one())]
         while stack:
             w, c = stack.pop()
             for i in range(len(w) - 1):
@@ -446,7 +456,8 @@ class TwoFormStructure:
                     break
             else:
                 _acc(out, w, c)
-        return out
+        items = self._reduced[word] = tuple(out.items())
+        return items
 
     def delta_theta(self, s) -> GradedForm:
         return GradedForm(self.spec, self.delta_table.get(s, {}))

@@ -37,14 +37,27 @@ def _key_table(spec, entries: Mapping, arity, kind) -> dict:
 
 
 class Connection:
-    """Parallel-transport coefficients V[s', s, s''] over the algebra."""
+    """Parallel-transport coefficients V[s', s, s''] over the algebra.
+
+    A connection is not changed after construction, so nabla(theta^v) is
+    computed once per direction and kept with the connection.
+    """
 
     def __init__(self, spec: CalculusSpec, entries: Mapping):
         self.spec = spec
         self.V = _key_table(spec, entries, 3, "connection")
+        self._nabla_theta = {}
 
     def entry(self, sp, s, spp) -> NCPoly:
         return self.V.get((sp, s, spp), self.spec.pres.zero)
+
+    def nabla_theta(self, v) -> "TensorA":
+        """nabla(theta^v), computed on first use."""
+        out = self._nabla_theta.get(v)
+        if out is None:
+            out = self._nabla_theta[v] = nabla_one_form(
+                self.spec, self, GradedForm.theta(self.spec, v))
+        return out
 
     @staticmethod
     def zero(spec):
@@ -233,18 +246,26 @@ class WedgeTensor(LabelModule):
 
 
 def nabla_on_tensor(spec, conn: Connection, t: TensorA) -> WedgeTensor:
-    """Extension nabla(omega (x) E) = d omega (x) E + (-1)^r omega nabla(E)."""
+    """Extension nabla(omega (x) E) = d omega (x) E + (-1)^r omega nabla(E).
+
+    The extension is additive in omega, so with t = sum_v alpha_v (x) theta^v
+    and nabla(theta^v) = sum_z beta_vz (x) theta^z it is
+    sum_v d(alpha_v) (x) theta^v - sum_{v,z} (alpha_v beta_vz) (x) theta^z:
+    one d per slot v and one wedge per pair (v, z).
+    """
     comps = {}
-    nablas = {v: nabla_one_form(spec, conn, GradedForm.theta(spec, v))
-              for v in sorted({v for _, v in t.comps})}
+    alphas = {}
     for (u, v), f in t.comps.items():
-        omega = f * GradedForm.theta(spec, u)
-        dom = d_form(spec, omega)
-        for pair, c in dom.component(2).items():
+        alphas.setdefault(v, {})[(u,)] = f
+    for v in sorted(alphas):
+        alpha = GradedForm(spec, alphas[v])
+        for pair, c in d_form(spec, alpha).component(2).items():
             _acc(comps, (pair, v), c)
-        for (w, z), g in nablas[v].comps.items():
-            two = omega.wedge(g * GradedForm.theta(spec, w))
-            for pair, c in two.component(2).items():
+        betas = {}
+        for (w, z), g in conn.nabla_theta(v).comps.items():
+            betas.setdefault(z, {})[(w,)] = g
+        for z, beta in betas.items():
+            for pair, c in alpha.wedge(GradedForm(spec, beta)).component(2).items():
                 _acc(comps, (pair, z), -c)
     return WedgeTensor(spec, comps)
 

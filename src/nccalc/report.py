@@ -8,7 +8,12 @@ from typing import NamedTuple
 class Check(NamedTuple):
     path: str
     ok: bool
-    detail: str = ""
+    parts: tuple = ()
+
+    @property
+    def detail(self):
+        """The detail text: str of each part, joined.  Formatted when read."""
+        return "".join(map(str, self.parts))
 
 
 class Report:
@@ -17,15 +22,15 @@ class Report:
         self.checks = []
 
     def add(self, path, ok, *detail):
-        """Record a check.  Only a failing check prints its detail, so the
-        detail parts are formatted (each with str, then joined) only then."""
-        self.checks.append(Check(path, bool(ok), "" if ok else "".join(map(str, detail))))
+        """Record a check.  Only a failing check prints its detail, so only a
+        failing check keeps the detail parts; they are formatted when read."""
+        self.checks.append(Check(path, bool(ok), () if ok else detail))
         return self
 
     def merge(self, other, prefix=""):
         for c in other.checks:
             path = f"{prefix}.{c.path}" if prefix else c.path
-            self.checks.append(Check(path, c.ok, c.detail))
+            self.checks.append(Check(path, c.ok, c.parts))
         return self
 
     @property
@@ -42,8 +47,9 @@ class Report:
         for c in self.checks:
             mark = "pass" if c.ok else "FAIL"
             line = f"  [{mark}] {c.path}"
-            if c.detail and not c.ok:
-                line += f": {c.detail}"
+            detail = c.detail
+            if detail and not c.ok:
+                line += f": {detail}"
             lines.append(line)
         lines.append(f"  => {'OK' if self.ok else 'FAILED'} "
                      f"({sum(c.ok for c in self.checks)}/{len(self.checks)})")
@@ -53,10 +59,11 @@ class Report:
         """Stable key/value lines suitable for diff-based golden tests."""
         base = prefix or (self.title.replace(" ", "_") if self.title else "report")
         lines = []
-        for c in sorted(self.checks):
-            lines.append(f"{base}.{c.path} = {'pass' if c.ok else 'fail'}")
-            if c.detail and not c.ok:
-                lines.append(f"{base}.{c.path}.detail = {c.detail}")
+        # an explicit key: comparing the parts themselves could reach an NCPoly
+        for path, ok, detail in sorted((c.path, c.ok, c.detail) for c in self.checks):
+            lines.append(f"{base}.{path} = {'pass' if ok else 'fail'}")
+            if detail and not ok:
+                lines.append(f"{base}.{path}.detail = {detail}")
         lines.append(f"{base}.ok = {'pass' if self.ok else 'fail'}")
         return "\n".join(lines)
 

@@ -1,10 +1,11 @@
 """Operations of the calculus module across the preset examples."""
 
+import itertools
 import random
 
 import pytest
 
-from nccalc.algebra import Presentation, identity_morphism
+from nccalc.algebra import Presentation, _acc, identity_morphism
 from nccalc.calculus import (CalculusError, CalculusSpec, DirectionSet, GradedForm,
                              InconsistentCalculus, TwoFormStructure,
                              central_one_forms_probe, check_differentiability,
@@ -177,6 +178,39 @@ def test_two_form_structure_requires_group():
     spec = spec_of("twisted_heisenberg_2")
     with pytest.raises(CalculusError):
         two_form_structure(spec)
+
+
+def _reduce_word_reference(ts, word):
+    """Adjacent pairs reduced left to right to a fixpoint, with no memo."""
+    out = {}
+    stack = [(tuple(word), Scalar.one())]
+    while stack:
+        w, c = stack.pop()
+        for i in range(len(w) - 1):
+            red = ts.reduction.get(w[i:i + 2])
+            if red is not None:
+                for rc, rp in red:
+                    stack.append((w[:i] + rp + w[i + 2:], c * rc))
+                break
+        else:
+            _acc(out, w, c)
+    return out
+
+
+def test_reduce_word_memo_against_unmemoized_reduction():
+    specs = [spec_of(pid) for pid in PRESET_IDS]
+    specs = [spec for spec in specs if spec.two_forms is not None]
+    assert specs
+    for spec in specs:
+        ts = spec.two_forms
+        for n in range(4):
+            for w in itertools.product(spec.directions.labels, repeat=n):
+                want = _reduce_word_reference(ts, w)
+                got = ts.reduce_word(w)
+                assert isinstance(got, tuple) and dict(got) == want, (spec.name, w)
+                with pytest.raises(TypeError):
+                    got[0] = None  # the memoized value is shared; it cannot be changed
+                assert dict(ts.reduce_word(w)) == want
 
 
 # -- verify_twisted_two_forms

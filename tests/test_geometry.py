@@ -5,11 +5,12 @@ import random
 
 import pytest
 
-from nccalc.calculus import GradedForm, differential, vartheta
-from nccalc.geometry import (Connection, LTensor, Metric, TensorA, curvature,
+from nccalc.algebra import _acc
+from nccalc.calculus import GradedForm, d_form, differential, vartheta
+from nccalc.geometry import (Connection, LTensor, Metric, TensorA, WedgeTensor, curvature,
                              invariant_monomial_scan, levi_civita_check,
                              metric_compatibility, metric_invariance_conditions,
-                             monomial_scaling, nabla_one_form, torsion,
+                             monomial_scaling, nabla_on_tensor, nabla_one_form, torsion,
                              torsion_free_conditions, torsion_of_form,
                              transport_one_form, transport_theta, wedge_projection)
 from nccalc.presets import load_preset
@@ -197,6 +198,104 @@ def test_curvature_zero_form():
     spec = spec_of("quantum_plane_a")
     conn = Connection(spec, {("1", "1", "1"): "x"})
     assert curvature(spec, conn, GradedForm.zero(spec)).is_zero()
+
+
+# -- curvature against the per-coefficient extension
+
+
+GEOMETRY_PRESETS = ("group_lattice_s3", "h_plane", "heisenberg", "quantum_torus",
+                    "tensor_hplane", "group_lattice_z3", "poly_shift_S12", "poly_shift_sym",
+                    "quantum_plane_a", "quantum_plane_b", "quantum_plane_c", "tensor_qplane")
+
+
+def _nabla_on_tensor_reference(spec, conn, t):
+    """nabla(omega (x) E) = d omega (x) E - omega nabla(E), one d and one
+    wedge per coefficient f theta^u (x) theta^v, nabla(theta^v) recomputed."""
+    comps = {}
+    nablas = {v: nabla_one_form(spec, conn, theta(spec, v))
+              for v in sorted({v for _, v in t.comps})}
+    for (u, v), f in t.comps.items():
+        omega = f * theta(spec, u)
+        for pair, c in d_form(spec, omega).component(2).items():
+            _acc(comps, (pair, v), c)
+        for (w, z), g in nablas[v].comps.items():
+            for pair, c in omega.wedge(g * theta(spec, w)).component(2).items():
+                _acc(comps, (pair, z), -c)
+    return WedgeTensor(spec, comps)
+
+
+def _random_connection(spec, rng, torsion_free):
+    """A few random entries; torsion-free solves each torsion-free equation
+    for a key that no other equation uses."""
+    pres = spec.pres
+
+    def rand():
+        return random_poly(pres, rng, max_len=1, terms=2)
+
+    keys = list(itertools.product(spec.directions.labels, repeat=3))
+    entries = {k: rand() for k in rng.sample(keys, 3)}
+    if torsion_free:
+        equations = torsion_free_conditions(spec).equations
+        uses = {}
+        for eq in equations:
+            for key, _ in eq.terms:
+                uses[key] = uses.get(key, 0) + 1
+        for eq in equations:
+            target, tc = min(eq.terms, key=lambda kc: uses[kc[0]])
+            acc = pres.const(eq.const)
+            for key, c in eq.terms:
+                if key != target:
+                    acc = acc + entries.setdefault(key, rand()) * c
+            entries[target] = acc * (-tc.inverse())
+    conn = Connection(spec, entries)
+    assert all(t.is_zero() for t in torsion(spec, conn).values()) == torsion_free
+    return conn
+
+
+@pytest.mark.parametrize("pid", GEOMETRY_PRESETS)
+def test_nabla_on_tensor_against_per_coefficient_reference(pid):
+    spec = spec_of(pid)
+    labels = spec.directions.labels
+    rng = random.Random(pid)
+    for torsion_free in (True, False):
+        conn = _random_connection(spec, rng, torsion_free)
+        s, u = rng.sample(labels, 2)
+        f, g = random_poly(spec.pres, rng), random_poly(spec.pres, rng)
+        alphas = [*(theta(spec, v) for v in labels), f * theta(spec, s),
+                  theta(spec, s) + g * theta(spec, u), GradedForm.zero(spec)]
+        for alpha in alphas:
+            want = _nabla_on_tensor_reference(spec, conn, nabla_one_form(spec, conn, alpha))
+            assert nabla_on_tensor(spec, conn, nabla_one_form(spec, conn, alpha)) == want
+            assert curvature(spec, conn, alpha) == -want
+        slots = {(rng.choice(labels), v): random_poly(spec.pres, rng)
+                 for v in labels for _ in range(2)}
+        t = TensorA(spec, slots)
+        assert len({v for _, v in t.comps}) > 1
+        assert nabla_on_tensor(spec, conn, t) == _nabla_on_tensor_reference(spec, conn, t)
+
+
+def test_nabla_theta_memo_is_per_connection():
+    spec = spec_of("quantum_plane_a")
+    labels = spec.directions.labels
+    first = Connection.zero(spec)
+    second = Connection(spec, {("1", "1", "2"): "x", ("2", "2", "1"): "y"})
+    for s in labels:
+        curvature(spec, first, theta(spec, s))
+    for s in labels:
+        alpha = theta(spec, s)
+        want = -_nabla_on_tensor_reference(spec, second, nabla_one_form(spec, second, alpha))
+        assert curvature(spec, second, alpha) == want
+        assert second.nabla_theta(s) == nabla_one_form(spec, second, alpha)
+
+
+def test_curvature_repeats_and_nabla_theta_memo_is_bounded():
+    spec = spec_of("group_lattice_z3")
+    labels = spec.directions.labels
+    conn = _random_connection(spec, random.Random(9), torsion_free=False)
+    first = {s: curvature(spec, conn, theta(spec, s)) for s in labels}
+    for _ in range(2):
+        assert {s: curvature(spec, conn, theta(spec, s)) for s in labels} == first
+    assert len(conn._nabla_theta) <= len(labels)
 
 
 # -- tensor_L

@@ -1,0 +1,116 @@
+"""Mutation gate: each fast path's oracle must catch a planted fault.
+
+Every row of MUTANTS names a source file, an exact snippet, its
+replacement and the tests that must fail once the snippet is replaced.
+Each mutant is applied to a fresh copy of `src` and `tests` in a
+temporary directory, and only its tests run there.  The gate fails when a
+snippet does not occur exactly once (the row no longer applies), when the
+listed tests do not all pass on the unmutated copy, or when a mutant
+survives.  Usage, from the repository root:
+
+    python tools/mutants.py
+
+prints one `name = killed` or `name = survived` line per row, then the
+total time, and exits 1 if any row failed.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str          # relative to the repository root
+    snippet: str       # must occur exactly once in the file
+    replacement: str
+    tests: tuple       # pytest node ids, at least one must fail
+
+
+MUTANTS = (
+    Mutant("nabla_on_tensor_drops_d_alpha", "src/nccalc/geometry.py",
+           "        for pair, c in d_form(spec, alpha).component(2).items():\n"
+           "            _acc(comps, (pair, v), c)\n",
+           "",
+           ("tests/test_geometry.py::test_nabla_on_tensor_against_per_coefficient_reference",)),
+    Mutant("nabla_theta_memo_on_spec", "src/nccalc/geometry.py",
+           "        self._nabla_theta = {}\n",
+           "        self._nabla_theta = spec.__dict__.setdefault(\"_nabla_theta\", {})\n",
+           ("tests/test_geometry.py::test_nabla_theta_memo_is_per_connection",)),
+    Mutant("report_add_drops_parts", "src/nccalc/report.py",
+           "Check(path, bool(ok), () if ok else detail)",
+           "Check(path, bool(ok), ())",
+           ("tests/test_report.py::test_failing_details_formatted_only_when_read",
+            "tests/test_report.py::test_lazy_details_equal_eager_formatting_and_survive_merge")),
+    # the first op seen for (a, b) answers every later op on (a, b)
+    Mutant("combine_memo_key_without_op", "src/nccalc/scalar.py",
+           "        return _combine_memo(op, a, b)\n",
+           "        return _combine_memo(_combined.__dict__.setdefault((a, b), op), a, b)\n",
+           ("tests/test_scalar.py::test_cancellation_memo_against_unreduced_make",)),
+    # a / b and b / a share one entry
+    Mutant("combine_memo_swaps_divisor", "src/nccalc/scalar.py",
+           "        return _combine_memo(op, a, b)\n",
+           "        return _combine_memo(op, *sorted((a, b), key=hash))\n",
+           ("tests/test_scalar.py::test_cancellation_memo_against_unreduced_make",)),
+)
+
+
+def _copy_tree(dest):
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name,
+                        ignore=shutil.ignore_patterns("__pycache__", "*.pyc"))
+
+
+def _pytest(tree, tests):
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                           *tests], cwd=tree, env=env, capture_output=True, text=True)
+    return proc.returncode, proc.stdout + proc.stderr
+
+
+def _mutated(mutant):
+    """The file's text with the snippet replaced; exits if it does not occur once."""
+    source = (ROOT / mutant.path).read_text()
+    count = source.count(mutant.snippet)
+    if count != 1:
+        raise SystemExit(f"{mutant.name}: snippet occurs {count} times in {mutant.path}")
+    return source.replace(mutant.snippet, mutant.replacement)
+
+
+def main():
+    rows = MUTANTS
+    start = time.perf_counter()
+    sources = [_mutated(m) for m in rows]  # every row applies before anything runs
+    failed = False
+    with tempfile.TemporaryDirectory(prefix="nccalc-mutants-") as tmp:
+        clean = Path(tmp) / "clean"
+        _copy_tree(clean)
+        code, out = _pytest(clean, sorted({t for m in rows for t in m.tests}))
+        if code != 0:
+            print(out)
+            raise SystemExit("the listed tests fail on the unmutated copy")
+        for m, source in zip(rows, sources):
+            tree = Path(tmp) / m.name
+            _copy_tree(tree)
+            (tree / m.path).write_text(source)
+            code, out = _pytest(tree, m.tests)
+            # exit 1: the tests ran and one failed; 2-5: they never ran
+            killed = code == 1
+            print(f"{m.name} = {'killed' if killed else 'survived'}")
+            if not killed:
+                print(out)
+                failed = True
+            shutil.rmtree(tree)
+    print(f"seconds = {time.perf_counter() - start:.1f}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
