@@ -68,8 +68,9 @@ def _found(tok):
 
 
 class _Parser:
-    def __init__(self, tokens, ctx):
-        self.toks = tokens
+    def __init__(self, text, ctx):
+        self.text = text
+        self.toks = tokenize(text)
         self.i = 0
         self.ctx = ctx
         self.depth = 0
@@ -169,13 +170,18 @@ class _Parser:
         return v
 
     def label_body(self):
-        # labels are short free-form tokens such as 1, -1, 2
-        parts = []
+        # a label is the exact source text between the brackets, such as 1, -1 or t12
+        start = self.toks[self.i - 1][2]  # the index just past '['
         while self.peek() not in ("]", "end"):
-            parts.append(str(self.next()[1]))
-        if not parts:
+            self.next()
+        label = self.text[start:self.toks[self.i][2] - 1]
+        if not label:
             raise ParseError("empty index")
-        return "".join(parts)
+        space = re.search(r"\s", label)
+        if space:
+            raise ParseError(f"whitespace in label {label!r} "
+                             f"at column {start + space.start() + 1}")
+        return label
 
 
 class _ScalarCtx:
@@ -205,10 +211,10 @@ class _ScalarCtx:
 
 def parse_scalar_expr(text: str, param_names) -> Scalar:
     try:
-        return _Parser(tokenize(text), _ScalarCtx(param_names)).parse()
+        return _Parser(text, _ScalarCtx(param_names)).parse()
     except (ZeroDivisionError, ScalarError) as exc:
         raise ParseError(str(exc)) from exc
 
 
 def parse_with_context(text: str, ctx):
-    return _Parser(tokenize(text), ctx).parse()
+    return _Parser(text, ctx).parse()

@@ -2,33 +2,102 @@
 
 `preset run` replays them; a preset load never imports this module.  Each
 entry of FIXTURES maps a preset id to a function of the loaded bundle that
-returns its fixtures; objects built only for fixtures (the z3 quotient
-algebra, the GL_pq(2) frame and thetas) come from `bundle.extras`.
+returns its fixtures.  An identity between two forms or algebra elements is
+one row `(name, lhs, rhs)`, or `(name, lhs, rhs, bindings)` to compare both
+sides at fixed parameter values.  Both sides are read by `_IdentityCtx` when
+the fixture runs, so a row that does not parse fails its fixture.  What is
+not such an identity stays code; objects built only for fixtures (the z3
+quotient algebra, the GL_pq(2) frame and thetas) come from `bundle.extras`.
 """
 
 from __future__ import annotations
 
-from ..calculus import (GradedForm, central_one_forms_probe, check_differentiability,
+from ..calculus import (GradedForm, _FormCtx, central_one_forms_probe, check_differentiability,
                         constants, d_form, delta, differential, is_central_one_form,
                         move_right, solve_theta_in_differentials, theta_solution_form,
                         vartheta)
-from ..scalar import Scalar, params as declare_params
-from .base import fcheck, feq
+from ..parsing import parse_with_context
+from ..scalar import Scalar
+from .base import Fixture, fcheck, feq
 from .catalog import GL_ALPHA, _LATTICES, _group_inverse, _lattice_theta_images
 
 FIXTURES = {}
 
+# the atoms vartheta and zeta of the identity rows
+_ATOMS = {"vartheta": vartheta,
+          "zeta": lambda spec: spec.two_forms.zeta_form()}
+
+
+class _IdentityCtx(_FormCtx):
+    """The form language of `d --expr` plus Delta(form), d of a form of
+    positive degree, and the atoms vartheta and zeta wherever no generator
+    or parameter of the presentation takes their name."""
+
+    def name(self, name):
+        pres = self.spec.pres
+        if (name in _ATOMS and name not in pres.params
+                and all(g.name != name for g in pres.generators)):
+            return _ATOMS[name](self.spec)
+        return super().name(name)
+
+    def call(self, name, arg):
+        if name == "Delta":
+            return delta(self.spec, arg)
+        if name == "d" and set(arg.degrees()) - {0}:
+            return d_form(self.spec, arg)
+        return super().call(name, arg)
+
+
+def _identity(spec, name, lhs, rhs, bindings=None):
+    """The fixture lhs = rhs, both sides read when it runs, at `bindings` if given."""
+
+    def side(text):
+        form = parse_with_context(text, _IdentityCtx(spec))
+        return form if bindings is None else form.substitute_params(bindings)
+
+    return feq(name, lambda: side(lhs), lambda: side(rhs))
+
 
 def _fixtures_of(*ids):
+    """Register fn(bundle) for the ids; each row it returns becomes an identity."""
+
     def deco(fn):
+        def fixtures(bundle):
+            return [fx if isinstance(fx, Fixture) else _identity(bundle.spec, *fx)
+                    for fx in fn(bundle)]
+
         for id_ in ids:
-            FIXTURES[id_] = fn
+            FIXTURES[id_] = fixtures
         return fn
     return deco
 
 
-def _theta(spec, *labels):
-    return GradedForm.theta(spec, *labels)
+def _theta_solve(spec, description, coords, *wants):
+    """theta^s solved in the differentials of coords is theta[s] and wants[s]."""
+
+    def run():
+        fs = [spec.pres.parse(c) for c in coords]
+        sol = solve_theta_in_differentials(spec, fs)
+        if not sol.ok:
+            return False, "e_s(coords) matrix not invertible"
+        for s, want in zip(spec.directions.labels, wants):
+            want = parse_with_context(want, _IdentityCtx(spec))
+            if not theta_solution_form(spec, sol, fs, s) == GradedForm.theta(spec, s) == want:
+                return False, f"theta{s} = {want} does not hold"
+        return True, ""
+
+    return fcheck(description, run)
+
+
+def _phis_differentiable(spec, description):
+    return fcheck(description, lambda: all(check_differentiability(spec, spec.phi(s)).ok
+                                           for s in spec.directions.labels))
+
+
+def _e(spec, description, s, f, image):
+    """e_s(f) = image, with f and image algebra text."""
+    return feq(description, lambda: spec.e(s, spec.pres.parse(f)),
+               lambda: spec.pres.parse(image))
 
 
 # ---------------------------------------------------------------------------
@@ -37,56 +106,28 @@ def _theta(spec, *labels):
 
 @_fixtures_of("poly_shift_S12")
 def _poly_shift_s12(bundle):
-    spec = bundle.spec
-    x = spec.pres.gen("x")
-    dx = lambda: differential(spec, x)
-    dx2 = lambda: differential(spec, x * x)
-
-    def theta_solution():
-        sol = solve_theta_in_differentials(spec, [x, x * x])
-        if not sol.ok:
-            return False, "matrix not invertible"
-        t1 = theta_solution_form(spec, sol, [x, x * x], "1")
-        t2 = theta_solution_form(spec, sol, [x, x * x], "2")
-        want1 = (2 * (1 + x)) * dx() - dx2()
-        want2 = (-(Scalar.from_int(1) / 2) - x) * dx() + (Scalar.from_int(1) / 2) * dx2()
-        ok = (t1 == _theta(spec, "1") == want1 and t2 == _theta(spec, "2") == want2)
-        return ok, f"theta1 = {want1}; theta2 = {want2}"
-
     return [
-        fcheck("theta1 = 2(1+x)dx - dx^2 and theta2 = -(1/2+x)dx + dx^2/2", theta_solution),
-        feq("Delta(theta1) = 0", lambda: delta(spec, _theta(spec, "1")),
-            lambda: GradedForm.zero(spec)),
-        feq("Delta(theta2) = theta1^2", lambda: delta(spec, _theta(spec, "2")),
-            lambda: _theta(spec, "1", "1")),
-        feq("theta2 theta1 = -theta1 theta2", lambda: _theta(spec, "2").wedge(_theta(spec, "1")),
-            lambda: -_theta(spec, "1", "2")),
-        feq("theta2^2 = 0", lambda: _theta(spec, "2").wedge(_theta(spec, "2")),
-            lambda: GradedForm.zero(spec)),
-        feq("zeta = 0", lambda: spec.two_forms.zeta_form(), lambda: GradedForm.zero(spec)),
-        feq("d(dx) = 0", lambda: d_form(spec, dx()), lambda: GradedForm.zero(spec)),
+        _theta_solve(bundle.spec, "theta1 = 2(1+x)dx - dx^2 and theta2 = -(1/2+x)dx + dx^2/2",
+                     ["x", "x^2"], "2*(1 + x)*d(x) - d(x^2)", "(-1/2 - x)*d(x) + 1/2*d(x^2)"),
+        ("Delta(theta1) = 0", "Delta(theta[1])", "0"),
+        ("Delta(theta2) = theta1^2", "Delta(theta[2])", "theta[1]*theta[1]"),
+        ("theta2 theta1 = -theta1 theta2", "theta[2]*theta[1]", "-theta[1]*theta[2]"),
+        ("theta2^2 = 0", "theta[2]^2", "0"),
+        ("zeta = 0", "zeta", "0"),
+        ("d(dx) = 0", "d(d(x))", "0"),
     ]
 
 
 @_fixtures_of("poly_shift_sym")
 def _poly_shift_sym(bundle):
-    spec = bundle.spec
-    x = spec.pres.gen("x")
     return [
-        feq("vartheta = dx^2 - 2x dx", lambda: vartheta(spec),
-            lambda: differential(spec, x * x) - (2 * x) * differential(spec, x)),
-        feq("zeta = theta[-1]theta[1] + theta[1]theta[-1]",
-            lambda: spec.two_forms.zeta_form(),
-            lambda: _theta(spec, "-1", "1") + _theta(spec, "1", "-1")),
-        feq("theta[-1]^2 = 0", lambda: _theta(spec, "-1").wedge(_theta(spec, "-1")),
-            lambda: GradedForm.zero(spec)),
-        feq("theta[1]^2 = 0", lambda: _theta(spec, "1").wedge(_theta(spec, "1")),
-            lambda: GradedForm.zero(spec)),
-        feq("Delta = 0 on theta[1]", lambda: delta(spec, _theta(spec, "1")),
-            lambda: GradedForm.zero(spec)),
-        feq("[zeta, x] = 0",
-            lambda: spec.two_forms.zeta_form() * x - x * spec.two_forms.zeta_form(),
-            lambda: GradedForm.zero(spec)),
+        ("vartheta = dx^2 - 2x dx", "vartheta", "d(x^2) - 2*x*d(x)"),
+        ("zeta = theta[-1]theta[1] + theta[1]theta[-1]", "zeta",
+         "theta[-1]*theta[1] + theta[1]*theta[-1]"),
+        ("theta[-1]^2 = 0", "theta[-1]^2", "0"),
+        ("theta[1]^2 = 0", "theta[1]^2", "0"),
+        ("Delta = 0 on theta[1]", "Delta(theta[1])", "0"),
+        ("[zeta, x] = 0", "zeta*x - x*zeta", "0"),
     ]
 
 
@@ -94,118 +135,65 @@ def _poly_shift_sym(bundle):
 # quantum plane family
 
 
-def _qplane_two_form_fixtures(spec):
-    return [
-        feq("theta1^2 = 0", lambda: _theta(spec, "1").wedge(_theta(spec, "1")),
-            lambda: GradedForm.zero(spec)),
-        feq("theta2^2 = 0", lambda: _theta(spec, "2").wedge(_theta(spec, "2")),
-            lambda: GradedForm.zero(spec)),
-        feq("theta1 theta2 + theta2 theta1 = 0",
-            lambda: _theta(spec, "1").wedge(_theta(spec, "2"))
-            + _theta(spec, "2").wedge(_theta(spec, "1")),
-            lambda: GradedForm.zero(spec)),
-        feq("d(vartheta) = 0", lambda: d_form(spec, vartheta(spec)),
-            lambda: GradedForm.zero(spec)),
-        feq("vartheta^2 = 0", lambda: vartheta(spec).wedge(vartheta(spec)),
-            lambda: GradedForm.zero(spec)),
-    ]
+_QPLANE_TWO_FORMS = (
+    ("theta1^2 = 0", "theta[1]^2", "0"),
+    ("theta2^2 = 0", "theta[2]^2", "0"),
+    ("theta1 theta2 + theta2 theta1 = 0", "theta[1]*theta[2] + theta[2]*theta[1]", "0"),
+    ("d(vartheta) = 0", "d(vartheta)", "0"),
+    ("vartheta^2 = 0", "vartheta^2", "0"),
+)
 
 
 @_fixtures_of("quantum_plane_a")
 def _qplane_a(bundle):
-    spec, pres = bundle.spec, bundle.presentation
-    x, y = pres.gen("x"), pres.gen("y")
-    dx = lambda: differential(spec, x)
-    dy = lambda: differential(spec, y)
-    pq = pres.parse("p*q").as_scalar()
-    q = pres.parse("q").as_scalar()
+    spec = bundle.spec
     return [
-        feq("x dx = pq dx x", lambda: x * dx(), lambda: pq * (dx() * x)),
-        feq("y dx = p dx y", lambda: y * dx(), lambda: (pq / q) * (dx() * y)),
-        feq("y dy = pq dy y", lambda: y * dy(), lambda: pq * (dy() * y)),
-        feq("x dy = q dy x + (pq-1) dx y",
-            lambda: x * dy(), lambda: q * (dy() * x) + (pq - 1) * (dx() * y)),
-        *_qplane_two_form_fixtures(spec),
-        fcheck("phi_s differentiable with phi_s(theta) = theta",
-               lambda: (check_differentiability(spec, spec.phi("1")).ok
-                        and check_differentiability(spec, spec.phi("2")).ok)),
+        ("x dx = pq dx x", "x*d(x)", "p*q*d(x)*x"),
+        ("y dx = p dx y", "y*d(x)", "p*d(x)*y"),
+        ("y dy = pq dy y", "y*d(y)", "p*q*d(y)*y"),
+        ("x dy = q dy x + (pq-1) dx y", "x*d(y)", "q*d(y)*x + (p*q - 1)*d(x)*y"),
+        *_QPLANE_TWO_FORMS,
+        _phis_differentiable(spec, "phi_s differentiable with phi_s(theta) = theta"),
         fcheck("theta1 is not central (generic parameters)",
-               lambda: not is_central_one_form(spec, _theta(spec, "1"))[0]),
+               lambda: not is_central_one_form(spec, GradedForm.theta(spec, "1"))[0]),
     ]
 
 
 @_fixtures_of("quantum_plane_b")
 def _qplane_b(bundle):
-    spec, pres = bundle.spec, bundle.presentation
-    x, y = pres.gen("x"), pres.gen("y")
-    dx = lambda: differential(spec, x)
-    dy = lambda: differential(spec, y)
-    al = pres.parse("alpha").as_scalar()
-    de = pres.parse("delta").as_scalar()
-    q = pres.parse("q").as_scalar()
     return [
-        feq("x dx = alpha dx x", lambda: x * dx(), lambda: al * (dx() * x)),
-        feq("y dx = q^-1 dx y + (alpha-1) dy x",
-            lambda: y * dx(), lambda: (Scalar.one() / q) * (dx() * y) + (al - 1) * (dy() * x)),
-        feq("y dy = delta dy y", lambda: y * dy(), lambda: de * (dy() * y)),
-        feq("x dy = q alpha dy x", lambda: x * dy(), lambda: (q * al) * (dy() * x)),
-        *_qplane_two_form_fixtures(spec),
+        ("x dx = alpha dx x", "x*d(x)", "alpha*d(x)*x"),
+        ("y dx = q^-1 dx y + (alpha-1) dy x", "y*d(x)", "q^-1*d(x)*y + (alpha - 1)*d(y)*x"),
+        ("y dy = delta dy y", "y*d(y)", "delta*d(y)*y"),
+        ("x dy = q alpha dy x", "x*d(y)", "q*alpha*d(y)*x"),
+        *_QPLANE_TWO_FORMS,
     ]
 
 
 @_fixtures_of("quantum_plane_c")
 def _qplane_c(bundle):
-    spec, pres = bundle.spec, bundle.presentation
-    x, y = pres.gen("x"), pres.gen("y")
-    dx = lambda: differential(spec, x)
-    dy = lambda: differential(spec, y)
-    al = pres.parse("alpha").as_scalar()
-    de = pres.parse("delta").as_scalar()
-    q = pres.parse("q").as_scalar()
     return [
-        feq("x dx = alpha dx x", lambda: x * dx(), lambda: al * (dx() * x)),
-        feq("y dx = q^-1 dx y", lambda: y * dx(), lambda: (Scalar.one() / q) * (dx() * y)),
-        feq("y dy = delta dy y", lambda: y * dy(), lambda: de * (dy() * y)),
-        feq("x dy = q dy x", lambda: x * dy(), lambda: q * (dy() * x)),
-        *_qplane_two_form_fixtures(spec),
+        ("x dx = alpha dx x", "x*d(x)", "alpha*d(x)*x"),
+        ("y dx = q^-1 dx y", "y*d(x)", "q^-1*d(x)*y"),
+        ("y dy = delta dy y", "y*d(y)", "delta*d(y)*y"),
+        ("x dy = q dy x", "x*d(y)", "q*d(y)*x"),
+        *_QPLANE_TWO_FORMS,
     ]
 
 
 @_fixtures_of("quantum_torus")
 def _quantum_torus(bundle):
-    spec, pres = bundle.spec, bundle.presentation
-    al, be, ga, de, t1, t2 = declare_params("alpha beta gamma delta t1 t2")
-    A, B = (1 - al) / t1, (1 - be) / t1
-    C, D = (1 - ga) / t2, (1 - de) / t2
-    det = A * D - B * C
-    x, y = pres.gen("x"), pres.gen("y")
-    xi, yi = pres.gen("x", -1), pres.gen("y", -1)
-    dx = lambda: differential(spec, x)
-    dy = lambda: differential(spec, y)
-    q = pres.parse("q").as_scalar()
-
-    def theta_closed_form():
-        sol = solve_theta_in_differentials(spec, [x, y])
-        if not sol.ok:
-            return False, "e_s(coords) matrix not invertible"
-        t1f = theta_solution_form(spec, sol, [x, y], "1")
-        t2f = theta_solution_form(spec, sol, [x, y], "2")
-        want1 = det.inverse() * (D * (dx() * xi) - C * (dy() * yi))
-        want2 = det.inverse() * (A * (dy() * yi) - B * (dx() * xi))
-        ok = (t1f == _theta(spec, "1") == want1 and t2f == _theta(spec, "2") == want2)
-        return ok, "theta closed form mismatch"
-
+    A, B = "((1 - alpha)/t1)", "((1 - beta)/t1)"
+    C, D = "((1 - gamma)/t2)", "((1 - delta)/t2)"
+    inv = f"({A}*{D} - {B}*{C})^-1"
     return [
-        fcheck("theta1 = (AD-BC)^-1 (D dx x^-1 - C dy y^-1), theta2 likewise",
-               theta_closed_form),
-        feq("x dx = (AD-BC)^-1 [(aAD-gBC) dx + (g-a) AC dy y^-1 x] x",
-            lambda: x * dx(),
-            lambda: (det.inverse() * ((al * A * D - ga * B * C) * dx()
-                                      + ((ga - al) * A * C) * (dy() * (yi * x)))) * x),
-        feq("y dx = (AD-BC)^-1 [q^-1 (bAD - dBC) dx y + (d-b) AC dy x]",
-            lambda: y * dx(),
-            lambda: det.inverse() * (((be * A * D - de * B * C) / q) * (dx() * y)
-                                     + ((de - be) * A * C) * (dy() * x))),
+        _theta_solve(bundle.spec, "theta1 = (AD-BC)^-1 (D dx x^-1 - C dy y^-1), theta2 likewise",
+                     ["x", "y"], f"{inv}*({D}*d(x)*x^-1 - {C}*d(y)*y^-1)",
+                     f"{inv}*({A}*d(y)*y^-1 - {B}*d(x)*x^-1)"),
+        ("x dx = (AD-BC)^-1 [(aAD-gBC) dx + (g-a) AC dy y^-1 x] x", "x*d(x)",
+         f"{inv}*((alpha*{A}*{D} - gamma*{B}*{C})*d(x) + (gamma - alpha)*{A}*{C}*d(y)*y^-1*x)*x"),
+        ("y dx = (AD-BC)^-1 [q^-1 (bAD - dBC) dx y + (d-b) AC dy x]", "y*d(x)",
+         f"{inv}*((beta*{A}*{D} - delta*{B}*{C})/q*d(x)*y + (delta - beta)*{A}*{C}*d(y)*x)"),
     ]
 
 
@@ -215,90 +203,57 @@ def _quantum_torus(bundle):
 
 @_fixtures_of("heisenberg")
 def _heisenberg(bundle):
-    spec, pres = bundle.spec, bundle.presentation
-    a, b = declare_params("a b")
-    x, y = pres.gen("x"), pres.gen("y")
-    dx = lambda: differential(spec, x)
-    dy = lambda: differential(spec, y)
     return [
-        feq("dx = theta1", dx, lambda: _theta(spec, "1")),
-        feq("dy = theta2", dy, lambda: _theta(spec, "2")),
-        feq("[dx, x] = a dx", lambda: dx() * x - x * dx(), lambda: a * dx()),
-        feq("[dx, y] = 0", lambda: dx() * y - y * dx(), lambda: GradedForm.zero(spec)),
-        feq("[dy, x] = 0", lambda: dy() * x - x * dy(), lambda: GradedForm.zero(spec)),
-        feq("[dy, y] = b dy", lambda: dy() * y - y * dy(), lambda: b * dy()),
-        fcheck("phi_s differentiable with fixed thetas",
-               lambda: (check_differentiability(spec, spec.phi("1")).ok
-                        and check_differentiability(spec, spec.phi("2")).ok)),
-        feq("e_1(x) = 1", lambda: spec.e("1", x), lambda: pres.one),
+        ("dx = theta1", "d(x)", "theta[1]"),
+        ("dy = theta2", "d(y)", "theta[2]"),
+        ("[dx, x] = a dx", "d(x)*x - x*d(x)", "a*d(x)"),
+        ("[dx, y] = 0", "d(x)*y - y*d(x)", "0"),
+        ("[dy, x] = 0", "d(y)*x - x*d(y)", "0"),
+        ("[dy, y] = b dy", "d(y)*y - y*d(y)", "b*d(y)"),
+        _phis_differentiable(bundle.spec, "phi_s differentiable with fixed thetas"),
+        _e(bundle.spec, "e_1(x) = 1", "1", "x", "1"),
     ]
 
 
 @_fixtures_of("h_plane")
 def _h_plane(bundle):
     spec, pres = bundle.spec, bundle.presentation
-    p, r, h, t1, t2 = declare_params("p r h t1 t2")
-    x, y = pres.gen("x"), pres.gen("y")
-    yi = pres.gen("y", -1)
-    dx = lambda: differential(spec, x)
-    dy = lambda: differential(spec, y)
-    hp = p - h  # h' = p - h
     return [
-        feq("dx = (p/t1) theta1 y + ((1-r)/t2) theta2 x",
-            dx, lambda: (p / t1) * (_theta(spec, "1") * y)
-            + ((1 - r) / t2) * (_theta(spec, "2") * x)),
-        feq("dy = ((1-r)/t2) theta2 y",
-            dy, lambda: ((1 - r) / t2) * (_theta(spec, "2") * y)),
+        ("dx = (p/t1) theta1 y + ((1-r)/t2) theta2 x", "d(x)",
+         "p/t1*theta[1]*y + (1 - r)/t2*theta[2]*x"),
+        ("dy = ((1-r)/t2) theta2 y", "d(y)", "(1 - r)/t2*theta[2]*y"),
         feq("f theta1 = theta1 f(x-py, y) on f = x",
-            lambda: move_right(spec, ("1",), x), lambda: x - p * y),
+            lambda: move_right(spec, ("1",), pres.gen("x")), lambda: pres.parse("x - p*y")),
         feq("f theta2 = theta2 f(rx, ry) on f = x",
-            lambda: move_right(spec, ("2",), x), lambda: r * x),
-        feq("[x, dx] = h'(dy (x + h y) - dx y) + (r-1) dy y^-1 x^2",
-            lambda: x * dx() - dx() * x,
-            lambda: hp * (dy() * (x + h * y) - dx() * y)
-            + (r - 1) * (dy() * (yi * x * x))),
-        feq("[y, dx] = -h dy y + (r-1) dy x",
-            lambda: y * dx() - dx() * y,
-            lambda: (-h) * (dy() * y) + (r - 1) * (dy() * x)),
-        feq("[y, dy] = (r-1) dy y",
-            lambda: y * dy() - dy() * y, lambda: (r - 1) * (dy() * y)),
-        feq("[x, dy] = r h dy y + (r-1) dy x",
-            lambda: x * dy() - dy() * x,
-            lambda: (r * h) * (dy() * y) + (r - 1) * (dy() * x)),
-        feq("theta1 theta2 + theta2 theta1 = 0",
-            lambda: _theta(spec, "1").wedge(_theta(spec, "2"))
-            + _theta(spec, "2").wedge(_theta(spec, "1")),
-            lambda: GradedForm.zero(spec)),
+            lambda: move_right(spec, ("2",), pres.gen("x")), lambda: pres.parse("r*x")),
+        ("[x, dx] = h'(dy (x + h y) - dx y) + (r-1) dy y^-1 x^2", "x*d(x) - d(x)*x",
+         "(p - h)*(d(y)*(x + h*y) - d(x)*y) + (r - 1)*d(y)*y^-1*x^2"),
+        ("[y, dx] = -h dy y + (r-1) dy x", "y*d(x) - d(x)*y", "-h*d(y)*y + (r - 1)*d(y)*x"),
+        ("[y, dy] = (r-1) dy y", "y*d(y) - d(y)*y", "(r - 1)*d(y)*y"),
+        ("[x, dy] = r h dy y + (r-1) dy x", "x*d(y) - d(y)*x", "r*h*d(y)*y + (r - 1)*d(y)*x"),
+        ("theta1 theta2 + theta2 theta1 = 0", "theta[1]*theta[2] + theta[2]*theta[1]", "0"),
         fcheck("theta1 not central for generic r",
-               lambda: not is_central_one_form(spec, _theta(spec, "1"))[0]),
+               lambda: not is_central_one_form(spec, GradedForm.theta(spec, "1"))[0]),
     ]
 
 
 @_fixtures_of("h_plane_r1")
 def _h_plane_r1(bundle):
-    spec, pres = bundle.spec, bundle.presentation
-    p, h, t1 = declare_params("p h t1")
-    x, y = pres.gen("x"), pres.gen("y")
-    dx = lambda: differential(spec, x)
-    dy = lambda: differential(spec, y)
-    hp = p - h
+    spec = bundle.spec
     return [
-        feq("e_2 is the Euler operator on x", lambda: spec.e("2", x), lambda: x),
-        feq("e_2 is the Euler operator on y^2",
-            lambda: spec.e("2", y * y), lambda: 2 * (y * y)),
-        feq("dx = (p/t1) y theta1 + x theta2",
-            dx, lambda: ((p / t1) * y) * _theta(spec, "1") + x * _theta(spec, "2")),
-        feq("(dx)^2 = h' dx dy", lambda: dx().wedge(dx()), lambda: hp * dx().wedge(dy())),
-        feq("(dy)^2 = 0", lambda: dy().wedge(dy()), lambda: GradedForm.zero(spec)),
-        feq("dx dy + dy dx = 0", lambda: dx().wedge(dy()) + dy().wedge(dx()),
-            lambda: GradedForm.zero(spec)),
-        fcheck("theta2 is central", lambda: is_central_one_form(spec, _theta(spec, "2"))[0]),
-        feq("[x, dx] = h'(dy (x + h y) - dx y)",
-            lambda: x * dx() - dx() * x,
-            lambda: hp * (dy() * (x + h * y) - dx() * y)),
-        feq("[y, dx] = -h dy y", lambda: y * dx() - dx() * y, lambda: (-h) * (dy() * y)),
-        feq("[y, dy] = 0", lambda: y * dy() - dy() * y, lambda: GradedForm.zero(spec)),
-        feq("[x, dy] = h dy y", lambda: x * dy() - dy() * x, lambda: h * (dy() * y)),
+        _e(spec, "e_2 is the Euler operator on x", "2", "x", "x"),
+        _e(spec, "e_2 is the Euler operator on y^2", "2", "y^2", "2*y^2"),
+        ("dx = (p/t1) y theta1 + x theta2", "d(x)", "p/t1*y*theta[1] + x*theta[2]"),
+        ("(dx)^2 = h' dx dy", "d(x)^2", "(p - h)*d(x)*d(y)"),
+        ("(dy)^2 = 0", "d(y)^2", "0"),
+        ("dx dy + dy dx = 0", "d(x)*d(y) + d(y)*d(x)", "0"),
+        fcheck("theta2 is central",
+               lambda: is_central_one_form(spec, GradedForm.theta(spec, "2"))[0]),
+        ("[x, dx] = h'(dy (x + h y) - dx y)", "x*d(x) - d(x)*x",
+         "(p - h)*(d(y)*(x + h*y) - d(x)*y)"),
+        ("[y, dx] = -h dy y", "y*d(x) - d(x)*y", "-h*d(y)*y"),
+        ("[y, dy] = 0", "y*d(y) - d(y)*y", "0"),
+        ("[x, dy] = h dy y", "x*d(y) - d(y)*x", "h*d(y)*y"),
     ]
 
 
@@ -309,42 +264,30 @@ def _h_plane_r1(bundle):
 @_fixtures_of("z3_root_of_unity")
 def _z3(bundle):
     spec, pres = bundle.spec, bundle.presentation
-    x, y = pres.gen("x"), pres.gen("y")
-    xi, yi = pres.gen("x", -1), pres.gen("y", -1)
-    q = pres.gen("q")
-    dx = lambda: differential(spec, x)
-    dy = lambda: differential(spec, y)
     qpres = lambda: bundle.extras["quotient"]  # x^3 = y^3 = xy = yx = 1, so y = x^2
     return [
-        feq("dx = x theta1 - q^2 x theta2",
-            dx, lambda: x * _theta(spec, "1") - (q * q * x) * _theta(spec, "2")),
-        feq("dy = -q^2 y theta1 + y theta2",
-            dy, lambda: -(q * q * y) * _theta(spec, "1") + y * _theta(spec, "2")),
-        feq("theta1 = (1-q)^-1 (x^-1 dx + q^2 y^-1 dy)",
-            lambda: _theta(spec, "1"),
-            lambda: pres.parse("(2 + q)/3") * (xi * dx() + (q * q * yi) * dy())),
-        feq("theta2 = (1-q)^-1 (q^2 x^-1 dx + y^-1 dy)",
-            lambda: _theta(spec, "2"),
-            lambda: pres.parse("(2 + q)/3") * ((q * q * xi) * dx() + yi * dy())),
-        feq("dx x = -x dx + x^2 y^-1 dy",
-            lambda: dx() * x, lambda: -(x * dx()) + (x * x * yi) * dy()),
-        feq("dx y = -x dy", lambda: dx() * y, lambda: -(x * dy())),
-        feq("dy y = -y dy + y^2 x^-1 dx",
-            lambda: dy() * y, lambda: -(y * dy()) + (y * y * xi) * dx()),
-        feq("dy x = -y dx", lambda: dy() * x, lambda: -(y * dx())),
-        feq("d(x^2) = x^2 y^-1 dy", lambda: differential(spec, x * x),
-            lambda: (x * x * yi) * dy()),
-        feq("d(y^2) = y^2 x^-1 dx", lambda: differential(spec, y * y),
-            lambda: (y * y * xi) * dx()),
-        feq("d(x^3) = 0", lambda: differential(spec, x ** 3), lambda: GradedForm.zero(spec)),
-        feq("d(y^3) = 0", lambda: differential(spec, y ** 3), lambda: GradedForm.zero(spec)),
-        feq("d(xy) = 0", lambda: differential(spec, x * y), lambda: GradedForm.zero(spec)),
-        feq("d(yx) = 0", lambda: differential(spec, y * x), lambda: GradedForm.zero(spec)),
+        ("dx = x theta1 - q^2 x theta2", "d(x)", "x*theta[1] - q^2*x*theta[2]"),
+        ("dy = -q^2 y theta1 + y theta2", "d(y)", "-q^2*y*theta[1] + y*theta[2]"),
+        ("theta1 = (1-q)^-1 (x^-1 dx + q^2 y^-1 dy)", "theta[1]",
+         "(2 + q)/3*(x^-1*d(x) + q^2*y^-1*d(y))"),
+        ("theta2 = (1-q)^-1 (q^2 x^-1 dx + y^-1 dy)", "theta[2]",
+         "(2 + q)/3*(q^2*x^-1*d(x) + y^-1*d(y))"),
+        ("dx x = -x dx + x^2 y^-1 dy", "d(x)*x", "-x*d(x) + x^2*y^-1*d(y)"),
+        ("dx y = -x dy", "d(x)*y", "-x*d(y)"),
+        ("dy y = -y dy + y^2 x^-1 dx", "d(y)*y", "-y*d(y) + y^2*x^-1*d(x)"),
+        ("dy x = -y dx", "d(y)*x", "-y*d(x)"),
+        ("d(x^2) = x^2 y^-1 dy", "d(x^2)", "x^2*y^-1*d(y)"),
+        ("d(y^2) = y^2 x^-1 dx", "d(y^2)", "y^2*x^-1*d(x)"),
+        ("d(x^3) = 0", "d(x^3)", "0"),
+        ("d(y^3) = 0", "d(y^3)", "0"),
+        ("d(xy) = 0", "d(x*y)", "0"),
+        ("d(yx) = 0", "d(y*x)", "0"),
         fcheck("constants x^3, y^3, xy, yx all detected",
-               lambda: len(constants(spec, [x ** 3, y ** 3, x * y, y * x])) == 4),
-        fcheck("x not constant", lambda: not constants(spec, [x])),
-        feq("x^2 = c1 c4^-1 y", lambda: x * x, lambda: pres.parse("x^3*(y*x)^-1*y")),
-        feq("y^2 = c2 c3^-1 x", lambda: y * y, lambda: pres.parse("y^3*(x*y)^-1*x")),
+               lambda: len(constants(spec, [pres.parse(f) for f in ("x^3", "y^3", "x*y", "y*x")]))
+               == 4),
+        fcheck("x not constant", lambda: not constants(spec, [pres.gen("x")])),
+        ("x^2 = c1 c4^-1 y", "x^2", "x^3*(y*x)^-1*y"),
+        ("y^2 = c2 c3^-1 x", "y^2", "y^3*(x*y)^-1*x"),
         feq("quotient: all four constants become 1",
             lambda: (qpres().parse("x^3"), qpres().parse("x^6"), qpres().parse("x^2*x")),
             lambda: (qpres().one, qpres().one, qpres().one)),
@@ -365,6 +308,7 @@ def _lattice(bundle):
     elements, mul, unit, directions, ad_description = _LATTICES[bundle.id]
     inverse_of = _group_inverse(elements, mul, unit)
     theta_images = _lattice_theta_images(spec, directions, mul, inverse_of)
+    names = [g.name for g in pres.generators]
 
     def diff_ok():
         for sl, timg in theta_images.items():
@@ -376,15 +320,11 @@ def _lattice(bundle):
     return [
         fcheck("no nonzero central 1-form up to degree 2 (simple calculus)",
                lambda: not central_one_forms_probe(spec, 2)),
-        feq("sum of idempotents is 1",
-            lambda: sum((pres.parse(f"e{i}") for i in range(len(pres.generators))),
-                        pres.zero),
-            lambda: pres.one - pres.parse(
-                " - ".join(["1"] + [g.name for g in pres.generators]))),
+        ("sum of idempotents is 1", " + ".join(names), f"1 - ({' - '.join(['1', *names])})"),
         fcheck("R*_s differentiable with theta -> theta^{s u s^-1}", diff_ok),
         fcheck("d^2 = 0 on every idempotent",
-               lambda: all(d_form(spec, differential(spec, pres.gen(g.name))).is_zero()
-                           for g in pres.generators)),
+               lambda: all(d_form(spec, differential(spec, pres.gen(g))).is_zero()
+                           for g in names)),
         fcheck(ad_description,
                lambda: all(mul(mul(s, u), inverse_of(s)) in directions.values()
                            for s in directions.values() for u in directions.values())),
@@ -397,40 +337,26 @@ def _lattice(bundle):
 
 @_fixtures_of("twisted_heisenberg_2")
 def _twisted_h2(bundle):
-    spec = bundle.spec
-    x, y = spec.pres.gen("x"), spec.pres.gen("y")
     return [
-        feq("theta1 = dx", lambda: differential(spec, x), lambda: _theta(spec, "1")),
-        feq("theta2 = dy", lambda: differential(spec, y), lambda: _theta(spec, "2")),
-        feq("vartheta = x dy - y dx", lambda: vartheta(spec),
-            lambda: x * differential(spec, y) - y * differential(spec, x)),
-        feq("zeta = theta1 theta2", lambda: spec.two_forms.zeta_form(),
-            lambda: _theta(spec, "1", "2")),
-        feq("theta^s commute with the algebra (phi = id)",
-            lambda: _theta(spec, "1") * x, lambda: x * _theta(spec, "1")),
-        feq("Delta = 0", lambda: delta(spec, _theta(spec, "1")) + delta(spec, _theta(spec, "2")),
-            lambda: GradedForm.zero(spec)),
+        ("theta1 = dx", "d(x)", "theta[1]"),
+        ("theta2 = dy", "d(y)", "theta[2]"),
+        ("vartheta = x dy - y dx", "vartheta", "x*d(y) - y*d(x)"),
+        ("zeta = theta1 theta2", "zeta", "theta[1]*theta[2]"),
+        ("theta^s commute with the algebra (phi = id)", "theta[1]*x", "x*theta[1]"),
+        ("Delta = 0", "Delta(theta[1]) + Delta(theta[2])", "0"),
     ]
 
 
 @_fixtures_of("twisted_heisenberg_3")
 def _twisted_h3(bundle):
-    spec = bundle.spec
     return [
-        feq("Delta(theta1) = -theta1 theta3", lambda: delta(spec, _theta(spec, "1")),
-            lambda: -_theta(spec, "1", "3")),
-        feq("Delta(theta2) = theta2 theta3", lambda: delta(spec, _theta(spec, "2")),
-            lambda: _theta(spec, "2", "3")),
-        feq("Delta(theta3) = -theta1 theta2 - theta2 theta1",
-            lambda: delta(spec, _theta(spec, "3")),
-            lambda: -_theta(spec, "1", "2") - _theta(spec, "2", "1")),
-        feq("zeta = -theta2 theta1", lambda: spec.two_forms.zeta_form(),
-            lambda: -_theta(spec, "2", "1")),
-        feq("theta3 theta1 = -theta1 theta3",
-            lambda: _theta(spec, "3").wedge(_theta(spec, "1")),
-            lambda: -_theta(spec, "1", "3")),
-        feq("(theta3)^2 = 0", lambda: _theta(spec, "3").wedge(_theta(spec, "3")),
-            lambda: GradedForm.zero(spec)),
+        ("Delta(theta1) = -theta1 theta3", "Delta(theta[1])", "-theta[1]*theta[3]"),
+        ("Delta(theta2) = theta2 theta3", "Delta(theta[2])", "theta[2]*theta[3]"),
+        ("Delta(theta3) = -theta1 theta2 - theta2 theta1", "Delta(theta[3])",
+         "-theta[1]*theta[2] - theta[2]*theta[1]"),
+        ("zeta = -theta2 theta1", "zeta", "-theta[2]*theta[1]"),
+        ("theta3 theta1 = -theta1 theta3", "theta[3]*theta[1]", "-theta[1]*theta[3]"),
+        ("(theta3)^2 = 0", "theta[3]^2", "0"),
     ]
 
 
@@ -443,7 +369,6 @@ def _glpq2(bundle):
     # the first six fixtures read the frame and thetas of bundle.extras, so a
     # broken frame table fails exactly those
     spec, pres = bundle.spec, bundle.presentation
-    D = pres.parse("a*d - p*b*c")
 
     def frame_thetas():
         extras = bundle.extras
@@ -565,9 +490,9 @@ def _glpq2(bundle):
                frame_phis_ok),
         fcheck("differentiability at spec level: phi_s(theta2) = r^-1 theta2, "
                "others fixed, phi_s(vartheta) = vartheta", spec_differentiability),
-        feq("quantum determinant commutations: D b = (p/q) b D",
-            lambda: D * pres.gen("b"), lambda: pres.parse("(p/q)*b") * D),
-        feq("D c = (q/p) c D", lambda: D * pres.gen("c"), lambda: pres.parse("(q/p)*c") * D),
+        ("quantum determinant commutations: D b = (p/q) b D", "(a*d - p*b*c)*b",
+         "(p/q)*b*(a*d - p*b*c)"),
+        ("D c = (q/p) c D", "(a*d - p*b*c)*c", "(q/p)*c*(a*d - p*b*c)"),
         fcheck("no nonzero central 1-form up to degree 1 (simplicity probe)",
                lambda: not central_one_forms_probe(spec, 1)),
     ]
@@ -579,77 +504,41 @@ def _glpq2(bundle):
 
 @_fixtures_of("tensor_qplane")
 def _tensor_qplane(bundle):
-    spec, pres = bundle.spec, bundle.presentation
-    x, y = pres.parse("u*U"), pres.parse("v*V")
-    u, v = pres.gen("u"), pres.gen("v")
-    q = pres.parse("q").as_scalar()
-    pq = pres.parse("p*q").as_scalar()
-    dx = lambda: differential(spec, x)
-    dy = lambda: differential(spec, y)
-    du = lambda: differential(spec, u)
-    dv = lambda: differential(spec, v)
+    # x = uU, y = vV
     return [
-        feq("x = uU, y = vV generate a quantum plane: xy = q yx",
-            lambda: x * y, lambda: q * (y * x)),
-        feq("u du = pq du u", lambda: u * du(), lambda: pq * (du() * u)),
-        feq("v du = pq du v", lambda: v * du(), lambda: pq * (du() * v)),
-        feq("u dv = dv u + (pq-1) du v", lambda: u * dv(),
-            lambda: dv() * u + (pq - 1) * (du() * v)),
-        feq("v dv = pq dv v", lambda: v * dv(), lambda: pq * (dv() * v)),
-        feq("x dx = pq dx x", lambda: x * dx(), lambda: pq * (dx() * x)),
-        feq("y dx = p dx y", lambda: y * dx(), lambda: (pq / q) * (dx() * y)),
-        feq("y dy = pq dy y", lambda: y * dy(), lambda: pq * (dy() * y)),
-        feq("x dy = q dy x + (pq-1) dx y", lambda: x * dy(),
-            lambda: q * (dy() * x) + (pq - 1) * (dx() * y)),
+        ("x = uU, y = vV generate a quantum plane: xy = q yx", "u*U*v*V", "q*v*V*u*U"),
+        ("u du = pq du u", "u*d(u)", "p*q*d(u)*u"),
+        ("v du = pq du v", "v*d(u)", "p*q*d(u)*v"),
+        ("u dv = dv u + (pq-1) du v", "u*d(v)", "d(v)*u + (p*q - 1)*d(u)*v"),
+        ("v dv = pq dv v", "v*d(v)", "p*q*d(v)*v"),
+        ("x dx = pq dx x", "u*U*d(u*U)", "p*q*d(u*U)*u*U"),
+        ("y dx = p dx y", "v*V*d(u*U)", "p*d(u*U)*v*V"),
+        ("y dy = pq dy y", "v*V*d(v*V)", "p*q*d(v*V)*v*V"),
+        ("x dy = q dy x + (pq-1) dx y", "u*U*d(v*V)", "q*d(v*V)*u*U + (p*q - 1)*d(u*U)*v*V"),
     ]
 
 
 @_fixtures_of("tensor_hplane")
 def _tensor_hplane(bundle):
-    spec, pres = bundle.spec, bundle.presentation
-    h, hp, r = declare_params("h hp r")
-    x, y = pres.parse("v*U + u*V"), pres.parse("v*V")
-    u, v = pres.gen("u"), pres.gen("v")
-    yi = pres.parse("(v*V)^-1")
-    dx = lambda: differential(spec, x)
-    dy = lambda: differential(spec, y)
+    x, y = "(v*U + u*V)", "(v*V)"
     at_r1 = {"r": Scalar.one()}
-
-    def bracket(a, da):
-        return a * da - da * a
-
     return [
-        feq("x = vU + uV, y = vV satisfy [x, y] = h y^2",
-            lambda: x * y - y * x, lambda: h * (y * y)),
-        feq("[y, dy] = (r-1) dy y (generic r)",
-            lambda: bracket(y, dy()), lambda: (r - 1) * (dy() * y)),
-        feq("[y, dx] = -h dy y + (r-1) dy x (generic r)",
-            lambda: bracket(y, dx()), lambda: (-h) * (dy() * y) + (r - 1) * (dy() * x)),
-        feq("[x, dy] = r h dy y + (r-1) dy x (generic r)",
-            lambda: bracket(x, dy()), lambda: (r * h) * (dy() * y) + (r - 1) * (dy() * x)),
-        feq("[x, dx] = h'(dy(x+hy) - dx y) + (r-1) dy y^-1 x^2 (generic r)",
-            lambda: bracket(x, dx()),
-            lambda: hp * (dy() * (x + h * y) - dx() * y)
-            + (r - 1) * (dy() * (yi * x * x))),
-        feq("limit r=1: [x, dx] = h'(dy(x+hy) - dx y)",
-            lambda: bracket(x, dx()).substitute_params(at_r1),
-            lambda: (hp * (dy() * (x + h * y) - dx() * y)).substitute_params(at_r1)),
-        feq("limit r=1: [y, dx] = -h dy y",
-            lambda: bracket(y, dx()).substitute_params(at_r1),
-            lambda: ((-h) * (dy() * y)).substitute_params(at_r1)),
-        feq("limit r=1: [y, dy] = 0",
-            lambda: bracket(y, dy()).substitute_params(at_r1),
-            lambda: GradedForm.zero(spec)),
-        feq("limit r=1: (dx)^2 = h' dx dy",
-            lambda: dx().wedge(dx()).substitute_params(at_r1),
-            lambda: (hp * dx().wedge(dy())).substitute_params(at_r1)),
-        feq("limit r=1: factor relations [v,dv] = [v,du] = [u,dv] = 0",
-            lambda: (bracket(v, differential(spec, v))
-                     + bracket(v, differential(spec, u))
-                     + bracket(u, differential(spec, v))).substitute_params(at_r1),
-            lambda: GradedForm.zero(spec)),
-        feq("limit r=1: [u, du] = (h+h')(dv u - du v)",
-            lambda: bracket(u, differential(spec, u)).substitute_params(at_r1),
-            lambda: ((h + hp) * (differential(spec, v) * u - differential(spec, u) * v)
-                     ).substitute_params(at_r1)),
+        ("x = vU + uV, y = vV satisfy [x, y] = h y^2", f"{x}*{y} - {y}*{x}", f"h*{y}^2"),
+        ("[y, dy] = (r-1) dy y (generic r)", f"{y}*d{y} - d{y}*{y}", f"(r - 1)*d{y}*{y}"),
+        ("[y, dx] = -h dy y + (r-1) dy x (generic r)", f"{y}*d{x} - d{x}*{y}",
+         f"-h*d{y}*{y} + (r - 1)*d{y}*{x}"),
+        ("[x, dy] = r h dy y + (r-1) dy x (generic r)", f"{x}*d{y} - d{y}*{x}",
+         f"r*h*d{y}*{y} + (r - 1)*d{y}*{x}"),
+        ("[x, dx] = h'(dy(x+hy) - dx y) + (r-1) dy y^-1 x^2 (generic r)",
+         f"{x}*d{x} - d{x}*{x}",
+         f"hp*(d{y}*({x} + h*{y}) - d{x}*{y}) + (r - 1)*d{y}*{y}^-1*{x}^2"),
+        ("limit r=1: [x, dx] = h'(dy(x+hy) - dx y)", f"{x}*d{x} - d{x}*{x}",
+         f"hp*(d{y}*({x} + h*{y}) - d{x}*{y})", at_r1),
+        ("limit r=1: [y, dx] = -h dy y", f"{y}*d{x} - d{x}*{y}", f"-h*d{y}*{y}", at_r1),
+        ("limit r=1: [y, dy] = 0", f"{y}*d{y} - d{y}*{y}", "0", at_r1),
+        ("limit r=1: (dx)^2 = h' dx dy", f"d{x}^2", f"hp*d{x}*d{y}", at_r1),
+        ("limit r=1: factor relations [v,dv] = [v,du] = [u,dv] = 0",
+         "v*d(v) - d(v)*v + v*d(u) - d(u)*v + u*d(v) - d(v)*u", "0", at_r1),
+        ("limit r=1: [u, du] = (h+h')(dv u - du v)", "u*d(u) - d(u)*u",
+         "(h + hp)*(d(v)*u - d(u)*v)", at_r1),
     ]

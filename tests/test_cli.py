@@ -205,8 +205,12 @@ GL_FORM = "(theta[t12] + e1*theta[t13])"
     ("quantum_plane_a", "d(theta[1])", 2, "error: d(...) takes an algebra element"),
     ("quantum_plane_a", "theta[1]^0", 2, "error: form powers must be positive"),
     ("quantum_plane_a", "x/theta[1]", 2, "error: cannot divide by a form of positive degree"),
+    ("group_lattice_s3", "theta[t1 2]", 2, "error: whitespace in label 't1 2' at column 9"),
+    ("quantum_plane_a", "theta[01]", 2, "error: unknown direction 01"),
+    ("poly_shift_sym", "theta[-1]*x", 0,
+     "d = (-1 + x)*theta[-1]*theta[1] + x*theta[1]*theta[-1]"),
 ], ids=["d_call", "theta_times_element", "form_power", "d_of_a_form", "zero_form_power",
-        "divide_by_a_form"])
+        "divide_by_a_form", "label_with_whitespace", "label_read_exactly", "negative_label"])
 def test_form_syntax_is_pinned(pid, expr, code, line):
     if line is None:  # a power of a form prints as the explicit product
         line = invoke("--preset", pid, "d", "--expr", f"{GL_FORM}*{GL_FORM}").output.strip()

@@ -137,6 +137,41 @@ def test_glpq2_load_leaves_frame_module_unloaded(code, absent, tmp_path):
     assert not loaded & absent, sorted(loaded & absent)
 
 
+def test_identity_atoms_match_direct_calls():
+    """Delta(form), d of a form, vartheta and zeta in the fixture rows equal
+    the direct calls on every preset with 2-forms, and each atom is nonzero
+    somewhere; vartheta and zeta give way to a parameter or generator."""
+    from nccalc.calculus import d_form, delta, differential, vartheta
+    from nccalc.files import load_calculus
+    from nccalc.parsing import parse_with_context
+    from nccalc.presets.fixtures import _IdentityCtx
+
+    nonzero = set()
+    for pid in PRESET_IDS:
+        spec = load_preset(pid).spec
+        if spec.two_forms is None:
+            continue
+        cases = [("vartheta", "vartheta", vartheta(spec)),
+                 ("zeta", "zeta", spec.two_forms.zeta_form())]
+        thetas = {s: GradedForm.theta(spec, s) for s in spec.directions.labels}
+        cases += [("Delta", f"Delta(theta[{s}])", delta(spec, t)) for s, t in thetas.items()]
+        for g in spec.pres.generators:
+            f = spec.pres.gen(g.name)
+            cases.append(("d", f"d({g.name})", differential(spec, f)))
+            cases += [("d of a form", f"d({g.name}*theta[{s}])", d_form(spec, f * t))
+                      for s, t in thetas.items()]
+        for atom, text, want in cases:
+            assert parse_with_context(text, _IdentityCtx(spec)) == want, (pid, text)
+            if not want.is_zero():
+                nonzero.add(atom)
+    assert nonzero == {"vartheta", "zeta", "Delta", "d", "d of a form"}
+
+    spec = load_calculus("[params]\nvartheta\n\n" + _SHIFT_FILE.replace("x", "zeta"))
+    for name, value in [("zeta", spec.pres.gen("zeta")),
+                        ("vartheta", spec.pres.const(Scalar.param("vartheta")))]:
+        assert parse_with_context(name, _IdentityCtx(spec)) == GradedForm.from_poly(spec, value)
+
+
 def test_glpq2_frame_is_built_once_and_shared(monkeypatch):
     frame_builder = catalog._gl_frame
     built = []

@@ -59,6 +59,33 @@ MUTANTS = (
            "        return _combine_memo(op, a, b)\n",
            "        return _combine_memo(op, *sorted((a, b), key=hash))\n",
            ("tests/test_scalar.py::test_cancellation_memo_against_unreduced_make",)),
+    # each atom of the fixture rows answers zero
+    Mutant("identity_delta_is_zero", "src/nccalc/presets/fixtures.py",
+           "            return delta(self.spec, arg)\n",
+           "            return GradedForm.zero(self.spec)\n",
+           ("tests/test_presets.py::test_identity_atoms_match_direct_calls",)),
+    Mutant("identity_d_of_a_form_is_zero", "src/nccalc/presets/fixtures.py",
+           "            return d_form(self.spec, arg)\n",
+           "            return GradedForm.zero(self.spec)\n",
+           ("tests/test_presets.py::test_identity_atoms_match_direct_calls",)),
+    Mutant("identity_vartheta_is_zero", "src/nccalc/presets/fixtures.py",
+           '_ATOMS = {"vartheta": vartheta,',
+           '_ATOMS = {"vartheta": GradedForm.zero,',
+           ("tests/test_presets.py::test_identity_atoms_match_direct_calls",)),
+    Mutant("identity_zeta_is_zero", "src/nccalc/presets/fixtures.py",
+           '"zeta": lambda spec: spec.two_forms.zeta_form()}',
+           '"zeta": GradedForm.zero}',
+           ("tests/test_presets.py::test_identity_atoms_match_direct_calls",)),
+    # a negative denominator keeps its sign
+    Mutant("rational_without_sign_fix", "src/nccalc/scalar.py",
+           "    g = gcd(n, d)\n    if d < 0:\n        g = -g\n",
+           "    g = gcd(n, d)\n",
+           ("tests/test_scalar.py::test_integer_lane_against_fractions",)),
+    # the overlap cap that let a non-confluent file load
+    Mutant("critical_pairs_capped_at_6_letters", "src/nccalc/algebra.py",
+           "            for sup, i in spots:\n",
+           "            for sup, i in [(w, i) for w, i in spots if len(w) <= 6]:\n",
+           ("tests/test_cli.py::test_nonconfluent_file_exit_3",)),
 )
 
 
