@@ -20,8 +20,8 @@ monic: every coefficient over the denominator's leading coefficient.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
-from operator import add as _add, sub as _sub
+from math import gcd, isqrt
+from operator import add as _add, neg as _neg, sub as _sub
 from typing import Iterable, Mapping
 
 class ScalarError(ValueError):
@@ -90,14 +90,27 @@ def _p_lead(a):
 
 
 def _p_div_exact(a, b):
-    """Exact division over Z; raises if b does not divide a."""
+    """Exact division over Z; raises if b does not divide a.
+
+    The remainder's terms are taken in grlex order from a heap of
+    (-degree, -exponents) keys.  A term that cancels stays in the heap, and
+    an entry whose term has left the remainder is skipped when popped (lazy
+    deletion); a popped term never comes back, since every term a step
+    adds is below the one it removes.
+    """
+    from heapq import heapify, heappop, heappush  # kept off nccalc's import path
+
     eb, cb = _p_lead(b)
     rest = [(e, c) for e, c in b.items() if e != eb]
     q = {}
     rem = dict(a)
+    # a monomial b divides term by term, in any order
+    heap = [(-sum(e), tuple(map(_neg, e)), e) for e in rem] if rest else []
+    heapify(heap)
     while rem:
-        # a monomial b divides term by term, in any order
-        ea = max(rem, key=_grlex) if rest else next(iter(rem))
+        ea = heappop(heap)[2] if rest else next(iter(rem))
+        if ea not in rem:
+            continue
         dc, r = divmod(rem.pop(ea), cb)
         de = tuple(map(_sub, ea, eb))
         if r or any(x < 0 for x in de):
@@ -105,11 +118,15 @@ def _p_div_exact(a, b):
         q[de] = dc
         for e, c in rest:
             e = tuple(map(_add, de, e))
-            s = rem.get(e, 0) - dc * c
-            if s:
-                rem[e] = s
+            if e in rem:
+                s = rem[e] - dc * c
+                if s:
+                    rem[e] = s
+                else:
+                    del rem[e]
             else:
-                del rem[e]
+                rem[e] = -dc * c
+                heappush(heap, (-sum(e), tuple(map(_neg, e)), e))
     return q
 
 
@@ -196,6 +213,91 @@ def _z_gcd(a, b, nvars):
         f, g = g, _content_pp(r, nvars)[1]
     return _p_mul({(0,) + e: c for e, c in _z_gcd(ca, cb, nvars - 1).items()},
                   _p_from_rec(g))
+
+
+# multi-term calls of _gcd_cofactors, at every level of its recursion, by the
+# path that found the gcd
+heuristic_hits = 0
+prs_fallbacks = 0
+
+
+def _p_quo_term(p, m, c):
+    """p / (c*x^m) for a monomial c*x^m known to divide p."""
+    return {tuple(map(_sub, e, m)): v // c for e, v in p.items()}
+
+
+def _eval_first(p, xi):
+    """p with its first variable set to the integer xi."""
+    out = {}
+    for e, c in p.items():
+        k = e[1:]
+        out[k] = out.get(k, 0) + c * xi ** e[0]
+    return {k: c for k, c in out.items() if c}
+
+
+def _interpolate(h, xi):
+    """The polynomial whose first variable has the symmetric xi-adic digits
+    of h's coefficients: the inverse of _eval_first for small coefficients."""
+    out = {}
+    i = 0
+    while h:
+        nxt = {}
+        for e, v in h.items():
+            g = v % xi
+            if g > xi // 2:
+                g -= xi
+            if g:
+                out[(i,) + e] = g
+            if v != g:
+                nxt[e] = (v - g) // xi
+        h, i = nxt, i + 1
+    return out
+
+
+def _gcd_cofactors(a, b, nvars):
+    """(g, a/g, b/g) for nonzero polynomials a and b over Z, g a gcd up to sign.
+
+    A single-term operand makes g an integer times the common power.
+    Otherwise the heuristic GCDHEU (Char, Geddes & Gonnet 1989; sympy's
+    heugcd): with the ground content out, set the first variable to an
+    integer xi, take the gcd of the images recursively, rebuild a candidate
+    from its xi-adic digits and keep its primitive part.  The candidate is
+    the gcd once it divides both a and b, provided xi >= 2*min(|a|, |b|) + 2
+    (infinity norms); every point used meets that floor, so a candidate 1
+    needs no division.  The two divisions give the cofactors.  After six
+    points, the primitive PRS of _z_gcd.
+    """
+    global heuristic_hits, prs_fallbacks
+    c = gcd(*a.values(), *b.values())
+    if len(a) == 1 or len(b) == 1:
+        m = _common_power(b, _common_power(a, next(iter(a))))
+        return {m: c}, _p_quo_term(a, m, c), _p_quo_term(b, m, c)
+    one = (0,) * nvars
+    if c != 1:
+        a, b = _p_quo_term(a, one, c), _p_quo_term(b, one, c)
+    na, nb = max(map(abs, a.values())), max(map(abs, b.values()))
+    floor = 2 * min(na, nb) + 2
+    xi = max(min(floor + 27, 99 * isqrt(floor + 27)), floor,
+             2 * min(na // abs(a[max(a)]), nb // abs(b[max(b)])) + 4)
+    for _ in range(6):
+        fa, fb = _eval_first(a, xi), _eval_first(b, xi)
+        if fa and fb:
+            h = _interpolate(_gcd_cofactors(fa, fb, nvars - 1)[0], xi)
+            if one in h and len(h) == 1:
+                heuristic_hits += 1
+                return {one: c}, a, b
+            h = _p_quo_term(h, one, gcd(*h.values()))
+            try:
+                qa, qb = _p_div_exact(a, h), _p_div_exact(b, h)
+            except ArithmeticError:
+                pass
+            else:
+                heuristic_hits += 1
+                return {e: v * c for e, v in h.items()}, qa, qb
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+    prs_fallbacks += 1
+    g = _z_gcd(a, b, nvars)
+    return {e: v * c for e, v in g.items()}, _p_div_exact(a, g), _p_div_exact(b, g)
 
 
 def _p_eval(p, values):
@@ -320,11 +422,8 @@ class Scalar:
                 num = {tuple(map(_sub, k, m)): v for k, v in num.items()}
                 den = {tuple(map(_sub, e, m)): c}
         else:
-            # cancel the gcd over Z; an integer gcd is left to _content_free
-            g = _z_gcd(num, den, len(params))
-            if len(g) > 1 or any(next(iter(g))):
-                num = _p_div_exact(num, g)
-                den = _p_div_exact(den, g)
+            # cancel the gcd over Z; the division checks give the cofactors
+            _, num, den = _gcd_cofactors(num, den, len(params))
         # drop unused parameters
         n = len(params)
         used = [i for i in range(n) if any(e[i] for e in num) or any(e[i] for e in den)]

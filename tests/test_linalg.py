@@ -1,5 +1,5 @@
-"""Exact linear algebra: the cofactor determinant against the permutation sum,
-the sparse elimination against sympy."""
+"""Exact linear algebra: the determinant and the adjugate against permutation
+sums, the sparse elimination against sympy."""
 
 import pytest
 
@@ -29,6 +29,24 @@ def test_det_cofactor_matches_permutation_sum_on_shift_calculi(consts):
     det = det_cofactor(spec.pres, M)
     assert not det.is_zero()
     assert det == det_permanent_expansion(spec.pres, M)
+
+
+@pytest.mark.parametrize("consts", [(1, -2, 3), (2, 0, -1, 3)])
+def test_shift_calculus_inverse_takes_no_prs_fallback(consts):
+    """The theta-solve of an n = 3 and an n = 4 shift calculus: every
+    cancellation gcd is found by the heuristic, none by the PRS."""
+    import nccalc.scalar as scalar_module
+    from nccalc.calculus import solve_theta_in_differentials
+    from nccalc.scalar import _combine_memo
+
+    spec = _shift_calculus(consts)
+    x = spec.pres.gen("x")
+    _combine_memo.cache_clear()
+    hits, fallbacks = scalar_module.heuristic_hits, scalar_module.prs_fallbacks
+    sol = solve_theta_in_differentials(spec, [x ** (j + 1) for j in range(len(consts))])
+    assert sol.ok
+    assert scalar_module.heuristic_hits > hits
+    assert scalar_module.prs_fallbacks == fallbacks
 
 
 # -- sympy oracle for the one Gauss-Jordan elimination ----------------------
@@ -116,5 +134,35 @@ def test_nullspace_vector_against_sympy():
         assert len(vec) == len(A[0])
         assert not all(v.is_zero() for v in vec)
         assert all(v.is_zero() for v in _times(A, vec))
+
+    check()
+
+
+# -- permutation-sum oracle for the adjugate ---------------------------------
+
+
+def test_det_adjugate_against_permutation_sums():
+    """det and every cofactor of sparse matrices over C[x] with parameters
+    equal permutation sums of the matrix and of its minors."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from nccalc.linalg import det_adjugate
+
+    pres = Presentation(["x"], params=["p", "q"])
+    entries = st.sampled_from(("0", "0", "1", "-2", "x", "x + p", "q*x^2 - 1", "p/q"))
+
+    @hypothesis.settings(**_ORACLE)
+    @hypothesis.given(st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)))
+    def check(rows):
+        n = len(rows)
+        M = [[pres.element(e) for e in row] for row in rows]
+        det, adj = det_adjugate(pres, M)
+        assert det == det_permanent_expansion(pres, M) == det_cofactor(pres, M)
+        for i in range(n):
+            for j in range(n):
+                minor = [[M[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
+                cof = det_permanent_expansion(pres, minor) if minor else pres.one
+                assert adj[j][i] == (cof if (i + j) % 2 == 0 else -cof), (i, j)
 
     check()

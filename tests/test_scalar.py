@@ -500,3 +500,168 @@ def test_cancellation_memo_stays_bounded():
         a = (p + k) / (q + 1)
         assert a * b == _unreduced("*", a, b)
     assert _combine_memo.cache_info().currsize == maxsize
+
+
+# -- oracles for the heuristic gcd with cofactors ----------------------------
+
+
+def _check_cofactors(sympy, a, b, n):
+    """_gcd_cofactors(a, b) against sympy's gcd over ZZ: g equal up to sign,
+    and g times each cofactor gives back its operand."""
+    from nccalc.scalar import _gcd_cofactors, _p_mul
+    g, qa, qb = _gcd_cofactors(a, b, n)
+    gens = sympy.symbols(f"v:{n}")
+    want = sympy.Poly.from_dict(a, *gens, domain="ZZ").gcd(
+        sympy.Poly.from_dict(b, *gens, domain="ZZ"))
+    want = {tuple(map(int, e)): int(c) for e, c in want.terms()}
+    assert g in (want, {e: -c for e, c in want.items()})
+    assert _p_mul(g, qa) == a and _p_mul(g, qb) == b
+
+
+def test_gcd_cofactors_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    _, _, poly_pairs = _strategies()
+
+    @hypothesis.settings(**_ORACLE)
+    @hypothesis.given(poly_pairs(1))
+    def check(case):
+        n, [(a, b)] = case
+        [a], [b] = _over_z(a), _over_z(b)
+        _check_cofactors(sympy, a, b, n)
+
+    check()
+
+
+def test_gcd_cofactors_on_products_of_linear_factors():
+    """The Vandermonde shape: a and b are products of many factors
+    i_k - i_j + c in 4-6 variables, sharing some of them."""
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from nccalc.scalar import _p_mul
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(4, 6))
+
+        def linear():
+            j, k = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            unit = lambda i: tuple(int(i == m) for m in range(n))
+            f = {unit(j): draw(st.sampled_from((1, 2))), unit(k): draw(st.integers(-2, 2))}
+            f = {e: c for e, c in f.items() if c}
+            c = draw(st.integers(-3, 3))
+            return {**f, (0,) * n: c} if c else f
+
+        def product(count):
+            out = {(0,) * n: 1}
+            for _ in range(count):
+                out = _p_mul(out, linear())
+            return out
+
+        common = product(draw(st.integers(0, 4)))
+        return n, _p_mul(common, product(draw(st.integers(1, 4)))), \
+            _p_mul(common, product(draw(st.integers(1, 4))))
+
+    @hypothesis.settings(**_ORACLE)
+    @hypothesis.given(cases())
+    def check(case):
+        n, a, b = case
+        _check_cofactors(sympy, a, b, n)
+
+    check()
+
+
+def test_gcd_cofactors_with_large_coefficients():
+    """Coefficients above 10^4 in both operands: there sympy's first
+    evaluation point, capped at 99*sqrt(2*min(|a|, |b|) + 29), falls below
+    the 2*min(|a|, |b|) + 2 that the heuristic needs."""
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from nccalc.scalar import _p_mul
+
+    big = st.integers(10 ** 4, 10 ** 7).flatmap(lambda c: st.sampled_from((c, -c)))
+    small = st.integers(-3, 3).filter(bool)
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.sampled_from((1, 2, 3)))
+        exps = st.tuples(*[st.integers(0, 2)] * n)
+        poly = lambda coeffs: draw(st.dictionaries(exps, coeffs, min_size=1, max_size=3))
+        common = poly(st.one_of(small, big)) if draw(st.booleans()) else {(0,) * n: 1}
+        a, b = _p_mul(common, poly(big)), _p_mul(common, poly(big))
+        hypothesis.assume(min(max(map(abs, a.values())), max(map(abs, b.values()))) > 10 ** 4)
+        return n, a, b
+
+    @hypothesis.settings(**_ORACLE)
+    @hypothesis.given(cases())
+    def check(case):
+        n, a, b = case
+        _check_cofactors(sympy, a, b, n)
+
+    check()
+
+
+def test_cancellation_at_degree_three_against_unreduced_make():
+    """The sibling of test_cancellation_memo_against_unreduced_make at degree
+    <= 3 in 3 parameters, where the PRS gcd used to stall: each operand
+    agrees with sympy's cancel, and + - * / agree with _make of the
+    unreduced dicts on a cold and on a warm memo."""
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from nccalc.scalar import _combine_memo
+
+    coeffs = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * 3).filter(lambda e: sum(e) <= 3)
+    multi = st.dictionaries(exps, coeffs, min_size=2, max_size=3)
+
+    @hypothesis.settings(**_ORACLE)
+    @hypothesis.given(multi, multi, multi, multi)
+    def check(an, ad, bn, bd):
+        a = Scalar._make(_NAMES, *_over_z(an, ad))
+        b = Scalar._make(_NAMES, *_over_z(bn, bd))
+        assert _canonical(a) == _sympy_canonical(sympy, an, ad, 3)
+        assert _canonical(b) == _sympy_canonical(sympy, bn, bd, 3)
+        cases = [(op, x, y, _unreduced(op, x, y))
+                 for x, y in [(a, b), (b, a)] for op in _OPS]
+        _combine_memo.cache_clear()
+        for order in (cases, cases[::-1]):
+            for op, x, y, want in order:
+                assert _OPS[op](x, y) == want, (op, x, y)
+
+    check()
+
+
+_STALL = ("(-p^2*q + 2)/(p*q^2 - 3)",
+          "(p^2*t^2 + 1/3*p*q^2 - 1/2*p*q*t)/(p*q^2 + 1/2*q*t^2 + 1/4*p^2)")
+
+
+def test_prs_stall_case_in_a_time_box():
+    """The sum and the product of two fractions in 3 parameters, on which
+    the pseudo-remainder gcd took about a minute, from a cold process in a
+    10 s time box; both agree with sympy's cancel."""
+    sympy = pytest.importorskip("sympy")
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    import nccalc
+    code = ("from nccalc.scalar import parse_scalar\n"
+            f"a, b = (parse_scalar(s, 'pqt') for s in {_STALL!r})\n"
+            "print(a + b)\nprint(a * b)\n")
+    src = str(Path(nccalc.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2, proc.stdout
+    x, y = (sympy.sympify(s.replace("^", "**")) for s in _STALL)
+    for line, want in zip(lines, (x + y, x * y)):
+        num, den = sympy.fraction(sympy.together(sympy.sympify(line.replace("^", "**"))))
+        top, bottom = sympy.fraction(sympy.cancel(want))
+        assert sympy.gcd(num, den).is_number, line
+        assert sympy.expand(num * bottom - den * top) == 0, line

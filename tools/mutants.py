@@ -86,6 +86,27 @@ MUTANTS = (
            "            for sup, i in spots:\n",
            "            for sup, i in [(w, i) for w, i in spots if len(w) <= 6]:\n",
            ("tests/test_cli.py::test_nonconfluent_file_exit_3",)),
+    # the heuristic gcd takes its candidate once it divides a, b unchecked
+    Mutant("heuristic_gcd_without_dividing_b", "src/nccalc/scalar.py",
+           "qa, qb = _p_div_exact(a, h), _p_div_exact(b, h)",
+           "qa, qb = _p_div_exact(a, h), b",
+           ("tests/test_scalar.py::test_gcd_cofactors_against_sympy",)),
+    # a monomial denominator keeps the power it shares with the numerator
+    Mutant("make_monomial_lane_without_common_power", "src/nccalc/scalar.py",
+           "            m = _common_power(num, e)\n",
+           "            m = (0,) * len(e)\n",
+           ("tests/test_scalar.py::test_cancellation_of_inverse_weight",
+            "tests/test_scalar.py::test_make_and_add_fast_paths_against_sympy_cancel")),
+    # the expansion along a row forgets the sign of its column: a permanent
+    Mutant("determinant_without_column_sign", "src/nccalc/linalg.py",
+           "_acc(level, S | 1 << j, -term if (S >> j).bit_count() & 1 else term)",
+           "_acc(level, S | 1 << j, term)",
+           ("tests/test_linalg.py::test_det_cofactor_matches_permutation_sum_on_shift_calculi",)),
+    # one sign flipped in the reverse sweep of the adjugate
+    Mutant("adjugate_sweep_sign_flipped", "src/nccalc/linalg.py",
+           "_acc(below, S, -term if odd else term)",
+           "_acc(below, S, term if odd else -term)",
+           ("tests/test_linalg.py::test_det_adjugate_against_permutation_sums",)),
 )
 
 
