@@ -20,10 +20,10 @@ _EXPORTS = {
                  "constants", "delta", "differential", "d_form", "graded_commutator",
                  "is_central_one_form", "move_left", "move_right", "parse_form",
                  "solve_theta_in_differentials", "two_form_structure", "vartheta",
-                 "verify_inner_identities", "verify_twisted_two_forms", "wedge"),
+                 "verify_inner_identities", "verify_twisted_two_forms"),
     "geometry": ("Connection", "LTensor", "Metric", "curvature", "levi_civita_check",
                  "metric_compatibility", "metric_invariance_conditions", "nabla_one_form",
-                 "tensor_L", "torsion", "torsion_free_conditions"),
+                 "torsion", "torsion_free_conditions"),
     "presets": ("PRESET_IDS", "load_preset"),
     "scalar": ("Scalar", "ScalarError", "ZeroDenominator", "params", "parse_scalar"),
 }

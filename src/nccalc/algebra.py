@@ -420,12 +420,11 @@ class _AlgebraCtx:
 class NCPoly:
     """Canonical noncommutative polynomial over a Presentation."""
 
-    __slots__ = ("pres", "terms", "_hash")
+    __slots__ = ("pres", "terms")
 
     def __init__(self, pres, terms):
         self.pres = pres
         self.terms = terms
-        self._hash = None
 
     # -- queries
 
@@ -534,9 +533,7 @@ class NCPoly:
         return self.pres is other.pres and self.terms == other.terms
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((id(self.pres), frozenset(self.terms.items())))
-        return self._hash
+        return hash((id(self.pres), frozenset(self.terms.items())))
 
     def __str__(self):
         if not self.terms:
@@ -697,7 +694,7 @@ def verify_morphism(pres, images, inverse_images=None) -> AlgebraMorphism:
     Returns a morphism whose .verified flag reflects the outcome;
     .violations lists (rule, residue) pairs.  When inverse images are
     given, both directions are verified and the compositions are checked
-    to fix every generator.
+    to fix every generator.  A generator missing from either table is fixed.
     """
     fwd = _morphism(pres, images)
     violations = []
@@ -725,14 +722,13 @@ def verify_morphism(pres, images, inverse_images=None) -> AlgebraMorphism:
 
 def _morphism(pres, images):
     """Morphism from generator images (text or NCPoly), marked verified so it
-    can be applied while it is checked; phi(g^-1) = phi(g)^-1."""
-    imgs = {}
-    for g in pres.generators:
-        try:
-            v = images[g.name]
-        except KeyError:
-            raise AlgebraError(f"image missing for generator {g.name!r}") from None
-        imgs[g.name] = pres.element(v)
+    can be applied while it is checked; a generator without an image is
+    fixed, and phi(g^-1) = phi(g)^-1.  An image of an undeclared name is an
+    AlgebraError, so a misspelled generator is not fixed in silence."""
+    for name in images:
+        pres.gen_index(name)
+    imgs = {g.name: pres.element(images[g.name]) if g.name in images else pres.gen(g.name)
+            for g in pres.generators}
     inv_imgs = {}
     for g in pres.generators:
         if g.invertible:

@@ -389,9 +389,10 @@ class TwoFormStructure:
         self.basis = tuple(tuple(p) for p in basis)
         self.reduction = {tuple(k): tuple((c, tuple(p)) for c, p in v)
                           for k, v in reduction.items()}
-        self.delta_table = {s: {tuple(p): v for p, v in tab.items()}
+        element = spec.pres.element
+        self.delta_table = {s: {tuple(p): element(v) for p, v in tab.items()}
                             for s, tab in delta_table.items()}
-        self.zeta = {tuple(p): v for p, v in zeta.items()}
+        self.zeta = {tuple(p): element(v) for p, v in zeta.items()}
         self._reduced = {}  # reduce_word's memo
         # CalculusError for an unknown label, before any pair is ordered
         pairs = [*self.basis, *self.zeta, *self.reduction, tuple(self.delta_table)]
@@ -579,10 +580,6 @@ def verify_twisted_two_forms(spec: CalculusSpec, candidate: TwoFormStructure) ->
 # the operations of the calculus
 
 
-def e_s(spec: CalculusSpec, s, f: NCPoly) -> NCPoly:
-    return spec.e(s, f)
-
-
 def differential(spec: CalculusSpec, f) -> GradedForm:
     """d f = sum_s e_s(f) theta^s, with coefficients on the left."""
     f = spec.pres.element(f)
@@ -612,10 +609,6 @@ def vartheta(spec: CalculusSpec) -> GradedForm:
                 f"[vartheta, {g.name}] does not reproduce d {g.name}")
     spec._vartheta = th
     return th
-
-
-def wedge(spec: CalculusSpec, a: GradedForm, b: GradedForm) -> GradedForm:
-    return a.wedge(b)
 
 
 def delta(spec: CalculusSpec, omega: GradedForm) -> GradedForm:

@@ -242,9 +242,6 @@ def _morphisms_from_sections(pres, directions, lines):
             inv = inverses.get(label)
             if inv is None:
                 raise FileFormatError(f"automorphism {label} has no inverse images")
-            for g in pres.generators:
-                imgs.setdefault(g.name, g.name)
-                inv.setdefault(g.name, g.name)
             m = verify_morphism(pres, imgs, inverse_images=inv)
             if not m.verified:
                 raise FileFormatError(

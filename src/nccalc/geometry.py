@@ -173,10 +173,12 @@ class TorsionConditions(NamedTuple):
     equations: tuple
 
     def check(self, conn: Connection) -> Report:
+        """One check per equation, at path `index.category`; a failing check
+        names its equation and residue, formatted only when read."""
         rep = Report("torsion-free conditions")
-        for eq in self.equations:
+        for i, eq in enumerate(self.equations):
             res = eq.residue(conn)
-            rep.add(str(eq), res.is_zero(), "residue ", res)
+            rep.add(f"{i}.{eq.category}", res.is_zero(), eq, "; residue ", res)
         return rep
 
     def __str__(self):
@@ -322,10 +324,6 @@ def _word_scaling(spec, w) -> Scalar:
         for j in range(i + 1, len(w)):
             gamma = gamma * spec.theta_scale(w[i], w[j])
     return gamma
-
-
-def tensor_L(spec, a: LTensor, b: LTensor) -> LTensor:
-    return a.tensor(b)
 
 
 def transport_ltensor(spec, conn: Connection, s, t: LTensor) -> LTensor:

@@ -1,5 +1,9 @@
 """The preset catalog: every worked example as a calculus spec.
 
+Each example is stated by its automorphisms, under the rules of an
+`[automorphisms]` line of a definition file: one `(images, inverse
+images)` pair per direction, and a generator without an image is fixed.
+`_calculus` verifies each pair and names the spec after its presentation.
 A load builds and checks what the calculus needs: the automorphisms,
 local confluence of the rewrite system and the 2-form structure.  The
 fixtures live in `presets.fixtures`, which a bundle imports the first time
@@ -12,9 +16,10 @@ from __future__ import annotations
 
 import functools
 
-from ..algebra import Presentation, check_local_confluence, verify_morphism
+from ..algebra import (Presentation, check_local_confluence, identity_morphism, tensor_product,
+                       verify_morphism)
 from ..calculus import CalculusSpec, DirectionSet, GradedForm, cyclic_group, zn_group, z_group
-from ..scalar import Scalar, params as declare_params
+from ..scalar import Scalar, params as declare_params, parse_scalar
 from .base import PresetBundle, PresetError
 
 _BUILDERS = {}
@@ -37,11 +42,34 @@ def load_preset(id_) -> PresetBundle:
     except KeyError:
         raise PresetError(f"unknown preset {id_!r}; known: {', '.join(sorted(_BUILDERS))}") \
             from None
-    bundle = builder()
+    bundle = builder()  # a spec, or a bundle when the preset has extras
+    if not isinstance(bundle, PresetBundle):
+        bundle = PresetBundle(bundle)
     conf = check_local_confluence(bundle.presentation)
     if not conf.ok:
         raise PresetError(f"preset {id_} presentation is not locally confluent:\n{conf}")
     return bundle
+
+
+def _calculus(pres, directions, automorphisms, **options):
+    """The calculus named after pres, with the automorphism of each label
+    verified from its (images, inverse images) pair."""
+    autos = {label: verify_morphism(pres, images, inverse_images=inverse)
+             for label, (images, inverse) in automorphisms.items()}
+    return CalculusSpec(pres, directions, autos, name=pres.name, **options)
+
+
+def _scaling(pres, scales):
+    """g -> c*g for each generator g with its scale c (text) in scales, and
+    the inverse g -> c^-1*g: one (images, inverse images) pair."""
+    factor = {c: parse_scalar(c, pres.params) for c in dict.fromkeys(scales.values())}
+    inverse = {c: f.inverse() for c, f in factor.items()}
+    return ({g: pres.gen(g) * factor[c] for g, c in scales.items()},
+            {g: pres.gen(g) * inverse[c] for g, c in scales.items()})
+
+
+def _plane():
+    return zn_group({"1": (1, 0), "2": (0, 1)})
 
 
 # ---------------------------------------------------------------------------
@@ -50,100 +78,67 @@ def load_preset(id_) -> PresetBundle:
 
 def _poly_shift(shifts, name):
     cx = Presentation(["x"], name=name)
-    autos = {}
-    for label, i in shifts.items():
-        autos[label] = verify_morphism(cx, {"x": f"x + {i}" if i >= 0 else f"x - {-i}"},
-                                       inverse_images={"x": f"x - {i}" if i >= 0 else f"x + {-i}"})
-    return cx, CalculusSpec(cx, z_group(shifts), autos, name=name)
+    return cx, _calculus(cx, z_group(shifts), {label: ({"x": f"x + {i}"}, {"x": f"x - {i}"})
+                                               for label, i in shifts.items()})
 
 
 @_register("poly_shift_S12")
 def _build_poly_shift_s12():
-    _, spec = _poly_shift({"1": 1, "2": 2}, "poly_shift_S12")
-    return PresetBundle(spec)
+    return _poly_shift({"1": 1, "2": 2}, "poly_shift_S12")[1]
 
 
 @_register("poly_shift_sym")
 def _build_poly_shift_sym():
-    _, spec = _poly_shift({"-1": -1, "1": 1}, "poly_shift_sym")
-    return PresetBundle(spec)
+    return _poly_shift({"-1": -1, "1": 1}, "poly_shift_sym")[1]
 
 
 # ---------------------------------------------------------------------------
 # quantum plane family
 
 
-def _qplane_pres(extra_params, invertible=(), name="qplane"):
-    return Presentation(["x", "y"], params=["q"] + extra_params,
+def _qplane(name, extra_params, phi1, phi2, invertible=(), **options):
+    """y x = q^-1 x y, with phi_1 and phi_2 the scalings phi1 and phi2."""
+    pres = Presentation(["x", "y"], params=["q"] + extra_params,
                         invertible=invertible,
                         rules=[("y*x", "q^-1 * x*y")] + (
                             [("y^-1*x", "q * x*y^-1"),
                              ("y*x^-1", "q * x^-1*y"),
                              ("y^-1*x^-1", "q^-1 * x^-1*y^-1")] if invertible else []),
                         name=name)
-
-
-def _qplane_spec(pres, phi1_imgs, phi1_inv, phi2_imgs, phi2_inv, name,
-                 weights=None, side_conditions=()):
-    phi1 = verify_morphism(pres, phi1_imgs, inverse_images=phi1_inv)
-    phi2 = verify_morphism(pres, phi2_imgs, inverse_images=phi2_inv)
-    return CalculusSpec(pres, zn_group({"1": (1, 0), "2": (0, 1)}),
-                        {"1": phi1, "2": phi2}, weights=weights,
-                        side_conditions=side_conditions, name=name)
+    return _calculus(pres, _plane(), {"1": _scaling(pres, phi1), "2": _scaling(pres, phi2)},
+                     **options)
 
 
 @_register("quantum_plane_a")
 def _build_qplane_a():
-    pres = _qplane_pres(["p"], name="quantum_plane_a")
-    spec = _qplane_spec(
-        pres,
-        {"x": "(p*q)^-1 * x", "y": "(p*q)^-1 * y"}, {"x": "p*q*x", "y": "p*q*y"},
-        {"x": "x", "y": "(p*q)^-1 * y"}, {"x": "x", "y": "p*q*y"},
-        "quantum_plane_a",
-        side_conditions=("p*q != 1", "q != 0", "p != 0"))
-    return PresetBundle(spec)
+    r = "(p*q)^-1"
+    return _qplane("quantum_plane_a", ["p"], {"x": r, "y": r}, {"y": r},
+                   side_conditions=("p*q != 1", "q != 0", "p != 0"))
 
 
 @_register("quantum_plane_b")
 def _build_qplane_b():
     # case b: gamma = alpha, beta = 1
-    pres = _qplane_pres(["alpha", "delta"], name="quantum_plane_b")
-    spec = _qplane_spec(
-        pres,
-        {"x": "alpha^-1 * x", "y": "y"}, {"x": "alpha*x", "y": "y"},
-        {"x": "alpha^-1 * x", "y": "delta^-1 * y"}, {"x": "alpha*x", "y": "delta*y"},
-        "quantum_plane_b",
-        side_conditions=("alpha != 1", "delta != 1", "alpha != delta"))
-    return PresetBundle(spec)
+    return _qplane("quantum_plane_b", ["alpha", "delta"],
+                   {"x": "alpha^-1"}, {"x": "alpha^-1", "y": "delta^-1"},
+                   side_conditions=("alpha != 1", "delta != 1", "alpha != delta"))
 
 
 @_register("quantum_plane_c")
 def _build_qplane_c():
     # case c: beta = gamma = 1
-    pres = _qplane_pres(["alpha", "delta"], name="quantum_plane_c")
-    spec = _qplane_spec(
-        pres,
-        {"x": "alpha^-1 * x", "y": "y"}, {"x": "alpha*x", "y": "y"},
-        {"x": "x", "y": "delta^-1 * y"}, {"x": "x", "y": "delta*y"},
-        "quantum_plane_c",
-        side_conditions=("alpha != 1", "delta != 1"))
-    return PresetBundle(spec)
+    return _qplane("quantum_plane_c", ["alpha", "delta"], {"x": "alpha^-1"}, {"y": "delta^-1"},
+                   side_conditions=("alpha != 1", "delta != 1"))
 
 
 @_register("quantum_torus")
 def _build_quantum_torus():
-    pres = _qplane_pres(["alpha", "beta", "gamma", "delta", "t1", "t2"],
-                        invertible={"x", "y"}, name="quantum_torus")
     t1, t2 = declare_params("t1 t2")
-    spec = _qplane_spec(
-        pres,
-        {"x": "alpha^-1 * x", "y": "beta^-1 * y"}, {"x": "alpha*x", "y": "beta*y"},
-        {"x": "gamma^-1 * x", "y": "delta^-1 * y"}, {"x": "gamma*x", "y": "delta*y"},
-        "quantum_torus",
-        weights={"1": t1, "2": t2},
-        side_conditions=("A*D - B*C != 0 with A=(1-alpha)/t1 etc.",
-                         "faithful action: (alpha,beta) != (1,1) != (gamma,delta)"))
-    return PresetBundle(spec)
+    return _qplane("quantum_torus", ["alpha", "beta", "gamma", "delta", "t1", "t2"],
+                   {"x": "alpha^-1", "y": "beta^-1"}, {"x": "gamma^-1", "y": "delta^-1"},
+                   invertible={"x", "y"}, weights={"1": t1, "2": t2},
+                   side_conditions=("A*D - B*C != 0 with A=(1-alpha)/t1 etc.",
+                                    "faithful action: (alpha,beta) != (1,1) != (gamma,delta)"))
 
 
 # ---------------------------------------------------------------------------
@@ -155,14 +150,9 @@ def _build_heisenberg():
     pres = Presentation(["x", "y"], params=["h", "a", "b"],
                         rules=[("y*x", "x*y - h")], name="heisenberg")
     a, b = declare_params("a b")
-    phi1 = verify_morphism(pres, {"x": "x + a", "y": "y"},
-                           inverse_images={"x": "x - a", "y": "y"})
-    phi2 = verify_morphism(pres, {"x": "x", "y": "y + b"},
-                           inverse_images={"x": "x", "y": "y - b"})
-    spec = CalculusSpec(pres, zn_group({"1": (1, 0), "2": (0, 1)}),
-                        {"1": phi1, "2": phi2}, weights={"1": a, "2": b},
-                        side_conditions=("a != 0", "b != 0"), name="heisenberg")
-    return PresetBundle(spec)
+    return _calculus(pres, _plane(), {"1": ({"x": "x + a"}, {"x": "x - a"}),
+                                      "2": ({"y": "y + b"}, {"y": "y - b"})},
+                     weights={"1": a, "2": b}, side_conditions=("a != 0", "b != 0"))
 
 
 def _hplane_pres(params, name):
@@ -172,77 +162,59 @@ def _hplane_pres(params, name):
                         name=name)
 
 
+_H_SHIFT = ({"x": "x + p*y"}, {"x": "x - p*y"})
+
+
 @_register("h_plane")
 def _build_h_plane():
     pres = _hplane_pres(["h", "p", "r", "t1", "t2"], "h_plane")
     t1, t2 = declare_params("t1 t2")
-    phi1 = verify_morphism(pres, {"x": "x + p*y", "y": "y"},
-                           inverse_images={"x": "x - p*y", "y": "y"})
-    phi2 = verify_morphism(pres, {"x": "r^-1*x", "y": "r^-1*y"},
-                           inverse_images={"x": "r*x", "y": "r*y"})
-    spec = CalculusSpec(pres, zn_group({"1": (1, 0), "2": (0, 1)}),
-                        {"1": phi1, "2": phi2}, weights={"1": t1, "2": t2},
-                        side_conditions=("p != 0", "r != 0", "r != 1"), name="h_plane")
-    return PresetBundle(spec)
+    return _calculus(pres, _plane(),
+                     {"1": _H_SHIFT, "2": _scaling(pres, {"x": "r^-1", "y": "r^-1"})},
+                     weights={"1": t1, "2": t2}, side_conditions=("p != 0", "r != 0", "r != 1"))
 
 
 @_register("h_plane_r1")
 def _build_h_plane_r1():
     # the r -> 1 endpoint: direction 2 becomes the Euler operator, realized
     # as the twisted inner derivation with lambda_2 = h^-1 y^-1 x
-    pres = _hplane_pres(["h", "p", "t1"], "h_plane_r1")
-    p, h, t1 = declare_params("p h t1")
-    phi1 = verify_morphism(pres, {"x": "x + p*y", "y": "y"},
-                           inverse_images={"x": "x - p*y", "y": "y"})
-    phi2 = verify_morphism(pres, {"x": "x", "y": "y"},
-                           inverse_images={"x": "x", "y": "y"})
-    one = Scalar.one()
-    spec = CalculusSpec(pres, DirectionSet(["1", "2"]), {"1": phi1, "2": phi2},
-                        lambdas={"1": pres.const(t1.inverse()), "2": "h^-1*y^-1*x"},
-                        side_conditions=("h != 0", "t1 != 0"), name="h_plane_r1",
-                        two_forms=dict(
-                            basis=[("1", "2")],
-                            reduction={("2", "1"): [(-one, ("1", "2"))],
-                                       ("1", "1"): [], ("2", "2"): []},
-                            delta_table={"1": {("1", "2"): pres.const(p / h)}},
-                            zeta={}))
-    return PresetBundle(spec)
+    return _calculus(_hplane_pres(["h", "p", "t1"], "h_plane_r1"), DirectionSet(["1", "2"]),
+                     {"1": _H_SHIFT, "2": ({}, {})},
+                     lambdas={"1": "t1^-1", "2": "h^-1*y^-1*x"},
+                     side_conditions=("h != 0", "t1 != 0"),
+                     two_forms=dict(basis=[("1", "2")],
+                                    reduction={("2", "1"): [(-Scalar.one(), ("1", "2"))],
+                                               ("1", "1"): [], ("2", "2"): []},
+                                    delta_table={"1": {("1", "2"): "p/h"}},
+                                    zeta={}))
 
 
 # ---------------------------------------------------------------------------
 # the Z_3 root-of-unity calculus
 
 
-def _z3_pres(name="z3_root_of_unity"):
+@_register("z3_root_of_unity")
+def _build_z3():
     # q is a central cube root of unity adjoined to the algebra:
     # q^2 = -1 - q forces q^3 = 1
-    return Presentation(
+    pres = Presentation(
         ["q", "x", "y"], invertible={"x", "y"},
         rules=[("q^2", "-1 - q"),
                ("x*q", "q*x"), ("x^-1*q", "q*x^-1"),
                ("y*q", "q*y"), ("y^-1*q", "q*y^-1")],
-        name=name)
-
-
-@_register("z3_root_of_unity")
-def _build_z3():
-    pres = _z3_pres()
-    phi1 = verify_morphism(pres, {"q": "q", "x": "q*x", "y": "q^2*y"},
-                           inverse_images={"q": "q", "x": "q^2*x", "y": "q*y"})
-    phi2 = verify_morphism(pres, {"q": "q", "x": "q^2*x", "y": "q*y"},
-                           inverse_images={"q": "q", "x": "q*x", "y": "q^2*y"})
+        name="z3_root_of_unity")
     lam = pres.parse("-(2 + q)/3")  # 1/(q-1) in Q[q]/(q^2+q+1)
     if not (pres.parse("q - 1") * lam).is_one():
         raise PresetError("z3 twist element is not 1/(q-1)")
     zeta_c = pres.parse("(1 + q)/3")  # 1/(q-1)^2
-    spec = CalculusSpec(pres, cyclic_group({"1": 1, "2": 2}, 3),
-                        {"1": phi1, "2": phi2},
-                        lambdas={"1": lam, "2": lam}, name="z3_root_of_unity",
-                        two_forms=dict(
-                            basis=[("1", "1"), ("1", "2"), ("2", "1"), ("2", "2")],
-                            reduction={},
-                            delta_table={"1": {("2", "2"): lam}, "2": {("1", "1"): lam}},
-                            zeta={("1", "2"): zeta_c, ("2", "1"): zeta_c}))
+    turn, back = {"x": "q*x", "y": "q^2*y"}, {"x": "q^2*x", "y": "q*y"}
+    spec = _calculus(pres, cyclic_group({"1": 1, "2": 2}, 3),
+                     {"1": (turn, back), "2": (back, turn)}, lambdas={"1": lam, "2": lam},
+                     two_forms=dict(
+                         basis=[("1", "1"), ("1", "2"), ("2", "1"), ("2", "2")],
+                         reduction={},
+                         delta_table={"1": {("2", "2"): lam}, "2": {("1", "1"): lam}},
+                         zeta={("1", "2"): zeta_c, ("2", "1"): zeta_c}))
 
     def extras():
         # quotient by the constants: x^3 = y^3 = xy = yx = 1, so y = x^2
@@ -287,15 +259,13 @@ def make_group_lattice(name, elements, mul, unit, directions):
     def e_poly(i):
         return pres.parse(f"e{i}") if i < n - 1 else pres.parse(last)
 
+    def pullback(s):  # e_g -> e_{g s}
+        return {f"e{i}": e_poly(idx[mul(elements[i], s)]) for i in range(n - 1)}
+
     inverse_of = _group_inverse(elements, mul, unit)
-    autos = {}
-    for label, s in directions.items():
-        si = inverse_of(s)
-        images = {f"e{i}": e_poly(idx[mul(elements[i], si)]) for i in range(n - 1)}
-        inv_images = {f"e{i}": e_poly(idx[mul(elements[i], s)]) for i in range(n - 1)}
-        autos[label] = verify_morphism(pres, images, inverse_images=inv_images)
-    ds = DirectionSet.from_group({l: g for l, g in directions.items()}, mul, unit)
-    return pres, CalculusSpec(pres, ds, autos, name=name), elements, idx
+    autos = {label: (pullback(inverse_of(s)), pullback(s)) for label, s in directions.items()}
+    ds = DirectionSet.from_group(dict(directions), mul, unit)
+    return pres, _calculus(pres, ds, autos), elements, idx
 
 
 def _lattice_theta_images(spec, directions, mul, inverse_of):
@@ -329,64 +299,47 @@ _LATTICES = {
 }
 
 
-def _lattice_bundle(id_):
+def _lattice(id_):
     elements, mul, unit, directions, _ = _LATTICES[id_]
-    _, spec, _, _ = make_group_lattice(id_, elements, mul, unit, directions)
-    return PresetBundle(spec)
+    return make_group_lattice(id_, elements, mul, unit, directions)[1]
 
 
 for _id in _LATTICES:
-    _register(_id)(functools.partial(_lattice_bundle, _id))
+    _register(_id)(functools.partial(_lattice, _id))
 
 
 # ---------------------------------------------------------------------------
 # twisted Heisenberg calculi
 
 
-def _twisted_heis_pres(name):
-    return Presentation(["x", "y"], rules=[("y*x", "x*y - 1")], name=name)
+def _twisted_heisenberg(name, lambdas, **two_forms):
+    """phi_s = id on the Weyl algebra y x = x y - 1, with twist elements lambdas."""
+    pres = Presentation(["x", "y"], rules=[("y*x", "x*y - 1")], name=name)
+    ident = identity_morphism(pres)
+    return CalculusSpec(pres, DirectionSet(list(lambdas)), dict.fromkeys(lambdas, ident),
+                        lambdas=lambdas, name=name, two_forms=two_forms)
 
 
 @_register("twisted_heisenberg_2")
 def _build_twisted_h2():
-    from ..algebra import identity_morphism
-
-    pres = _twisted_heis_pres("twisted_heisenberg_2")
-    ident = identity_morphism(pres)
-    one = Scalar.one()
-    spec = CalculusSpec(pres, DirectionSet(["1", "2"]), {"1": ident, "2": ident},
-                        lambdas={"1": "-y", "2": "x"}, name="twisted_heisenberg_2",
-                        two_forms=dict(
-                            basis=[("1", "2")],
-                            reduction={("2", "1"): [(-one, ("1", "2"))],
-                                       ("1", "1"): [], ("2", "2"): []},
-                            delta_table={},
-                            zeta={("1", "2"): pres.one}))
-    return PresetBundle(spec)
+    return _twisted_heisenberg("twisted_heisenberg_2", {"1": "-y", "2": "x"},
+                               basis=[("1", "2")],
+                               reduction={("2", "1"): [(-Scalar.one(), ("1", "2"))],
+                                          ("1", "1"): [], ("2", "2"): []},
+                               delta_table={}, zeta={("1", "2"): 1})
 
 
 @_register("twisted_heisenberg_3")
 def _build_twisted_h3():
-    from ..algebra import identity_morphism
-
-    pres = _twisted_heis_pres("twisted_heisenberg_3")
-    ident = identity_morphism(pres)
-    one = Scalar.one()
-    spec = CalculusSpec(pres, DirectionSet(["1", "2", "3"]),
-                        {"1": ident, "2": ident, "3": ident},
-                        lambdas={"1": "-y", "2": "x", "3": "y*x"},
-                        name="twisted_heisenberg_3",
-                        two_forms=dict(
-                            basis=[("1", "2"), ("2", "1"), ("1", "3"), ("2", "3")],
-                            reduction={("1", "1"): [], ("2", "2"): [], ("3", "3"): [],
-                                       ("3", "1"): [(-one, ("1", "3"))],
-                                       ("3", "2"): [(-one, ("2", "3"))]},
-                            delta_table={"1": {("1", "3"): -pres.one},
-                                         "2": {("2", "3"): pres.one},
-                                         "3": {("1", "2"): -pres.one,
-                                               ("2", "1"): -pres.one}},
-                            zeta={("2", "1"): -pres.one}))
-    return PresetBundle(spec)
+    minus = -Scalar.one()
+    return _twisted_heisenberg("twisted_heisenberg_3", {"1": "-y", "2": "x", "3": "y*x"},
+                               basis=[("1", "2"), ("2", "1"), ("1", "3"), ("2", "3")],
+                               reduction={("1", "1"): [], ("2", "2"): [], ("3", "3"): [],
+                                          ("3", "1"): [(minus, ("1", "3"))],
+                                          ("3", "2"): [(minus, ("2", "3"))]},
+                               delta_table={"1": {("1", "3"): -1}, "2": {("2", "3"): 1},
+                                            "3": {("1", "2"): -1, ("2", "1"): -1}},
+                               zeta={("2", "1"): -1})
 
 
 # ---------------------------------------------------------------------------
@@ -462,18 +415,12 @@ def _gl_thetas(frame):
 @_register("glpq2")
 def _build_glpq2():
     pres = _gl_pres()
-    autos = {}
-    for s, row in GL_ALPHA.items():
-        autos[s] = verify_morphism(
-            pres, {g: f"({row[g]})*{g}" for g in "abcd"},
-            inverse_images={g: f"({row[g]})^-1*{g}" for g in "abcd"})
     r_inv = (declare_params("p") * Scalar.param("q")).inverse()
-    spec = CalculusSpec(
-        pres, DirectionSet(["1", "2", "3", "4"]), autos,
-        lambdas={"1": pres.one, "2": pres.gen("a"), "3": pres.gen("d"), "4": pres.one},
-        theta_scalings={(s, "2"): r_inv for s in "1234"},
-        side_conditions=("p*q != 1", "b, c invertible", "p != 0", "q != 0"),
-        name="glpq2")
+    spec = _calculus(pres, DirectionSet(["1", "2", "3", "4"]),
+                     {s: _scaling(pres, row) for s, row in GL_ALPHA.items()},
+                     lambdas={"1": 1, "2": "a", "3": "d", "4": 1},
+                     theta_scalings={(s, "2"): r_inv for s in "1234"},
+                     side_conditions=("p*q != 1", "b, c invertible", "p != 0", "q != 0"))
 
     def extras():
         frame = _gl_frame(pres)
@@ -489,26 +436,18 @@ def _build_glpq2():
 
 @_register("tensor_qplane")
 def _build_tensor_qplane():
-    from ..algebra import tensor_product
-
     comm = Presentation(["u", "v"], params=["p", "q"],
                         rules=[("v*u", "u*v")], name="comm_uv")
     qpl = Presentation(["U", "V"], params=["q"],
                        rules=[("V*U", "q^-1 * U*V")], name="qplane_UV")
     pres = tensor_product(comm, qpl, name="tensor_qplane")
-    phi1 = verify_morphism(pres, {"u": "(p*q)^-1*u", "v": "(p*q)^-1*v", "U": "U", "V": "V"},
-                           inverse_images={"u": "p*q*u", "v": "p*q*v", "U": "U", "V": "V"})
-    phi2 = verify_morphism(pres, {"u": "u", "v": "(p*q)^-1*v", "U": "U", "V": "V"},
-                           inverse_images={"u": "u", "v": "p*q*v", "U": "U", "V": "V"})
-    spec = CalculusSpec(pres, zn_group({"1": (1, 0), "2": (0, 1)}),
-                        {"1": phi1, "2": phi2}, name="tensor_qplane")
-    return PresetBundle(spec)
+    r = "(p*q)^-1"
+    return _calculus(pres, _plane(), {"1": _scaling(pres, {"u": r, "v": r}),
+                                      "2": _scaling(pres, {"v": r})})
 
 
 @_register("tensor_hplane")
 def _build_tensor_hplane():
-    from ..algebra import tensor_product
-
     comm = Presentation(["v", "u"], params=["h", "hp", "r", "t1"], invertible={"v"},
                         rules=[("u*v", "v*u"), ("u*v^-1", "v^-1*u")], name="comm_vu")
     hpl = Presentation(["V", "U"], params=["h"], invertible={"V"},
@@ -517,19 +456,10 @@ def _build_tensor_hplane():
     pres = tensor_product(comm, hpl, name="tensor_hplane")
     r, t1 = declare_params("r t1")
     pt = "(h + hp)"  # shift parameter; hp plays the role of h'
-    phi1 = verify_morphism(
-        pres, {"u": f"u + {pt}*v", "v": "v", "U": "U", "V": "V"},
-        inverse_images={"u": f"u - {pt}*v", "v": "v", "U": "U", "V": "V"})
-    phi2 = verify_morphism(
-        pres, {"u": "r^-1*u", "v": "r^-1*v", "U": "U", "V": "V"},
-        inverse_images={"u": "r*u", "v": "r*v", "U": "U", "V": "V"})
-    spec = CalculusSpec(pres, zn_group({"1": (1, 0), "2": (0, 1)}),
-                        {"1": phi1, "2": phi2},
-                        weights={"1": t1, "2": 1 - r},
-                        side_conditions=("r != 0", "r != 1 before the limit",
-                                         "h + hp != 0"),
-                        name="tensor_hplane")
-    return PresetBundle(spec)
+    return _calculus(pres, _plane(), {"1": ({"u": f"u + {pt}*v"}, {"u": f"u - {pt}*v"}),
+                                      "2": _scaling(pres, {"u": "r^-1", "v": "r^-1"})},
+                     weights={"1": t1, "2": 1 - r},
+                     side_conditions=("r != 0", "r != 1 before the limit", "h + hp != 0"))
 
 
 PRESET_IDS = tuple(sorted(_BUILDERS))

@@ -143,6 +143,25 @@ def test_gl_scaling_violation_reported():
     assert not residues["d*a"].is_zero()
 
 
+def test_generator_without_an_image_is_fixed():
+    """A table that leaves out a generator maps it to itself, in both
+    directions and on its inverse, as the explicit identity image does."""
+    torus = load_preset("quantum_torus").presentation  # x and y are invertible
+    short = verify_morphism(torus, {"y": "beta*y"}, inverse_images={"y": "beta^-1*y"})
+    full = verify_morphism(torus, {"x": "x", "y": "beta*y"},
+                           inverse_images={"x": "x", "y": "beta^-1*y"})
+    assert short.verified and full.verified
+    for a, b in [(short, full), (short.inverse, full.inverse)]:
+        assert (a.images, a.inv_images) == (b.images, b.inv_images)
+    assert short.images["x"] == torus.gen("x") and short.inv_images["x"] == torus.gen("x", -1)
+    ident = identity_morphism(torus)
+    empty = verify_morphism(torus, {}, inverse_images={})
+    assert (empty.verified, empty.images, empty.inv_images) == (True, ident.images,
+                                                               ident.inv_images)
+    with pytest.raises(AlgebraError, match="undeclared generator 'X'"):
+        verify_morphism(torus, {"X": "beta*x"})
+
+
 def test_heisenberg_shift_morphism(heisenberg):
     m = verify_morphism(heisenberg, {"x": "x + h", "y": "y"},
                         inverse_images={"x": "x - h", "y": "y"})

@@ -254,6 +254,34 @@ def test_twisted_two_forms_wrong_sign_reported():
     assert any(c.path == "generator.x" and not c.ok for c in rep.checks)
 
 
+@pytest.mark.parametrize("pid, delta_ints, zeta_ints", [
+    ("twisted_heisenberg_3", {"1": {("1", "3"): -1}, "2": {("2", "3"): 1},
+                              "3": {("1", "2"): -1, ("2", "1"): -1}}, {("2", "1"): -1}),
+    ("z3_root_of_unity", None, None),
+    ("h_plane_r1", None, None),
+])
+def test_two_form_tables_read_ints_and_text_as_elements(pid, delta_ints, zeta_ints):
+    """Delta and zeta entries go through Presentation.element: an int or a
+    text entry gives the structure that the NCPoly entry gives."""
+    spec = spec_of(pid)
+    ts = spec.two_forms
+    delta_polys = {s: {p: spec.pres.parse(str(v)) for p, v in tab.items()}
+                   for s, tab in ts.delta_table.items()}
+    zeta_polys = {p: spec.pres.parse(str(v)) for p, v in ts.zeta.items()}
+    want = TwoFormStructure(spec, ts.basis, ts.reduction, delta_polys, zeta_polys)
+    as_text = TwoFormStructure(spec, ts.basis, ts.reduction,
+                               {s: {p: str(v) for p, v in tab.items()}
+                                for s, tab in delta_polys.items()},
+                               {p: str(v) for p, v in zeta_polys.items()})
+    tables = [as_text]
+    if delta_ints is not None:
+        tables.append(TwoFormStructure(spec, ts.basis, ts.reduction, delta_ints, zeta_ints))
+    for got in tables:
+        assert (got.delta_table, got.zeta) == (want.delta_table, want.zeta)
+        assert got.describe() == want.describe()
+        assert verify_twisted_two_forms(spec, got).ok
+
+
 # -- wedge
 
 

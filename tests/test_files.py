@@ -211,6 +211,33 @@ def test_automorphism_errors_are_located(old, new, message):
     assert str(exc.value) == message
 
 
+def test_automorphism_line_without_a_generator_fixes_it():
+    """`2: y -> ...` reads as `2: x -> x, y -> ...`, on both lines of the pair."""
+    from nccalc.files import serialize_calculus
+
+    text = QPLANE_FILE.replace("2: x -> x, y", "2: y").replace("2 inverse: x -> x, y",
+                                                              "2 inverse: y")
+    assert "x -> x" in QPLANE_FILE and "x -> x" not in text
+    full, short = load_calculus(QPLANE_FILE), load_calculus(text)
+    for m, n in [(short.phi("2"), full.phi("2")), (short.phi_inv("2"), full.phi_inv("2"))]:
+        assert {g: str(p) for g, p in m.images.items()} == \
+            {g: str(p) for g, p in n.images.items()} == {"x": "x", "y": str(n.images["y"])}
+    assert serialize_calculus(short) == serialize_calculus(full)
+
+
+def test_undeclared_generator_on_a_short_automorphism_line_is_one_located_error(tmp_path):
+    """Fixing the generators a line leaves out does not hide a name the
+    presentation does not declare."""
+    from clirun import run_cli
+    calc = tmp_path / "bad.calc"
+    calc.write_text(_serialized_with("quantum_plane_a",
+                                     "1: x -> (1/(p*q))*x, y -> (1/(p*q))*y\n",
+                                     "1: X -> (1/(p*q))*x\n"))
+    res = run_cli(["--file", str(calc), "relations"])
+    assert (res.exit_code, res.output.splitlines()) == (
+        2, ["error: [automorphisms] line 20: undeclared generator 'X'"])
+
+
 def test_uninvertible_image_is_located():
     text = ("[generators]\nx invertible\n\n[directions]\nlabels = 1\n\n[automorphisms]\n"
             "1: x -> x + 1\n1 inverse: x -> x - 1\n\n[weights]\n1 = 1\n")

@@ -130,6 +130,21 @@ def test_torsion_zero_iff_conditions_hold():
     assert not all(t.is_zero() for t in torsion(spec, bad).values())
 
 
+def test_torsion_condition_checks_format_only_failing_equations():
+    """Each check's path is its index and category; a failing check names
+    its equation and residue, and a passing one keeps no detail parts."""
+    spec = spec_of("quantum_plane_a")
+    conds = torsion_free_conditions(spec)
+    bad = Connection(spec, {("1", "2", "1"): "2"})
+    rep = conds.check(bad)
+    assert [c.path for c in rep.checks] == [f"{i}.{eq.category}"
+                                            for i, eq in enumerate(conds.equations)]
+    assert rep.failures() and all(c.parts == () for c in rep.checks if c.ok)
+    for c in rep.failures():
+        eq = conds.equations[int(c.path.split(".")[0])]
+        assert c.detail == f"{eq}; residue {eq.residue(bad)}"
+
+
 def test_torsion_agrees_with_definition_path():
     spec = spec_of("poly_shift_S12")
     conn = Connection(spec, {("1", "1", "2"): "x", ("2", "2", "2"): "1"})

@@ -60,13 +60,14 @@ def _systems():
 
     nonzero = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
     entries = st.one_of(nonzero, st.just(Fraction(0)))
+    sizes, coin = st.integers(1, 4), st.booleans()  # built once, outside the draws
 
     @st.composite
     def systems(draw):
         """(A, b): up to 4 x 4 rational, sparse, often rank deficient."""
-        nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        nrows, ncols = draw(sizes), draw(sizes)
         A = [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
-        if nrows > 1 and draw(st.booleans()):  # plant a dependent row
+        if nrows > 1 and draw(coin):  # plant a dependent row
             k = draw(entries)
             A[-1] = [a + k * b for a, b in zip(A[0], A[1 % nrows])]
         b = [draw(entries) for _ in range(nrows)]

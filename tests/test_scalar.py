@@ -1,5 +1,6 @@
 """Exact rational-function arithmetic: canonical forms, gcd, substitution."""
 
+import functools
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -214,9 +215,13 @@ _ORACLE = dict(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
 def _strategies():
+    """st, polys and poly_pairs.  Every strategy is built once, outside the
+    draws: hypothesis cannot cache one whose parts take lambdas, so a
+    strategy built inside a draw is built and validated on every draw."""
     st = pytest.importorskip("hypothesis.strategies")
     from nccalc.scalar import _p_mul
 
+    @functools.cache
     def polys(n):
         exps = st.tuples(*[st.integers(0, 2)] * n)
         coeffs = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
@@ -225,11 +230,13 @@ def _strategies():
         multi = st.dictionaries(exps, coeffs, min_size=2, max_size=3)
         return st.one_of(const, mono, mono, multi, multi)
 
+    sizes, coin = st.sampled_from((2, 3)), st.booleans()
+
     @st.composite
     def poly_pairs(draw, count):
         """n and `count` pairs over n variables, all sharing one planted factor or none."""
-        n = draw(st.sampled_from((2, 3)))
-        f = draw(polys(n)) if draw(st.booleans()) else {(0,) * n: Fraction(1)}
+        n = draw(sizes)
+        f = draw(polys(n)) if draw(coin) else {(0,) * n: Fraction(1)}
         return n, [(_p_mul(f, draw(polys(n))), _p_mul(f, draw(polys(n))))
                    for _ in range(count)]
 
@@ -326,9 +333,11 @@ def test_constant_lane_against_sympy_cancel():
     st, polys, _ = _strategies()
     scale = lambda p, c: {e: v * c for e, v in p.items()}
 
+    sizes = st.sampled_from((2, 3))
+
     @st.composite
     def quotients(draw):
-        n = draw(st.sampled_from((2, 3)))
+        n = draw(sizes)
         return n, draw(polys(n)), draw(polys(n))
 
     constants = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))
@@ -365,14 +374,15 @@ def test_integer_gcd_with_polynomial_content_against_sympy():
                        st.integers(1, 10 ** 3))
     exps = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
     qt_exps = st.tuples(st.just(0), st.integers(0, 2), st.integers(0, 2))
+    contents = st.dictionaries(qt_exps, coeffs, min_size=2, max_size=3)
+    cofactors = st.dictionaries(exps, coeffs, min_size=1, max_size=3)
 
     @st.composite
     def cases(draw):
-        content = draw(st.dictionaries(qt_exps, coeffs, min_size=2, max_size=3))
-        core = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=3))
+        content = draw(contents)
+        core = draw(cofactors)
         core.setdefault((1, 0, 0), draw(coeffs))
         factor = _p_mul(content, core)
-        cofactors = st.dictionaries(exps, coeffs, min_size=1, max_size=3)
         return _p_mul(factor, draw(cofactors)), _p_mul(factor, draw(cofactors))
 
     @hypothesis.settings(**_ORACLE)
@@ -458,13 +468,15 @@ def test_cancellation_memo_against_unreduced_make():
     # multilinear terms: at higher degrees in 3 parameters the PRS gcd can
     # take tens of seconds for one operation
     coeffs = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+    sizes, orders = st.sampled_from((2, 3)), st.permutations(_NAMES)
+    multis = {n: st.dictionaries(st.tuples(*[st.integers(0, 1)] * n), coeffs,
+                                 min_size=2, max_size=3) for n in (2, 3)}
 
     @st.composite
     def quotients(draw):
-        n = draw(st.sampled_from((2, 3)))
-        multi = st.dictionaries(st.tuples(*[st.integers(0, 1)] * n), coeffs,
-                                min_size=2, max_size=3)
-        names = sorted(draw(st.permutations(_NAMES))[:n])
+        n = draw(sizes)
+        multi = multis[n]
+        names = sorted(draw(orders)[:n])
         return Scalar._make(tuple(names), *_over_z(draw(multi), draw(multi)))
 
     @hypothesis.settings(**_ORACLE)
@@ -541,16 +553,22 @@ def test_gcd_cofactors_on_products_of_linear_factors():
     st = pytest.importorskip("hypothesis.strategies")
     from nccalc.scalar import _p_mul
 
+    sizes = st.integers(4, 6)
+    index_pairs = {n: st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+                   for n in (4, 5, 6)}
+    leads, tails, consts = st.sampled_from((1, 2)), st.integers(-2, 2), st.integers(-3, 3)
+    common_counts, counts = st.integers(0, 4), st.integers(1, 4)
+
     @st.composite
     def cases(draw):
-        n = draw(st.integers(4, 6))
+        n = draw(sizes)
 
         def linear():
-            j, k = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            j, k = draw(index_pairs[n])
             unit = lambda i: tuple(int(i == m) for m in range(n))
-            f = {unit(j): draw(st.sampled_from((1, 2))), unit(k): draw(st.integers(-2, 2))}
+            f = {unit(j): draw(leads), unit(k): draw(tails)}
             f = {e: c for e, c in f.items() if c}
-            c = draw(st.integers(-3, 3))
+            c = draw(consts)
             return {**f, (0,) * n: c} if c else f
 
         def product(count):
@@ -559,9 +577,9 @@ def test_gcd_cofactors_on_products_of_linear_factors():
                 out = _p_mul(out, linear())
             return out
 
-        common = product(draw(st.integers(0, 4)))
-        return n, _p_mul(common, product(draw(st.integers(1, 4)))), \
-            _p_mul(common, product(draw(st.integers(1, 4))))
+        common = product(draw(common_counts))
+        return n, _p_mul(common, product(draw(counts))), \
+            _p_mul(common, product(draw(counts)))
 
     @hypothesis.settings(**_ORACLE)
     @hypothesis.given(cases())
@@ -583,14 +601,18 @@ def test_gcd_cofactors_with_large_coefficients():
 
     big = st.integers(10 ** 4, 10 ** 7).flatmap(lambda c: st.sampled_from((c, -c)))
     small = st.integers(-3, 3).filter(bool)
+    sizes, coin = st.sampled_from((1, 2, 3)), st.booleans()
+    # n -> (polys with small or big coefficients, polys with big coefficients)
+    polys = {n: tuple(st.dictionaries(st.tuples(*[st.integers(0, 2)] * n), coeffs,
+                                      min_size=1, max_size=3)
+                      for coeffs in (st.one_of(small, big), big)) for n in (1, 2, 3)}
 
     @st.composite
     def cases(draw):
-        n = draw(st.sampled_from((1, 2, 3)))
-        exps = st.tuples(*[st.integers(0, 2)] * n)
-        poly = lambda coeffs: draw(st.dictionaries(exps, coeffs, min_size=1, max_size=3))
-        common = poly(st.one_of(small, big)) if draw(st.booleans()) else {(0,) * n: 1}
-        a, b = _p_mul(common, poly(big)), _p_mul(common, poly(big))
+        n = draw(sizes)
+        mixed, large = polys[n]
+        common = draw(mixed) if draw(coin) else {(0,) * n: 1}
+        a, b = _p_mul(common, draw(large)), _p_mul(common, draw(large))
         hypothesis.assume(min(max(map(abs, a.values())), max(map(abs, b.values()))) > 10 ** 4)
         return n, a, b
 
