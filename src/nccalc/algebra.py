@@ -739,11 +739,11 @@ def _morphism(pres, images):
     return AlgebraMorphism(pres, imgs, inv_imgs, True)
 
 
-def invert_element(p: NCPoly, max_length=4):
+def invert_element(p: NCPoly):
     """Two-sided inverse of p, searched over normal words of bounded length.
 
     Solves p*z = 1 linearly in the span of normal words (in the generators
-    occurring in p) up to max_length letters, then checks z*p = 1.
+    occurring in p) of up to four letters, then checks z*p = 1.
     Returns None when no inverse is found within the bound.
     """
     if p.is_zero():
@@ -756,7 +756,7 @@ def invert_element(p: NCPoly, max_length=4):
 
     pres = p.pres
     gens = sorted({l >> 1 for w in p.terms for l in w})
-    cands = normal_words(pres, max_length, gens=gens)
+    cands = normal_words(pres, 4, gens=gens)
     rows = span_rows(cands, lambda w: (p * pres.poly({w: Scalar.one()})).terms.items())
     eqs = [(coeffs, Scalar.one() if rw == () else Scalar.zero())
            for rw, coeffs in rows.items()]

@@ -424,7 +424,7 @@ def _build_glpq2():
 
     def extras():
         frame = _gl_frame(pres)
-        return {"frame": frame, "thetas": _gl_thetas(frame), "alpha": GL_ALPHA,
+        return {"frame": frame, "thetas": _gl_thetas(frame),
                 "determinant": pres.parse("a*d - p*b*c")}
 
     return PresetBundle(spec, extras=extras)

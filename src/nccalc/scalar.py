@@ -51,10 +51,6 @@ def _p_neg(a):
     return {e: -c for e, c in a.items()}
 
 
-def _p_sub(a, b):
-    return _p_add(a, _p_neg(b))
-
-
 def _p_mul(a, b):
     r = {}
     for ea, ca in a.items():
@@ -139,86 +135,8 @@ def _common_power(exps, m):
     return m
 
 
-# univariate-in-main-variable view: dict degree -> sub-poly over vars[1:]
-
-
-def _p_to_rec(a):
-    rec = {}
-    for e, c in a.items():
-        rec.setdefault(e[0], {})[e[1:]] = c
-    return rec
-
-
-def _p_from_rec(rec):
-    return {(d,) + e: c for d, sub in rec.items() for e, c in sub.items()}
-
-
-def _rec_prem(f, g):
-    """Pseudo-remainder of f by g, both in the view on var 0."""
-    dg = max(g)
-    lg = g[dg]
-    r = f
-    while r and max(r) >= dg:
-        dr = max(r)
-        lr = r[dr]
-        # r <- lg*r - lr*x^(dr-dg)*g; the leading terms cancel
-        r2 = {d: _p_mul(p, lg) for d, p in r.items() if d != dr}
-        for d, p in g.items():
-            if d != dg:
-                k = d + dr - dg
-                s = _p_sub(r2.get(k, {}), _p_mul(p, lr))
-                if s:
-                    r2[k] = s
-                else:
-                    del r2[k]
-        r = r2
-    return r
-
-
-def _content_pp(rec, nvars):
-    """(content, primitive part) of a poly in the view on var 0, over Z."""
-    cont = {}
-    one = (0,) * (nvars - 1)
-    for sub in sorted(rec.values(), key=len):
-        cont = _z_gcd(cont, sub, nvars - 1)
-        if len(cont) == 1 and cont.get(one) in (1, -1):
-            return {one: 1}, rec
-    return cont, {d: _p_div_exact(sub, cont) for d, sub in rec.items()}
-
-
-def _z_gcd(a, b, nvars):
-    """Gcd of polynomials over Z, up to sign.
-
-    A single-term operand divides only into monomials, so the gcd is then
-    an integer times the common power of both operands (at nvars = 0, the
-    integer gcd).  Otherwise a primitive pseudo-remainder sequence on the
-    first variable (Collins 1967, Brown 1971): by Gauss's lemma each
-    remainder may be replaced by its primitive part, whose content is a
-    gcd over Z in the other variables, so coefficients stay small.
-    """
-    if not a or not b:
-        return a or b
-    if len(a) == 1 or len(b) == 1:
-        m = _common_power(b, _common_power(a, next(iter(a))))
-        return {m: gcd(*a.values(), *b.values())}
-    ca, f = _content_pp(_p_to_rec(a), nvars)
-    cb, g = _content_pp(_p_to_rec(b), nvars)
-    if max(f) < max(g):
-        f, g = g, f
-    # a primitive g of degree 0 in var 0 is a unit
-    while max(g):
-        r = _rec_prem(f, g)
-        if not r:
-            break
-        f, g = g, _content_pp(r, nvars)[1]
-    return _p_mul({(0,) + e: c for e, c in _z_gcd(ca, cb, nvars - 1).items()},
-                  _p_from_rec(g))
-
-
-# multi-term calls of _gcd_cofactors, at every level of its recursion, by the
-# path that found the gcd
+# multi-term calls of _gcd_cofactors, at every level of its recursion
 heuristic_hits = 0
-prs_fallbacks = 0
 
 
 def _p_quo_term(p, m, c):
@@ -264,14 +182,23 @@ def _gcd_cofactors(a, b, nvars):
     from its xi-adic digits and keep its primitive part.  The candidate is
     the gcd once it divides both a and b, provided xi >= 2*min(|a|, |b|) + 2
     (infinity norms); every point used meets that floor, so a candidate 1
-    needs no division.  The two divisions give the cofactors.  After six
-    points, the primitive PRS of _z_gcd.
+    needs no division.  The two divisions give the cofactors.
+
+    A failed point grows xi, and some point succeeds.  Write a = g*A and
+    b = g*B.  At x1 = xi the gcd of the images is g(xi, .)*G, and G divides
+    R = Res_x1(A, B), which is nonzero.  Except at the finitely many xi where
+    A(xi, .) and B(xi, .) have a common factor of positive degree, G is an
+    integer dividing cont(R).  Once xi > 2*cont(R)*|g| + 1, the symmetric
+    xi-adic digits give G*g exactly, and its primitive part g divides both
+    operands.  Since xi grows without bound and each recursive call has one
+    variable fewer, the loop ends.
     """
-    global heuristic_hits, prs_fallbacks
+    global heuristic_hits
     c = gcd(*a.values(), *b.values())
     if len(a) == 1 or len(b) == 1:
         m = _common_power(b, _common_power(a, next(iter(a))))
         return {m: c}, _p_quo_term(a, m, c), _p_quo_term(b, m, c)
+    heuristic_hits += 1
     one = (0,) * nvars
     if c != 1:
         a, b = _p_quo_term(a, one, c), _p_quo_term(b, one, c)
@@ -279,12 +206,11 @@ def _gcd_cofactors(a, b, nvars):
     floor = 2 * min(na, nb) + 2
     xi = max(min(floor + 27, 99 * isqrt(floor + 27)), floor,
              2 * min(na // abs(a[max(a)]), nb // abs(b[max(b)])) + 4)
-    for _ in range(6):
+    while True:
         fa, fb = _eval_first(a, xi), _eval_first(b, xi)
         if fa and fb:
             h = _interpolate(_gcd_cofactors(fa, fb, nvars - 1)[0], xi)
             if one in h and len(h) == 1:
-                heuristic_hits += 1
                 return {one: c}, a, b
             h = _p_quo_term(h, one, gcd(*h.values()))
             try:
@@ -292,12 +218,8 @@ def _gcd_cofactors(a, b, nvars):
             except ArithmeticError:
                 pass
             else:
-                heuristic_hits += 1
                 return {e: v * c for e, v in h.items()}, qa, qb
         xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
-    prs_fallbacks += 1
-    g = _z_gcd(a, b, nvars)
-    return {e: v * c for e, v in g.items()}, _p_div_exact(a, g), _p_div_exact(b, g)
 
 
 def _p_eval(p, values):

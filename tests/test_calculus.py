@@ -254,6 +254,43 @@ def test_twisted_two_forms_wrong_sign_reported():
     assert any(c.path == "generator.x" and not c.ok for c in rep.checks)
 
 
+# the 2-form tables of the twisted Heisenberg calculus with three directions
+_ONE = Scalar.one()
+_H3_REDUCTION = {("1", "1"): [], ("2", "2"): [], ("3", "3"): [],
+                 ("3", "1"): [(-_ONE, ("1", "3"))], ("3", "2"): [(-_ONE, ("2", "3"))]}
+_H3_TABLES = dict(basis=[("1", "2"), ("2", "1"), ("1", "3"), ("2", "3")],
+                  reduction=_H3_REDUCTION,
+                  delta_table={"1": {("1", "3"): -1}, "2": {("2", "3"): 1},
+                               "3": {("1", "2"): -1, ("2", "1"): -1}},
+                  zeta={("2", "1"): -1})
+
+
+@pytest.mark.parametrize("defect, message", [
+    (dict(reduction={**_H3_REDUCTION, ("1", "3"): []}),
+     "pair ('1', '3') is both in the basis and reduced"),
+    (dict(reduction={**_H3_REDUCTION, ("3", "1"): [(-_ONE, ("3", "2"))]}),
+     "reduction of ('3', '1') leaves the basis (('3', '2'))"),
+    (dict(basis=[("1", "2"), ("2", "1"), ("3", "1"), ("2", "3")],
+          reduction={**{k: v for k, v in _H3_REDUCTION.items() if k != ("3", "1")},
+                     ("1", "3"): [(-_ONE, ("3", "1"))]}),
+     "reduction of ('1', '3') must decrease the pair order"),
+    (dict(reduction={k: v for k, v in _H3_REDUCTION.items() if k != ("3", "3")}),
+     "basis plus reduced pairs must cover S x S"),
+    (dict(delta_table={"1": {("3", "1"): 1}}), "Delta(theta^1) must be expressed in the basis"),
+    (dict(zeta={("1", "1"): 1}), "zeta must be expressed in the basis"),
+])
+def test_two_form_table_errors(defect, message):
+    """A CalculusSpec given one defective 2-form table is refused with its message."""
+    pres = Presentation(["x", "y"], rules=[("y*x", "x*y - 1")])
+    ident = identity_morphism(pres)
+    args = (pres, DirectionSet(["1", "2", "3"]), {"1": ident, "2": ident, "3": ident})
+    lambdas = {"1": "-y", "2": "x", "3": "y*x"}
+    assert CalculusSpec(*args, lambdas=lambdas, two_forms=_H3_TABLES).two_forms
+    with pytest.raises(CalculusError) as exc:
+        CalculusSpec(*args, lambdas=lambdas, two_forms={**_H3_TABLES, **defect})
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("pid, delta_ints, zeta_ints", [
     ("twisted_heisenberg_3", {"1": {("1", "3"): -1}, "2": {("2", "3"): 1},
                               "3": {("1", "2"): -1, ("2", "1"): -1}}, {("2", "1"): -1}),

@@ -111,6 +111,13 @@ def _calls():
         yield f"help/{name}", [name, "--help"]
         for sub in cmd.commands:
             yield f"help/{name}/{sub}", [name, sub, "--help"]
+    # structured output of the commands pinned above as text only
+    for pid in PRESET_IDS:
+        head = ["--preset", pid, "--format", "structured"]
+        for cmd in ("relations", "two-forms", "torsion-conditions"):
+            yield f"{pid}/{cmd}/structured", head + [cmd]
+        yield (f"{pid}/theta-solve/structured",
+               head + ["theta-solve", "--coords", _fill(pid)["coords"]])
 
 
 def _record(argv):

@@ -208,7 +208,7 @@ def test_parse_error_trailing_operator_located():
 #
 # Strategies favour what the calculi produce (constants, single terms and
 # equal denominators) and keep multi-term operands with a planted common
-# factor so the pseudo-remainder path is exercised as well.
+# factor so the heuristic gcd is exercised as well.
 
 _NAMES = ("p", "q", "t")
 _ORACLE = dict(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -289,7 +289,7 @@ def _sympy_z_gcd(sympy, a, b, n):
 def test_gcd_fast_paths_against_sympy():
     sympy = pytest.importorskip("sympy")
     hypothesis = pytest.importorskip("hypothesis")
-    from nccalc.scalar import _z_gcd
+    from nccalc.scalar import _gcd_cofactors
     _, _, poly_pairs = _strategies()
 
     @hypothesis.settings(**_ORACLE)
@@ -297,7 +297,7 @@ def test_gcd_fast_paths_against_sympy():
     def check(case):
         n, [(a, b)] = case
         [a], [b] = _over_z(a), _over_z(b)
-        assert _z_gcd(a, b, n) in _sympy_z_gcd(sympy, a, b, n)
+        assert _gcd_cofactors(a, b, n)[0] in _sympy_z_gcd(sympy, a, b, n)
 
     check()
 
@@ -368,7 +368,7 @@ def test_integer_gcd_with_polynomial_content_against_sympy():
     sympy = pytest.importorskip("sympy")
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
-    from nccalc.scalar import _p_mul, _z_gcd
+    from nccalc.scalar import _gcd_cofactors, _p_mul
 
     coeffs = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6).filter(bool),
                        st.integers(1, 10 ** 3))
@@ -390,7 +390,7 @@ def test_integer_gcd_with_polynomial_content_against_sympy():
     def check(case):
         a, b = case
         [za], [zb] = _over_z(a), _over_z(b)
-        assert _z_gcd(za, zb, 3) in _sympy_z_gcd(sympy, za, zb, 3)
+        assert _gcd_cofactors(za, zb, 3)[0] in _sympy_z_gcd(sympy, za, zb, 3)
         s = Scalar._make(_NAMES, *_over_z(a, b))
         assert _canonical(s) == _sympy_canonical(sympy, a, b, 3)
 
@@ -623,6 +623,68 @@ def test_gcd_cofactors_with_large_coefficients():
         _check_cofactors(sympy, a, b, n)
 
     check()
+
+
+# a = -(8x - 5)(5x + 9) and b = 2x(8x - 5)(3x + 1)
+_THREE_POINTS = ({(2,): -40, (1,): -47, (0,): 45}, {(3,): 48, (2,): -14, (1,): -10})
+
+
+def test_gcd_cofactors_takes_a_third_point(monkeypatch):
+    """The candidates at xi = 123 and 1008 do not divide, the one at 13769
+    is the gcd 8x - 5."""
+    sympy = pytest.importorskip("sympy")
+    import nccalc.scalar as scalar_module
+    points = []
+    real = scalar_module._eval_first
+
+    def eval_first(p, xi):
+        if xi not in points:
+            points.append(xi)
+        return real(p, xi)
+
+    monkeypatch.setattr(scalar_module, "_eval_first", eval_first)
+    _check_cofactors(sympy, *_THREE_POINTS, 1)
+    assert points == [123, 1008, 13769]
+
+
+def test_gcd_cofactors_past_six_points(monkeypatch):
+    """The search has no point cap: with the candidate checks of the first
+    seven points made to fail, the eighth gives the gcd."""
+    sympy = pytest.importorskip("sympy")
+    import nccalc.scalar as scalar_module
+    real, calls = scalar_module._p_div_exact, []
+
+    def div_exact(a, b):
+        calls.append(b)
+        if len(calls) <= 7:
+            raise ArithmeticError("refused")
+        return real(a, b)
+
+    monkeypatch.setattr(scalar_module, "_p_div_exact", div_exact)
+    _check_cofactors(sympy, *_THREE_POINTS, 1)
+    assert len(calls) == 9
+
+
+@pytest.mark.parametrize("case", [f"F_{k}/{n + 1}" for k in (1, 2, 3) for n in (1, 2, 3)]
+                         + ["issue_10996"])
+def test_gcd_cofactors_on_sympy_benchmark_polys(case):
+    """Fateman's GCD benchmarks F_1 (trivial gcd), F_2 (dense quartics) and
+    F_3 (sparse, high degree) in 2 to 4 variables, and the pair of sympy's
+    heuristic-gcd regression test for its issue 10996."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys import specialpolys
+    if case == "issue_10996":
+        gens = sympy.symbols("x y z")
+        f, g = (sympy.Poly(text, *gens) for text in (
+            "12*x**6*y**7*z**3 - 3*x**4*y**9*z**3 + 12*x**3*y**5*z**4",
+            "-48*x**7*y**8*z**3 + 12*x**5*y**10*z**3 - 48*x**5*y**7*z**2"
+            " + 36*x**4*y**7*z - 48*x**4*y**6*z**4 + 12*x**3*y**9*z**2 - 48*x**3*y**4"
+            " - 9*x**2*y**9*z - 48*x**2*y**5*z**3 + 12*x*y**6 + 36*x*y**5*z**2 - 48*y**2*z"))
+    else:
+        name, nvars = case.split("/")
+        f, g, _ = getattr(specialpolys, f"fateman_poly_{name}")(int(nvars) - 1)
+    a, b = ({tuple(map(int, e)): int(c) for e, c in p.as_dict().items()} for p in (f, g))
+    _check_cofactors(sympy, a, b, len(f.gens))
 
 
 def test_cancellation_at_degree_three_against_unreduced_make():

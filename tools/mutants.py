@@ -91,6 +91,11 @@ MUTANTS = (
            "qa, qb = _p_div_exact(a, h), _p_div_exact(b, h)",
            "qa, qb = _p_div_exact(a, h), b",
            ("tests/test_scalar.py::test_gcd_cofactors_against_sympy",)),
+    # a point whose candidate does not divide ends the search: "coprime"
+    Mutant("gcd_search_gives_up_after_one_point", "src/nccalc/scalar.py",
+           "        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011\n",
+           "        return {one: c}, a, b\n",
+           ("tests/test_scalar.py::test_gcd_cofactors_takes_a_third_point",)),
     # a monomial denominator keeps the power it shares with the numerator
     Mutant("make_monomial_lane_without_common_power", "src/nccalc/scalar.py",
            "            m = _common_power(num, e)\n",
