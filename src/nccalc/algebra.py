@@ -764,7 +764,8 @@ def invert_element(p: NCPoly):
     if sol is None:
         return None
     z = pres.poly(dict(zip(cands, sol)))
-    if (p * z).is_one() and (z * p).is_one():
+    # p*z is 1 when the span reaches 1, else 0; z*p = 1 and p*z = 0 would give p = 0
+    if (z * p).is_one():
         return z
     return None
 
@@ -800,7 +801,6 @@ def tensor_product(p1: Presentation, p2: Presentation, name=None) -> Presentatio
             for lj in pres.letters(j):
                 for li in pres.letters(i):
                     rules.append(RewriteRule((lj, li), (((li, lj), one),)))
-    pres.rules = ()
     pres._install_rules(rules)
     return pres
 

@@ -22,7 +22,9 @@ from .scalar import Scalar, scalar
 
 
 class CalculusError(ValueError):
-    """An invalid calculus; label, when given, is the direction at fault."""
+    """An invalid calculus; label, when given, is the direction at fault, or
+    the 2-form table entry at fault: ("basis",), ("reduce", s, t),
+    ("delta", s) or ("zeta",)."""
 
     def __init__(self, message, label=None):
         super().__init__(message)
@@ -105,20 +107,6 @@ class DirectionSet:
 
     def __repr__(self):
         return f"DirectionSet({','.join(self.labels)})"
-
-
-def z_group(shifts: Mapping[str, int]) -> DirectionSet:
-    return DirectionSet.from_group(shifts, lambda a, b: a + b, 0)
-
-
-def zn_group(shifts: Mapping[str, tuple]) -> DirectionSet:
-    return DirectionSet.from_group(
-        shifts, lambda a, b: tuple(x + y for x, y in zip(a, b)),
-        (0,) * len(next(iter(shifts.values()))))
-
-
-def cyclic_group(shifts: Mapping[str, int], order: int) -> DirectionSet:
-    return DirectionSet.from_group(shifts, lambda a, b: (a + b) % order, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -402,23 +390,23 @@ class TwoFormStructure:
         basis_set = set(self.basis)
         pair_key = spec.directions.order_key
         for k, v in self.reduction.items():
+            entry = ("reduce", *k)
             if k in basis_set:
-                raise CalculusError(f"pair {k} is both in the basis and reduced")
+                raise CalculusError(f"pair {k} is both in the basis and reduced", entry)
             for c, p in v:
                 if p not in basis_set:
-                    raise CalculusError(f"reduction of {k} leaves the basis ({p})")
+                    raise CalculusError(f"reduction of {k} leaves the basis ({p})", entry)
                 if pair_key(p) >= pair_key(k):
-                    raise CalculusError(f"reduction of {k} must decrease the pair order")
+                    raise CalculusError(f"reduction of {k} must decrease the pair order", entry)
         all_pairs = {(s, t) for s in spec.directions.labels for t in spec.directions.labels}
         if basis_set | set(self.reduction) != all_pairs:
-            raise CalculusError("basis plus reduced pairs must cover S x S")
+            raise CalculusError("basis plus reduced pairs must cover S x S", ("basis",))
         for s, tab in self.delta_table.items():
-            for p in tab:
-                if p not in basis_set:
-                    raise CalculusError(f"Delta(theta^{s}) must be expressed in the basis")
-        for p in self.zeta:
-            if p not in basis_set:
-                raise CalculusError("zeta must be expressed in the basis")
+            if not basis_set.issuperset(tab):
+                raise CalculusError(f"Delta(theta^{s}) must be expressed in the basis",
+                                    ("delta", s))
+        if not basis_set.issuperset(self.zeta):
+            raise CalculusError("zeta must be expressed in the basis", ("zeta",))
 
     def reduce(self, comps):
         """comps (theta-word -> coefficient) with every word reduced to the basis Xi.
@@ -706,20 +694,8 @@ def central_one_forms_probe(spec: CalculusSpec, degree_bound=4):
 
 
 def constants(spec: CalculusSpec, candidates) -> list:
-    """Elements with d c = 0, by the mode criterion and by expansion."""
-    out = []
-    lam = spec.lambdas
-    for c in candidates:
-        p = spec.pres.element(c)
-        crit = all((p * lam[s] - lam[s] * spec.phi(s).apply(p)).is_zero()
-                   for s in spec.directions.labels)
-        expanded = differential(spec, p).is_zero()
-        if crit != expanded:
-            raise InconsistentCalculus(
-                f"constant criterion and d disagree on {p}")
-        if crit:
-            out.append(p)
-    return out
+    """The candidates c with d c = 0, that is c lambda_s = lambda_s phi_s(c) for every s."""
+    return [p for p in map(spec.pres.element, candidates) if differential(spec, p).is_zero()]
 
 
 def check_differentiability(spec: CalculusSpec, phi: AlgebraMorphism,
@@ -784,7 +760,10 @@ def solve_theta_in_differentials(spec: CalculusSpec, coords) -> ThetaSolution:
 
     Uses the adjugate over commutative algebras (the determinant must be a
     unit) and unit-pivot Gaussian elimination otherwise; on failure the
-    assembled matrix is returned.
+    assembled matrix is returned.  Each routine certifies the inverse it
+    returns, so it is not multiplied out here: adj(M) M = det(M) I for
+    commuting entries, and the elimination, which keeps B M = A, returns B
+    only once A = I.
     """
     from .linalg import commutative_inverse, nc_left_inverse
 
@@ -800,17 +779,7 @@ def solve_theta_in_differentials(spec: CalculusSpec, coords) -> ThetaSolution:
         inv = nc_left_inverse(spec.pres, M)
     if inv is None:
         return ThetaSolution(False, None, det, tuple(tuple(r) for r in M))
-    # validate: inv * M = identity
-    n = len(labels)
-    for i in range(n):
-        for j in range(n):
-            acc = spec.pres.zero
-            for k in range(n):
-                acc = acc + inv[i][k] * M[k][j]
-            expect = spec.pres.one if i == j else spec.pres.zero
-            if acc != expect:
-                return ThetaSolution(False, None, det, tuple(tuple(r) for r in M))
-    coeffs = {s: [inv[i][j] for j in range(n)] for i, s in enumerate(labels)}
+    coeffs = dict(zip(labels, inv))
     return ThetaSolution(True, coeffs, det, tuple(tuple(r) for r in M))
 
 

@@ -252,11 +252,13 @@ def _morphisms_from_sections(pres, directions, lines):
 
 
 def _two_forms_from_sections(pres, directions, lines):
-    """The [two_forms] tables, as the two_forms argument of CalculusSpec;
-    every label on a line must be a direction label."""
+    """The [two_forms] tables, as the two_forms argument of CalculusSpec, and
+    each table entry (a CalculusError label) -> its file line; every label
+    on a line must be a direction label."""
     basis = zeta = None
     reduction = {}
     delta_table = {}
+    entry_lines = {}
 
     def pair_of(text):
         pair = tuple(text.split())
@@ -286,6 +288,7 @@ def _two_forms_from_sections(pres, directions, lines):
                 if basis is not None:
                     raise FileFormatError("repeated basis line")
                 basis = [pair_of(p) for p in _assignment(line, "basis")[1].split(";")]
+                entry_lines[("basis",)] = n
                 continue
             m = re.fullmatch(r"reduce\s+(\S+)\s+(\S+)\s*=(.*)", line)
             if m:
@@ -293,22 +296,26 @@ def _two_forms_from_sections(pres, directions, lines):
                 if pair in reduction:
                     raise FileFormatError(f"repeated pair {pair[0]} {pair[1]}")
                 reduction[pair] = parse_combo(m.group(3), True)
+                entry_lines[("reduce", *pair)] = n
                 continue
             m = re.fullmatch(r"delta\s+(\S+)\s*=(.*)", line)
             if m:
                 s = _new_label(directions, m.group(1), delta_table)
                 delta_table[s] = {p: c for c, p in parse_combo(m.group(2), False)}
+                entry_lines[("delta", s)] = n
                 continue
             m = re.fullmatch(r"zeta\s*=(.*)", line)
             if m:
                 if zeta is not None:
                     raise FileFormatError("repeated zeta line")
                 zeta = {p: c for c, p in parse_combo(m.group(1), False)}
+                entry_lines[("zeta",)] = n
                 continue
             raise FileFormatError(f"bad two_forms line: {line!r}")
     if basis is None:
         raise FileFormatError("[two_forms] needs a basis line")
-    return dict(basis=basis, reduction=reduction, delta_table=delta_table, zeta=zeta or {})
+    return (dict(basis=basis, reduction=reduction, delta_table=delta_table, zeta=zeta or {}),
+            entry_lines)
 
 
 def load_calculus(text):
@@ -318,7 +325,8 @@ def load_calculus(text):
     top of it: a non-confluent system has no well-defined normal forms.
     Errors in a line are reported as '[section] line n: message'; a
     direction whose automorphism (or twisted data) repeats an earlier one's
-    is reported on its [automorphisms] (or [twists]) line.  Other
+    is reported on its [automorphisms] (or [twists]) line, and a [two_forms]
+    table error on the basis, reduce, delta or zeta line at fault.  Other
     construction errors (a failing [two_forms] candidate, say) are
     FileFormatError too, and InconsistentCalculus passes through.
     """
@@ -364,7 +372,8 @@ def load_calculus(text):
     side = tuple(line for _, line in sections.get("side_conditions", []))
     two_forms = None
     if "two_forms" in sections:
-        two_forms = _two_forms_from_sections(pres, directions, sections["two_forms"])
+        two_forms, two_form_lines = _two_forms_from_sections(pres, directions,
+                                                             sections["two_forms"])
     try:
         return CalculusSpec(pres, directions, autos, weights=weights, lambdas=lambdas,
                             theta_scalings=scalings, side_conditions=side,
@@ -374,8 +383,9 @@ def load_calculus(text):
     except CalculusError as exc:
         if exc.label is None:
             raise FileFormatError(str(exc)) from exc
-        # a direction the calculus cannot tell apart from an earlier one
-        if lambdas is None:
+        if isinstance(exc.label, tuple):  # a 2-form table entry
+            section, at = "two_forms", two_form_lines
+        elif lambdas is None:  # a direction the calculus cannot tell from an earlier one
             section, at = "automorphisms", auto_lines
         else:
             section, at = "twists", twist_lines

@@ -216,10 +216,7 @@ def commutative_inverse(pres, M):
     if det.is_zero():
         return None, det
     try:
-        if det.is_scalar():
-            dinv = pres.const(det.as_scalar().inverse())
-        else:
-            dinv = unit_inverse(det)
+        dinv = unit_inverse(det)
     except AlgebraError:
         return None, det
     return [[dinv * x for x in row] for row in adj], det

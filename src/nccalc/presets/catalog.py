@@ -18,7 +18,7 @@ import functools
 
 from ..algebra import (Presentation, check_local_confluence, identity_morphism, tensor_product,
                        verify_morphism)
-from ..calculus import CalculusSpec, DirectionSet, GradedForm, cyclic_group, zn_group, z_group
+from ..calculus import CalculusSpec, DirectionSet, GradedForm
 from ..scalar import Scalar, params as declare_params, parse_scalar
 from .base import PresetBundle, PresetError
 
@@ -69,7 +69,8 @@ def _scaling(pres, scales):
 
 
 def _plane():
-    return zn_group({"1": (1, 0), "2": (0, 1)})
+    return DirectionSet.from_group({"1": (1, 0), "2": (0, 1)},
+                                   lambda a, b: (a[0] + b[0], a[1] + b[1]), (0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +79,9 @@ def _plane():
 
 def _poly_shift(shifts, name):
     cx = Presentation(["x"], name=name)
-    return cx, _calculus(cx, z_group(shifts), {label: ({"x": f"x + {i}"}, {"x": f"x - {i}"})
-                                               for label, i in shifts.items()})
+    directions = DirectionSet.from_group(shifts, lambda a, b: a + b, 0)
+    return cx, _calculus(cx, directions, {label: ({"x": f"x + {i}"}, {"x": f"x - {i}"})
+                                          for label, i in shifts.items()})
 
 
 @_register("poly_shift_S12")
@@ -208,7 +210,8 @@ def _build_z3():
         raise PresetError("z3 twist element is not 1/(q-1)")
     zeta_c = pres.parse("(1 + q)/3")  # 1/(q-1)^2
     turn, back = {"x": "q*x", "y": "q^2*y"}, {"x": "q^2*x", "y": "q*y"}
-    spec = _calculus(pres, cyclic_group({"1": 1, "2": 2}, 3),
+    z3 = DirectionSet.from_group({"1": 1, "2": 2}, lambda a, b: (a + b) % 3, 0)
+    spec = _calculus(pres, z3,
                      {"1": (turn, back), "2": (back, turn)}, lambdas={"1": lam, "2": lam},
                      two_forms=dict(
                          basis=[("1", "1"), ("1", "2"), ("2", "1"), ("2", "2")],

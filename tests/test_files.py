@@ -330,6 +330,39 @@ def test_repeated_two_form_line_is_one_located_error(tmp_path, pid, line, added,
         f"error: [two_forms] line {_line_of(text, line) + 1}: {message}"]
 
 
+# (edits of the twisted_heisenberg_3 serialization, the line at fault, message):
+# the six table errors of TwoFormStructure, each on the line of its entry
+BAD_TWO_FORM_TABLES = [
+    ((("\nreduce 2 2 = \n", "\nreduce 2 2 = \nreduce 1 3 =\n"),), "reduce 1 3 =",
+     "pair ('1', '3') is both in the basis and reduced"),
+    ((("reduce 3 1 = -1 : 1 3", "reduce 3 1 = -1 : 3 2"),), "reduce 3 1 =",
+     "reduction of ('3', '1') leaves the basis (('3', '2'))"),
+    ((("basis = 1 2 ; 2 1 ; 1 3 ; 2 3", "basis = 1 2 ; 2 1 ; 3 1 ; 2 3"),
+      ("reduce 3 1 = -1 : 1 3", "reduce 1 3 = -1 : 3 1")), "reduce 1 3 =",
+     "reduction of ('1', '3') must decrease the pair order"),
+    ((("\nreduce 3 3 = \n", "\n"),), "basis =", "basis plus reduced pairs must cover S x S"),
+    ((("delta 1 = -1 : 1 3", "delta 1 = 1 : 3 1"),), "delta 1 =",
+     "Delta(theta^1) must be expressed in the basis"),
+    ((("zeta = -1 : 2 1", "zeta = 1 : 1 1"),), "zeta =", "zeta must be expressed in the basis"),
+]
+
+
+@pytest.mark.parametrize("edits, bad_line, message", BAD_TWO_FORM_TABLES,
+                         ids=["reduced_basis_pair", "leaves_basis", "order_not_decreasing",
+                              "pairs_not_covered", "delta_off_basis", "zeta_off_basis"])
+def test_two_form_table_error_is_one_located_line(tmp_path, edits, bad_line, message):
+    from clirun import run_cli
+    text = _serialized_with("twisted_heisenberg_3", *edits[0])
+    for old, new in edits[1:]:
+        assert old in text
+        text = text.replace(old, new, 1)
+    calc = tmp_path / "bad.calc"
+    calc.write_text(text)
+    res = run_cli(["--file", str(calc), "relations"])
+    assert (res.exit_code, res.output.splitlines()) == (
+        2, [f"error: [two_forms] line {_line_of(text, bad_line)}: {message}"])
+
+
 # (preset, old text, new text, the one error line of `relations` on the result)
 MALFORMED_FILES = [
     ("quantum_plane_a", "\n1 = 1\n", "\n1 = zz\n",

@@ -48,6 +48,39 @@ def test_shift_calculus_inverse_takes_no_prs_fallback(consts):
     assert scalar_module.heuristic_hits > hits
 
 
+@pytest.mark.parametrize("source, coords", [
+    ("poly_shift_S12", ["x", "x^2"]),
+    ("poly_shift_sym", ["x", "x^2"]),
+    ("quantum_torus", ["x", "y"]),
+    ("z3_root_of_unity", ["x", "y"]),
+    ((1, -2), None),
+    ((1, -2, 3), None),
+    ((2, 0, -1, 3), None),
+], ids=["poly_shift_S12", "poly_shift_sym", "quantum_torus", "z3_root_of_unity",
+        "shift_n2", "shift_n3", "shift_n4"])
+def test_theta_solve_coefficients_invert_the_matrix(source, coords):
+    """sum_k c_s[k] M[k][j] = delta_sj for the coefficients and the matrix of
+    a theta-solve: the solve trusts the inverse its routine certifies, and
+    this multiplies it out."""
+    from nccalc.calculus import solve_theta_in_differentials
+    from nccalc.presets import load_preset
+
+    if isinstance(source, str):
+        spec = load_preset(source).spec
+    else:
+        spec = _shift_calculus(source)
+        coords = [f"x^{j + 1}" for j in range(len(source))]
+    sol = solve_theta_in_differentials(spec, coords)
+    assert sol.ok
+    M = sol.matrix
+    labels = spec.directions.labels
+    for s in labels:
+        c = sol.coefficients[s]
+        for j, t in enumerate(labels):
+            total = sum((c[k] * M[k][j] for k in range(len(M))), spec.pres.zero)
+            assert total == (spec.pres.one if s == t else spec.pres.zero), (s, t)
+
+
 # -- sympy oracle for the one Gauss-Jordan elimination ----------------------
 
 _ORACLE = dict(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -112,6 +112,22 @@ MUTANTS = (
            "_acc(below, S, -term if odd else term)",
            "_acc(below, S, term if odd else -term)",
            ("tests/test_linalg.py::test_det_adjugate_against_permutation_sums",)),
+    # the inverse over a commutative algebra forgets to divide by the determinant
+    Mutant("commutative_inverse_without_det_inverse", "src/nccalc/linalg.py",
+           "    return [[dinv * x for x in row] for row in adj], det\n",
+           "    return adj, det\n",
+           ("tests/test_linalg.py::test_theta_solve_coefficients_invert_the_matrix",
+            "tests/test_calculus.py::test_solve_theta_shift")),
+    # a wedge product keeps theta-words outside the 2-form basis
+    Mutant("wedge_without_two_form_reduce", "src/nccalc/calculus.py",
+           "        return GradedForm._build(self.spec, comps)\n",
+           "        return GradedForm(self.spec, comps)\n",
+           ("tests/test_calculus.py::test_wedge_reduction_shift",)),
+    # a file's byte-order mark reaches the section parser
+    Mutant("read_without_bom_strip", "src/nccalc/cli.py",
+           '    return text.removeprefix("\\ufeff")\n',
+           "    return text\n",
+           ("tests/test_cli.py::test_file_with_a_byte_order_mark_reads_as_without",)),
 )
 
 
