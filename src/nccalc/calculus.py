@@ -23,8 +23,9 @@ from .scalar import Scalar, scalar
 
 class CalculusError(ValueError):
     """An invalid calculus; label, when given, is the direction at fault, or
-    the 2-form table entry at fault: ("basis",), ("reduce", s, t),
-    ("delta", s) or ("zeta",)."""
+    the entry at fault: the 2-form table entry ("basis",), ("reduce", s, t),
+    ("delta", s) or ("zeta",), the weight ("weights", s), the direction
+    labels ("labels",) or the twist elements ("twists",)."""
 
     def __init__(self, message, label=None):
         super().__init__(message)
@@ -145,21 +146,23 @@ class CalculusSpec:
         for s in labels:
             m = self.autos.get(s)
             if m is None:
-                raise CalculusError(f"no automorphism for direction {s}")
+                raise CalculusError(f"no automorphism for direction {s}", label=("labels",))
             if not m.verified:
                 raise CalculusError(f"automorphism for {s} is not verified: {m.violations}")
             if m.inverse is None:
                 raise CalculusError(f"automorphism for {s} has no inverse")
         if lambdas is not None:
             if weights is not None:
-                raise CalculusError("give either weights or twist elements, not both")
+                raise CalculusError("give either weights or twist elements, not both",
+                                    label=("twists",))
             self.mode = "twisted"
             self.weights = None
             self.lambdas = {s: pres.element(v) for s, v in lambdas.items()}
             directions.word(self.lambdas)
             for s in labels:
                 if s not in self.lambdas:
-                    raise CalculusError(f"no twist element for direction {s}")
+                    raise CalculusError(f"no twist element for direction {s}",
+                                        label=("twists",))
         else:
             self.mode = "automorphism"
             weights = dict(weights or {})
@@ -169,7 +172,7 @@ class CalculusSpec:
                 if not isinstance(t, Scalar):
                     raise CalculusError(f"weight for {s} must be a Scalar")
                 if t.is_zero():
-                    raise CalculusError(f"weight t_{s} must be nonzero")
+                    raise CalculusError(f"weight t_{s} must be nonzero", label=("weights", s))
             self.lambdas = {s: pres.const(t.inverse()) for s, t in self.weights.items()}
         # necessary faithfulness condition: directions must be distinguishable
         for i, s in enumerate(labels):

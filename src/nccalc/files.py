@@ -165,6 +165,8 @@ def _presentation_from_sections(sections):
 
 
 def _directions_from_sections(lines):
+    """The DirectionSet of the [directions] lines, and the file line of its
+    labels line."""
     labels = None
     biangles = []
     triangles = {}
@@ -199,13 +201,13 @@ def _directions_from_sections(lines):
     with _at(labels_at, "directions"):
         plain = DirectionSet(labels)
     if not named:
-        return plain
+        return plain, labels_at
     for n, names in named:
         with _at(n, "directions"):
             plain.word(names)
     classes = [tuple(quads[name]) for name in sorted(quads, key=_class_name_key)]
     with _at(labels_at, "directions"):
-        return DirectionSet(labels, biangles, triangles, classes)
+        return DirectionSet(labels, biangles, triangles, classes), labels_at
 
 
 def _class_name_key(name):
@@ -325,8 +327,11 @@ def load_calculus(text):
     top of it: a non-confluent system has no well-defined normal forms.
     Errors in a line are reported as '[section] line n: message'; a
     direction whose automorphism (or twisted data) repeats an earlier one's
-    is reported on its [automorphisms] (or [twists]) line, and a [two_forms]
-    table error on the basis, reduce, delta or zeta line at fault.  Other
+    is reported on its [automorphisms] (or [twists]) line, a zero weight on
+    its [weights] line, a direction without an automorphism on the labels
+    line, missing twist elements or twists given with weights on the first
+    [twists] line, and a [two_forms] table error on the basis, reduce, delta
+    or zeta line at fault.  Other
     construction errors (a failing [two_forms] candidate, say) are
     FileFormatError too, and InconsistentCalculus passes through.
     """
@@ -339,9 +344,13 @@ def load_calculus(text):
         raise InconsistentCalculus(str(conf))
     if "directions" not in sections:
         raise FileFormatError("no [directions] section")
-    directions = _directions_from_sections(sections["directions"])
+    directions, labels_at = _directions_from_sections(sections["directions"])
     autos, auto_lines = _morphisms_from_sections(pres, directions,
                                                  sections.get("automorphisms", []))
+    # CalculusError label -> (section, file line); a direction's twist line
+    # replaces its automorphism line
+    located = {s: ("automorphisms", n) for s, n in auto_lines.items()}
+    located[("labels",)] = ("directions", labels_at)
     weights = None
     lambdas = None
     if "weights" in sections:
@@ -350,14 +359,15 @@ def load_calculus(text):
             with _at(n, "weights"):
                 label, expr = _assignment(line, "weights")
                 weights[_new_label(directions, label, weights)] = parse_scalar(expr, pres.params)
+                located[("weights", label)] = ("weights", n)
     if "twists" in sections:
         lambdas = {}
-        twist_lines = {}
         for n, line in sections["twists"]:
             with _at(n, "twists"):
                 label, expr = _assignment(line, "twists")
                 lambdas[_new_label(directions, label, lambdas)] = pres.parse(expr)
-                twist_lines[label] = n
+                located[label] = ("twists", n)
+                located.setdefault(("twists",), ("twists", n))
     scalings = {}
     for n, line in sections.get("theta_scalings", []):
         with _at(n, "theta_scalings"):
@@ -374,6 +384,7 @@ def load_calculus(text):
     if "two_forms" in sections:
         two_forms, two_form_lines = _two_forms_from_sections(pres, directions,
                                                              sections["two_forms"])
+        located.update((entry, ("two_forms", n)) for entry, n in two_form_lines.items())
     try:
         return CalculusSpec(pres, directions, autos, weights=weights, lambdas=lambdas,
                             theta_scalings=scalings, side_conditions=side,
@@ -381,15 +392,10 @@ def load_calculus(text):
     except InconsistentCalculus:
         raise
     except CalculusError as exc:
-        if exc.label is None:
+        if exc.label not in located:
             raise FileFormatError(str(exc)) from exc
-        if isinstance(exc.label, tuple):  # a 2-form table entry
-            section, at = "two_forms", two_form_lines
-        elif lambdas is None:  # a direction the calculus cannot tell from an earlier one
-            section, at = "automorphisms", auto_lines
-        else:
-            section, at = "twists", twist_lines
-        with _at(at[exc.label], section):
+        section, n = located[exc.label]
+        with _at(n, section):
             raise
 
 

@@ -6,31 +6,35 @@ from .algebra import AlgebraError, _acc, unit_inverse
 from .scalar import Scalar
 
 
-def _reduced_rows(rows):
-    """Gauss-Jordan elimination of sparse Scalar rows (dicts column -> Scalar).
+def _reduced_rows(rows, ncols, inverse):
+    """Gauss-Jordan elimination of sparse rows (dicts column -> entry).
 
-    Returns {pivot column: row}, each row monic at its pivot (its lowest
-    column) and zero at every other pivot column.
+    Sweeps the columns 0..ncols-1.  The pivot of a column is the first row
+    not yet a pivot whose entry there has a left inverse, inverse(entry), or
+    None when it has none; the row is scaled on the left to 1 there, and the
+    column is cleared from every other row by left row operations.  The rows
+    not yet pivots are searched in the order row swaps would leave them.
+    Returns {pivot column: row}.
     """
+    free = [{j: v for j, v in row.items() if not v.is_zero()} for row in rows]
     pivots = {}
-    for row in rows:
-        row = {j: v for j, v in row.items() if not v.is_zero()}
-        for col, piv in pivots.items():
-            c = row.get(col)
-            if c is not None:
-                for j, v in piv.items():
-                    _acc(row, j, -(c * v))
-        if not row:
+    for col in range(ncols):
+        for k, row in enumerate(free):
+            inv = inverse(row[col]) if col in row else None
+            if inv is not None:
+                break
+        else:
             continue
-        col = min(row)
-        lead = row[col]
-        norm = {j: v / lead for j, v in row.items()}
-        for piv in pivots.values():
-            c = piv.get(col)
-            if c is not None:
-                for j, v in norm.items():
-                    _acc(piv, j, -(c * v))
-        pivots[col] = norm
+        free[k] = free[0]
+        del free[0]
+        # over a ring with zero divisors inv * v can vanish
+        piv = {j: p for j, v in row.items() if not (p := inv * v).is_zero()}
+        for other in (*free, *pivots.values()):
+            f = other.get(col)
+            if f is not None:
+                for j, v in piv.items():
+                    _acc(other, j, -(f * v))
+        pivots[col] = piv
     return pivots
 
 
@@ -39,7 +43,7 @@ def nullspace_vector(rows, ncols):
 
     rows are dicts column-index -> Scalar.
     """
-    pivots = _reduced_rows(rows)
+    pivots = _reduced_rows(rows, ncols, Scalar.inverse)
     free = [j for j in range(ncols) if j not in pivots]
     if not free:
         return None
@@ -73,7 +77,8 @@ def solve_linear(equations, ncols):
     """
     # the right-hand side is column ncols; it becomes a pivot iff some
     # equation reduces to 0 = nonzero
-    pivots = _reduced_rows({**coeffs, ncols: rhs} for coeffs, rhs in equations)
+    pivots = _reduced_rows(({**coeffs, ncols: rhs} for coeffs, rhs in equations),
+                           ncols + 1, Scalar.inverse)
     if ncols in pivots:
         return None
     sol = [Scalar.zero()] * ncols
@@ -84,46 +89,22 @@ def solve_linear(equations, ncols):
 
 
 def nc_left_inverse(pres, M):
-    """Left inverse of a matrix over the algebra by Gaussian elimination.
+    """Left inverse of a matrix over the algebra by Gauss-Jordan elimination.
 
-    Requires an invertible pivot in every column (unit monomials, or
-    elements inverted by the bounded search); returns None otherwise.
+    Eliminates [M | I]; requires an invertible pivot in every column (unit
+    monomials, or elements inverted by the bounded search) and returns
+    None otherwise.  The result B keeps B M = A, and is returned only once
+    A = I.
     """
     from .algebra import invert_element
 
     n = len(M)
-    A = [list(row) for row in M]
-    B = [[pres.one if i == j else pres.zero for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = None
-        inv = None
-        for r in range(col, n):
-            if A[r][col].is_zero():
-                continue
-            inv = invert_element(A[r][col])
-            if inv is not None:
-                piv = r
-                break
-        if piv is None:
-            return None
-        A[col], A[piv] = A[piv], A[col]
-        B[col], B[piv] = B[piv], B[col]
-        A[col] = [inv * x for x in A[col]]
-        B[col] = [inv * x for x in B[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            f = A[r][col]
-            if f.is_zero():
-                continue
-            A[r] = [a - f * b for a, b in zip(A[r], A[col])]
-            B[r] = [a - f * b for a, b in zip(B[r], B[col])]
-    for r in range(n):
-        for c in range(n):
-            expect = pres.one if r == c else pres.zero
-            if A[r][c] != expect:
-                return None
-    return B
+    pivots = _reduced_rows(({**dict(enumerate(row)), n + r: pres.one} for r, row in enumerate(M)),
+                           n, invert_element)
+    if any({j: v for j, v in pivots.get(c, {}).items() if j < n} != {c: pres.one}
+           for c in range(n)):
+        return None
+    return [[pivots[c].get(n + j, pres.zero) for j in range(n)] for c in range(n)]
 
 
 def det_permanent_expansion(pres, M):

@@ -459,3 +459,19 @@ def test_parse_cancels_inverse_letters():
     pres = load_preset("quantum_torus").presentation
     assert pres.parse("x*y*y^-1*x^-1") == 1
     assert pres.parse("x^-2*x^3") == pres.gen("x")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Presentation(["x", "x"]), "duplicate generator names"),
+    (lambda: Presentation(["x"], params=["x"]), "parameter names collide with generators"),
+    (lambda: Presentation(["x", "y"], rules=[("x*y + y", "x")]),
+     "rule left-hand side must be a single word: x*y + y"),
+    (lambda: Presentation(["x", "y"], rules=[("x*y", "y*x^2")]),
+     "rule is not order-decreasing: x*y -> y*x^2"),
+    (lambda: Presentation(["x"]).gen("x", -1), "generator 'x' is not invertible"),
+], ids=["duplicate_generator", "parameter_is_generator", "sum_on_the_left",
+        "order_increasing_rule", "inverse_of_non_invertible"])
+def test_presentation_rejects_invalid_input(build, message):
+    with pytest.raises(AlgebraError) as exc:
+        build()
+    assert (type(exc.value), str(exc.value)) == (AlgebraError, message)

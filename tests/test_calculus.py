@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from nccalc.algebra import Presentation, _acc, identity_morphism
+from nccalc.algebra import Presentation, _acc, identity_morphism, verify_morphism
 from nccalc.calculus import (CalculusError, CalculusSpec, DirectionSet, GradedForm,
                              InconsistentCalculus, TwoFormStructure,
                              central_one_forms_probe, check_differentiability,
@@ -706,3 +706,42 @@ def test_triangle_target_must_be_a_direction():
     with pytest.raises(CalculusError) as exc:
         DirectionSet(shift.labels, shift.biangles, triangles, shift.quad_classes)
     assert str(exc.value) == "unknown direction 9"
+
+
+_HEISENBERG = spec_of("heisenberg")
+_NOT_A_MORPHISM = verify_morphism(_HEISENBERG.pres, {"x": "x*y"})  # breaks y*x = -h + x*y
+_NO_INVERSE = verify_morphism(_HEISENBERG.pres, {"y": "y + 1"})  # no inverse images given
+
+
+def _heisenberg_with(**changes):
+    args = dict(autos=_HEISENBERG.autos, weights=_HEISENBERG.weights, lambdas=None)
+    return CalculusSpec(_HEISENBERG.pres, _HEISENBERG.directions, **{**args, **changes})
+
+
+def _cyclic(*elements):
+    """Directions a, b of Z/3 with the given elements."""
+    return DirectionSet.from_group(dict(zip("ab", elements)), lambda g, h: (g + h) % 3, 0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: _heisenberg_with(autos={"1": _HEISENBERG.autos["1"]}),
+     "no automorphism for direction 2"),
+    (lambda: _heisenberg_with(autos={**_HEISENBERG.autos, "2": _NOT_A_MORPHISM}),
+     f"automorphism for 2 is not verified: {_NOT_A_MORPHISM.violations}"),
+    (lambda: _heisenberg_with(autos={**_HEISENBERG.autos, "2": _NO_INVERSE}),
+     "automorphism for 2 has no inverse"),
+    (lambda: _heisenberg_with(lambdas={"1": "x", "2": "y"}),
+     "give either weights or twist elements, not both"),
+    (lambda: _heisenberg_with(weights=None, lambdas={"1": "x"}),
+     "no twist element for direction 2"),
+    (lambda: _heisenberg_with(weights={"1": 2}), "weight for 1 must be a Scalar"),
+    (lambda: _heisenberg_with(weights={"1": Scalar.zero()}), "weight t_1 must be nonzero"),
+    (lambda: _cyclic(1, 1), "directions a and b share a group element"),
+    (lambda: _cyclic(1, 0), "the group unit cannot be a direction"),
+], ids=["no_automorphism", "unverified_automorphism", "automorphism_without_inverse",
+        "weights_and_twists", "no_twist", "weight_not_a_scalar", "zero_weight",
+        "shared_group_element", "unit_direction"])
+def test_calculus_rejects_invalid_input(build, message):
+    with pytest.raises(CalculusError) as exc:
+        build()
+    assert (type(exc.value), str(exc.value)) == (CalculusError, message)

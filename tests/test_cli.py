@@ -661,3 +661,26 @@ def test_entries_for_unknown_or_repeated_directions_exit_2(tmp_path, pid, old, n
     res = run_cli(["--file", str(calc), "d", "--expr", "y"])
     assert (res.exit_code, res.output) == (2, f"error: {message}\n")
     assert isinstance(res.exception, SystemExit)
+
+
+def test_python_dash_m_nccalc_runs_the_command_line():
+    """`python -m nccalc` lists the presets and prints what `python -m
+    nccalc.cli` prints."""
+    from nccalc.presets import PRESET_IDS
+
+    src = str(Path(nccalc.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def run(module, *args):
+        proc = subprocess.run([sys.executable, "-m", module, *args],
+                              env=env, capture_output=True, text=True, timeout=300)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    code, out, err = run("nccalc", "preset", "list")
+    assert (code, out.split(), err) == (0, list(PRESET_IDS), "")
+    assert len(PRESET_IDS) == 17
+    normalize = ("--preset", "heisenberg", "normalize", "y*x")
+    result = run("nccalc", *normalize)
+    assert result[0] == 0
+    assert result == run("nccalc.cli", *normalize)

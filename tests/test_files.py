@@ -410,6 +410,18 @@ MALFORMED_FILES = [
      "error: [automorphisms] line 22: automorphisms for 1 and 2 coincide on generators"),
     ("twisted_heisenberg_2", "\n2 = x\n", "\n2 = -y\n",
      "error: [twists] line 19: directions 1 and 2 carry identical twisted data"),
+    ("quantum_plane_a", "\n1 = 1\n", "\n1 = 0\n",
+     "error: [weights] line 26: weight t_1 must be nonzero"),
+    ("quantum_plane_a", "2: x -> x, y -> (1/(p*q))*y\n2 inverse: x -> x, y -> p*q*y\n", "",
+     "error: [directions] line 13: no automorphism for direction 2"),
+    ("twisted_heisenberg_2", "\n2 = x\n", "\n",
+     "error: [twists] line 18: no twist element for direction 2"),
+    ("twisted_heisenberg_2", "\n[twists]", "\n[weights]\n1 = 1\n\n[twists]",
+     "error: [twists] line 21: give either weights or twist elements, not both"),
+    ("quantum_plane_a", "y*x = (1/(q))*x*y", "x*y = y*x^2",
+     "error: [relations] line 10: rule is not order-decreasing: x*y -> y*x^2"),
+    ("quantum_plane_a", "y*x = (1/(q))*x*y", "x*y + y = x",
+     "error: [relations] line 10: rule left-hand side must be a single word: x*y + y"),
 ]
 
 
@@ -423,13 +435,25 @@ MALFORMED_FILES = [
                               "bad_theta_scalings_line", "bad_combination_item",
                               "bad_two_forms_line", "no_basis", "repeated_relations_section",
                               "repeated_empty_section", "coinciding_automorphisms",
-                              "identical_twisted_data"])
+                              "identical_twisted_data", "zero_weight",
+                              "direction_without_automorphism", "direction_without_twist",
+                              "weights_and_twists", "relation_not_order_decreasing",
+                              "relation_lhs_not_a_word"])
 def test_malformed_file_is_one_error_line(tmp_path, pid, old, new, error):
     from clirun import run_cli
     calc = tmp_path / "bad.calc"
     calc.write_text(_serialized_with(pid, old, new))
     res = run_cli(["--file", str(calc), "relations"])
     assert (res.exit_code, res.output.splitlines()) == (2, [error])
+
+
+def test_scaled_relation_left_hand_side_divides_the_right(tmp_path):
+    """`2*y*x = x*y` is the rule y*x -> (1/2)*x*y."""
+    from clirun import run_cli
+    calc = tmp_path / "scaled.calc"
+    calc.write_text(_serialized_with("quantum_plane_a", "y*x = (1/(q))*x*y", "2*y*x = x*y"))
+    res = run_cli(["--file", str(calc), "normalize", "y*x"])
+    assert (res.exit_code, res.output) == (0, "normal_form = (1/2)*x*y\n")
 
 
 def test_failing_two_form_candidate_keeps_its_message():

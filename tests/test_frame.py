@@ -55,3 +55,24 @@ def test_frame_form_text_is_pinned():
         "(p*q*c + p*q*a*b)*t1 + ((p^2*q^2 - p*q)*a^2)*t2"
         " + ((p*q - 1)*d + (p^2*q - p)*b^2)*t3"
         " + ((p^3*q^3 - p^2*q^2 - p*q + 1)/(p*q)*a*b)*t4")
+
+
+def _laurent_frame(comm):
+    """A frame over C[x, x^-1] with frame labels t1, t2 and d x = x t1."""
+    from nccalc.algebra import Presentation
+    pres = Presentation(["x"], invertible=["x"])
+    return ThetaFrame(pres, ["t1", "t2"], comm, {"x": {"t1": "x"}})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: _laurent_frame({}), "no commutation matrix for generator x"),
+    # the second row is the first: no pivot is left for the second column
+    (lambda: _laurent_frame({"x": {("t1", "t1"): "x", ("t1", "t2"): "x",
+                                   ("t2", "t1"): "x", ("t2", "t2"): "x"}}),
+     "commutation matrix of an invertible generator is not invertible by unit pivots"),
+    (lambda: load_preset("glpq2").extras["frame"].theta("t9"), "unknown frame label t9"),
+], ids=["no_commutation_matrix", "singular_commutation_matrix", "unknown_label"])
+def test_frame_rejects_invalid_input(build, message):
+    with pytest.raises(FrameError) as exc:
+        build()
+    assert (type(exc.value), str(exc.value)) == (FrameError, message)

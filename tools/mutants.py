@@ -128,6 +128,19 @@ MUTANTS = (
            '    return text.removeprefix("\\ufeff")\n',
            "    return text\n",
            ("tests/test_cli.py::test_file_with_a_byte_order_mark_reads_as_without",)),
+    # the elimination clears a pivot column from the rows below it only
+    Mutant("elimination_without_back_substitution", "src/nccalc/linalg.py",
+           "        for other in (*free, *pivots.values()):\n",
+           "        for other in free:\n",
+           ("tests/test_linalg.py::test_solve_linear_against_sympy",)),
+    # a rule may rewrite a word to a larger one
+    Mutant("relation_order_unchecked", "src/nccalc/algebra.py",
+           "            if word_key(w) >= lk:\n",
+           "            if False:\n",
+           ("tests/test_files.py::test_malformed_file_is_one_error_line"
+            "[relation_not_order_decreasing]",
+            "tests/test_algebra.py::test_presentation_rejects_invalid_input"
+            "[order_increasing_rule]")),
 )
 
 
