@@ -317,9 +317,27 @@ def join_terms(parts):
 
 
 def _acc_nf(d, nf, c):
-    """Add nf * c into d, for a normal form nf (word -> Scalar)."""
+    """Add nf * c into d, for a Scalar c and nf a dict of Scalars (a normal
+    form) or of NCPolys (the comps of a form)."""
     for w, nc in nf.items():
-        _acc(d, w, c if nc.is_one() else nc * c)
+        # a Scalar 1 needs no product; an NCPoly stays an NCPoly
+        _acc(d, w, c if type(nc) is Scalar and nc.is_one() else nc * c)
+
+
+def _linear_image(pairs, memo, image):
+    """The sum of c * memo[key] over the (key, c) pairs, as a terms dict.
+
+    The image of a map that is linear over the scalars, one basis key at a
+    time: memo maps a key to the terms (word -> Scalar or NCPoly) of its
+    image, and image(key) fills the entry of a key met for the first time.
+    """
+    acc = {}
+    for key, c in pairs:
+        terms = memo.get(key)
+        if terms is None:
+            terms = memo[key] = image(key)
+        _acc_nf(acc, terms, c)
+    return acc
 
 
 class LabelModule:
@@ -643,26 +661,23 @@ class AlgebraMorphism:
         self.verified = verified
         self.violations = ()
         self.inverse = None  # set by verify_morphism and identity_morphism
-        self._word_images = {}  # word -> NCPoly, one complete assignment per entry
+        self._word_images = {}  # word -> terms of its image, one complete assignment per entry
 
     def apply(self, p: NCPoly) -> NCPoly:
         if not self.verified:
             raise AlgebraError("morphism is not verified")
-        acc = {}
-        for w, c in p.terms.items():
-            _acc_nf(acc, self._word_image(w).terms, c)
-        return NCPoly(self.pres, acc)
+        return self._image(p.terms.items())
 
-    def _word_image(self, word) -> NCPoly:
-        out = self._word_images.get(word)
-        if out is not None:
-            return out
+    def _image(self, pairs) -> NCPoly:
+        """The image of the sum of c * word over the (word, c) pairs."""
+        return NCPoly(self.pres, _linear_image(pairs, self._word_images, self._word_product))
+
+    def _word_product(self, word):
         out = self.pres.one
         for l in word:
             name = self.pres.generators[l >> 1].name
             out = out * (self.inv_images[name] if l & 1 else self.images[name])
-        self._word_images[word] = out
-        return out
+        return out.terms
 
     def equal_on_generators(self, other):
         return all(self.images[g.name] == other.images[g.name]
@@ -698,10 +713,9 @@ def verify_morphism(pres, images, inverse_images=None) -> AlgebraMorphism:
     """
     fwd = _morphism(pres, images)
     violations = []
+    one = Scalar.one()
     for rule in pres.rules:
-        residue = fwd._word_image(rule.lhs)
-        for w, c in rule.rhs:
-            residue = residue - fwd._word_image(w) * c
+        residue = fwd._image([(rule.lhs, one), *((w, -c) for w, c in rule.rhs)])
         if not residue.is_zero():
             violations.append((pres.word_str(rule.lhs), residue))
     if inverse_images is not None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Mapping, NamedTuple
 
 from .algebra import (AlgebraMorphism, LabelModule, NCPoly, _acc, _AlgebraCtx,
-                      join_terms, normal_words)
+                      _linear_image, join_terms, normal_words)
 from .parsing import ParseError, parse_with_context
 from .report import Report
 from .scalar import Scalar, scalar
@@ -24,8 +24,9 @@ from .scalar import Scalar, scalar
 class CalculusError(ValueError):
     """An invalid calculus; label, when given, is the direction at fault, or
     the entry at fault: the 2-form table entry ("basis",), ("reduce", s, t),
-    ("delta", s) or ("zeta",), the weight ("weights", s), the direction
-    labels ("labels",) or the twist elements ("twists",)."""
+    ("delta", s) or ("zeta",), the 2-form candidate as a whole ("two_forms",),
+    the weight ("weights", s), the direction labels ("labels",) or the twist
+    elements ("twists",)."""
 
     def __init__(self, message, label=None):
         super().__init__(message)
@@ -141,7 +142,13 @@ class CalculusSpec:
         self.side_conditions = tuple(side_conditions)
         self.name = name
         self._vartheta = None  # vartheta(self), built and checked on first use
+        self._torsion_conditions = None  # geometry.torsion_free_conditions(self), on first use
         labels = directions.labels
+        # e and d_form are linear over the scalars: the terms of e_s(w) per
+        # direction s and normal word w, and the comps of d(w theta^u) per
+        # (theta-word u, normal word w), each computed once
+        self._e_images = {s: {} for s in labels}
+        self._d_images = {}
         directions.word(self.autos)  # CalculusError for a label outside the directions
         for s in labels:
             m = self.autos.get(s)
@@ -191,7 +198,8 @@ class CalculusSpec:
             ts = TwoFormStructure(self, **two_forms)
             rep = verify_twisted_two_forms(self, ts)
             if not rep.ok:
-                raise CalculusError("two-form candidate fails verification:\n" + rep.text())
+                raise CalculusError("two-form candidate fails verification:\n" + rep.text(),
+                                    label=("two_forms",))
         elif self.mode == "automorphism" and directions.classified:
             ts = two_form_structure(self)
         self.two_forms = ts
@@ -205,8 +213,14 @@ class CalculusSpec:
         return self.autos[s].inverse
 
     def e(self, s, f: NCPoly) -> NCPoly:
+        """e_s f = lambda_s phi_s(f) - f lambda_s, summed over the words of f."""
+        return NCPoly(self.pres, _linear_image(f.terms.items(), self._e_images[s],
+                                               lambda w: self._e_word(s, w)))
+
+    def _e_word(self, s, w):
         lam = self.lambdas[s]
-        return lam * self.autos[s].apply(f) - f * lam
+        f = NCPoly(self.pres, {w: Scalar.one()})
+        return (lam * self.autos[s].apply(f) - f * lam).terms
 
     def phi_word(self, word, f: NCPoly) -> NCPoly:
         """phi_{s1} o ... o phi_sr applied to f, for word = (s1, ..., sr)."""
@@ -628,8 +642,19 @@ def graded_commutator(spec: CalculusSpec, a: GradedForm, b: GradedForm) -> Grade
 
 
 def d_form(spec: CalculusSpec, omega: GradedForm) -> GradedForm:
-    """d omega = [vartheta, omega] - Delta(omega)."""
-    return graded_commutator(spec, vartheta(spec), omega) - delta(spec, omega)
+    """d omega = [vartheta, omega] - Delta(omega), summed over the terms
+    k w theta^u of omega (k a scalar, w a word)."""
+    th = vartheta(spec)
+    if spec.two_forms is None:  # the message of delta, which d needs
+        raise CalculusError("delta needs a two-form structure on the spec")
+
+    def image(key):
+        u, w = key
+        term = GradedForm(spec, {u: NCPoly(spec.pres, {w: Scalar.one()})})
+        return (graded_commutator(spec, th, term) - delta(spec, term)).comps
+
+    pairs = (((u, w), k) for u, c in omega.comps.items() for w, k in c.terms.items())
+    return GradedForm(spec, _linear_image(pairs, spec._d_images, image))
 
 
 def verify_inner_identities(spec: CalculusSpec) -> Report:

@@ -107,6 +107,15 @@ SECTIONS = ("params", "generators", "relations", "directions", "automorphisms",
             "weights", "twists", "theta_scalings", "side_conditions", "two_forms")
 
 
+class _Section(list):
+    """A section's (file line number, line) pairs; header is the file line
+    of its [name] line, where an error in the section as a whole is located."""
+
+    def __init__(self, header):
+        super().__init__()
+        self.header = header
+
+
 def parse_sections(text):
     """Section name -> [(file line number, line)], comments and blank lines
     dropped; a header that names no section of SECTIONS, or one named
@@ -121,7 +130,7 @@ def parse_sections(text):
                 raise FileFormatError(f"line {n}: unknown section [{current}]")
             if current in sections:
                 raise FileFormatError(f"line {n}: repeated section [{current}]")
-            sections[current] = []
+            sections[current] = _Section(n)
             continue
         if current is None:
             raise FileFormatError(f"line {n}: line outside any section: {line!r}")
@@ -330,10 +339,11 @@ def load_calculus(text):
     is reported on its [automorphisms] (or [twists]) line, a zero weight on
     its [weights] line, a direction without an automorphism on the labels
     line, missing twist elements or twists given with weights on the first
-    [twists] line, and a [two_forms] table error on the basis, reduce, delta
-    or zeta line at fault.  Other
-    construction errors (a failing [two_forms] candidate, say) are
-    FileFormatError too, and InconsistentCalculus passes through.
+    [twists] line (its header when the section is empty), a [two_forms]
+    table error on the basis, reduce, delta or zeta line at fault, and a
+    [two_forms] candidate that fails verification on the section header.
+    Other construction errors are FileFormatError too, and
+    InconsistentCalculus passes through.
     """
     from .algebra import check_local_confluence
 
@@ -368,6 +378,7 @@ def load_calculus(text):
                 lambdas[_new_label(directions, label, lambdas)] = pres.parse(expr)
                 located[label] = ("twists", n)
                 located.setdefault(("twists",), ("twists", n))
+        located.setdefault(("twists",), ("twists", sections["twists"].header))
     scalings = {}
     for n, line in sections.get("theta_scalings", []):
         with _at(n, "theta_scalings"):
@@ -385,6 +396,7 @@ def load_calculus(text):
         two_forms, two_form_lines = _two_forms_from_sections(pres, directions,
                                                              sections["two_forms"])
         located.update((entry, ("two_forms", n)) for entry, n in two_form_lines.items())
+        located[("two_forms",)] = ("two_forms", sections["two_forms"].header)
     try:
         return CalculusSpec(pres, directions, autos, weights=weights, lambdas=lambdas,
                             theta_scalings=scalings, side_conditions=side,

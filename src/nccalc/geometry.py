@@ -191,7 +191,14 @@ def torsion_free_conditions(spec) -> TorsionConditions:
     Biangle and triangle pairs force scalar values; inside each quadrangle
     class the pair that the 2-form structure eliminates, theta^m =
     -sum kappa_uv theta^u theta^v, couples to every kept pair (u, v).
+    The conditions depend only on the spec, which keeps them.
     """
+    if spec._torsion_conditions is None:
+        spec._torsion_conditions = _torsion_free_conditions(spec)
+    return spec._torsion_conditions
+
+
+def _torsion_free_conditions(spec) -> TorsionConditions:
     d = spec.directions
     if not d.classified:
         raise CalculusError("torsion conditions need a group-classified direction set")

@@ -213,6 +213,64 @@ def test_reduce_word_memo_against_unmemoized_reduction():
                 assert dict(ts.reduce_word(w)) == want
 
 
+def _memo_samples(spec, rng, count=4):
+    """Seeded algebra elements; where the presentation has parameters, one
+    part is scaled by a parameter, so the memos are used over Q(params)."""
+    from nccalc.suites import random_poly
+    pres = spec.pres
+    for _ in range(count):
+        f = random_poly(pres, rng, terms=3)
+        if pres.params:
+            f = f + pres.const(Scalar.param(rng.choice(pres.params))) * random_poly(pres, rng)
+        yield f
+
+
+def _memo_forms(spec, rng):
+    """Seeded 1-forms and 2-forms with a coefficient on every theta-word, so
+    one algebra word meets several theta-words."""
+    labels = spec.directions.labels
+    for degree in (1, 2):
+        words = list(itertools.product(labels, repeat=degree))
+        for f in _memo_samples(spec, rng, count=3):
+            comps = dict(zip(words, _memo_samples(spec, rng, count=len(words))))
+            yield GradedForm(spec, comps) + f * theta(spec, *rng.choice(words))
+
+
+def _cold_memos(spec):
+    for memo in spec._e_images.values():
+        memo.clear()
+    spec._d_images.clear()
+
+
+@pytest.mark.parametrize("pid", PRESET_IDS)
+def test_e_memo_against_unmemoized_e(pid):
+    spec = spec_of(pid)
+    rng = random.Random(41)
+    for f in _memo_samples(spec, rng):
+        _cold_memos(spec)
+        for memo in ("cold", "warm"):
+            for s in spec.directions.labels:
+                lam = spec.lambdas[s]
+                want = lam * spec.phi(s).apply(f) - f * lam
+                assert spec.e(s, f) == want, (memo, s, str(f))
+
+
+@pytest.mark.parametrize("pid", PRESET_IDS)
+def test_d_form_memo_against_unmemoized_d(pid):
+    spec = spec_of(pid)
+    rng = random.Random(43)
+    th = vartheta(spec)
+    if spec.two_forms is None:
+        with pytest.raises(CalculusError, match="delta needs a two-form structure"):
+            d_form(spec, theta(spec, spec.directions.labels[0]))
+        return
+    for omega in _memo_forms(spec, rng):
+        _cold_memos(spec)
+        want = graded_commutator(spec, th, omega) - delta(spec, omega)
+        for memo in ("cold", "warm"):
+            assert d_form(spec, omega) == want, (memo, str(omega))
+
+
 # -- verify_twisted_two_forms
 
 

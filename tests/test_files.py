@@ -418,6 +418,11 @@ MALFORMED_FILES = [
      "error: [twists] line 18: no twist element for direction 2"),
     ("twisted_heisenberg_2", "\n[twists]", "\n[weights]\n1 = 1\n\n[twists]",
      "error: [twists] line 21: give either weights or twist elements, not both"),
+    ("twisted_heisenberg_2", "[twists]\n1 = -y\n2 = x\n",
+     "[weights]\n1 = 1\n2 = 1\n\n[twists]\n",
+     "error: [twists] line 21: give either weights or twist elements, not both"),
+    ("twisted_heisenberg_2", "[twists]\n1 = -y\n2 = x\n", "[twists]\n",
+     "error: [twists] line 17: no twist element for direction 1"),
     ("quantum_plane_a", "y*x = (1/(q))*x*y", "x*y = y*x^2",
      "error: [relations] line 10: rule is not order-decreasing: x*y -> y*x^2"),
     ("quantum_plane_a", "y*x = (1/(q))*x*y", "x*y + y = x",
@@ -437,7 +442,8 @@ MALFORMED_FILES = [
                               "repeated_empty_section", "coinciding_automorphisms",
                               "identical_twisted_data", "zero_weight",
                               "direction_without_automorphism", "direction_without_twist",
-                              "weights_and_twists", "relation_not_order_decreasing",
+                              "weights_and_twists", "weights_and_empty_twists",
+                              "empty_twists", "relation_not_order_decreasing",
                               "relation_lhs_not_a_word"])
 def test_malformed_file_is_one_error_line(tmp_path, pid, old, new, error):
     from clirun import run_cli
@@ -460,7 +466,26 @@ def test_failing_two_form_candidate_keeps_its_message():
     bad = TWISTED_FILE.replace("zeta = 1 : 1 2", "zeta = 2 : 1 2")
     with pytest.raises(FileFormatError) as exc:
         load_calculus(bad)
-    assert str(exc.value).startswith("two-form candidate fails verification:\n")
+    n = _line_of(bad, "[two_forms]")
+    assert str(exc.value).startswith(
+        f"[two_forms] line {n}: two-form candidate fails verification:\n")
+
+
+def test_failing_two_form_candidate_names_its_section(tmp_path):
+    """The report body follows the located first line; the call exits 2."""
+    from clirun import run_cli
+    calc = tmp_path / "bad.calc"
+    text = _serialized_with("h_plane_r1", "delta 1 = p/(h) : 1 2", "delta 1 = 2*p/(h) : 1 2")
+    calc.write_text(text)
+    res = run_cli(["--file", str(calc), "relations"])
+    assert (res.exit_code, res.output.splitlines()) == (2, [
+        f"error: [two_forms] line {_line_of(text, '[two_forms]')}: "
+        "two-form candidate fails verification:",
+        "twisted 2-form structure",
+        "  [pass] generator.y",
+        "  [FAIL] generator.x: theta[1]theta[2]: (p^2/(h*t1))*y",
+        "  [FAIL] zeta_expansion: theta[1]theta[2]: -p/(h*t1)",
+        "  => FAILED (1/3)"])
 
 
 def test_inconsistent_derived_two_forms_pass_through():

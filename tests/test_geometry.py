@@ -79,6 +79,15 @@ def test_torsion_conditions_quantum_plane_exact():
     assert all(eq.category == "quadrangle" for eq in conds.equations)
 
 
+@pytest.mark.parametrize("pid", ["quantum_plane_a", "group_lattice_s3", "poly_shift_sym"])
+def test_torsion_conditions_are_built_once_per_spec(pid):
+    from nccalc.geometry import _torsion_free_conditions
+    spec = spec_of(pid)
+    conds = torsion_free_conditions(spec)
+    assert torsion_free_conditions(spec) is conds
+    assert conds == _torsion_free_conditions(spec)
+
+
 def test_torsion_conditions_group_lattice_delta_solution():
     # V^s_{s',s''} = (delta^s_{s's''} - delta^s_{s'}) 1 solves all classes
     spec = spec_of("group_lattice_s3")

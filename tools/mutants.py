@@ -123,6 +123,16 @@ MUTANTS = (
            "        return GradedForm._build(self.spec, comps)\n",
            "        return GradedForm(self.spec, comps)\n",
            ("tests/test_calculus.py::test_wedge_reduction_shift",)),
+    # e_s answers from the memo of the first direction, whatever s is
+    Mutant("e_memo_shared_across_directions", "src/nccalc/calculus.py",
+           "_linear_image(f.terms.items(), self._e_images[s],",
+           "_linear_image(f.terms.items(), self._e_images[self.directions.labels[0]],",
+           ("tests/test_calculus.py::test_e_memo_against_unmemoized_e",)),
+    # d(w theta^u) answers from the first theta-word met with the word w
+    Mutant("d_memo_keyed_without_theta_word", "src/nccalc/calculus.py",
+           "    pairs = (((u, w), k) for u, c in",
+           "    pairs = ((spec.__dict__.setdefault(w, (u, w)), k) for u, c in",
+           ("tests/test_calculus.py::test_d_form_memo_against_unmemoized_d",)),
     # a file's byte-order mark reaches the section parser
     Mutant("read_without_bom_strip", "src/nccalc/cli.py",
            '    return text.removeprefix("\\ufeff")\n',
