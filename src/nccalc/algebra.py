@@ -100,8 +100,7 @@ class Presentation:
             Scalar.param(p)  # validates
         self._index = {g.name: i for i, g in enumerate(self.generators)}
         self.rules = ()
-        self._rule_index = {}
-        self._nf = {}
+        self._install_rules(())
         parsed = []
         for lhs, rhs in rules:
             parsed.append(self._build_rule(lhs, rhs))
@@ -132,7 +131,7 @@ class Presentation:
         for r in self.rules:
             index.setdefault(r.lhs[0], []).append(r)
         self._rule_index = index
-        self._nf = {}
+        self._nf = Memo(self._reduce_word)  # word -> its normal form, a dict word -> Scalar
 
     # -- generators / basic elements
 
@@ -181,7 +180,7 @@ class Presentation:
                 c = scalar(c)
             if c.is_zero():
                 continue
-            _acc_nf(acc, self._reduce_word(w), c)
+            _acc_nf(acc, self._nf[w], c)
         return NCPoly(self, acc)
 
     # -- parsing and printing
@@ -214,7 +213,7 @@ class Presentation:
         return None
 
     def _reduce_word(self, word):
-        """Full normal form of a word, as a dict word -> Scalar (memoized).
+        """Full normal form of a word, as a dict word -> Scalar: the fill of `_nf`.
 
         A post-order walk over the rewrite DAG from word.  Rewriting always
         takes the leftmost redex; each right-hand term of the rule that fires
@@ -226,9 +225,6 @@ class Presentation:
         the rewrite DAG are reduced once.
         """
         nf = self._nf
-        hit = nf.get(word)
-        if hit is not None:
-            return hit
         pending = {}
         stack = [word]
         while stack:
@@ -324,19 +320,33 @@ def _acc_nf(d, nf, c):
         _acc(d, w, c if type(nc) is Scalar and nc.is_one() else nc * c)
 
 
-def _linear_image(pairs, memo, image):
+class Memo(dict):
+    """A memo table: memo[key] is fill(key), computed on the first read and kept.
+
+    A hit is a plain dict lookup.  A fill that raises stores nothing.
+    """
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+def _linear_image(pairs, memo):
     """The sum of c * memo[key] over the (key, c) pairs, as a terms dict.
 
     The image of a map that is linear over the scalars, one basis key at a
-    time: memo maps a key to the terms (word -> Scalar or NCPoly) of its
-    image, and image(key) fills the entry of a key met for the first time.
+    time: memo is a `Memo` of the terms (word -> Scalar or NCPoly) of each
+    key's image.
     """
     acc = {}
     for key, c in pairs:
-        terms = memo.get(key)
-        if terms is None:
-            terms = memo[key] = image(key)
-        _acc_nf(acc, terms, c)
+        _acc_nf(acc, memo[key], c)
     return acc
 
 
@@ -516,10 +526,10 @@ class NCPoly:
             cb = other.terms[()]
             return NCPoly(self.pres, {w: ca * cb for w, ca in self.terms.items()})
         acc = {}
-        reduce = self.pres._reduce_word
+        nf = self.pres._nf
         for wa, ca in self.terms.items():
             for wb, cb in other.terms.items():
-                _acc_nf(acc, reduce(join(wa, wb)), ca * cb)
+                _acc_nf(acc, nf[join(wa, wb)], ca * cb)
         return NCPoly(self.pres, acc)
 
     def __rmul__(self, other):
@@ -661,7 +671,7 @@ class AlgebraMorphism:
         self.verified = verified
         self.violations = ()
         self.inverse = None  # set by verify_morphism and identity_morphism
-        self._word_images = {}  # word -> terms of its image, one complete assignment per entry
+        self._word_images = Memo(self._word_product)  # word -> terms of its image
 
     def apply(self, p: NCPoly) -> NCPoly:
         if not self.verified:
@@ -670,7 +680,7 @@ class AlgebraMorphism:
 
     def _image(self, pairs) -> NCPoly:
         """The image of the sum of c * word over the (word, c) pairs."""
-        return NCPoly(self.pres, _linear_image(pairs, self._word_images, self._word_product))
+        return NCPoly(self.pres, _linear_image(pairs, self._word_images))
 
     def _word_product(self, word):
         out = self.pres.one

@@ -12,9 +12,10 @@ reduced to a chosen basis by the relations of a TwoFormStructure.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Mapping, NamedTuple
 
-from .algebra import (AlgebraMorphism, LabelModule, NCPoly, _acc, _AlgebraCtx,
+from .algebra import (AlgebraMorphism, LabelModule, Memo, NCPoly, _acc, _AlgebraCtx,
                       _linear_image, join_terms, normal_words)
 from .parsing import ParseError, parse_with_context
 from .report import Report
@@ -147,8 +148,8 @@ class CalculusSpec:
         # e and d_form are linear over the scalars: the terms of e_s(w) per
         # direction s and normal word w, and the comps of d(w theta^u) per
         # (theta-word u, normal word w), each computed once
-        self._e_images = {s: {} for s in labels}
-        self._d_images = {}
+        self._e_images = {s: Memo(partial(self._e_word, s)) for s in labels}
+        self._d_images = Memo(partial(_d_image, self))
         directions.word(self.autos)  # CalculusError for a label outside the directions
         for s in labels:
             m = self.autos.get(s)
@@ -214,8 +215,7 @@ class CalculusSpec:
 
     def e(self, s, f: NCPoly) -> NCPoly:
         """e_s f = lambda_s phi_s(f) - f lambda_s, summed over the words of f."""
-        return NCPoly(self.pres, _linear_image(f.terms.items(), self._e_images[s],
-                                               lambda w: self._e_word(s, w)))
+        return NCPoly(self.pres, _linear_image(f.terms.items(), self._e_images[s]))
 
     def _e_word(self, s, w):
         lam = self.lambdas[s]
@@ -398,7 +398,7 @@ class TwoFormStructure:
         self.delta_table = {s: {tuple(p): element(v) for p, v in tab.items()}
                             for s, tab in delta_table.items()}
         self.zeta = {tuple(p): element(v) for p, v in zeta.items()}
-        self._reduced = {}  # reduce_word's memo
+        self._reduced = Memo(self._reduce_word)  # theta-word -> reduce_word's tuple
         # CalculusError for an unknown label, before any pair is ordered
         pairs = [*self.basis, *self.zeta, *self.reduction, tuple(self.delta_table)]
         pairs += [p for v in self.reduction.values() for _, p in v]
@@ -446,10 +446,9 @@ class TwoFormStructure:
         structure is not changed after construction, so each word is
         reduced once and the tuple is shared by every caller.
         """
-        word = tuple(word)
-        items = self._reduced.get(word)
-        if items is not None:
-            return items
+        return self._reduced[tuple(word)]
+
+    def _reduce_word(self, word):
         out = {}
         stack = [(word, Scalar.one())]
         while stack:
@@ -462,8 +461,7 @@ class TwoFormStructure:
                     break
             else:
                 _acc(out, w, c)
-        items = self._reduced[word] = tuple(out.items())
-        return items
+        return tuple(out.items())
 
     def delta_theta(self, s) -> GradedForm:
         return GradedForm(self.spec, self.delta_table.get(s, {}))
@@ -644,17 +642,18 @@ def graded_commutator(spec: CalculusSpec, a: GradedForm, b: GradedForm) -> Grade
 def d_form(spec: CalculusSpec, omega: GradedForm) -> GradedForm:
     """d omega = [vartheta, omega] - Delta(omega), summed over the terms
     k w theta^u of omega (k a scalar, w a word)."""
-    th = vartheta(spec)
+    vartheta(spec)  # its errors come first
     if spec.two_forms is None:  # the message of delta, which d needs
         raise CalculusError("delta needs a two-form structure on the spec")
-
-    def image(key):
-        u, w = key
-        term = GradedForm(spec, {u: NCPoly(spec.pres, {w: Scalar.one()})})
-        return (graded_commutator(spec, th, term) - delta(spec, term)).comps
-
     pairs = (((u, w), k) for u, c in omega.comps.items() for w, k in c.terms.items())
-    return GradedForm(spec, _linear_image(pairs, spec._d_images, image))
+    return GradedForm(spec, _linear_image(pairs, spec._d_images))
+
+
+def _d_image(spec, key):
+    """The comps of d(w theta^u) for key = (u, w), the fill of `spec._d_images`."""
+    u, w = key
+    term = GradedForm(spec, {u: NCPoly(spec.pres, {w: Scalar.one()})})
+    return (graded_commutator(spec, vartheta(spec), term) - delta(spec, term)).comps
 
 
 def verify_inner_identities(spec: CalculusSpec) -> Report:

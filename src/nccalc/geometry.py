@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Mapping, NamedTuple
 
-from .algebra import LabelModule, NCPoly, _acc, join_terms
+from .algebra import LabelModule, Memo, NCPoly, _acc, join_terms
 from .calculus import CalculusSpec, CalculusError, GradedForm, d_form, vartheta
 from .report import Report
 from .scalar import Scalar
@@ -46,18 +46,17 @@ class Connection:
     def __init__(self, spec: CalculusSpec, entries: Mapping):
         self.spec = spec
         self.V = _key_table(spec, entries, 3, "connection")
-        self._nabla_theta = {}
+        self._nabla_theta = Memo(self._nabla_theta_of)
 
     def entry(self, sp, s, spp) -> NCPoly:
         return self.V.get((sp, s, spp), self.spec.pres.zero)
 
     def nabla_theta(self, v) -> "TensorA":
         """nabla(theta^v), computed on first use."""
-        out = self._nabla_theta.get(v)
-        if out is None:
-            out = self._nabla_theta[v] = nabla_one_form(
-                self.spec, self, GradedForm.theta(self.spec, v))
-        return out
+        return self._nabla_theta[v]
+
+    def _nabla_theta_of(self, v):
+        return nabla_one_form(self.spec, self, GradedForm.theta(self.spec, v))
 
     @staticmethod
     def zero(spec):

@@ -107,28 +107,6 @@ def nc_left_inverse(pres, M):
     return [[pivots[c].get(n + j, pres.zero) for j in range(n)] for c in range(n)]
 
 
-def det_permanent_expansion(pres, M):
-    """Determinant by the permutation-sum formula (commuting entries)."""
-    n = len(M)
-    total = pres.zero
-    for perm, sign in _permutations_signed(n):
-        term = pres.one
-        for i in range(n):
-            term = term * M[i][perm[i]]
-            if term.is_zero():
-                break
-        total = total + term * Scalar.from_int(sign)
-    return total
-
-
-def _permutations_signed(n):
-    import itertools
-
-    for perm in itertools.permutations(range(n)):
-        inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
-        yield perm, (-1) ** inv
-
-
 def _times(x, y):
     """x*y, where None stands for 1."""
     return y if x is None else x if y is None else x * y

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import nccalc
-from nccalc.algebra import (AlgebraError, Presentation, _acc, basis_independence_probe,
+from nccalc.algebra import (AlgebraError, Memo, Presentation, _acc, basis_independence_probe,
                             check_local_confluence, identity_morphism, join,
                             normal_words, tensor_product, unit_inverse,
                             verify_morphism, word_from_letters)
@@ -376,6 +376,38 @@ def test_quantum_torus_power_keeps_memo_small():
     got = pres.parse("(x*y)^200")
     assert str(got) == "(1/(q^19900))*x^200*y^200"
     assert len(pres._nf) <= 2 * 419
+
+
+def test_memo_fills_each_key_once():
+    calls = []
+
+    def fill(key):
+        calls.append(key)
+        return [2 * key]
+
+    memo = Memo(fill)
+    first = memo[3]
+    assert first == [6] and memo[4] == [8]
+    assert memo[3] is first and calls == [3, 4]  # a hit does not call fill
+    assert 5 not in memo and memo.get(5) is None and calls == [3, 4]
+    assert isinstance(memo, dict) and dict(memo) == {3: [6], 4: [8]}
+
+
+def test_memo_stores_nothing_when_fill_raises():
+    calls = []
+
+    def fill(key):
+        calls.append(key)
+        if key < 0:
+            raise ValueError(f"no image of {key}")
+        return key
+
+    memo = Memo(fill)
+    for _ in range(2):  # the second read runs fill again and raises again
+        with pytest.raises(ValueError, match="no image of -1"):
+            memo[-1]
+    assert -1 not in memo and len(memo) == 0 and calls == [-1, -1]
+    assert memo[1] == 1 and dict(memo) == {1: 1}
 
 
 def _fold_image(m, p):

@@ -266,6 +266,18 @@ def test_metric_check_and_levi_civita(tmp_path):
     assert res.exit_code == 0, res.output
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "metric invariance takes phi_s(theta^u) as a multiple of theta^u, but on "
+    "group_lattice_s3 phi_t12 maps theta^t23 to theta^t13; the fix waits for "
+    "S3 metrics in the cli benchmark workload that are constant on sigma-orbits"))
+def test_metric_check_fails_a_metric_that_phi_s_moves(tmp_path):
+    """phi_t12(g) = theta^t12 (x) theta^t13 + theta^t13 (x) theta^t12 != g."""
+    metric = tmp_path / "g.txt"
+    metric.write_text("g[t12,t23] = 1\ng[t23,t12] = 1\n")
+    res = invoke("--preset", "group_lattice_s3", "metric-check", "--metric", str(metric))
+    assert res.exit_code == 1, res.output
+
+
 def test_preset_list_show_run():
     res = invoke("preset", "list")
     assert res.exit_code == 0

@@ -1,11 +1,34 @@
 """Exact linear algebra: the determinant and the adjugate against permutation
 sums, the sparse elimination against sympy."""
 
+import itertools
+
 import pytest
 
 from nccalc.algebra import Presentation, verify_morphism
 from nccalc.calculus import CalculusSpec, DirectionSet
-from nccalc.linalg import det_cofactor, det_permanent_expansion
+from nccalc.linalg import det_cofactor
+from nccalc.scalar import Scalar
+
+
+def det_permanent_expansion(pres, M):
+    """Determinant by the permutation-sum formula (commuting entries)."""
+    n = len(M)
+    total = pres.zero
+    for perm, sign in _permutations_signed(n):
+        term = pres.one
+        for i in range(n):
+            term = term * M[i][perm[i]]
+            if term.is_zero():
+                break
+        total = total + term * Scalar.from_int(sign)
+    return total
+
+
+def _permutations_signed(n):
+    for perm in itertools.permutations(range(n)):
+        inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        yield perm, (-1) ** inv
 
 
 def _shift_calculus(consts):
@@ -109,7 +132,6 @@ def _systems():
 
 
 def _scalar(f):
-    from nccalc.scalar import Scalar
     return Scalar.from_int(f.numerator) / Scalar.from_int(f.denominator)
 
 
@@ -119,7 +141,6 @@ def _rows(A):
 
 
 def _times(A, x):
-    from nccalc.scalar import Scalar
     out = []
     for r in A:
         acc = Scalar.zero()

@@ -41,8 +41,9 @@ MUTANTS = (
            "",
            ("tests/test_geometry.py::test_nabla_on_tensor_against_per_coefficient_reference",)),
     Mutant("nabla_theta_memo_on_spec", "src/nccalc/geometry.py",
-           "        self._nabla_theta = {}\n",
-           "        self._nabla_theta = spec.__dict__.setdefault(\"_nabla_theta\", {})\n",
+           "        self._nabla_theta = Memo(self._nabla_theta_of)\n",
+           "        self._nabla_theta = spec.__dict__.setdefault(\"_nabla_theta\",\n"
+           "                                                     Memo(self._nabla_theta_of))\n",
            ("tests/test_geometry.py::test_nabla_theta_memo_is_per_connection",)),
     Mutant("report_add_drops_parts", "src/nccalc/report.py",
            "Check(path, bool(ok), () if ok else detail)",
@@ -125,14 +126,19 @@ MUTANTS = (
            ("tests/test_calculus.py::test_wedge_reduction_shift",)),
     # e_s answers from the memo of the first direction, whatever s is
     Mutant("e_memo_shared_across_directions", "src/nccalc/calculus.py",
-           "_linear_image(f.terms.items(), self._e_images[s],",
-           "_linear_image(f.terms.items(), self._e_images[self.directions.labels[0]],",
+           "_linear_image(f.terms.items(), self._e_images[s])",
+           "_linear_image(f.terms.items(), self._e_images[self.directions.labels[0]])",
            ("tests/test_calculus.py::test_e_memo_against_unmemoized_e",)),
     # d(w theta^u) answers from the first theta-word met with the word w
     Mutant("d_memo_keyed_without_theta_word", "src/nccalc/calculus.py",
            "    pairs = (((u, w), k) for u, c in",
            "    pairs = ((spec.__dict__.setdefault(w, (u, w)), k) for u, c in",
            ("tests/test_calculus.py::test_d_form_memo_against_unmemoized_d",)),
+    # new rules keep the normal forms of the rules before them
+    Mutant("nf_memo_kept_across_new_rules", "src/nccalc/algebra.py",
+           "        self._nf = Memo(self._reduce_word)",
+           "        self._nf = self.__dict__.setdefault(\"_nf\", Memo(self._reduce_word))",
+           ("tests/test_algebra.py::test_reducer_against_depth_first_reference",)),
     # a file's byte-order mark reaches the section parser
     Mutant("read_without_bom_strip", "src/nccalc/cli.py",
            '    return text.removeprefix("\\ufeff")\n',
