@@ -144,6 +144,7 @@ class CalculusSpec:
         self.name = name
         self._vartheta = None  # vartheta(self), built and checked on first use
         self._torsion_conditions = None  # geometry.torsion_free_conditions(self), on first use
+        self._torsion_part = None  # geometry._torsion_part(self), on first use
         labels = directions.labels
         # e and d_form are linear over the scalars: the terms of e_s(w) per
         # direction s and normal word w, and the comps of d(w theta^u) per
@@ -275,8 +276,8 @@ class GradedForm(LabelModule):
         """The form with its theta-words reduced to the basis Xi, if spec has one.
 
         Called only where a theta-word is formed (theta, wedge, move_left,
-        delta, geometry.wedge_projection); sums and multiples keep their
-        words and use the constructor.
+        delta, and the geometry tests' projection of 2-tensors onto 2-forms);
+        sums and multiples keep their words and use the constructor.
         """
         ts = spec.two_forms
         return GradedForm(spec, comps if ts is None else ts.reduce(comps))

@@ -2,6 +2,13 @@
 metrics, invariance and compatibility.
 
 Connection coefficients follow V_s(theta^s') = sum_s'' phi_s^-1(V[s',s,s'']) theta^s''.
+Every phi_s is a verified automorphism whose inverse is checked on every
+generator (CalculusSpec refuses any other), so phi_s(phi_s^-1(f) phi_s^-1(V))
+= f V and nabla needs no morphism in its transport part: for
+alpha = sum_v f_v theta^v,
+
+    nabla(alpha) = vartheta (x) alpha - sum_{s,v,s''} f_v V[v,s,s''] theta^s (x) theta^s''.
+
 Tensors of 1-forms are stored with all coefficients on the left; in the
 semi-left-linear coordinates an element f theta^{u1} (x)_L ... the product
 just concatenates words and multiplies coefficients.  Conversion to the
@@ -11,6 +18,7 @@ of the automorphisms.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Mapping, NamedTuple
 
 from .algebra import LabelModule, Memo, NCPoly, _acc, join_terms
@@ -39,14 +47,17 @@ def _key_table(spec, entries: Mapping, arity, kind) -> dict:
 class Connection:
     """Parallel-transport coefficients V[s', s, s''] over the algebra.
 
-    A connection is not changed after construction, so nabla(theta^v) is
-    computed once per direction and kept with the connection.
+    A connection is not changed after construction, so it keeps two tables
+    whose entries are computed once: V_s(theta^s') per (s, s') and
+    nabla(theta^v) per direction v.  Their fills hold the spec and V, not
+    the connection, so a dropped connection is freed at once.
     """
 
     def __init__(self, spec: CalculusSpec, entries: Mapping):
         self.spec = spec
         self.V = _key_table(spec, entries, 3, "connection")
-        self._nabla_theta = Memo(self._nabla_theta_of)
+        self._transport = Memo(partial(_transport_image, spec, self.V))
+        self._nabla_theta = Memo(partial(_nabla_theta_image, spec, self.V))
 
     def entry(self, sp, s, spp) -> NCPoly:
         return self.V.get((sp, s, spp), self.spec.pres.zero)
@@ -54,9 +65,6 @@ class Connection:
     def nabla_theta(self, v) -> "TensorA":
         """nabla(theta^v), computed on first use."""
         return self._nabla_theta[v]
-
-    def _nabla_theta_of(self, v):
-        return nabla_one_form(self.spec, self, GradedForm.theta(self.spec, v))
 
     @staticmethod
     def zero(spec):
@@ -67,24 +75,20 @@ class Connection:
         return f"Connection({body})"
 
 
+def _transport_image(spec, V, key):
+    s, sp = key
+    inverse = spec.phi_inv(s)
+    return GradedForm(spec, {(spp,): inverse.apply(V[(sp, s, spp)])
+                             for spp in spec.directions.labels if (sp, s, spp) in V})
+
+
+def _nabla_theta_image(spec, V, v):
+    return _nabla(spec, V, GradedForm.theta(spec, v))
+
+
 def transport_theta(spec, conn: Connection, s, sp) -> GradedForm:
-    """V_s(theta^{s'}) as a 1-form."""
-    comps = {}
-    for spp in spec.directions.labels:
-        v = conn.entry(sp, s, spp)
-        if not v.is_zero():
-            comps[(spp,)] = spec.phi_inv(s).apply(v)
-    return GradedForm(spec, comps)
-
-
-def transport_one_form(spec, conn: Connection, s, alpha: GradedForm) -> GradedForm:
-    """V_s on a 1-form: V_s(f E) = phi_s^-1(f) V_s(E)."""
-    if set(alpha.degrees()) - {1}:
-        raise CalculusError("transport expects a 1-form")
-    out = GradedForm.zero(spec)
-    for (sp,), f in alpha.component(1).items():
-        out = out + spec.phi_inv(s).apply(f) * transport_theta(spec, conn, s, sp)
-    return out
+    """V_s(theta^{s'}) as a 1-form, from the connection's table."""
+    return conn._transport[(s, sp)]
 
 
 class TensorA(LabelModule):
@@ -101,45 +105,47 @@ class TensorA(LabelModule):
 
 
 def nabla_one_form(spec, conn: Connection, alpha: GradedForm) -> TensorA:
-    """nabla(alpha) = vartheta (x) alpha - sum_s theta^s (x) V_s(alpha)."""
+    """nabla(alpha) = vartheta (x) alpha - sum_s theta^s (x) V_s(alpha), with
+    the transport part summed as f_v V[v,s,s''] (module docstring)."""
+    return _nabla(spec, conn.V, alpha)
+
+
+def _nabla(spec, V, alpha):
     if set(alpha.degrees()) - {1}:
         raise CalculusError("nabla expects a 1-form")
     th = vartheta(spec)
     comps = {}
     for (u,), lam in th.component(1).items():
-        for (v,), f in alpha.component(1).items():
+        for (v,), f in alpha.comps.items():
             _acc(comps, (u, v), lam * spec.phi(u).apply(f))
-    for s in spec.directions.labels:
-        vs = transport_one_form(spec, conn, s, alpha)
-        for (v,), f in vs.component(1).items():
-            _acc(comps, (s, v), -spec.phi(s).apply(f))
+    for (v, s, spp), c in V.items():
+        f = alpha.comps.get((v,))
+        if f is not None:
+            _acc(comps, (s, spp), -(f * c))
     return TensorA(spec, comps)
 
 
-def wedge_projection(spec, t: TensorA) -> GradedForm:
-    """The canonical projection onto 2-forms."""
-    if any(len(w) != 2 for w in t.comps):
-        raise CalculusError("projection expects a 2-tensor")
-    return GradedForm._build(spec, t.comps)
-
-
 def torsion(spec, conn: Connection) -> dict:
-    """Torsion 2-forms Theta(theta^s), reduced to the basis."""
+    """Torsion 2-forms Theta(theta^s), reduced to the basis: the spec's part
+    plus sum_s' theta^s' V_s'(theta^s)."""
     if spec.two_forms is None:
         raise CalculusError("torsion needs a two-form structure")
-    th = vartheta(spec)
     out = {}
-    for s in spec.directions.labels:
-        t = GradedForm.theta(spec, s).wedge(th) - spec.two_forms.delta_theta(s)
+    for s, t in _torsion_part(spec).items():
         for sp in spec.directions.labels:
-            t = t + GradedForm.theta(spec, sp).wedge(transport_theta(spec, conn, s=sp, sp=s))
+            t = t + GradedForm.theta(spec, sp).wedge(conn._transport[(sp, s)])
         out[s] = t
     return out
 
 
-def torsion_of_form(spec, conn: Connection, alpha: GradedForm) -> GradedForm:
-    """Theta(alpha) = d alpha - pi(nabla alpha); cross-check path."""
-    return d_form(spec, alpha) - wedge_projection(spec, nabla_one_form(spec, conn, alpha))
+def _torsion_part(spec) -> dict:
+    """theta^s vartheta - Delta(theta^s) per direction s: the torsion of the
+    zero connection.  It depends only on the spec, which keeps it."""
+    if spec._torsion_part is None:
+        th = vartheta(spec)
+        spec._torsion_part = {s: GradedForm.theta(spec, s).wedge(th)
+                              - spec.two_forms.delta_theta(s) for s in spec.directions.labels}
+    return spec._torsion_part
 
 
 class LinearEquation(NamedTuple):
@@ -279,7 +285,10 @@ def nabla_on_tensor(spec, conn: Connection, t: TensorA) -> WedgeTensor:
 
 
 def curvature(spec, conn: Connection, alpha: GradedForm) -> WedgeTensor:
-    """R(alpha) = -nabla^2(alpha)."""
+    """R(alpha) = -nabla^2(alpha); nabla(theta^v) is read from the connection."""
+    words = tuple(alpha.comps)
+    if len(words) == 1 and len(words[0]) == 1 and alpha.comps[words[0]].is_one():
+        return -nabla_on_tensor(spec, conn, conn.nabla_theta(words[0][0]))
     return -nabla_on_tensor(spec, conn, nabla_one_form(spec, conn, alpha))
 
 
@@ -455,24 +464,29 @@ def invariant_monomial_scan(spec, exponent_bound=3) -> dict:
 
 
 def metric_compatibility(spec, conn: Connection, g: Metric) -> Report:
-    """Both routes: the component equation and V_s(g) = g; they must agree."""
+    """Both routes: the component equation and V_s(g) = g; they must agree.
+
+    The component route compares phi_s(g[s1,s2]) with
+    sum_{s',s''} g[s',s''] V[s',s,s1] V[s'',s,s2], summed through
+    h[s''] = sum_s' g[s',s''] V[s',s,s1] once per (s, s1).
+    """
     rep = Report("metric compatibility")
     labels = spec.directions.labels
     bad_components = set()
     for s in labels:
         for s1 in labels:
+            h = {}
+            for (sp, spp), gv in g.g.items():
+                v1 = conn.V.get((sp, s, s1))
+                if v1 is not None:
+                    _acc(h, spp, gv * v1)
             for s2 in labels:
                 lhs = spec.phi(s).apply(g.entry(s1, s2))
                 rhs = spec.pres.zero
-                for sp in labels:
-                    v1 = conn.entry(sp, s, s1)
-                    if v1.is_zero():
-                        continue
-                    for spp in labels:
-                        v2 = conn.entry(spp, s, s2)
-                        if v2.is_zero():
-                            continue
-                        rhs = rhs + g.entry(sp, spp) * v1 * v2
+                for spp, hv in h.items():
+                    v2 = conn.V.get((spp, s, s2))
+                    if v2 is not None:
+                        rhs = rhs + hv * v2
                 ok = lhs == rhs
                 if not ok:
                     bad_components.add(s)

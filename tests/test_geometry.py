@@ -1,18 +1,19 @@
 """Connections, torsion, curvature, the L-tensor product, metrics."""
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
 from nccalc.algebra import _acc
-from nccalc.calculus import GradedForm, d_form, differential, vartheta
+from nccalc.calculus import CalculusError, GradedForm, d_form, differential, vartheta
 from nccalc.geometry import (Connection, LTensor, Metric, TensorA, WedgeTensor, curvature,
                              invariant_monomial_scan, levi_civita_check,
                              metric_compatibility, metric_invariance_conditions,
                              monomial_scaling, nabla_on_tensor, nabla_one_form, torsion,
-                             torsion_free_conditions, torsion_of_form,
-                             transport_one_form, transport_theta, wedge_projection)
+                             torsion_free_conditions, transport_theta)
 from nccalc.presets import load_preset
 from nccalc.scalar import Scalar, params
 from nccalc.suites import random_poly
@@ -24,6 +25,44 @@ def spec_of(pid):
 
 def theta(spec, *labels):
     return GradedForm.theta(spec, *labels)
+
+
+# -- the second torsion route: Theta = d - pi o nabla
+
+
+def transport_one_form(spec, conn, s, alpha):
+    """V_s on a 1-form: V_s(f E) = phi_s^-1(f) V_s(E)."""
+    if set(alpha.degrees()) - {1}:
+        raise CalculusError("transport expects a 1-form")
+    out = GradedForm.zero(spec)
+    for (sp,), f in alpha.component(1).items():
+        out = out + spec.phi_inv(s).apply(f) * transport_theta(spec, conn, s, sp)
+    return out
+
+
+def wedge_projection(spec, t):
+    """The canonical projection onto 2-forms."""
+    if any(len(w) != 2 for w in t.comps):
+        raise CalculusError("projection expects a 2-tensor")
+    return GradedForm._build(spec, t.comps)
+
+
+def torsion_of_form(spec, conn, alpha):
+    """Theta(alpha) = d alpha - pi(nabla alpha); cross-check path."""
+    return d_form(spec, alpha) - wedge_projection(spec, nabla_one_form(spec, conn, alpha))
+
+
+def _nabla_reference(spec, conn, alpha):
+    """nabla(alpha) = vartheta (x) alpha - sum_s theta^s (x) V_s(alpha), each
+    coefficient of V_s(alpha) moved left through phi_s."""
+    comps = {}
+    for (u,), lam in vartheta(spec).component(1).items():
+        for (v,), f in alpha.component(1).items():
+            _acc(comps, (u, v), lam * spec.phi(u).apply(f))
+    for s in spec.directions.labels:
+        for (v,), f in transport_one_form(spec, conn, s, alpha).component(1).items():
+            _acc(comps, (s, v), -spec.phi(s).apply(f))
+    return TensorA(spec, comps)
 
 
 # -- nabla
@@ -320,6 +359,98 @@ def test_curvature_repeats_and_nabla_theta_memo_is_bounded():
     for _ in range(2):
         assert {s: curvature(spec, conn, theta(spec, s)) for s in labels} == first
     assert len(conn._nabla_theta) <= len(labels)
+
+
+@pytest.mark.parametrize("pid", GEOMETRY_PRESETS)
+def test_nabla_one_form_against_phi_reference(pid):
+    """The transport part summed as f_v V[v,s,s''] equals the formula that
+    moves phi_s^-1 coefficients back through phi_s."""
+    spec = spec_of(pid)
+    labels = spec.directions.labels
+    rng = random.Random(f"nabla {pid}")
+    for torsion_free in (True, False):
+        conn = _random_connection(spec, rng, torsion_free)
+        s, u = rng.sample(labels, 2)
+        f, g = random_poly(spec.pres, rng), random_poly(spec.pres, rng)
+        alphas = [*(theta(spec, v) for v in labels), f * theta(spec, s),
+                  theta(spec, s) + g * theta(spec, u)]
+        for alpha in alphas:
+            assert nabla_one_form(spec, conn, alpha) == _nabla_reference(spec, conn, alpha)
+        for v in labels:
+            assert conn.nabla_theta(v) == _nabla_reference(spec, conn, theta(spec, v))
+
+
+@pytest.mark.parametrize("pid", GEOMETRY_PRESETS)
+def test_metric_compatibility_components_against_unhoisted_sum(pid):
+    """Each component check, with its verdict and detail, against
+    sum_{s',s''} g[s',s''] V[s',s,s1] V[s'',s,s2] summed term by term."""
+    spec = spec_of(pid)
+    labels = spec.directions.labels
+    rng = random.Random(f"compatibility {pid}")
+    for torsion_free in (True, False):
+        conn = _random_connection(spec, rng, torsion_free)
+        g = Metric(spec, {(a, b): random_poly(spec.pres, rng, max_len=1, terms=2)
+                          for a in labels for b in labels})
+        want = []
+        for s, s1, s2 in itertools.product(labels, repeat=3):
+            lhs = spec.phi(s).apply(g.entry(s1, s2))
+            rhs = spec.pres.zero
+            for sp, spp in itertools.product(labels, repeat=2):
+                rhs = rhs + g.entry(sp, spp) * conn.entry(sp, s, s1) * conn.entry(spp, s, s2)
+            ok = lhs == rhs
+            if not ok or not g.entry(s1, s2).is_zero():
+                detail = "" if ok else f"phi(g) = {lhs}, sum g V V = {rhs}"
+                want.append((f"component.{s}.g[{s1},{s2}]", ok, detail))
+        rep = metric_compatibility(spec, conn, g)
+        got = [(c.path, c.ok, c.detail) for c in rep.checks if c.path.startswith("component.")]
+        assert got == want
+
+
+def test_transport_table_is_per_connection():
+    spec = spec_of("quantum_plane_a")
+    labels = spec.directions.labels
+    first = Connection.zero(spec)
+    second = Connection(spec, {("1", "1", "2"): "x", ("2", "2", "1"): "y",
+                               ("1", "2", "1"): "1 + x*y"})
+    torsion(spec, first)
+    for s, sp in itertools.product(labels, repeat=2):
+        assert transport_theta(spec, first, s, sp).is_zero()
+    for s, sp in itertools.product(labels, repeat=2):
+        want = GradedForm(spec, {(spp,): spec.phi_inv(s).apply(second.entry(sp, s, spp))
+                                 for spp in labels})
+        assert transport_theta(spec, second, s, sp) == want
+    tor = torsion(spec, second)
+    for s in labels:
+        assert tor[s] == torsion_of_form(spec, second, theta(spec, s))
+
+
+@pytest.mark.parametrize("pid", GEOMETRY_PRESETS)
+def test_torsion_part_is_zero_connection_torsion_built_once(pid):
+    from nccalc.geometry import _torsion_part
+    spec = spec_of(pid)
+    part = _torsion_part(spec)
+    torsion(spec, _random_connection(spec, random.Random(pid), torsion_free=False))
+    assert _torsion_part(spec) is part
+    assert part == torsion(spec, Connection.zero(spec))
+    th = vartheta(spec)
+    assert part == {s: theta(spec, s).wedge(th) - spec.two_forms.delta_theta(s)
+                    for s in spec.directions.labels}
+
+
+def test_dropped_connection_is_freed_without_the_cyclic_collector():
+    spec = spec_of("quantum_plane_a")
+    conn = _random_connection(spec, random.Random(5), torsion_free=False)
+    for s in spec.directions.labels:
+        curvature(spec, conn, theta(spec, s))
+    metric_compatibility(spec, conn, Metric(spec, {("1", "2"): 1, ("2", "1"): 1}))
+    assert conn._transport and conn._nabla_theta
+    ref = weakref.ref(conn)
+    gc.disable()
+    try:
+        del conn
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # -- tensor_L

@@ -41,10 +41,21 @@ MUTANTS = (
            "",
            ("tests/test_geometry.py::test_nabla_on_tensor_against_per_coefficient_reference",)),
     Mutant("nabla_theta_memo_on_spec", "src/nccalc/geometry.py",
-           "        self._nabla_theta = Memo(self._nabla_theta_of)\n",
-           "        self._nabla_theta = spec.__dict__.setdefault(\"_nabla_theta\",\n"
-           "                                                     Memo(self._nabla_theta_of))\n",
+           "        self._nabla_theta = Memo(partial(_nabla_theta_image, spec, self.V))\n",
+           "        self._nabla_theta = spec.__dict__.setdefault(\n"
+           "            \"_nabla_theta\", Memo(partial(_nabla_theta_image, spec, self.V)))\n",
            ("tests/test_geometry.py::test_nabla_theta_memo_is_per_connection",)),
+    # the first connection's transport images answer for every connection
+    Mutant("transport_table_on_spec", "src/nccalc/geometry.py",
+           "        self._transport = Memo(partial(_transport_image, spec, self.V))\n",
+           "        self._transport = spec.__dict__.setdefault(\n"
+           "            \"_transport\", Memo(partial(_transport_image, spec, self.V)))\n",
+           ("tests/test_geometry.py::test_transport_table_is_per_connection",)),
+    # h[s''] keeps the sums of the earlier s1 values
+    Mutant("compatibility_sum_kept_across_s1", "src/nccalc/geometry.py",
+           "        for s1 in labels:\n            h = {}",
+           "        h = {}\n        for s1 in labels:",
+           ("tests/test_geometry.py::test_metric_compatibility_components_against_unhoisted_sum",)),
     Mutant("report_add_drops_parts", "src/nccalc/report.py",
            "Check(path, bool(ok), () if ok else detail)",
            "Check(path, bool(ok), ())",
