@@ -142,9 +142,9 @@ class CalculusSpec:
         self.autos = dict(autos)
         self.side_conditions = tuple(side_conditions)
         self.name = name
-        self._vartheta = None  # vartheta(self), built and checked on first use
-        self._torsion_conditions = None  # geometry.torsion_free_conditions(self), on first use
-        self._torsion_part = None  # geometry._torsion_part(self), on first use
+        # values that depend on the spec alone: derived[build] is build(self),
+        # built on first use; builders are private functions (vartheta's _vartheta)
+        self.derived = Memo(lambda build: build(self))
         labels = directions.labels
         # e and d_form are linear over the scalars: the terms of e_s(w) per
         # direction s and normal word w, and the comps of d(w theta^u) per
@@ -603,15 +603,16 @@ def move_right(spec: CalculusSpec, word, f: NCPoly) -> NCPoly:
 
 def vartheta(spec: CalculusSpec) -> GradedForm:
     """The 1-form making d inner; checked against d on every generator."""
-    if spec._vartheta is not None:
-        return spec._vartheta
+    return spec.derived[_vartheta]
+
+
+def _vartheta(spec):
     th = GradedForm(spec, {(s,): spec.lambdas[s] for s in spec.directions.labels})
     for g in spec.pres.generators:
         f = spec.pres.gen(g.name)
         if th * f - f * th != differential(spec, f):
             raise InconsistentCalculus(
                 f"[vartheta, {g.name}] does not reproduce d {g.name}")
-    spec._vartheta = th
     return th
 
 

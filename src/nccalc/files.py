@@ -413,7 +413,8 @@ def load_calculus(text):
 
 def _table(spec, text, symbol, arity, what, flag=None):
     """Lines `symbol[l1,...,ln] = expr` as {(l1, ..., ln): element}, and
-    whether a line that is just `flag` occurs."""
+    whether a line that is just `flag` occurs.  Every label must be a
+    direction and no key may repeat; either error names its line."""
     labels = ",".join([r"([^,\]]+)"] * arity)
     pattern = re.compile(rf"{symbol}\[{labels}\]\s*=\s*(.+)")
     entries = {}
@@ -427,7 +428,10 @@ def _table(spec, text, symbol, arity, what, flag=None):
             if not m:
                 raise FileFormatError(f"bad {what} line: {line!r}")
             *key, expr = (g.strip() for g in m.groups())
-            entries[tuple(key)] = spec.pres.parse(expr)
+            key = spec.directions.word(key)
+            if key in entries:
+                raise FileFormatError(f"repeated entry {symbol}[{','.join(key)}]")
+            entries[key] = spec.pres.parse(expr)
     return entries, flagged
 
 

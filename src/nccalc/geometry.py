@@ -3,17 +3,22 @@ metrics, invariance and compatibility.
 
 Connection coefficients follow V_s(theta^s') = sum_s'' phi_s^-1(V[s',s,s'']) theta^s''.
 Every phi_s is a verified automorphism whose inverse is checked on every
-generator (CalculusSpec refuses any other), so phi_s(phi_s^-1(f) phi_s^-1(V))
-= f V and nabla needs no morphism in its transport part: for
-alpha = sum_v f_v theta^v,
+generator (CalculusSpec refuses any other), so
 
-    nabla(alpha) = vartheta (x) alpha - sum_{s,v,s''} f_v V[v,s,s''] theta^s (x) theta^s''.
+    theta^s phi_s^-1(f) = f theta^s
+
+for every f: the coefficient phi_s^-1(V[...]) of V_s, moved left across
+theta^s, is V[...] again.  So neither nabla nor the torsion applies a
+morphism to V: for alpha = sum_v f_v theta^v,
+
+    nabla(alpha) = vartheta (x) alpha - sum_{s,v,s''} f_v V[v,s,s''] theta^s (x) theta^s'',
+    Theta(theta^s) = Theta_0(theta^s) + sum_{s',s''} V[s,s',s''] theta^s' theta^s'',
+
+where Theta_0 is the torsion of the zero connection.
 
 Tensors of 1-forms are stored with all coefficients on the left; in the
 semi-left-linear coordinates an element f theta^{u1} (x)_L ... the product
-just concatenates words and multiplies coefficients.  Conversion to the
-plain module tensor product rescales each word by the theta-image factors
-of the automorphisms.
+just concatenates words and multiplies coefficients.
 """
 
 from __future__ import annotations
@@ -47,16 +52,15 @@ def _key_table(spec, entries: Mapping, arity, kind) -> dict:
 class Connection:
     """Parallel-transport coefficients V[s', s, s''] over the algebra.
 
-    A connection is not changed after construction, so it keeps two tables
-    whose entries are computed once: V_s(theta^s') per (s, s') and
-    nabla(theta^v) per direction v.  Their fills hold the spec and V, not
-    the connection, so a dropped connection is freed at once.
+    A connection is not changed after construction, so it keeps
+    nabla(theta^v) per direction v, computed once.  The table's fill holds
+    the spec and V, not the connection, so a dropped connection is freed
+    at once.
     """
 
     def __init__(self, spec: CalculusSpec, entries: Mapping):
         self.spec = spec
         self.V = _key_table(spec, entries, 3, "connection")
-        self._transport = Memo(partial(_transport_image, spec, self.V))
         self._nabla_theta = Memo(partial(_nabla_theta_image, spec, self.V))
 
     def entry(self, sp, s, spp) -> NCPoly:
@@ -75,20 +79,15 @@ class Connection:
         return f"Connection({body})"
 
 
-def _transport_image(spec, V, key):
-    s, sp = key
-    inverse = spec.phi_inv(s)
-    return GradedForm(spec, {(spp,): inverse.apply(V[(sp, s, spp)])
-                             for spp in spec.directions.labels if (sp, s, spp) in V})
-
-
 def _nabla_theta_image(spec, V, v):
     return _nabla(spec, V, GradedForm.theta(spec, v))
 
 
 def transport_theta(spec, conn: Connection, s, sp) -> GradedForm:
-    """V_s(theta^{s'}) as a 1-form, from the connection's table."""
-    return conn._transport[(s, sp)]
+    """V_s(theta^{s'}) as a 1-form."""
+    V, inverse = conn.V, spec.phi_inv(s)
+    return GradedForm(spec, {(spp,): inverse.apply(V[(sp, s, spp)])
+                             for spp in spec.directions.labels if (sp, s, spp) in V})
 
 
 class TensorA(LabelModule):
@@ -127,25 +126,26 @@ def _nabla(spec, V, alpha):
 
 def torsion(spec, conn: Connection) -> dict:
     """Torsion 2-forms Theta(theta^s), reduced to the basis: the spec's part
-    plus sum_s' theta^s' V_s'(theta^s)."""
+    plus sum_{s',s''} V[s,s',s''] theta^s' theta^s'' (module docstring)."""
     if spec.two_forms is None:
         raise CalculusError("torsion needs a two-form structure")
-    out = {}
-    for s, t in _torsion_part(spec).items():
-        for sp in spec.directions.labels:
-            t = t + GradedForm.theta(spec, sp).wedge(conn._transport[(sp, s)])
-        out[s] = t
-    return out
+    parts = {}
+    for (s, sp, spp), c in conn.V.items():
+        parts.setdefault(s, {})[(sp, spp)] = c
+    return {s: t + GradedForm._build(spec, parts.get(s, {}))
+            for s, t in _torsion_part(spec).items()}
 
 
 def _torsion_part(spec) -> dict:
-    """theta^s vartheta - Delta(theta^s) per direction s: the torsion of the
-    zero connection.  It depends only on the spec, which keeps it."""
-    if spec._torsion_part is None:
-        th = vartheta(spec)
-        spec._torsion_part = {s: GradedForm.theta(spec, s).wedge(th)
-                              - spec.two_forms.delta_theta(s) for s in spec.directions.labels}
-    return spec._torsion_part
+    """Theta_0(theta^s) per direction s, kept by the spec."""
+    return spec.derived[_zero_connection_torsion]
+
+
+def _zero_connection_torsion(spec) -> dict:
+    """theta^s vartheta - Delta(theta^s): the torsion of the zero connection."""
+    th = vartheta(spec)
+    return {s: GradedForm.theta(spec, s).wedge(th) - spec.two_forms.delta_theta(s)
+            for s in spec.directions.labels}
 
 
 class LinearEquation(NamedTuple):
@@ -198,9 +198,7 @@ def torsion_free_conditions(spec) -> TorsionConditions:
     -sum kappa_uv theta^u theta^v, couples to every kept pair (u, v).
     The conditions depend only on the spec, which keeps them.
     """
-    if spec._torsion_conditions is None:
-        spec._torsion_conditions = _torsion_free_conditions(spec)
-    return spec._torsion_conditions
+    return spec.derived[_torsion_free_conditions]
 
 
 def _torsion_free_conditions(spec) -> TorsionConditions:
@@ -319,26 +317,8 @@ class LTensor(LabelModule):
                 _acc(comps, w + u, f * g)
         return LTensor(self.spec, comps)
 
-    def to_plain(self) -> TensorA:
-        """Rewrite in module tensor coordinates (theta-image scalings)."""
-        return TensorA(self.spec, {w: f * _word_scaling(self.spec, w).inverse()
-                                   for w, f in self.comps.items()})
-
-    @staticmethod
-    def from_plain(spec, t: TensorA) -> "LTensor":
-        return LTensor(spec, {w: f * _word_scaling(spec, w) for w, f in t.comps.items()})
-
     def _word_str(self, w):
         return " " + " (x)L ".join(f"theta[{s}]" for s in w)
-
-
-def _word_scaling(spec, w) -> Scalar:
-    """prod_{i<j} theta_scale(w_i, w_j): the factor from plain to L coordinates."""
-    gamma = Scalar.one()
-    for i in range(len(w)):
-        for j in range(i + 1, len(w)):
-            gamma = gamma * spec.theta_scale(w[i], w[j])
-    return gamma
 
 
 def transport_ltensor(spec, conn: Connection, s, t: LTensor) -> LTensor:

@@ -143,6 +143,29 @@ def test_vartheta_inner_on_generators():
             assert th * f - f * th == differential(spec, f)
 
 
+def test_derived_values_are_built_once_per_spec():
+    from nccalc.calculus import _vartheta
+    from nccalc.files import load_calculus, serialize_calculus
+    spec = spec_of("quantum_plane_a")
+    twin = load_calculus(serialize_calculus(spec))
+    specs = (spec, twin, spec_of("glpq2"))
+    builds = []
+
+    def build(sp):
+        builds.append(sp)
+        return len(builds)
+
+    for sp in specs:
+        th = vartheta(sp)
+        assert vartheta(sp) is th and sp.derived[_vartheta] is th
+        assert th.spec is sp and th == _vartheta(sp)
+        n = sp.derived[build]
+        assert sp.derived[build] == n and builds[n - 1] is sp
+    assert [id(sp) for sp in builds] == [id(sp) for sp in specs]
+    assert vartheta(twin) is not vartheta(spec)
+    assert str(vartheta(twin)) == str(vartheta(spec))
+
+
 # -- two_form_structure
 
 

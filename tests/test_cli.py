@@ -569,6 +569,20 @@ def test_file_that_is_not_utf8_is_one_error_line(tmp_path, args):
         2, [f"error: {path}: not UTF-8 text (byte offset 16)"])
 
 
+@pytest.mark.parametrize("args, text, message", [
+    (["torsion", "--connection", "{path}"], "V[1,9,2] = 1\n", "line 1: unknown direction 9"),
+    (["torsion", "--connection", "{path}"], "V[1,2,1] = 1\nV[1,2,1] = 2\n",
+     "line 2: repeated entry V[1,2,1]"),
+    (["metric-check", "--metric", "{path}"], "g[1,1] = 1\ng[1,1] = 0\n",
+     "line 2: repeated entry g[1,1]"),
+], ids=["unknown_label", "repeated_connection_key", "repeated_metric_key"])
+def test_bad_connection_or_metric_key_exit_2(tmp_path, args, text, message):
+    path = tmp_path / "table.txt"
+    path.write_text(text)
+    res = run_cli(["--preset", "quantum_plane_a", *(a.format(path=path) for a in args)])
+    assert (res.exit_code, res.output.splitlines()) == (2, [f"error: {message}"])
+
+
 @pytest.mark.parametrize("args, text", [
     (["--file", "{path}", "normalize", "y*x"], None),
     (["--preset", "quantum_plane_a", "torsion", "--connection", "{path}"],

@@ -167,6 +167,20 @@ def test_connection_and_metric_errors_name_the_file_line():
     assert str(exc.value) == "line 2: bad metric line: 'g[1]'"
 
 
+@pytest.mark.parametrize("load, text, message", [
+    (load_connection, "V[1,1,1] = 1\nV[1,9,2] = 1\n", "line 2: unknown direction 9"),
+    (load_connection, "V[1,2,1] = 1\n# again\nV[1, 2 ,1] = 2\n",
+     "line 3: repeated entry V[1,2,1]"),
+    (load_metric, "g[1,1] = 1\ng[1,1] = 0\n", "line 2: repeated entry g[1,1]"),
+    (load_metric, "symmetric\ng[ ,1] = 1\n", "line 2: empty direction label"),
+], ids=["unknown_label", "repeated_connection_key", "repeated_metric_key", "empty_label"])
+def test_connection_and_metric_keys_are_checked_on_their_line(load, text, message):
+    spec = load_preset("quantum_plane_a").spec
+    with pytest.raises(FileFormatError) as exc:
+        load(spec, text)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("old, new, message", [
     ("labels = 1 2", "labels 1 2", "[directions] line 13: bad directions line: 'labels 1 2'"),
     ("class 1 2 = quadrangle g1", "class 1 2 = triangle",

@@ -425,6 +425,35 @@ def test_transport_table_is_per_connection():
 
 
 @pytest.mark.parametrize("pid", GEOMETRY_PRESETS)
+def test_torsion_against_definition_path(pid):
+    """Theta(theta^s) summed as V[s,s',s''] theta^s' theta^s'' equals
+    d theta^s - pi(nabla theta^s)."""
+    spec = spec_of(pid)
+    rng = random.Random(f"torsion {pid}")
+    for torsion_free in (True, False):
+        conn = _random_connection(spec, rng, torsion_free)
+        tor = torsion(spec, conn)
+        assert list(tor) == list(spec.directions.labels)
+        for s in spec.directions.labels:
+            assert tor[s] == torsion_of_form(spec, conn, theta(spec, s))
+
+
+def test_torsion_applies_no_automorphism(monkeypatch):
+    from nccalc.algebra import AlgebraMorphism
+    from nccalc.geometry import _torsion_part
+    spec = spec_of("group_lattice_s3")
+    conn = _random_connection(spec, random.Random(11), torsion_free=False)
+    want = {s: torsion_of_form(spec, conn, theta(spec, s)) for s in spec.directions.labels}
+    _torsion_part(spec)
+    calls = []
+    apply = AlgebraMorphism.apply
+    monkeypatch.setattr(AlgebraMorphism, "apply",
+                        lambda self, p: calls.append(p) or apply(self, p))
+    assert torsion(spec, conn) == want
+    assert calls == []
+
+
+@pytest.mark.parametrize("pid", GEOMETRY_PRESETS)
 def test_torsion_part_is_zero_connection_torsion_built_once(pid):
     from nccalc.geometry import _torsion_part
     spec = spec_of(pid)
@@ -443,7 +472,7 @@ def test_dropped_connection_is_freed_without_the_cyclic_collector():
     for s in spec.directions.labels:
         curvature(spec, conn, theta(spec, s))
     metric_compatibility(spec, conn, Metric(spec, {("1", "2"): 1, ("2", "1"): 1}))
-    assert conn._transport and conn._nabla_theta
+    assert conn._nabla_theta
     ref = weakref.ref(conn)
     gc.disable()
     try:
@@ -454,13 +483,6 @@ def test_dropped_connection_is_freed_without_the_cyclic_collector():
 
 
 # -- tensor_L
-
-
-def test_tensor_L_plain_when_phis_act_trivially_on_thetas():
-    # identity theta scalings: (x)_L and (x)_A coordinates coincide
-    spec = spec_of("twisted_heisenberg_2")
-    t = LTensor.theta(spec, "1").tensor(LTensor.theta(spec, "2"))
-    assert t.to_plain().comps == t.comps
 
 
 def test_tensor_L_coefficient_rule():
@@ -483,16 +505,6 @@ def test_tensor_L_associative_random():
         ts = [LTensor(spec, {(rng.choice(labels),): random_poly(spec.pres, rng, 1, 1)})
               for _ in range(3)]
         assert ts[0].tensor(ts[1]).tensor(ts[2]) == ts[0].tensor(ts[1].tensor(ts[2]))
-
-
-def test_tensor_L_to_plain_uses_theta_scalings():
-    spec = spec_of("glpq2")
-    p, q = params("p q")
-    t = LTensor.theta(spec, "1").tensor(LTensor.theta(spec, "2"))
-    plain = t.to_plain()
-    # phi_1(theta^2) = (pq)^-1 theta^2, so the plain coordinates carry pq
-    assert plain.comps[("1", "2")] == spec.pres.const(p * q)
-    assert LTensor.from_plain(spec, plain) == t
 
 
 def test_label_containers_drop_zeros_and_compare_by_type():

@@ -45,12 +45,16 @@ MUTANTS = (
            "        self._nabla_theta = spec.__dict__.setdefault(\n"
            "            \"_nabla_theta\", Memo(partial(_nabla_theta_image, spec, self.V)))\n",
            ("tests/test_geometry.py::test_nabla_theta_memo_is_per_connection",)),
-    # the first connection's transport images answer for every connection
-    Mutant("transport_table_on_spec", "src/nccalc/geometry.py",
-           "        self._transport = Memo(partial(_transport_image, spec, self.V))\n",
-           "        self._transport = spec.__dict__.setdefault(\n"
-           "            \"_transport\", Memo(partial(_transport_image, spec, self.V)))\n",
-           ("tests/test_geometry.py::test_transport_table_is_per_connection",)),
+    # Theta(theta^s) sums V[s',s,s''] instead of V[s,s',s'']
+    Mutant("torsion_reads_V_transposed", "src/nccalc/geometry.py",
+           "        parts.setdefault(s, {})[(sp, spp)] = c\n",
+           "        parts.setdefault(sp, {})[(s, spp)] = c\n",
+           ("tests/test_geometry.py::test_torsion_against_definition_path",)),
+    # the first spec's derived values answer for every spec
+    Mutant("derived_memo_shared_across_specs", "src/nccalc/calculus.py",
+           "        self.derived = Memo(lambda build: build(self))\n",
+           "        self.derived = globals().setdefault(\"_derived\", Memo(lambda build: build(self)))\n",
+           ("tests/test_calculus.py::test_derived_values_are_built_once_per_spec",)),
     # h[s''] keeps the sums of the earlier s1 values
     Mutant("compatibility_sum_kept_across_s1", "src/nccalc/geometry.py",
            "        for s1 in labels:\n            h = {}",
