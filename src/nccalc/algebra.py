@@ -21,8 +21,13 @@ from __future__ import annotations
 from itertools import groupby
 from typing import NamedTuple
 
+from . import _lazy_attributes
 from .parsing import ParseError, parse_with_context
 from .scalar import Scalar, scalar
+
+# defined with their only callers: the linear searches and the tensor-plane presets
+__getattr__ = _lazy_attributes(__name__, {"linalg": ("normal_words",),
+                                          "presets.tensors": ("tensor_product",)})
 
 Word = tuple  # tuple[letter, ...]; letter 2*i is generator i, 2*i + 1 its inverse
 
@@ -747,28 +752,37 @@ def verify_morphism(pres, images, inverse_images=None) -> AlgebraMorphism:
 def _morphism(pres, images):
     """Morphism from generator images (text or NCPoly), marked verified so it
     can be applied while it is checked; a generator without an image is
-    fixed, and phi(g^-1) = phi(g)^-1.  An image of an undeclared name is an
-    AlgebraError, so a misspelled generator is not fixed in silence."""
+    fixed.  The image of g^-1 is the one stated under the key `g^-1`, once
+    it is checked to be phi(g)^-1 on both sides, or else phi(g)^-1 found by
+    `invert_element`.  An image of an undeclared name is an AlgebraError,
+    so a misspelled generator is not fixed in silence."""
     for name in images:
-        pres.gen_index(name)
+        if name.endswith("^-1"):
+            pres.gen(name[:-3], -1)  # an undeclared or non-invertible generator raises
+        else:
+            pres.gen_index(name)
     imgs = {g.name: pres.element(images[g.name]) if g.name in images else pres.gen(g.name)
             for g in pres.generators}
     inv_imgs = {}
     for g in pres.generators:
         if g.invertible:
-            inv_imgs[g.name] = invert_element(imgs[g.name])
-            if inv_imgs[g.name] is None:
-                raise AlgebraError(
-                    f"cannot compute the image of {g.name}^-1 from {imgs[g.name]}")
+            img, stated = imgs[g.name], images.get(f"{g.name}^-1")
+            if stated is None:
+                inv = invert_element(img)
+                if inv is None:
+                    raise AlgebraError(f"cannot compute the image of {g.name}^-1 from {img}")
+            else:
+                inv = pres.element(stated)
+                if not ((img * inv).is_one() and (inv * img).is_one()):
+                    raise AlgebraError(
+                        f"the stated image {inv} of {g.name}^-1 is not the inverse of {img}")
+            inv_imgs[g.name] = inv
     return AlgebraMorphism(pres, imgs, inv_imgs, True)
 
 
 def invert_element(p: NCPoly):
-    """Two-sided inverse of p, searched over normal words of bounded length.
-
-    Solves p*z = 1 linearly in the span of normal words (in the generators
-    occurring in p) of up to four letters, then checks z*p = 1.
-    Returns None when no inverse is found within the bound.
+    """Two-sided inverse of p: the inverse of a unit monomial, or else one
+    searched for by `linalg.invert_by_search`; None when none is found.
     """
     if p.is_zero():
         return None
@@ -776,120 +790,6 @@ def invert_element(p: NCPoly):
         return unit_inverse(p)
     except AlgebraError:
         pass
-    from .linalg import solve_linear, span_rows  # here, so a unit monomial never loads linalg
+    from .linalg import invert_by_search  # here, so a unit monomial never loads linalg
 
-    pres = p.pres
-    gens = sorted({l >> 1 for w in p.terms for l in w})
-    cands = normal_words(pres, 4, gens=gens)
-    rows = span_rows(cands, lambda w: (p * pres.poly({w: Scalar.one()})).terms.items())
-    eqs = [(coeffs, Scalar.one() if rw == () else Scalar.zero())
-           for rw, coeffs in rows.items()]
-    sol = solve_linear(eqs, len(cands))
-    if sol is None:
-        return None
-    z = pres.poly(dict(zip(cands, sol)))
-    # p*z is 1 when the span reaches 1, else 0; z*p = 1 and p*z = 0 would give p = 0
-    if (z * p).is_one():
-        return z
-    return None
-
-
-# ---------------------------------------------------------------------------
-# tensor products
-
-
-def tensor_product(p1: Presentation, p2: Presentation, name=None) -> Presentation:
-    """Combined presentation in which the two factors commute elementwise."""
-    names1 = {g.name for g in p1.generators}
-    gens = list(p1.generators)
-    rename = {}
-    for g in p2.generators:
-        nm = g.name
-        while nm in names1 or nm in rename.values():
-            nm += "_2"
-        rename[g.name] = nm
-        gens.append(Generator(nm, g.invertible))
-    params = tuple(dict.fromkeys(p1.params + p2.params))
-    pres = Presentation(gens, params, name=name)
-    off = 2 * len(p1.generators)
-
-    def shift(w):
-        return tuple(l + off for l in w)
-
-    rules = list(p1.rules)
-    for r in p2.rules:
-        rules.append(RewriteRule(shift(r.lhs), tuple((shift(w), c) for w, c in r.rhs)))
-    one = Scalar.one()
-    for j in range(len(p1.generators), len(gens)):
-        for i in range(len(p1.generators)):
-            for lj in pres.letters(j):
-                for li in pres.letters(i):
-                    rules.append(RewriteRule((lj, li), (((li, lj), one),)))
-    pres._install_rules(rules)
-    return pres
-
-
-# ---------------------------------------------------------------------------
-# word enumeration and the module-basis probe
-
-
-def normal_words(pres: Presentation, max_length: int, gens=None):
-    """All rewrite-irreducible words up to the given letter length, () first."""
-    out = [()]
-    alphabet = [l for i in range(len(pres.generators)) if gens is None or i in gens
-                for l in pres.letters(i)]
-
-    def grow(word):
-        if len(word) == max_length:
-            return
-        for l in alphabet:
-            if word and word[-1] == l ^ 1:
-                continue  # would cancel
-            nxt = word + (l,)
-            if pres._first_redex(nxt) is not None:
-                continue
-            out.append(nxt)
-            grow(nxt)
-
-    grow(())
-    return out
-
-
-class ProbeReport(NamedTuple):
-    dependent: bool
-    witness: dict | None  # label -> NCPoly
-    words_tested: int
-
-    def __str__(self):
-        if not self.dependent:
-            return f"no dependency found ({self.words_tested} test monomials)"
-        parts = ", ".join(f"f[{s}] = {p}" for s, p in self.witness.items())
-        return f"dependency found: {parts}"
-
-
-def basis_independence_probe(pres, derivations, degree_bound) -> ProbeReport:
-    """Bounded search for a right-module relation sum_s e_s . f_s = 0.
-
-    derivations maps labels to callables NCPoly -> NCPoly.  The relation
-    must hold on all normal monomials up to degree_bound, with the f_s
-    ranging over combinations of normal words up to degree_bound.
-    """
-    from .linalg import nullspace_vector, span_rows
-
-    labels = list(derivations)
-    words = normal_words(pres, degree_bound)  # the span of each f_s, and the test monomials
-    es = {(s, m): derivations[s](pres.poly({m: Scalar.one()})) for m in words for s in labels}
-
-    def image(u):  # e_s(m) * w for every test monomial m, row key (m, result word)
-        s, w = u
-        wp = pres.poly({w: Scalar.one()})
-        return (((m, rw), rc) for m in words for rw, rc in (es[s, m] * wp).terms.items())
-
-    rows = span_rows([(s, w) for s in labels for w in words], image)
-    vec = nullspace_vector(list(rows.values()), len(labels) * len(words))
-    if vec is None:
-        return ProbeReport(False, None, len(words))
-    n = len(words)
-    witness = {s: pres.poly(dict(zip(words, vec[i * n:(i + 1) * n])))
-               for i, s in enumerate(labels)}
-    return ProbeReport(True, witness, len(words))
+    return invert_by_search(p)

@@ -12,14 +12,24 @@ reduced to a chosen basis by the relations of a TwoFormStructure.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from functools import partial
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
-from .algebra import (AlgebraMorphism, LabelModule, Memo, NCPoly, _acc, _AlgebraCtx,
-                      _linear_image, join_terms, normal_words)
-from .parsing import ParseError, parse_with_context
+from . import _lazy_attributes
+from .algebra import (AlgebraError, AlgebraMorphism, LabelModule, Memo, NCPoly, _acc,
+                      _AlgebraCtx, _linear_image, join_terms)
+from .parsing import FileFormatError, ParseError, parse_with_context
 from .report import Report
-from .scalar import Scalar, scalar
+from .scalar import Scalar, ScalarError, scalar
+
+# The verification routines and the theta-solve live with their only
+# callers, so a call that runs neither never compiles them.
+__getattr__ = _lazy_attributes(__name__, {
+    "linalg": ("ThetaSolution", "solve_theta_in_differentials", "theta_solution_form"),
+    "suites": ("central_one_forms_probe", "check_differentiability", "is_central_one_form",
+               "verify_inner_identities"),
+})
 
 
 class CalculusError(ValueError):
@@ -658,171 +668,13 @@ def _d_image(spec, key):
     return (graded_commutator(spec, vartheta(spec), term) - delta(spec, term)).comps
 
 
-def verify_inner_identities(spec: CalculusSpec) -> Report:
-    """The structural identities of an inner calculus, on generators and thetas."""
-    rep = Report("inner identities")
-    ts = spec.two_forms
-    if ts is None:
-        raise CalculusError("verify_inner_identities needs a two-form structure")
-    th = vartheta(spec)
-    zeta = d_form(spec, th) - th.wedge(th)
-    rep.add("zeta_matches_table", zeta == ts.zeta_form(), "d(vartheta) - vartheta^2 = ", zeta)
-    gens = [spec.pres.gen(g.name) for g in spec.pres.generators]
-    for g, f in zip(spec.pres.generators, gens):
-        res = zeta * f - f * zeta
-        rep.add(f"zeta_central.{g.name}", res.is_zero(), res)
-    samples = [GradedForm.theta(spec, s) for s in spec.directions.labels]
-    samples += [f * GradedForm.theta(spec, s)
-                for f, g in zip(gens, spec.pres.generators)
-                for s in spec.directions.labels[:1]]
-    for i, w in enumerate(samples):
-        res = delta(spec, delta(spec, w)) + graded_commutator(spec, zeta, w)
-        rep.add(f"delta_square.{i}", res.is_zero(), res)
-    res = delta(spec, zeta)
-    rep.add("delta_zeta", res.is_zero(), res)
-    res = d_form(spec, zeta) - graded_commutator(spec, th, zeta)
-    rep.add("d_zeta", res.is_zero(), res)
-    return rep
-
-
-def is_central_one_form(spec: CalculusSpec, alpha: GradedForm):
-    """Lemma: alpha commutes with the algebra iff a_s phi_s(f) = f a_s."""
-    if set(alpha.degrees()) - {1}:
-        raise CalculusError("centrality test expects a 1-form")
-    for (s,), a in alpha.component(1).items():
-        for g in spec.pres.generators:
-            f = spec.pres.gen(g.name)
-            if a * spec.phi(s).apply(f) != f * a:
-                return False, (s, g.name)
-    return True, None
-
-
-def central_one_forms_probe(spec: CalculusSpec, degree_bound=4):
-    """Bounded search for nonzero central 1-forms (simplicity cross-check).
-
-    Returns a dict direction -> witness coefficient for every direction
-    where a nonzero solution of a_s phi_s(f) = f a_s exists with a_s in
-    the span of normal words up to degree_bound.
-    """
-    from .linalg import nullspace_vector, span_rows
-
-    pres = spec.pres
-    witnesses = {}
-    words = normal_words(pres, degree_bound)
-    gens = [pres.gen(g.name) for g in pres.generators]
-    for s in spec.directions.labels:
-        def image(w, phi=spec.phi(s)):  # a_s phi_s(f) - f a_s, row key (f, result word)
-            wp = pres.poly({w: Scalar.one()})
-            return (((i, rw), rc) for i, f in enumerate(gens)
-                    for rw, rc in (wp * phi.apply(f) - f * wp).terms.items())
-
-        vec = nullspace_vector(list(span_rows(words, image).values()), len(words))
-        if vec is not None:
-            witnesses[s] = pres.poly(dict(zip(words, vec)))
-    return witnesses
-
-
 def constants(spec: CalculusSpec, candidates) -> list:
     """The candidates c with d c = 0, that is c lambda_s = lambda_s phi_s(c) for every s."""
     return [p for p in map(spec.pres.element, candidates) if differential(spec, p).is_zero()]
 
 
-def check_differentiability(spec: CalculusSpec, phi: AlgebraMorphism,
-                            theta_images=None, simple=False) -> Report:
-    """Can phi extend to the forms with the given theta images?
-
-    Checks (i) d phi(g) = sum_s phi(e_s g) phi(theta^s) on generators,
-    (ii) phi(theta^s) f = (phi o phi_s o phi^-1)(f) phi(theta^s), and
-    (iii) phi(vartheta) = vartheta for simple calculi, otherwise that the
-    difference is a central 1-form.
-    """
-    rep = Report("differentiability")
-    if phi.inverse is None or not phi.verified:
-        raise CalculusError("phi must be verified with an inverse")
-    labels = spec.directions.labels
-    images = {}
-    for s in labels:
-        img = None if theta_images is None else theta_images.get(s)
-        if img is None:
-            img = GradedForm.theta(spec, s)
-        elif not isinstance(img, GradedForm):
-            img = GradedForm.theta(spec, s).mul_left(spec.pres.element(img))
-        images[s] = img
-    for g in spec.pres.generators:
-        f = spec.pres.gen(g.name)
-        lhs = differential(spec, phi.apply(f))
-        rhs = GradedForm.zero(spec)
-        for s in labels:
-            rhs = rhs + phi.apply(spec.e(s, f)) * images[s]
-        rep.add(f"d_phi.{g.name}", lhs == rhs, lhs - rhs)
-    for s in labels:
-        conj = phi.inverse.then(spec.phi(s)).then(phi)  # phi o phi_s o phi^-1
-        for g in spec.pres.generators:
-            f = spec.pres.gen(g.name)
-            res = images[s] * f - conj.apply(f) * images[s]
-            rep.add(f"theta_commutation.{s}.{g.name}", res.is_zero(), res)
-    th = vartheta(spec)
-    phi_th = GradedForm.zero(spec)
-    for s in labels:
-        phi_th = phi_th + phi.apply(spec.lambdas[s]) * images[s]
-    corr = phi_th - th
-    if simple:
-        rep.add("phi_vartheta_fixed", corr.is_zero(), "phi(vartheta) - vartheta = ", corr)
-    elif corr.is_zero():
-        rep.add("phi_vartheta_fixed", True)
-    else:
-        central, witness = is_central_one_form(spec, corr)
-        rep.add("phi_vartheta_central_correction", central,
-                "vartheta_phi = ", corr, f", witness {witness}")
-    return rep
-
-
-class ThetaSolution(NamedTuple):
-    ok: bool
-    coefficients: dict | None  # label -> list[NCPoly] aligned with coords
-    det: NCPoly | None
-    matrix: tuple
-
-
-def solve_theta_in_differentials(spec: CalculusSpec, coords) -> ThetaSolution:
-    """Invert the matrix e_s(coord_j) to express theta^s via differentials.
-
-    Uses the adjugate over commutative algebras (the determinant must be a
-    unit) and unit-pivot Gaussian elimination otherwise; on failure the
-    assembled matrix is returned.  Each routine certifies the inverse it
-    returns, so it is not multiplied out here: adj(M) M = det(M) I for
-    commuting entries, and the elimination, which keeps B M = A, returns B
-    only once A = I.
-    """
-    from .linalg import commutative_inverse, nc_left_inverse
-
-    labels = spec.directions.labels
-    coords = [spec.pres.element(c) for c in coords]
-    if len(coords) != len(labels):
-        raise CalculusError("need exactly one coordinate per direction")
-    M = [[spec.e(s, f) for s in labels] for f in coords]
-    det = None
-    if spec.pres.is_commutative():
-        inv, det = commutative_inverse(spec.pres, M)
-    else:
-        inv = nc_left_inverse(spec.pres, M)
-    if inv is None:
-        return ThetaSolution(False, None, det, tuple(tuple(r) for r in M))
-    coeffs = dict(zip(labels, inv))
-    return ThetaSolution(True, coeffs, det, tuple(tuple(r) for r in M))
-
-
-def theta_solution_form(spec, sol: ThetaSolution, coords, s) -> GradedForm:
-    """The 1-form sum_j c_j d(coord_j) for direction s."""
-    coords = [spec.pres.element(c) for c in coords]
-    out = GradedForm.zero(spec)
-    for c, f in zip(sol.coefficients[s], coords):
-        out = out + c * differential(spec, f)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# form parsing
+# form parsing, and the lines of definition, connection and metric files
 
 
 class _FormCtx:
@@ -866,3 +718,21 @@ class _FormCtx:
 
 def parse_form(spec: CalculusSpec, text: str) -> GradedForm:
     return parse_with_context(text, _FormCtx(spec))
+
+
+def _strip_lines(text):
+    """(1-based file line number, line) for each line with content."""
+    for n, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield n, line
+
+
+@contextmanager
+def _at(n, section=None):
+    """Report an error in a file line as '[section] line n: message'."""
+    try:
+        yield
+    except (FileFormatError, ParseError, AlgebraError, CalculusError, ScalarError) as exc:
+        where = f"line {n}" if section is None else f"[{section}] line {n}"
+        raise FileFormatError(f"{where}: {exc}") from exc

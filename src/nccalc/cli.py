@@ -12,19 +12,21 @@ import sys
 from . import _lazy_attributes
 from .algebra import AlgebraError
 from .calculus import (CalculusError, GradedForm, InconsistentCalculus,
-                       d_form, differential, move_left, parse_form,
-                       solve_theta_in_differentials)
+                       d_form, differential, move_left, parse_form)
 from .parsing import FileFormatError, ParseError
 from .presets import PRESET_IDS, PresetError, load_preset
 from .report import Report
 from .scalar import ScalarError
 
-# The geometry and file layers are imported by the commands that use them,
-# so a light call never compiles them; their names still resolve here.
+# The geometry, file and linear-algebra layers are imported by the commands
+# that use them, so a light call never compiles them; their names still
+# resolve here.
 __getattr__ = _lazy_attributes(__name__, {
-    "files": ("load_calculus", "load_connection", "load_metric", "serialize_calculus"),
-    "geometry": ("curvature", "levi_civita_check", "metric_compatibility",
-                 "metric_invariance_conditions", "torsion", "torsion_free_conditions"),
+    "files": ("load_calculus", "serialize_calculus"),
+    "geometry": ("curvature", "levi_civita_check", "load_connection", "load_metric",
+                 "metric_compatibility", "metric_invariance_conditions", "torsion",
+                 "torsion_free_conditions"),
+    "linalg": ("solve_theta_in_differentials",),
 })
 
 # verify --suite name -> runner(suites module, spec, samples); only verify imports suites
@@ -271,6 +273,8 @@ def verify(ctx, suite, samples, all_presets):
 @command("theta-solve", arg("--coords", required=True, help="comma-separated coordinate elements"))
 def theta_solve(ctx, spec, coords):
     """Express the theta basis through differentials of the coordinates."""
+    from .linalg import solve_theta_in_differentials
+
     exprs = [c.strip() for c in coords.split(",")]
     sol = solve_theta_in_differentials(spec, exprs)
     if not sol.ok:
@@ -292,8 +296,7 @@ def theta_solve(ctx, spec, coords):
 @command("torsion", arg("--connection", required=True))
 def torsion_cmd(ctx, spec, connection):
     """Torsion 2-forms of a connection."""
-    from .files import load_connection
-    from .geometry import torsion
+    from .geometry import load_connection, torsion
 
     tor = torsion(spec, load_connection(spec, _read(connection)))
     _emit(ctx, [f"Theta(theta[{s}]) = {t}" for s, t in tor.items()])
@@ -312,8 +315,7 @@ def torsion_conditions_cmd(ctx, spec):
 @command("curvature", arg("--connection", required=True), arg("--theta", required=True))
 def curvature_cmd(ctx, spec, connection, theta):
     """Curvature R(theta^s) of a connection."""
-    from .files import load_connection
-    from .geometry import curvature
+    from .geometry import curvature, load_connection
 
     conn = load_connection(spec, _read(connection))
     R = curvature(spec, conn, GradedForm.theta(spec, theta))
@@ -323,8 +325,8 @@ def curvature_cmd(ctx, spec, connection, theta):
 @command("metric-check", arg("--metric", required=True), arg("--connection"))
 def metric_check(ctx, spec, metric, connection):
     """Metric invariance conditions, plus compatibility if a connection is given."""
-    from .files import load_connection, load_metric
-    from .geometry import metric_compatibility, metric_invariance_conditions
+    from .geometry import (load_connection, load_metric, metric_compatibility,
+                           metric_invariance_conditions)
 
     g = load_metric(spec, _read(metric))
     rep = Report("metric")
@@ -338,8 +340,7 @@ def metric_check(ctx, spec, metric, connection):
 @command("levi-civita", arg("--metric", required=True), arg("--connection", required=True))
 def levi_civita(ctx, spec, metric, connection):
     """Torsion-free plus metric-compatible (existence only, never uniqueness)."""
-    from .files import load_connection, load_metric
-    from .geometry import levi_civita_check
+    from .geometry import levi_civita_check, load_connection, load_metric
 
     g = load_metric(spec, _read(metric))
     conn = load_connection(spec, _read(connection))

@@ -50,40 +50,23 @@ phi_u equals phi_s o phi_u o phi_s^-1, else the theta whose phi_t does,
 times the [theta_scalings] factor for (s, u).  So a file written by
 `nccalc preset show <id> --serialize` verifies like the preset itself.
 
-Connection and metric files are tabular:
-
-    V[1,2,1] = q
-    g[1,2] = x*y
+Connection and metric files are tabular (`V[1,2,1] = q`, `g[1,2] = x*y`);
+their readers live in `nccalc.geometry`, next to `Connection` and
+`Metric`, and still resolve here.
 """
 
 from __future__ import annotations
 
 import re
-from contextlib import contextmanager
 
-from .algebra import AlgebraError, Presentation, verify_morphism
-from .calculus import (CalculusError, CalculusSpec, DirectionSet, InconsistentCalculus,
-                       check_theta_scaling)
-from .parsing import FileFormatError, ParseError
-from .scalar import Scalar, ScalarError, parse_scalar
+from . import _lazy_attributes
+from .algebra import Presentation, verify_morphism
+from .calculus import (CalculusError, CalculusSpec, DirectionSet, InconsistentCalculus, _at,
+                       _strip_lines, check_theta_scaling)
+from .parsing import FileFormatError
+from .scalar import Scalar, parse_scalar
 
-
-def _strip_lines(text):
-    """(1-based file line number, line) for each line with content."""
-    for n, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield n, line
-
-
-@contextmanager
-def _at(n, section=None):
-    """Report an error in a file line as '[section] line n: message'."""
-    try:
-        yield
-    except (FileFormatError, ParseError, AlgebraError, CalculusError, ScalarError) as exc:
-        where = f"line {n}" if section is None else f"[{section}] line {n}"
-        raise FileFormatError(f"{where}: {exc}") from exc
+__getattr__ = _lazy_attributes(__name__, {"geometry": ("load_connection", "load_metric")})
 
 
 def _assignment(line, what):
@@ -409,45 +392,6 @@ def load_calculus(text):
         section, n = located[exc.label]
         with _at(n, section):
             raise
-
-
-def _table(spec, text, symbol, arity, what, flag=None):
-    """Lines `symbol[l1,...,ln] = expr` as {(l1, ..., ln): element}, and
-    whether a line that is just `flag` occurs.  Every label must be a
-    direction and no key may repeat; either error names its line."""
-    labels = ",".join([r"([^,\]]+)"] * arity)
-    pattern = re.compile(rf"{symbol}\[{labels}\]\s*=\s*(.+)")
-    entries = {}
-    flagged = False
-    for n, line in _strip_lines(text):
-        if line == flag:
-            flagged = True
-            continue
-        with _at(n):
-            m = pattern.fullmatch(line)
-            if not m:
-                raise FileFormatError(f"bad {what} line: {line!r}")
-            *key, expr = (g.strip() for g in m.groups())
-            key = spec.directions.word(key)
-            if key in entries:
-                raise FileFormatError(f"repeated entry {symbol}[{','.join(key)}]")
-            entries[key] = spec.pres.parse(expr)
-    return entries, flagged
-
-
-def load_connection(spec, text):
-    """The Connection of a `V[s,u,t] = expr` table."""
-    from .geometry import Connection  # here, so loading a calculus never imports geometry
-
-    return Connection(spec, _table(spec, text, "V", 3, "connection")[0])
-
-
-def load_metric(spec, text):
-    """The Metric of a `g[s,u] = expr` table, with an optional `symmetric` line."""
-    from .geometry import Metric
-
-    entries, symmetric = _table(spec, text, "g", 2, "metric", flag="symmetric")
-    return Metric(spec, entries, symmetric=symmetric)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Connections, torsion, curvature, the semi-left-linear tensor product,
-metrics, invariance and compatibility.
+metrics, invariance and compatibility, and the connection and metric files.
 
 Connection coefficients follow V_s(theta^s') = sum_s'' phi_s^-1(V[s',s,s'']) theta^s''.
 Every phi_s is a verified automorphism whose inverse is checked on every
@@ -23,11 +23,14 @@ just concatenates words and multiplies coefficients.
 
 from __future__ import annotations
 
+import re
 from functools import partial
 from typing import Mapping, NamedTuple
 
 from .algebra import LabelModule, Memo, NCPoly, _acc, join_terms
-from .calculus import CalculusSpec, CalculusError, GradedForm, d_form, vartheta
+from .calculus import (CalculusSpec, CalculusError, GradedForm, _at, _strip_lines, d_form,
+                       vartheta)
+from .parsing import FileFormatError
 from .report import Report
 from .scalar import Scalar
 
@@ -494,3 +497,44 @@ def levi_civita_check(spec, conn: Connection, g: Metric) -> Report:
         rep.add(f"torsion.{s}", t.is_zero(), f"Theta(theta^{s}) = ", t)
     rep.merge(metric_compatibility(spec, conn, g), "compat")
     return rep
+
+
+# ---------------------------------------------------------------------------
+# connection and metric files
+
+
+def _table(spec, text, symbol, arity, what, flag=None):
+    """Lines `symbol[l1,...,ln] = expr` as {(l1, ..., ln): element}, and
+    whether a line that is just `flag` occurs.  Every label must be a
+    direction and no key may repeat; either error names its line."""
+    labels = ",".join([r"([^,\]]+)"] * arity)
+    pattern = re.compile(rf"{symbol}\[{labels}\]\s*=\s*(.+)")
+    entries = {}
+    flagged = False
+    for n, line in _strip_lines(text):
+        if line == flag:
+            flagged = True
+            continue
+        with _at(n):
+            m = pattern.fullmatch(line)
+            if not m:
+                raise FileFormatError(f"bad {what} line: {line!r}")
+            *key, expr = (g.strip() for g in m.groups())
+            key = spec.directions.word(key)
+            if key in entries:
+                raise FileFormatError(f"repeated entry {symbol}[{','.join(key)}]")
+            entries[key] = spec.pres.parse(expr)
+    return entries, flagged
+
+
+def load_connection(spec, text):
+    """The Connection of a `V[s,u,t] = expr` table."""
+    return Connection(spec, _table(spec, text, "V", 3, "connection")[0])
+
+
+def load_metric(spec, text):
+    """The Metric of a `g[s,u] = expr` table, with an optional `symmetric` line."""
+    entries, symmetric = _table(spec, text, "g", 2, "metric", flag="symmetric")
+    if not entries:
+        raise FileFormatError("no g[...] entry in the metric file")
+    return Metric(spec, entries, symmetric=symmetric)

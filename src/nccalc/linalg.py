@@ -1,8 +1,12 @@
-"""Exact linear algebra over the scalar field and over presented algebras."""
+"""Exact linear algebra over the scalar field and over presented algebras,
+and the theta-solve built on it."""
 
 from __future__ import annotations
 
-from .algebra import AlgebraError, _acc, unit_inverse
+from typing import NamedTuple
+
+from .algebra import AlgebraError, Presentation, _acc, invert_element, unit_inverse
+from .calculus import CalculusError, CalculusSpec, GradedForm, differential
 from .scalar import Scalar
 
 
@@ -55,6 +59,28 @@ def nullspace_vector(rows, ncols):
     return [vec.get(j, Scalar.zero()) for j in range(ncols)]
 
 
+def normal_words(pres: Presentation, max_length: int, gens=None):
+    """All rewrite-irreducible words up to the given letter length, () first."""
+    out = [()]
+    alphabet = [l for i in range(len(pres.generators)) if gens is None or i in gens
+                for l in pres.letters(i)]
+
+    def grow(word):
+        if len(word) == max_length:
+            return
+        for l in alphabet:
+            if word and word[-1] == l ^ 1:
+                continue  # would cancel
+            nxt = word + (l,)
+            if pres._first_redex(nxt) is not None:
+                continue
+            out.append(nxt)
+            grow(nxt)
+
+    grow(())
+    return out
+
+
 def span_rows(unknowns, image):
     """The sparse rows of a linear search over the span of unknowns.
 
@@ -88,6 +114,29 @@ def solve_linear(equations, ncols):
     return sol
 
 
+def invert_by_search(p):
+    """Two-sided inverse of p, searched over normal words of bounded length.
+
+    Solves p*z = 1 linearly in the span of normal words (in the generators
+    occurring in p) of up to four letters, then checks z*p = 1.
+    Returns None when no inverse is found within the bound.
+    """
+    pres = p.pres
+    gens = sorted({l >> 1 for w in p.terms for l in w})
+    cands = normal_words(pres, 4, gens=gens)
+    rows = span_rows(cands, lambda w: (p * pres.poly({w: Scalar.one()})).terms.items())
+    eqs = [(coeffs, Scalar.one() if rw == () else Scalar.zero())
+           for rw, coeffs in rows.items()]
+    sol = solve_linear(eqs, len(cands))
+    if sol is None:
+        return None
+    z = pres.poly(dict(zip(cands, sol)))
+    # p*z is 1 when the span reaches 1, else 0; z*p = 1 and p*z = 0 would give p = 0
+    if (z * p).is_one():
+        return z
+    return None
+
+
 def nc_left_inverse(pres, M):
     """Left inverse of a matrix over the algebra by Gauss-Jordan elimination.
 
@@ -96,8 +145,6 @@ def nc_left_inverse(pres, M):
     None otherwise.  The result B keeps B M = A, and is returned only once
     A = I.
     """
-    from .algebra import invert_element
-
     n = len(M)
     pivots = _reduced_rows(({**dict(enumerate(row)), n + r: pres.one} for r, row in enumerate(M)),
                            n, invert_element)
@@ -179,3 +226,49 @@ def commutative_inverse(pres, M):
     except AlgebraError:
         return None, det
     return [[dinv * x for x in row] for row in adj], det
+
+
+# ---------------------------------------------------------------------------
+# the theta-solve
+
+
+class ThetaSolution(NamedTuple):
+    ok: bool
+    coefficients: dict | None  # label -> list[NCPoly] aligned with coords
+    det: NCPoly | None
+    matrix: tuple
+
+
+def solve_theta_in_differentials(spec: CalculusSpec, coords) -> ThetaSolution:
+    """Invert the matrix e_s(coord_j) to express theta^s via differentials.
+
+    Uses the adjugate over commutative algebras (the determinant must be a
+    unit) and unit-pivot Gaussian elimination otherwise; on failure the
+    assembled matrix is returned.  Each routine certifies the inverse it
+    returns, so it is not multiplied out here: adj(M) M = det(M) I for
+    commuting entries, and the elimination, which keeps B M = A, returns B
+    only once A = I.
+    """
+    labels = spec.directions.labels
+    coords = [spec.pres.element(c) for c in coords]
+    if len(coords) != len(labels):
+        raise CalculusError("need exactly one coordinate per direction")
+    M = [[spec.e(s, f) for s in labels] for f in coords]
+    det = None
+    if spec.pres.is_commutative():
+        inv, det = commutative_inverse(spec.pres, M)
+    else:
+        inv = nc_left_inverse(spec.pres, M)
+    if inv is None:
+        return ThetaSolution(False, None, det, tuple(tuple(r) for r in M))
+    coeffs = dict(zip(labels, inv))
+    return ThetaSolution(True, coeffs, det, tuple(tuple(r) for r in M))
+
+
+def theta_solution_form(spec, sol: ThetaSolution, coords, s) -> GradedForm:
+    """The 1-form sum_j c_j d(coord_j) for direction s."""
+    coords = [spec.pres.element(c) for c in coords]
+    out = GradedForm.zero(spec)
+    for c, f in zip(sol.coefficients[s], coords):
+        out = out + c * differential(spec, f)
+    return out

@@ -17,29 +17,6 @@ class Fixture(NamedTuple):
     run: callable  # () -> (ok, detail)
 
 
-def feq(description, lhs_fn, rhs_fn):
-    """Fixture comparing two lazily computed values for exact equality."""
-
-    def run():
-        lhs, rhs = lhs_fn(), rhs_fn()
-        ok = lhs == rhs
-        return ok, "" if ok else f"{lhs}  !=  {rhs}"
-
-    return Fixture(description, run)
-
-
-def fcheck(description, fn):
-    """Fixture around a predicate returning bool or (bool, detail)."""
-
-    def run():
-        out = fn()
-        if isinstance(out, tuple):
-            return bool(out[0]), str(out[1])
-        return bool(out), ""
-
-    return Fixture(description, run)
-
-
 class PresetBundle:
     """Calculus spec + fixtures for one worked example.
 

@@ -12,16 +12,41 @@ quotient algebra, the GL_pq(2) frame and thetas) come from `bundle.extras`.
 
 from __future__ import annotations
 
-from ..calculus import (GradedForm, _FormCtx, central_one_forms_probe, check_differentiability,
-                        constants, d_form, delta, differential, is_central_one_form,
-                        move_right, solve_theta_in_differentials, theta_solution_form,
-                        vartheta)
+from ..calculus import (GradedForm, _FormCtx, constants, d_form, delta, differential,
+                        move_right, vartheta)
+from ..linalg import solve_theta_in_differentials, theta_solution_form
 from ..parsing import parse_with_context
 from ..scalar import Scalar
-from .base import Fixture, fcheck, feq
-from .catalog import GL_ALPHA, _LATTICES, _group_inverse, _lattice_theta_images
+from ..suites import central_one_forms_probe, check_differentiability, is_central_one_form
+from .base import Fixture
+from .glpq2 import GL_ALPHA
+from .lattices import _LATTICES, _group_inverse, _lattice_theta_images
 
 FIXTURES = {}
+
+
+def feq(description, lhs_fn, rhs_fn):
+    """Fixture comparing two lazily computed values for exact equality."""
+
+    def run():
+        lhs, rhs = lhs_fn(), rhs_fn()
+        ok = lhs == rhs
+        return ok, "" if ok else f"{lhs}  !=  {rhs}"
+
+    return Fixture(description, run)
+
+
+def fcheck(description, fn):
+    """Fixture around a predicate returning bool or (bool, detail)."""
+
+    def run():
+        out = fn()
+        if isinstance(out, tuple):
+            return bool(out[0]), str(out[1])
+        return bool(out), ""
+
+    return Fixture(description, run)
+
 
 # the atoms vartheta and zeta of the identity rows
 _ATOMS = {"vartheta": vartheta,

@@ -1,15 +1,141 @@
-"""Named verification suites: structural identities plus randomized properties."""
+"""Named verification suites: structural identities plus randomized properties.
+
+The structural checks (the inner identities, central 1-forms and the
+differentiability of an automorphism) live here with the suites that run
+them; `nccalc.calculus` still resolves their names.
+"""
 
 from __future__ import annotations
 
 import random
 
-from .algebra import word_from_letters
-from .calculus import (GradedForm, check_differentiability, delta, differential,
-                       d_form, graded_commutator, vartheta, verify_inner_identities,
-                       verify_twisted_two_forms)
+from .algebra import AlgebraMorphism, word_from_letters
+from .calculus import (CalculusError, CalculusSpec, GradedForm, delta, differential, d_form,
+                       graded_commutator, vartheta, verify_twisted_two_forms)
 from .report import Report
 from .scalar import Scalar
+
+
+# ---------------------------------------------------------------------------
+# structural checks of a calculus and of an automorphism
+
+
+def verify_inner_identities(spec: CalculusSpec) -> Report:
+    """The structural identities of an inner calculus, on generators and thetas."""
+    rep = Report("inner identities")
+    ts = spec.two_forms
+    if ts is None:
+        raise CalculusError("verify_inner_identities needs a two-form structure")
+    th = vartheta(spec)
+    zeta = d_form(spec, th) - th.wedge(th)
+    rep.add("zeta_matches_table", zeta == ts.zeta_form(), "d(vartheta) - vartheta^2 = ", zeta)
+    gens = [spec.pres.gen(g.name) for g in spec.pres.generators]
+    for g, f in zip(spec.pres.generators, gens):
+        res = zeta * f - f * zeta
+        rep.add(f"zeta_central.{g.name}", res.is_zero(), res)
+    samples = [GradedForm.theta(spec, s) for s in spec.directions.labels]
+    samples += [f * GradedForm.theta(spec, s)
+                for f, g in zip(gens, spec.pres.generators)
+                for s in spec.directions.labels[:1]]
+    for i, w in enumerate(samples):
+        res = delta(spec, delta(spec, w)) + graded_commutator(spec, zeta, w)
+        rep.add(f"delta_square.{i}", res.is_zero(), res)
+    res = delta(spec, zeta)
+    rep.add("delta_zeta", res.is_zero(), res)
+    res = d_form(spec, zeta) - graded_commutator(spec, th, zeta)
+    rep.add("d_zeta", res.is_zero(), res)
+    return rep
+
+
+def is_central_one_form(spec: CalculusSpec, alpha: GradedForm):
+    """Lemma: alpha commutes with the algebra iff a_s phi_s(f) = f a_s."""
+    if set(alpha.degrees()) - {1}:
+        raise CalculusError("centrality test expects a 1-form")
+    for (s,), a in alpha.component(1).items():
+        for g in spec.pres.generators:
+            f = spec.pres.gen(g.name)
+            if a * spec.phi(s).apply(f) != f * a:
+                return False, (s, g.name)
+    return True, None
+
+
+def central_one_forms_probe(spec: CalculusSpec, degree_bound=4):
+    """Bounded search for nonzero central 1-forms (simplicity cross-check).
+
+    Returns a dict direction -> witness coefficient for every direction
+    where a nonzero solution of a_s phi_s(f) = f a_s exists with a_s in
+    the span of normal words up to degree_bound.
+    """
+    from .linalg import normal_words, nullspace_vector, span_rows
+
+    pres = spec.pres
+    witnesses = {}
+    words = normal_words(pres, degree_bound)
+    gens = [pres.gen(g.name) for g in pres.generators]
+    for s in spec.directions.labels:
+        def image(w, phi=spec.phi(s)):  # a_s phi_s(f) - f a_s, row key (f, result word)
+            wp = pres.poly({w: Scalar.one()})
+            return (((i, rw), rc) for i, f in enumerate(gens)
+                    for rw, rc in (wp * phi.apply(f) - f * wp).terms.items())
+
+        vec = nullspace_vector(list(span_rows(words, image).values()), len(words))
+        if vec is not None:
+            witnesses[s] = pres.poly(dict(zip(words, vec)))
+    return witnesses
+
+
+def check_differentiability(spec: CalculusSpec, phi: AlgebraMorphism,
+                            theta_images=None, simple=False) -> Report:
+    """Can phi extend to the forms with the given theta images?
+
+    Checks (i) d phi(g) = sum_s phi(e_s g) phi(theta^s) on generators,
+    (ii) phi(theta^s) f = (phi o phi_s o phi^-1)(f) phi(theta^s), and
+    (iii) phi(vartheta) = vartheta for simple calculi, otherwise that the
+    difference is a central 1-form.
+    """
+    rep = Report("differentiability")
+    if phi.inverse is None or not phi.verified:
+        raise CalculusError("phi must be verified with an inverse")
+    labels = spec.directions.labels
+    images = {}
+    for s in labels:
+        img = None if theta_images is None else theta_images.get(s)
+        if img is None:
+            img = GradedForm.theta(spec, s)
+        elif not isinstance(img, GradedForm):
+            img = GradedForm.theta(spec, s).mul_left(spec.pres.element(img))
+        images[s] = img
+    for g in spec.pres.generators:
+        f = spec.pres.gen(g.name)
+        lhs = differential(spec, phi.apply(f))
+        rhs = GradedForm.zero(spec)
+        for s in labels:
+            rhs = rhs + phi.apply(spec.e(s, f)) * images[s]
+        rep.add(f"d_phi.{g.name}", lhs == rhs, lhs - rhs)
+    for s in labels:
+        conj = phi.inverse.then(spec.phi(s)).then(phi)  # phi o phi_s o phi^-1
+        for g in spec.pres.generators:
+            f = spec.pres.gen(g.name)
+            res = images[s] * f - conj.apply(f) * images[s]
+            rep.add(f"theta_commutation.{s}.{g.name}", res.is_zero(), res)
+    th = vartheta(spec)
+    phi_th = GradedForm.zero(spec)
+    for s in labels:
+        phi_th = phi_th + phi.apply(spec.lambdas[s]) * images[s]
+    corr = phi_th - th
+    if simple:
+        rep.add("phi_vartheta_fixed", corr.is_zero(), "phi(vartheta) - vartheta = ", corr)
+    elif corr.is_zero():
+        rep.add("phi_vartheta_fixed", True)
+    else:
+        central, witness = is_central_one_form(spec, corr)
+        rep.add("phi_vartheta_central_correction", central,
+                "vartheta_phi = ", corr, f", witness {witness}")
+    return rep
+
+
+# ---------------------------------------------------------------------------
+# the suites
 
 
 def random_poly(pres, rng, max_len=2, terms=2):

@@ -6,14 +6,15 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 import nccalc
-from nccalc.algebra import (AlgebraError, Memo, Presentation, _acc, basis_independence_probe,
-                            check_local_confluence, identity_morphism, join,
-                            normal_words, tensor_product, unit_inverse,
-                            verify_morphism, word_from_letters)
+from nccalc.algebra import (AlgebraError, Memo, Presentation, _acc, check_local_confluence,
+                            identity_morphism, join, normal_words, tensor_product,
+                            unit_inverse, verify_morphism, word_from_letters)
+from nccalc.linalg import nullspace_vector, span_rows
 from nccalc.parsing import ParseError
 from nccalc.presets import load_preset, PRESET_IDS
 from nccalc.scalar import Scalar, params
@@ -209,6 +210,24 @@ def test_morphism_composition_verified(qplane):
     assert re.verified
 
 
+def test_stated_inverse_image_is_checked():
+    """An image of g^-1 stated under `g^-1` is kept once it inverts the image
+    of g on both sides; a wrong one, or one of a generator that has no
+    inverse, is an AlgebraError."""
+    pres = Presentation(["q", "x"], invertible={"x"},
+                        rules=[("q^2", "-1 - q"), ("x*q", "q*x"), ("x^-1*q", "q*x^-1")])
+    m = verify_morphism(pres, {"x": "q*x", "x^-1": "q^2*x^-1"},
+                        inverse_images={"x": "q^2*x", "x^-1": "q*x^-1"})
+    assert m.verified and m.inv_images == {"x": pres.parse("q^2*x^-1")}
+    assert m.apply(pres.parse("x^-1*x")).is_one()
+    with pytest.raises(AlgebraError, match=r"stated image q\*x\^-1 of x\^-1 is not the inverse"):
+        verify_morphism(pres, {"x": "q*x", "x^-1": "q*x^-1"})
+    with pytest.raises(AlgebraError, match="'q' is not invertible"):
+        verify_morphism(pres, {"q^-1": "q"})
+    with pytest.raises(AlgebraError, match="undeclared generator 'y'"):
+        verify_morphism(pres, {"y^-1": "x"})
+
+
 def test_unit_inverse():
     gl = load_preset("glpq2").presentation
     u = gl.parse("p*b*c^-1")
@@ -250,6 +269,47 @@ def test_tensor_factors_commute():
         for g2 in names[2:]:
             a, b = pres.gen(g1), pres.gen(g2)
             assert (a * b - b * a).is_zero()
+
+
+# -- the module-basis probe: a bounded search for a right-module relation
+
+
+class ProbeReport(NamedTuple):
+    dependent: bool
+    witness: dict | None  # label -> NCPoly
+    words_tested: int
+
+    def __str__(self):
+        if not self.dependent:
+            return f"no dependency found ({self.words_tested} test monomials)"
+        parts = ", ".join(f"f[{s}] = {p}" for s, p in self.witness.items())
+        return f"dependency found: {parts}"
+
+
+def basis_independence_probe(pres, derivations, degree_bound) -> ProbeReport:
+    """Bounded search for a right-module relation sum_s e_s . f_s = 0.
+
+    derivations maps labels to callables NCPoly -> NCPoly.  The relation
+    must hold on all normal monomials up to degree_bound, with the f_s
+    ranging over combinations of normal words up to degree_bound.
+    """
+    labels = list(derivations)
+    words = normal_words(pres, degree_bound)  # the span of each f_s, and the test monomials
+    es = {(s, m): derivations[s](pres.poly({m: Scalar.one()})) for m in words for s in labels}
+
+    def image(u):  # e_s(m) * w for every test monomial m, row key (m, result word)
+        s, w = u
+        wp = pres.poly({w: Scalar.one()})
+        return (((m, rw), rc) for m in words for rw, rc in (es[s, m] * wp).terms.items())
+
+    rows = span_rows([(s, w) for s in labels for w in words], image)
+    vec = nullspace_vector(list(rows.values()), len(labels) * len(words))
+    if vec is None:
+        return ProbeReport(False, None, len(words))
+    n = len(words)
+    witness = {s: pres.poly(dict(zip(words, vec[i * n:(i + 1) * n])))
+               for i, s in enumerate(labels)}
+    return ProbeReport(True, witness, len(words))
 
 
 def test_probe_finds_nilpotent_dependency():

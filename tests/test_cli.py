@@ -583,6 +583,17 @@ def test_bad_connection_or_metric_key_exit_2(tmp_path, args, text, message):
     assert (res.exit_code, res.output.splitlines()) == (2, [f"error: {message}"])
 
 
+@pytest.mark.parametrize("command", ["metric-check", "levi-civita"])
+def test_metric_without_an_entry_exit_2(tmp_path, command):
+    """`metric-check --metric /dev/null` used to print `=> OK (0/0)` and exit 0."""
+    conn = tmp_path / "zero.conn"
+    conn.write_text("")
+    res = run_cli(["--preset", "h_plane", command, "--metric", os.devnull,
+                   "--connection", str(conn)])
+    assert (res.exit_code, res.output.splitlines()) == (
+        2, ["error: no g[...] entry in the metric file"])
+
+
 @pytest.mark.parametrize("args, text", [
     (["--file", "{path}", "normalize", "y*x"], None),
     (["--preset", "quantum_plane_a", "torsion", "--connection", "{path}"],

@@ -181,6 +181,16 @@ def test_connection_and_metric_keys_are_checked_on_their_line(load, text, messag
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("text", ["", "symmetric\n", "# g[1,1] = 1\n\n"],
+                         ids=["empty", "symmetric_only", "comment_only"])
+def test_metric_file_without_an_entry_is_an_error(text):
+    """A metric with no g[...] line would check nothing and pass."""
+    spec = load_preset("h_plane").spec
+    with pytest.raises(FileFormatError) as exc:
+        load_metric(spec, text)
+    assert str(exc.value) == "no g[...] entry in the metric file"
+
+
 @pytest.mark.parametrize("old, new, message", [
     ("labels = 1 2", "labels 1 2", "[directions] line 13: bad directions line: 'labels 1 2'"),
     ("class 1 2 = quadrangle g1", "class 1 2 = triangle",

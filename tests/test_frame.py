@@ -4,7 +4,7 @@ import pytest
 
 from nccalc.frame import FrameError, ThetaFrame
 from nccalc.presets import load_preset
-from nccalc.presets.catalog import _gl_frame, _gl_pres
+from nccalc.presets.glpq2 import _gl_frame, _gl_pres
 
 
 def test_frame_tables_respect_relations():

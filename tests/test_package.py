@@ -1,6 +1,7 @@
 """The lazy package: `nccalc` and `nccalc.cli` resolve names on first access."""
 
 import importlib
+import pkgutil
 
 import pytest
 
@@ -48,3 +49,23 @@ def test_cli_resolves_the_names_it_imports_per_command(module, names):
     defining = importlib.import_module(f"nccalc.{module}")
     for name in names:
         assert getattr(nccalc.cli, name) is getattr(defining, name), name
+
+
+def test_every_lazily_re_exported_name_is_its_defining_module_object():
+    """Each module that resolves names of another on first access (PEP 562)
+    names, for each, the module that defines it; the name resolves to that
+    module's object, so a moved name keeps working from its old module."""
+    modules = [nccalc, *(importlib.import_module(m.name)
+                         for m in pkgutil.walk_packages(nccalc.__path__, "nccalc."))]
+    tables = {m.__name__: m.__getattr__.exports for m in modules if hasattr(m, "__getattr__")}
+    assert set(tables) == {"nccalc", "nccalc.algebra", "nccalc.calculus", "nccalc.cli",
+                           "nccalc.files", "nccalc.presets", "nccalc.presets.catalog",
+                           "nccalc.scalar"}
+    for module, exports in tables.items():
+        for sub, names in exports.items():
+            defining = importlib.import_module(f"nccalc.{sub}")
+            for name in names:
+                obj = vars(defining)[name]
+                assert getattr(importlib.import_module(module), name) is obj, (module, name)
+                assert getattr(obj, "__module__", defining.__name__) == defining.__name__, \
+                    (module, name)

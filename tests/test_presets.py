@@ -7,7 +7,7 @@ import pytest
 import nccalc
 from nccalc.calculus import GradedForm
 from nccalc.presets import PRESET_IDS, PresetBundle, PresetError, load_preset
-from nccalc.presets import catalog
+from nccalc.presets import glpq2, lattices
 from nccalc.presets.catalog import make_group_lattice
 from nccalc.scalar import Scalar
 from nccalc.suites import suite_differentiability
@@ -41,6 +41,25 @@ def test_preset_loading_reverifies_automorphisms():
     for s in bundle.spec.directions.labels:
         m = bundle.spec.phi(s)
         assert m.verified and m.inverse is not None
+
+
+def test_z3_load_runs_no_inverse_search(monkeypatch):
+    """The z3 recipe states the images of x^-1 and y^-1, so a load runs none
+    of the linear searches that the same images without them take; both give
+    the same inverse images."""
+    import nccalc.linalg as linalg
+    from nccalc.algebra import verify_morphism
+
+    search, calls = linalg.invert_by_search, []
+    monkeypatch.setattr(linalg, "invert_by_search", lambda p: calls.append(p) or search(p))
+    spec = load_preset.__wrapped__("z3_root_of_unity").spec
+    assert calls == []
+    searched = verify_morphism(spec.pres, {"x": "q*x", "y": "q^2*y"},
+                               inverse_images={"x": "q^2*x", "y": "q*y"})
+    assert len(calls) == 4 and searched.verified
+    stated = spec.phi("1")
+    assert searched.inv_images == stated.inv_images
+    assert searched.inverse.inv_images == stated.inverse.inv_images
 
 
 def test_make_group_lattice_z2xz2():
@@ -94,10 +113,10 @@ def test_glpq2_extras_present():
     assert (D * pres.gen("a") - pres.gen("a") * D).is_zero()
 
 
-# modules a command never uses: the geometry, file and suite layers, the
-# GL_pq(2) frame and the preset fixtures
+# modules a command never uses: the geometry, file, suite and linear-algebra
+# layers, the GCDHEU kernel, the GL_pq(2) frame and the preset fixtures
 _UNUSED = {"nccalc.geometry", "nccalc.files", "nccalc.suites", "nccalc.frame",
-           "nccalc.presets.fixtures"}
+           "nccalc.presets.fixtures", "nccalc.gcd", "nccalc.linalg"}
 _EVERY = {m.name for m in pkgutil.walk_packages(nccalc.__path__, "nccalc.")}
 _CLI = ("from nccalc.cli import main\n"
         "try:\n    main([{args}])\n"
@@ -118,23 +137,71 @@ _SHIFT_FILE = ("[generators]\nx\n\n[directions]\nlabels = 1\n\n[automorphisms]\n
 def test_glpq2_load_leaves_frame_module_unloaded(code, absent, tmp_path):
     """A load builds the calculus; the frame waits for its first reader, and
     a command imports only the modules it runs."""
+    calc = tmp_path / "shift.calc"
+    calc.write_text(_SHIFT_FILE)
+    loaded = _loaded_modules(code.format(calc=str(calc)))
+    assert not loaded & absent, sorted(loaded & absent)
+
+
+def _loaded_modules(code):
+    """The nccalc.* modules a fresh interpreter has loaded after running code."""
     import os
     import subprocess
     import sys
     from pathlib import Path
 
-    calc = tmp_path / "shift.calc"
-    calc.write_text(_SHIFT_FILE)
     src = str(Path(nccalc.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = code.format(calc=str(calc))
     code += "\nimport sys; print(*sorted(m for m in sys.modules if m.startswith('nccalc.')))"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.splitlines()[-1].split())
-    assert not loaded & absent, sorted(loaded & absent)
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+# what every call imports: the command line, its algebra, calculus, parser and
+# scalar layers, the report and the catalog; each call kind adds the family of
+# its preset and the layers it runs
+_LIGHT = {"nccalc.algebra", "nccalc.calculus", "nccalc.cli", "nccalc.parsing",
+          "nccalc.presets", "nccalc.presets.base", "nccalc.presets.catalog",
+          "nccalc.report", "nccalc.scalar"}
+_FAMILIES = {f"nccalc.presets.{f}" for f in ("glpq2", "heisenberg", "lattices", "planes",
+                                             "shifts", "tensors", "twisted", "z3")}
+
+
+@pytest.mark.parametrize("args, extra", [
+    (["--preset", "glpq2", "normalize", "a"], {"presets.glpq2"}),
+    (["--preset", "h_plane", "d", "--expr", "x*y"], {"presets.heisenberg"}),
+    (["--preset", "quantum_plane_a", "commute", "--expr", "x", "--thetas", "1,2"],
+     {"presets.planes"}),
+    (["--preset", "z3_root_of_unity", "relations"], {"presets.z3"}),
+    (["--preset", "twisted_heisenberg_3", "two-forms"], {"presets.twisted"}),
+    (["--preset", "quantum_plane_a", "torsion", "--connection", "{conn}"],
+     {"presets.planes", "geometry"}),
+    (["--preset", "quantum_plane_a", "curvature", "--connection", "{conn}", "--theta", "1"],
+     {"presets.planes", "geometry"}),
+    (["--preset", "quantum_plane_a", "metric-check", "--metric", "{metric}"],
+     {"presets.planes", "geometry"}),
+    (["--preset", "poly_shift_S12", "theta-solve", "--coords", "x + 1, x^2 - 2*x"],
+     {"presets.shifts", "linalg"}),
+    (["verify", "--all-presets", "--suite", "inner", "--suite", "twisted-2forms"],
+     {"gcd", "suites", *(f[7:] for f in _FAMILIES)}),
+    (["preset", "run", "z3_root_of_unity"],
+     {"linalg", "presets.fixtures", "presets.glpq2", "presets.lattices", "presets.z3",
+      "suites"}),
+], ids=["normalize", "d", "commute", "relations", "two_forms", "torsion", "curvature",
+        "metric_check", "theta_solve", "verify", "preset_run"])
+def test_each_call_kind_imports_exactly_the_modules_it_runs(args, extra, tmp_path):
+    """The nccalc modules of each call kind of the benchmark's cli round, pinned:
+    a light query compiles the catalog and its preset's family only, and the
+    geometry, linear-algebra, suite, file and gcd layers wait for their callers."""
+    conn, metric = tmp_path / "torsion_free.conn", tmp_path / "unit.metric"
+    conn.write_text("V[1,2,1] = 1\nV[2,2,1] = -1\n")
+    metric.write_text("g[1,1] = 1\ng[2,2] = 1\n")
+    argv = [a.format(conn=conn, metric=metric) for a in args]
+    loaded = _loaded_modules(_CLI.format(args=", ".join(map(repr, argv))))
+    assert loaded == _LIGHT | {f"nccalc.{m}" for m in extra}
 
 
 def test_identity_atoms_match_direct_calls():
@@ -173,14 +240,14 @@ def test_identity_atoms_match_direct_calls():
 
 
 def test_glpq2_frame_is_built_once_and_shared(monkeypatch):
-    frame_builder = catalog._gl_frame
+    frame_builder = glpq2._gl_frame
     built = []
 
     def counting_frame(pres):
         built.append(frame_builder(pres))
         return built[-1]
 
-    monkeypatch.setattr(catalog, "_gl_frame", counting_frame)
+    monkeypatch.setattr(glpq2, "_gl_frame", counting_frame)
     bundle = load_preset.__wrapped__("glpq2")
     assert built == []
     assert bundle.run_fixtures().ok
@@ -195,7 +262,7 @@ def test_glpq2_bad_frame_table_fails_the_frame_fixtures(monkeypatch):
     """A broken frame no longer stops the load: its fixtures fail instead."""
     from nccalc.frame import ThetaFrame
 
-    frame_builder = catalog._gl_frame
+    frame_builder = glpq2._gl_frame
 
     def bad_frame(pres):
         good = frame_builder(pres)
@@ -205,7 +272,7 @@ def test_glpq2_bad_frame_table_fails_the_frame_fixtures(monkeypatch):
                     "d": {"t2": "c", "t4": "d"}}
         return ThetaFrame(pres, good.labels, good.comm, d_images)
 
-    monkeypatch.setattr(catalog, "_gl_frame", bad_frame)
+    monkeypatch.setattr(glpq2, "_gl_frame", bad_frame)
     bundle = load_preset.__wrapped__("glpq2")
     failures = bundle.run_fixtures().failures()
     assert [c.path.split(".")[0] for c in failures] == [f"fixture_{i:02d}" for i in range(6)]
@@ -223,7 +290,7 @@ def test_gl_theta_tilde_move_example():
 
 
 def _shift_calculus_with_11_quadrangle_classes():
-    from nccalc.presets.catalog import _poly_shift
+    from nccalc.presets.shifts import _poly_shift
 
     _, spec = _poly_shift({"1": 1, "2": 2, "4": 4, "8": 8, "16": 16}, "poly_shift_1_2_4_8_16")
     assert len(spec.directions.quad_classes) == 11  # classes g0 .. g10
@@ -256,13 +323,13 @@ def test_serialization_round_trip():
 # -- phi_s(theta^u) derived by the spec, against independent oracles
 
 
-@pytest.mark.parametrize("pid", sorted(catalog._LATTICES))
+@pytest.mark.parametrize("pid", sorted(lattices._LATTICES))
 def test_theta_image_is_group_conjugation_on_lattices(pid):
     """R*_s theta^u = theta^{s u s^-1}, computed in the group."""
-    elements, mul, unit, directions, _ = catalog._LATTICES[pid]
+    elements, mul, unit, directions, _ = lattices._LATTICES[pid]
     spec = load_preset(pid).spec
-    oracle = catalog._lattice_theta_images(spec, directions, mul,
-                                           catalog._group_inverse(elements, mul, unit))
+    oracle = lattices._lattice_theta_images(spec, directions, mul,
+                                            lattices._group_inverse(elements, mul, unit))
     labels = spec.directions.labels
     assert {s: {u: spec.theta_image(s, u) for u in labels} for s in labels} == oracle
     if pid == "group_lattice_s3":  # nonabelian: some theta^u really move
@@ -280,7 +347,7 @@ def test_theta_image_on_glpq2_scales_theta2():
 
 
 @pytest.mark.parametrize("pid", [p for p in PRESET_IDS
-                                 if p not in catalog._LATTICES and p != "glpq2"])
+                                 if p not in lattices._LATTICES and p != "glpq2"])
 def test_theta_image_fixed_elsewhere(pid):
     spec = load_preset(pid).spec
     for s in spec.directions.labels:
@@ -288,7 +355,7 @@ def test_theta_image_fixed_elsewhere(pid):
             assert spec.theta_image(s, u) == GradedForm.theta(spec, u)
 
 
-@pytest.mark.parametrize("pid", ["glpq2", *sorted(catalog._LATTICES)])
+@pytest.mark.parametrize("pid", ["glpq2", *sorted(lattices._LATTICES)])
 def test_differentiability_suite_fixes_vartheta(pid):
     spec = load_preset(pid).spec
     rep = suite_differentiability(spec)

@@ -289,7 +289,7 @@ def _sympy_z_gcd(sympy, a, b, n):
 def test_gcd_fast_paths_against_sympy():
     sympy = pytest.importorskip("sympy")
     hypothesis = pytest.importorskip("hypothesis")
-    from nccalc.scalar import _gcd_cofactors
+    from nccalc.gcd import _gcd_cofactors
     _, _, poly_pairs = _strategies()
 
     @hypothesis.settings(**_ORACLE)
@@ -368,7 +368,8 @@ def test_integer_gcd_with_polynomial_content_against_sympy():
     sympy = pytest.importorskip("sympy")
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
-    from nccalc.scalar import _gcd_cofactors, _p_mul
+    from nccalc.gcd import _gcd_cofactors
+    from nccalc.scalar import _p_mul
 
     coeffs = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6).filter(bool),
                        st.integers(1, 10 ** 3))
@@ -520,7 +521,8 @@ def test_cancellation_memo_stays_bounded():
 def _check_cofactors(sympy, a, b, n):
     """_gcd_cofactors(a, b) against sympy's gcd over ZZ: g equal up to sign,
     and g times each cofactor gives back its operand."""
-    from nccalc.scalar import _gcd_cofactors, _p_mul
+    from nccalc.gcd import _gcd_cofactors
+    from nccalc.scalar import _p_mul
     g, qa, qb = _gcd_cofactors(a, b, n)
     gens = sympy.symbols(f"v:{n}")
     want = sympy.Poly.from_dict(a, *gens, domain="ZZ").gcd(
@@ -633,16 +635,16 @@ def test_gcd_cofactors_takes_a_third_point(monkeypatch):
     """The candidates at xi = 123 and 1008 do not divide, the one at 13769
     is the gcd 8x - 5."""
     sympy = pytest.importorskip("sympy")
-    import nccalc.scalar as scalar_module
+    import nccalc.gcd as gcd_module
     points = []
-    real = scalar_module._eval_first
+    real = gcd_module._eval_first
 
     def eval_first(p, xi):
         if xi not in points:
             points.append(xi)
         return real(p, xi)
 
-    monkeypatch.setattr(scalar_module, "_eval_first", eval_first)
+    monkeypatch.setattr(gcd_module, "_eval_first", eval_first)
     _check_cofactors(sympy, *_THREE_POINTS, 1)
     assert points == [123, 1008, 13769]
 
@@ -651,8 +653,8 @@ def test_gcd_cofactors_past_six_points(monkeypatch):
     """The search has no point cap: with the candidate checks of the first
     seven points made to fail, the eighth gives the gcd."""
     sympy = pytest.importorskip("sympy")
-    import nccalc.scalar as scalar_module
-    real, calls = scalar_module._p_div_exact, []
+    import nccalc.gcd as gcd_module
+    real, calls = gcd_module._p_div_exact, []
 
     def div_exact(a, b):
         calls.append(b)
@@ -660,7 +662,7 @@ def test_gcd_cofactors_past_six_points(monkeypatch):
             raise ArithmeticError("refused")
         return real(a, b)
 
-    monkeypatch.setattr(scalar_module, "_p_div_exact", div_exact)
+    monkeypatch.setattr(gcd_module, "_p_div_exact", div_exact)
     _check_cofactors(sympy, *_THREE_POINTS, 1)
     assert len(calls) == 9
 

@@ -103,12 +103,12 @@ MUTANTS = (
            "            for sup, i in [(w, i) for w, i in spots if len(w) <= 6]:\n",
            ("tests/test_cli.py::test_nonconfluent_file_exit_3",)),
     # the heuristic gcd takes its candidate once it divides a, b unchecked
-    Mutant("heuristic_gcd_without_dividing_b", "src/nccalc/scalar.py",
+    Mutant("heuristic_gcd_without_dividing_b", "src/nccalc/gcd.py",
            "qa, qb = _p_div_exact(a, h), _p_div_exact(b, h)",
            "qa, qb = _p_div_exact(a, h), b",
            ("tests/test_scalar.py::test_gcd_cofactors_against_sympy",)),
     # a point whose candidate does not divide ends the search: "coprime"
-    Mutant("gcd_search_gives_up_after_one_point", "src/nccalc/scalar.py",
+    Mutant("gcd_search_gives_up_after_one_point", "src/nccalc/gcd.py",
            "        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011\n",
            "        return {one: c}, a, b\n",
            ("tests/test_scalar.py::test_gcd_cofactors_takes_a_third_point",)),
